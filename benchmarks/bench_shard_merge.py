@@ -3,7 +3,7 @@
 The cross-machine acceptance contract of :mod:`repro.batch.sharding`,
 exercised end-to-end exactly as an operator would: the shared mixed
 MFTI/VFTI grid is planned into two shard manifests, each shard runs in its
-own ``python -m repro.batch.shard run`` subprocess (rebuilding the workload
+own ``python -m repro shard run`` subprocess (rebuilding the workload
 from the manifest, sharing one ``DiskStore``), and the merged result must
 reproduce the single-process reference bitwise -- record order, numerical
 payloads, JSON export and cache counters.
@@ -16,6 +16,7 @@ merge equivalence fails the build even if every unit test still passes.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -27,9 +28,11 @@ from repro.batch import (
     merge_shard_results,
     numerical_differences,
 )
-from repro.batch.shard import cli_subprocess as run_cli
 from repro.cache import FitCache
+from repro.cli import cli_subprocess
 from repro.experiments.workloads import mixed_batch_jobs
+
+run_cli = functools.partial(cli_subprocess, "shard")
 
 #: Reduced copy of the shared grid: same 8-job structure as the full
 #: ``bench_batch_engine`` grid, scaled so the two CLI subprocesses (which

@@ -27,7 +27,6 @@ import time
 
 import numpy as np
 
-from repro.backends import get_backend
 from repro.core.assembly import (
     VF_COMPACT_CONDITION_LIMIT,
     PoleGrouping,
@@ -91,7 +90,6 @@ def _min_seconds(fn) -> tuple:
 
 def test_vf_solver_speedup(benchmark, reportable, json_reportable):
     """The compact solve stage beats the stacked lstsq >=2x on both workloads."""
-    bk = get_backend("numpy")
     rows = []
     results = {}
     for name, n_ports in WORKLOADS.items():
@@ -99,7 +97,7 @@ def test_vf_solver_speedup(benchmark, reportable, json_reportable):
 
         # precompute both solver inputs: the shared projection is not timed
         a_stacked, b_stacked = vf_scaling_blocks(phi, responses, q1)
-        projected, rhs_projected = _vf_scaling_projected(phi, responses, q1, bk)
+        projected, rhs_projected = _vf_scaling_projected(phi, responses, q1)
         blocks = np.ascontiguousarray(np.transpose(projected, (1, 0, 2)))
         rhs = np.ascontiguousarray(rhs_projected.T)
 
@@ -107,7 +105,7 @@ def test_vf_solver_speedup(benchmark, reportable, json_reportable):
             lambda: np.linalg.lstsq(a_stacked, b_stacked, rcond=None)[0]
         )
         compact, compact_seconds = _min_seconds(
-            lambda: _vf_compact_reduce(blocks, rhs, bk, VF_COMPACT_CONDITION_LIMIT)
+            lambda: _vf_compact_reduce(blocks, rhs, VF_COMPACT_CONDITION_LIMIT)
         )
 
         agreement = float(
@@ -138,11 +136,11 @@ def test_vf_solver_speedup(benchmark, reportable, json_reportable):
 
     # the pytest-benchmark record: the compact stage on the larger workload
     phi, responses, q1 = _workload(WORKLOADS["ports20"], seed=20260808 + 20)
-    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1, bk)
+    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1)
     blocks = np.ascontiguousarray(np.transpose(projected, (1, 0, 2)))
     rhs = np.ascontiguousarray(rhs_projected.T)
     benchmark.pedantic(
-        lambda: _vf_compact_reduce(blocks, rhs, bk, VF_COMPACT_CONDITION_LIMIT),
+        lambda: _vf_compact_reduce(blocks, rhs, VF_COMPACT_CONDITION_LIMIT),
         rounds=3,
         iterations=1,
     )

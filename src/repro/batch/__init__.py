@@ -36,7 +36,8 @@ deterministic assignment of jobs to shards (:class:`ShardPlan`), ships each
 shard as a versioned JSON manifest, runs it through a regular engine on any
 machine, and merges the shard results back into one :class:`BatchResult`
 that is bitwise-identical to the single-process run.  The
-``python -m repro.batch.shard`` CLI drives the plan / run / merge cycle.
+``python -m repro shard`` CLI (:mod:`repro.cli`) drives the plan / run /
+merge cycle.
 """
 
 from repro.batch.engine import EXECUTORS, BatchEngine, contiguous_chunks

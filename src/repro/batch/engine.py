@@ -15,7 +15,7 @@ the engine's job is simple and strict:
   deterministic jobs; :class:`~repro.batch.jobs.FitJob` therefore rejects
   live ``numpy.random.Generator`` seeds (use an integer seed), and jobs with
   ``direction_kind="random"`` and ``direction_seed=None`` are nondeterministic
-  on *every* backend, serial included,
+  on *every* executor, serial included,
 * **per-job error capture** -- a failing job is recorded, never raised, so one
   bad dataset cannot abort the sweep.
 """
@@ -28,11 +28,10 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.backends import BACKEND_NAMES, ENV_VARIABLE
 from repro.batch.jobs import FitJob, JobRecord, run_job
 from repro.batch.results import BatchResult
 from repro.cache.fitcache import FitCache
-from repro.cache.interning import DatasetPool, JobTable, ResponseCache, SharedDatasetArena
+from repro.cache.interning import DatasetPool, JobTable, ResponseCache
 from repro.cache.stores import MemoryStore
 
 __all__ = ["BatchEngine", "EXECUTORS", "contiguous_chunks"]
@@ -55,35 +54,28 @@ def contiguous_chunks(items: Sequence, size: int) -> list[list]:
 
 
 def _run_chunk(
-    chunk: Sequence[tuple[int, FitJob]], cache=None, backend=None, responses=None
+    chunk: Sequence[tuple[int, FitJob]], cache=None, responses=None
 ) -> list[JobRecord]:
     """Run one contiguous chunk of (index, job) pairs (worker-side entry point).
 
-    ``backend`` travels as a *name* (picklable for process workers) and is
-    installed per job by :func:`~repro.batch.jobs.run_job`, so thread/process
-    workers resolve it in their own context.  ``responses`` is the
-    batch-shared :class:`~repro.cache.ResponseCache` (serial and thread
-    executors share one across chunks; process workers hold worker-local
-    ones set up by the pool initializer).
+    ``responses`` is the batch-shared :class:`~repro.cache.ResponseCache`
+    (serial and thread executors share one across chunks; process workers
+    hold worker-local ones set up by the pool initializer).
     """
-    return [
-        run_job(index, job, cache, backend=backend, responses=responses)
-        for index, job in chunk
-    ]
+    return [run_job(index, job, cache, responses=responses) for index, job in chunk]
 
 
 #: Per-worker state for the process executor, installed once per worker by
 #: :func:`_pool_initializer` instead of travelling with every chunk: the
-#: (stripped) fit cache and backend name, a worker-persistent
+#: (stripped) fit cache, a worker-persistent
 #: :class:`~repro.cache.DatasetPool` (later chunks resolve dataset refs
 #: without reconstructing) and the worker's :class:`~repro.cache.ResponseCache`.
 _WORKER_STATE: dict = {}
 
 
-def _pool_initializer(cache, backend, use_responses: bool) -> None:
+def _pool_initializer(cache, use_responses: bool) -> None:
     """One-time process-worker setup (runs in the worker, once per worker)."""
     _WORKER_STATE["cache"] = cache
-    _WORKER_STATE["backend"] = backend
     _WORKER_STATE["pool"] = DatasetPool()
     _WORKER_STATE["responses"] = ResponseCache() if use_responses else None
 
@@ -92,17 +84,11 @@ def _run_packed_chunk(table: JobTable) -> list[JobRecord]:
     """Worker-side entry point for the process executor.
 
     The chunk arrives as a :class:`~repro.cache.JobTable` -- unique datasets
-    once (pickled or as shared-memory descriptors), jobs as fingerprint
-    refs -- and everything else comes from the worker state installed by
-    :func:`_pool_initializer`.
+    once, jobs as fingerprint refs -- and everything else comes from the
+    worker state installed by :func:`_pool_initializer`.
     """
     chunk = table.unpack(pool=_WORKER_STATE.get("pool"))
-    return _run_chunk(
-        chunk,
-        _WORKER_STATE.get("cache"),
-        _WORKER_STATE.get("backend"),
-        _WORKER_STATE.get("responses"),
-    )
+    return _run_chunk(chunk, _WORKER_STATE.get("cache"), _WORKER_STATE.get("responses"))
 
 
 @dataclass(frozen=True)
@@ -127,13 +113,6 @@ class BatchEngine:
         :class:`~repro.cache.DiskStore`-backed cache with the ``process``
         executor (workers hold private copies of a memory store); per-job
         hit/miss statuses come back on the records either way.
-    backend:
-        Optional :mod:`repro.backends` array-backend name the kernel
-        modules run on while executing jobs (``"numpy"``, ``"cupy"``,
-        ``"torch"``).  ``None`` lets kernels resolve ``REPRO_ARRAY_BACKEND``
-        then ``numpy``.  The backend is an execution detail: it never enters
-        job fingerprints or serve request keys, and the ``numpy`` backend is
-        bitwise-identical to not selecting one.
     response_cache:
         Whether to share a cross-job :class:`~repro.cache.ResponseCache`
         across the batch (default on): reference-norm SVDs are memoized per
@@ -142,21 +121,13 @@ class BatchEngine:
         Values are bitwise-identical either way; per-record hit/miss tallies
         land on the records.  Serial and thread executors share one cache
         per :meth:`run`; each process worker holds its own.
-    shared_memory:
-        Ship the unique datasets of each process-executor chunk through
-        ``multiprocessing.shared_memory`` instead of pickling them into the
-        chunk payload (reconstruction is fingerprint-verified, creation
-        failures fall back to pickling per dataset).  No effect on the
-        serial/thread executors, which share memory by construction.
     """
 
     executor: str = "serial"
     max_workers: Optional[int] = None
     chunk_size: Optional[int] = None
     cache: Optional[FitCache] = None
-    backend: Optional[str] = None
     response_cache: bool = True
-    shared_memory: bool = False
 
     def __post_init__(self):
         if self.executor not in EXECUTORS:
@@ -165,22 +136,14 @@ class BatchEngine:
             raise ValueError("max_workers must be >= 1 when given")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 when given")
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES} when given, "
-                f"got {self.backend!r}"
-            )
 
     @classmethod
     def from_env(cls, default: str = "serial") -> "BatchEngine":
         """Build an engine from ``REPRO_BATCH_EXECUTOR`` / ``_WORKERS`` / ``_CHUNK``.
 
-        Lets benchmarks and scripts switch backend without code changes, e.g.
-        ``REPRO_BATCH_EXECUTOR=process REPRO_BATCH_WORKERS=4 pytest benchmarks/``.
-        The array backend is likewise picked up from ``REPRO_ARRAY_BACKEND``;
-        ``REPRO_BATCH_SHM=1`` opts the process executor into shared-memory
-        dataset shipping and ``REPRO_BATCH_RESPONSES=0`` disables the
-        cross-job response cache.
+        Lets benchmarks and scripts switch executor without code changes, e.g.
+        ``REPRO_BATCH_EXECUTOR=process REPRO_BATCH_WORKERS=4 pytest benchmarks/``;
+        ``REPRO_BATCH_RESPONSES=0`` disables the cross-job response cache.
         """
         def int_env(name: str):
             value = os.environ.get(name)
@@ -206,9 +169,7 @@ class BatchEngine:
             executor=os.environ.get("REPRO_BATCH_EXECUTOR", default),
             max_workers=int_env("REPRO_BATCH_WORKERS"),
             chunk_size=int_env("REPRO_BATCH_CHUNK"),
-            backend=os.environ.get(ENV_VARIABLE) or None,
             response_cache=bool_env("REPRO_BATCH_RESPONSES", True),
-            shared_memory=bool_env("REPRO_BATCH_SHM", False),
         )
 
     @classmethod
@@ -216,9 +177,8 @@ class BatchEngine:
         """Build an engine from the flat config dict the serve protocol uses.
 
         Recognised keys (all optional): ``executor``, ``max_workers``,
-        ``chunk_size``, ``backend`` (array-backend name for the kernel
-        modules), ``response_cache`` / ``shared_memory`` (bools, see the
-        class attributes), ``cache_dir`` (path -> disk-backed
+        ``chunk_size``, ``response_cache`` (bool, see the class
+        attributes), ``cache_dir`` (path -> disk-backed
         :class:`~repro.cache.FitCache`) and ``memory_cache`` (bool -> fresh
         memory-backed cache).  The same dict configures the HTTP service, the
         shard dispatcher and direct-Python callers, so one engine description
@@ -230,12 +190,11 @@ class BatchEngine:
         if cache_dir is not None and memory_cache:
             raise ValueError("engine config cannot set both cache_dir and memory_cache")
         kwargs = {}
-        for key in ("executor", "max_workers", "chunk_size", "backend"):
+        for key in ("executor", "max_workers", "chunk_size"):
             if key in config:
                 kwargs[key] = config.pop(key)
-        for key in ("response_cache", "shared_memory"):
-            if key in config:
-                kwargs[key] = bool(config.pop(key))
+        if "response_cache" in config:
+            kwargs["response_cache"] = bool(config.pop("response_cache"))
         if config:
             raise ValueError(
                 f"unknown engine config keys: {', '.join(sorted(config))}"
@@ -259,12 +218,8 @@ class BatchEngine:
             config["max_workers"] = self.max_workers
         if self.chunk_size is not None:
             config["chunk_size"] = self.chunk_size
-        if self.backend is not None:
-            config["backend"] = self.backend
         if not self.response_cache:
             config["response_cache"] = False
-        if self.shared_memory:
-            config["shared_memory"] = True
         if self.cache is not None:
             store = self.cache.store
             if isinstance(store, MemoryStore):
@@ -316,7 +271,7 @@ class BatchEngine:
 
         Records come back ordered by submission index; failures are embedded
         in their records, so this method only raises on infrastructure errors
-        (e.g. an unpicklable job with the process backend).
+        (e.g. an unpicklable job with the process executor).
 
         Parameters
         ----------
@@ -348,34 +303,24 @@ class BatchEngine:
         cache = self._worker_cache()
         responses = ResponseCache() if self.response_cache else None
         if self.executor == "serial":
-            chunk_records = [
-                _run_chunk(chunk, cache, self.backend, responses) for chunk in chunks
-            ]
+            chunk_records = [_run_chunk(chunk, cache, responses) for chunk in chunks]
         elif self.executor == "thread":
             with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = [
-                    pool.submit(_run_chunk, chunk, cache, self.backend, responses)
-                    for chunk in chunks
-                ]
+                futures = [pool.submit(_run_chunk, chunk, cache, responses) for chunk in chunks]
                 chunk_records = [future.result() for future in futures]
         else:
-            # the zero-copy job plane: each chunk crosses the pipe as a
-            # JobTable (unique datasets once, jobs as fingerprint refs);
-            # cache/backend/response-cache install once per worker via the
-            # pool initializer instead of travelling with every chunk
-            arena = SharedDatasetArena() if self.shared_memory else None
-            try:
-                tables = [JobTable.pack(chunk, arena=arena) for chunk in chunks]
-                with ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=_pool_initializer,
-                    initargs=(cache, self.backend, self.response_cache),
-                ) as pool:
-                    futures = [pool.submit(_run_packed_chunk, table) for table in tables]
-                    chunk_records = [future.result() for future in futures]
-            finally:
-                if arena is not None:
-                    arena.cleanup()
+            # each chunk crosses the pipe as a JobTable (unique datasets
+            # once, jobs as fingerprint refs); cache and response cache
+            # install once per worker via the pool initializer instead of
+            # travelling with every chunk
+            tables = [JobTable.pack(chunk) for chunk in chunks]
+            with ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                initializer=_pool_initializer,
+                initargs=(cache, self.response_cache),
+            ) as pool:
+                futures = [pool.submit(_run_packed_chunk, table) for table in tables]
+                chunk_records = [future.result() for future in futures]
         records = sorted(
             (record for chunk in chunk_records for record in chunk),
             key=lambda record: record.index,

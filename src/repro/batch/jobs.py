@@ -228,20 +228,14 @@ class JobRecord:
         }
 
 
-def run_job(index: int, job: FitJob, cache=None, *, backend=None, responses=None) -> JobRecord:
+def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord:
     """Execute one job, capturing any exception into the returned record.
 
-    This is a module-level function so the process backend can pickle it; it
+    This is a module-level function so the process executor can pickle it; it
     is the only place batch work actually calls into the fitting code.  With
     a :class:`~repro.cache.FitCache` the fit dispatches through the cached
     path and the record carries the per-job hit/miss status; a failing job
     never populates the cache.
-
-    ``backend`` installs a :func:`repro.backends.use_backend` scope around
-    the job's execution so every kernel call resolves it without signature
-    changes in the fit front-ends; an unavailable backend fails the job
-    (captured in the record) rather than the batch.  The backend never
-    enters the job fingerprint: it is an execution detail.
 
     ``responses`` optionally supplies a batch-shared
     :class:`~repro.cache.ResponseCache`: the model sweep and the
@@ -252,89 +246,86 @@ def run_job(index: int, job: FitJob, cache=None, *, backend=None, responses=None
     values are what the direct computation produces, so results are
     bitwise-identical with or without it.
     """
-    from repro.backends import use_backend
-
     started = time.perf_counter()
     cache_status: Optional[str] = None
     tally = ResponseTally(responses) if responses is not None else None
     try:
-        with use_backend(backend):
-            fit_key: Optional[str] = None
-            if cache is not None:
-                from repro.cache.fitcache import fit_with_cache
+        fit_key: Optional[str] = None
+        if cache is not None:
+            from repro.cache.fitcache import fit_with_cache
 
-                result, cache_status, fit_key = fit_with_cache(
-                    job.data, method=job.method, options=job.options, cache=cache
-                )
-            else:
-                result = run_fit(job.data, method=job.method, options=job.options)
-
-            if tally is not None and hasattr(result.system, "prime_evaluation_plan"):
-                # Cached sweep values must be pure functions of (system
-                # fingerprint, grid fingerprint): a hit on the fit-grid sweep
-                # would otherwise leave this system's lazily-built evaluation
-                # plan to be seeded by whichever grid misses next, and the
-                # plan's shift depends on the seeding grid.  Pinning the plan
-                # to the fit grid -- what the first uncached sweep would have
-                # built -- keeps miss computations bitwise identical no
-                # matter which hits preceded them (or on which worker).
-                result.system.prime_evaluation_plan(job.data.frequencies_hz)
-
-            def evaluate(data):
-                """Aggregate error vs ``data``, via the response cache if on."""
-                if tally is None:
-                    return result.aggregate_error(data)
-                return model_aggregate_error(
-                    result.system,
-                    data,
-                    response=tally.model_sweep(result.system, data),
-                    norms=tally.reference_norms(data),
-                )
-
-            if fit_key is not None:
-                # memoized evaluations: on warm sweeps the error evaluations
-                # dominate the wall clock, not the (skipped) fits.  The
-                # response-cache sweep only runs on an evaluation-memo miss.
-                error_vs_data = cache.cached_aggregate_error(
-                    fit_key, result, job.data, compute=lambda: evaluate(job.data)
-                )
-                error_vs_reference = (
-                    cache.cached_aggregate_error(
-                        fit_key, result, job.reference, compute=lambda: evaluate(job.reference)
-                    )
-                    if job.reference is not None
-                    else float("nan")
-                )
-            else:
-                error_vs_data = evaluate(job.data)
-                error_vs_reference = (
-                    evaluate(job.reference) if job.reference is not None else float("nan")
-                )
-            time_domain = (
-                time_domain_metrics(
-                    result.system,
-                    job.reference,
-                    job.time_domain,
-                    model_samples=(
-                        tally.model_sweep(result.system, job.reference)
-                        if tally is not None
-                        else None
-                    ),
-                )
-                if job.time_domain is not None
-                else {}
+            result, cache_status, fit_key = fit_with_cache(
+                job.data, method=job.method, options=job.options, cache=cache
             )
-            passivity = (
-                passivity_metrics(
-                    result.system,
-                    job.data,
-                    job.passivity,
-                    reference=job.reference,
-                    responses=tally,
-                )
-                if job.passivity is not None
-                else {}
+        else:
+            result = run_fit(job.data, method=job.method, options=job.options)
+
+        if tally is not None and hasattr(result.system, "prime_evaluation_plan"):
+            # Cached sweep values must be pure functions of (system
+            # fingerprint, grid fingerprint): a hit on the fit-grid sweep
+            # would otherwise leave this system's lazily-built evaluation
+            # plan to be seeded by whichever grid misses next, and the
+            # plan's shift depends on the seeding grid.  Pinning the plan
+            # to the fit grid -- what the first uncached sweep would have
+            # built -- keeps miss computations bitwise identical no
+            # matter which hits preceded them (or on which worker).
+            result.system.prime_evaluation_plan(job.data.frequencies_hz)
+
+        def evaluate(data):
+            """Aggregate error vs ``data``, via the response cache if on."""
+            if tally is None:
+                return result.aggregate_error(data)
+            return model_aggregate_error(
+                result.system,
+                data,
+                response=tally.model_sweep(result.system, data),
+                norms=tally.reference_norms(data),
             )
+
+        if fit_key is not None:
+            # memoized evaluations: on warm sweeps the error evaluations
+            # dominate the wall clock, not the (skipped) fits.  The
+            # response-cache sweep only runs on an evaluation-memo miss.
+            error_vs_data = cache.cached_aggregate_error(
+                fit_key, result, job.data, compute=lambda: evaluate(job.data)
+            )
+            error_vs_reference = (
+                cache.cached_aggregate_error(
+                    fit_key, result, job.reference, compute=lambda: evaluate(job.reference)
+                )
+                if job.reference is not None
+                else float("nan")
+            )
+        else:
+            error_vs_data = evaluate(job.data)
+            error_vs_reference = (
+                evaluate(job.reference) if job.reference is not None else float("nan")
+            )
+        time_domain = (
+            time_domain_metrics(
+                result.system,
+                job.reference,
+                job.time_domain,
+                model_samples=(
+                    tally.model_sweep(result.system, job.reference)
+                    if tally is not None
+                    else None
+                ),
+            )
+            if job.time_domain is not None
+            else {}
+        )
+        passivity = (
+            passivity_metrics(
+                result.system,
+                job.data,
+                job.passivity,
+                reference=job.reference,
+                responses=tally,
+            )
+            if job.passivity is not None
+            else {}
+        )
         return JobRecord(
             index=index,
             label=job.label,

@@ -38,9 +38,9 @@ fingerprints prove the rebuild reproduced the planned content.  With a
 shared-filesystem :class:`~repro.cache.DiskStore` as ``cache_dir``, shards
 additionally reuse each other's fits for free.
 
-The ``python -m repro.batch.shard`` CLI (:mod:`repro.batch.shard`) drives
-the plan / run / merge cycle from the command line; see the README's
-"Sharding across machines" section for the workflow.
+The ``python -m repro shard`` CLI (:mod:`repro.cli`) drives the plan / run
+/ merge cycle from the command line; see the README's "Sharding across
+machines" section for the workflow.
 """
 
 from __future__ import annotations

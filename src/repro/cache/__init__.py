@@ -17,8 +17,8 @@ Pieces, bottom-up:
   switch) and :func:`fit_with_cache`, the single cached dispatch path,
 * :mod:`repro.cache.interning` -- content-addressed dataset interning
   (:class:`DatasetPool`), the pickle-level :class:`JobTable` chunk codec
-  (optionally zero-copy via :class:`SharedDatasetArena`), and the cross-job
-  :class:`ResponseCache` keyed on (system fingerprint, grid fingerprint).
+  and the cross-job :class:`ResponseCache` keyed on (system fingerprint,
+  grid fingerprint).
 
 Transparent integration::
 
@@ -52,7 +52,6 @@ from repro.cache.interning import (
     JobTable,
     ResponseCache,
     ResponseTally,
-    SharedDatasetArena,
     dataset_nbytes,
 )
 from repro.cache.serialization import (
@@ -73,7 +72,6 @@ __all__ = [
     "combined_fingerprint",
     "DatasetPool",
     "JobTable",
-    "SharedDatasetArena",
     "ResponseCache",
     "ResponseTally",
     "dataset_nbytes",

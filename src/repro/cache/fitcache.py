@@ -272,7 +272,7 @@ class FitCache:
         return value
 
     # ------------------------------------------------------------------ #
-    # pickling (process-backend workers)
+    # pickling (process-executor workers)
     # ------------------------------------------------------------------ #
     def __getstate__(self):
         state = self.__dict__.copy()

@@ -13,10 +13,6 @@ fingerprints:
 * :class:`JobTable` -- a pickle-level codec that splits a chunk of
   ``(index, FitJob)`` pairs into (unique datasets, jobs-with-fingerprint-refs)
   so the process executor ships each unique dataset once per chunk.
-* :class:`SharedDatasetArena` -- optional zero-copy transport for the large
-  arrays via :mod:`multiprocessing.shared_memory`, with a plain-pickle
-  fallback per dataset and fingerprint-verified, bitwise-identical
-  reconstruction on the worker side.
 * :class:`ResponseCache` / :class:`ResponseTally` -- the cross-job response
   cache keyed on ``(system fingerprint, grid fingerprint)`` memoizing
   reference sweeps, plus the model-independent SVD norms of a reference
@@ -47,7 +43,6 @@ from repro.data.dataset import FrequencyData
 __all__ = [
     "DatasetPool",
     "JobTable",
-    "SharedDatasetArena",
     "ResponseCache",
     "ResponseTally",
     "dataset_nbytes",
@@ -193,133 +188,6 @@ class DatasetPool:
 
 
 # --------------------------------------------------------------------------- #
-# shared-memory transport
-# --------------------------------------------------------------------------- #
-
-
-def _array_meta(name: str, array: np.ndarray) -> dict:
-    return {
-        "name": name,
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-        "nbytes": int(array.nbytes),
-    }
-
-
-class SharedDatasetArena:
-    """One ``multiprocessing.shared_memory`` segment per unique dataset.
-
-    The parent creates segments up front (one per unique dataset per batch),
-    workers attach read-only and copy the bytes out, and the parent alone
-    unlinks in :meth:`cleanup` after the futures complete.  Creation failures
-    (no ``/dev/shm``, permissions, exhausted space) degrade per dataset to
-    the plain-pickle entry -- the arena never makes a run fail.
-
-    Caveats (also documented in the README): segments are named kernel
-    objects; if the *parent* is SIGKILLed between create and cleanup the
-    segments leak until the OS reaps ``/dev/shm`` (Python's resource tracker
-    handles normal interpreter exits).  On Python <= 3.12 the worker-side
-    attach registers with the resource tracker too, which would unlink
-    segments the parent still owns when the worker exits -- the attach
-    helper therefore unregisters after copying (``track=False`` exists only
-    on 3.13+).
-    """
-
-    def __init__(self):
-        self._segments: Dict[str, "object"] = {}  # fingerprint -> SharedMemory
-
-    def entry_for(self, fingerprint: str, data: FrequencyData) -> dict:
-        """A ``{"shm": ...}`` table entry for ``data``, creating the segment.
-
-        Raises on any shared-memory failure; :meth:`JobTable.pack` catches
-        and falls back to pickling that dataset.
-        """
-        from multiprocessing import shared_memory
-
-        shm = self._segments.get(fingerprint)
-        freqs = np.ascontiguousarray(data.frequencies_hz)
-        samples = np.ascontiguousarray(data.samples)
-        if shm is None:
-            size = freqs.nbytes + samples.nbytes
-            shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
-            shm.buf[: freqs.nbytes] = freqs.tobytes()
-            shm.buf[freqs.nbytes : freqs.nbytes + samples.nbytes] = samples.tobytes()
-            self._segments[fingerprint] = shm
-        return {
-            "segment": shm.name,
-            "fingerprint": fingerprint,
-            "kind": data.kind,
-            "reference_impedance": float(data.reference_impedance),
-            "label": data.label,
-            "frequencies_hz": _array_meta("frequencies_hz", freqs),
-            "samples": _array_meta("samples", samples),
-        }
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    @property
-    def shared_bytes(self) -> int:
-        return sum(shm.size for shm in self._segments.values())
-
-    def cleanup(self) -> None:
-        """Close and unlink every segment (parent side, after the batch)."""
-        segments, self._segments = self._segments, {}
-        for shm in segments.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except (OSError, FileNotFoundError):  # already reaped: nothing to leak
-                pass
-
-
-def _dataset_from_shared(entry: dict) -> FrequencyData:
-    """Worker-side reconstruction of a shared-memory table entry.
-
-    Copies the bytes out (the segment outlives no chunk), closes the local
-    mapping, and -- when the worker runs under a non-``fork`` start method,
-    i.e. owns a private resource tracker -- unregisters the attach-side
-    tracker entry so the worker's tracker cannot unlink a segment the parent
-    still owns (Python <= 3.12 registers on attach as well as create).
-    Under ``fork`` the tracker is shared with the parent and registration is
-    idempotent, so the parent's ``unlink`` is the single clean unregister.
-    """
-    import multiprocessing
-    from multiprocessing import resource_tracker, shared_memory
-
-    shm = shared_memory.SharedMemory(name=entry["segment"])
-    try:
-        blobs = []
-        offset = 0
-        for key in ("frequencies_hz", "samples"):
-            spec = entry[key]
-            nbytes = int(spec["nbytes"])
-            view = shm.buf[offset : offset + nbytes]
-            try:
-                blob = bytes(view)
-            finally:
-                if isinstance(view, memoryview):
-                    view.release()
-            array = np.frombuffer(blob, dtype=np.dtype(spec["dtype"])).reshape(spec["shape"])
-            blobs.append(array)
-            offset += nbytes
-    finally:
-        shm.close()
-        try:  # attach registered us with the tracker on <= 3.12; undo it
-            if multiprocessing.get_start_method() != "fork":
-                resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return FrequencyData(
-        frequencies_hz=blobs[0],
-        samples=blobs[1],
-        kind=entry["kind"],
-        reference_impedance=entry["reference_impedance"],
-        label=entry["label"],
-    )
-
-
-# --------------------------------------------------------------------------- #
 # the job-plane codec
 # --------------------------------------------------------------------------- #
 
@@ -329,42 +197,27 @@ class JobTable:
     """A chunk of jobs split into (unique datasets, jobs with dataset refs).
 
     What the process executor pickles per chunk: each unique dataset appears
-    once in ``datasets`` -- as a ``("pickle", FrequencyData)`` entry or a
-    ``("shm", meta)`` shared-memory descriptor -- and each job stub
-    references its data/reference by fingerprint.  :meth:`unpack` rebuilds
-    ``(index, FitJob)`` pairs on the worker, resolving refs through an
-    optional worker-persistent :class:`DatasetPool` so later chunks skip
-    reconstruction (and re-verification) of datasets already seen.
-
-    Shared-memory reconstructions are fingerprint-verified on first sight,
-    which pins them bitwise to the originals.
+    once in ``datasets`` (fingerprint -> :class:`FrequencyData`) and each job
+    stub references its data/reference by fingerprint.  :meth:`unpack`
+    rebuilds ``(index, FitJob)`` pairs on the worker, resolving refs through
+    an optional worker-persistent :class:`DatasetPool` so later chunks reuse
+    the datasets already seen.
     """
 
     jobs: Tuple[dict, ...]
-    datasets: Dict[str, tuple]
+    datasets: Dict[str, FrequencyData]
 
     @classmethod
-    def pack(
-        cls, chunk: Sequence[tuple], *, arena: Optional[SharedDatasetArena] = None
-    ) -> "JobTable":
-        """Pack ``(index, FitJob)`` pairs; ``arena`` opts datasets into shm."""
-        datasets: Dict[str, tuple] = {}
+    def pack(cls, chunk: Sequence[tuple]) -> "JobTable":
+        """Pack ``(index, FitJob)`` pairs."""
+        datasets: Dict[str, FrequencyData] = {}
         stubs: List[dict] = []
 
         def ref(data: Optional[FrequencyData]) -> Optional[str]:
             if data is None:
                 return None
             fingerprint = dataset_fingerprint(data)
-            if fingerprint not in datasets:
-                entry: Optional[tuple] = None
-                if arena is not None:
-                    try:
-                        entry = ("shm", arena.entry_for(fingerprint, data))
-                    except Exception:
-                        entry = None  # per-dataset fallback below
-                if entry is None:
-                    entry = ("pickle", data)
-                datasets[fingerprint] = entry
+            datasets.setdefault(fingerprint, data)
             return fingerprint
 
         for index, job in chunk:
@@ -397,20 +250,11 @@ class JobTable:
                 data = pool.get(fingerprint)
             if data is None:
                 try:
-                    tag, payload = self.datasets[fingerprint]
+                    data = self.datasets[fingerprint]
                 except KeyError:
                     raise ValueError(
                         f"job table references unknown dataset {fingerprint!r}"
                     ) from None
-                if tag == "shm":
-                    data = _dataset_from_shared(payload)
-                    if dataset_fingerprint(data) != fingerprint:
-                        raise ValueError(
-                            f"shared-memory dataset {fingerprint!r} reconstructed "
-                            "with a different fingerprint"
-                        )
-                else:
-                    data = payload
                 if pool is not None:
                     pool.intern(data)
             local[fingerprint] = data

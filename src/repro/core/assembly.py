@@ -17,10 +17,9 @@ same for the *fit* side.  Three families of helpers live here:
   tests and the speedup reference for
   ``benchmarks/bench_fit_pipeline.py`` / ``bench_vf_solver.py`` -- the
   same pattern :mod:`repro.systems.evaluation` uses for the sweep kernel.
-  The basis/projection/solver kernels accept a :mod:`repro.backends`
-  ``backend=`` argument (NumPy stays bitwise-pinned; the Loewner helpers
-  below stay host-NumPy because their bitwise slicing-stability contract
-  is defined in terms of host LAPACK arithmetic).
+  The compact solver calls its Cholesky, triangular solves and small
+  ``lstsq`` through the :func:`repro.backends.get_backend` record, fetched
+  on every call (the record holds the numpy/scipy callables themselves).
 
 * **Direction plumbing** -- the block-size resolution, interleaved
   right/left sample split, direction generation and rectangular embedding
@@ -45,7 +44,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.backends import resolve_backend
+from repro.backends import get_backend
 from repro.core.directions import orthonormal_directions
 from repro.core.loewner import LoewnerPencil, divided_difference_blocks
 from repro.core.tangential import TangentialData
@@ -149,35 +148,28 @@ def partial_fraction_basis(
     s_points: np.ndarray,
     poles: np.ndarray,
     grouping: PoleGrouping,
-    *,
-    backend=None,
 ) -> np.ndarray:
     """Real-coefficient partial-fraction basis, evaluated for all poles at once.
 
     Returns a complex ``(N, n_poles)`` matrix whose columns multiply *real*
     coefficients: real poles get ``1/(s - a)``; conjugate pairs get
-    ``1/(s-a) + 1/(s-conj(a))`` and ``j/(s-a) - j/(s-conj(a))``.  On the
-    ``numpy`` backend, bitwise identical to
-    :func:`partial_fraction_basis_reference` (every entry is the same
-    elementwise expression).
+    ``1/(s-a) + 1/(s-conj(a))`` and ``j/(s-a) - j/(s-conj(a))``.  Bitwise
+    identical to :func:`partial_fraction_basis_reference` (every entry is
+    the same elementwise expression).
     """
-    bk = resolve_backend(backend)
-    xp = bk.xp
     s_points = np.asarray(s_points, dtype=complex).ravel()
     poles = np.asarray(poles, dtype=complex).ravel()
-    s_dev = bk.asarray(s_points)
-    phi = xp.empty((s_points.size, poles.size), dtype=complex)
+    phi = np.empty((s_points.size, poles.size), dtype=complex)
     real_idx = grouping.real_indices
     if real_idx.size:
-        real_parts = bk.asarray(poles[real_idx].real)
-        phi[:, real_idx] = 1.0 / (s_dev[:, xp.newaxis] - real_parts[xp.newaxis, :])
+        phi[:, real_idx] = 1.0 / (s_points[:, np.newaxis] - poles[real_idx].real[np.newaxis, :])
     if grouping.pair_first.size:
-        a = bk.asarray(grouping.pair_poles)[xp.newaxis, :]
-        inv_plus = 1.0 / (s_dev[:, xp.newaxis] - a)
-        inv_minus = 1.0 / (s_dev[:, xp.newaxis] - xp.conj(a))
+        a = grouping.pair_poles[np.newaxis, :]
+        inv_plus = 1.0 / (s_points[:, np.newaxis] - a)
+        inv_minus = 1.0 / (s_points[:, np.newaxis] - np.conj(a))
         phi[:, grouping.pair_first] = inv_plus + inv_minus
         phi[:, grouping.pair_second] = 1j * inv_plus - 1j * inv_minus
-    return bk.to_numpy(phi)
+    return phi
 
 
 def _walk_groups(poles: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
@@ -337,22 +329,18 @@ def residues_from_coefficients_reference(
     return residues
 
 
-def _vf_scaling_projected(phi, responses, q1, bk):
+def _vf_scaling_projected(phi, responses, q1):
     """Projected fast-VF blocks ``(2N, E, n)`` and right-hand sides ``(2N, E)``."""
-    xp = bk.xp
     n_samples, n_entries = responses.shape
-    phi_dev = bk.asarray(phi)
-    resp_dev = bk.asarray(responses)
-    q1_dev = bk.asarray(q1)
-    weighted = -resp_dev[:, :, xp.newaxis] * phi_dev[:, xp.newaxis, :]  # (N, E, n)
-    weighted = xp.concatenate([weighted.real, weighted.imag], axis=0)  # (2N, E, n)
-    rhs = xp.concatenate([resp_dev.real, resp_dev.imag], axis=0)  # (2N, E)
+    weighted = -responses[:, :, np.newaxis] * phi[:, np.newaxis, :]  # (N, E, n)
+    weighted = np.concatenate([weighted.real, weighted.imag], axis=0)  # (2N, E, n)
+    rhs = np.concatenate([responses.real, responses.imag], axis=0)  # (2N, E)
 
     flat = weighted.reshape(2 * n_samples, -1)
-    projected = flat - xp.matmul(q1_dev, xp.matmul(q1_dev.T, flat))
+    projected = flat - np.matmul(q1, np.matmul(q1.T, flat))
     projected = projected.reshape(2 * n_samples, n_entries, -1)
 
-    rhs_projected = rhs - xp.matmul(q1_dev, xp.matmul(q1_dev.T, rhs))
+    rhs_projected = rhs - np.matmul(q1, np.matmul(q1.T, rhs))
     return projected, rhs_projected
 
 
@@ -360,8 +348,6 @@ def vf_scaling_blocks(
     phi: np.ndarray,
     responses: np.ndarray,
     q1: np.ndarray,
-    *,
-    backend=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fast-VF projection, batched over every matrix entry at once.
 
@@ -374,17 +360,13 @@ def vf_scaling_blocks(
     per iteration** and all entries share two large GEMMs.
 
     Returns ``(a_stacked, b_stacked)`` with the entry blocks in the same
-    row order as the reference (bitwise identical to it on ``numpy``).
+    row order as the reference (bitwise identical to it).
     """
-    bk = resolve_backend(backend)
-    xp = bk.xp
     n_samples, n_entries = responses.shape
-    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1, bk)
-    a_stacked = xp.transpose(projected, (1, 0, 2)).reshape(
-        n_entries * 2 * n_samples, -1
-    )
+    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1)
+    a_stacked = np.transpose(projected, (1, 0, 2)).reshape(n_entries * 2 * n_samples, -1)
     b_stacked = rhs_projected.T.reshape(-1)
-    return bk.to_numpy(a_stacked), bk.to_numpy(b_stacked)
+    return a_stacked, b_stacked
 
 
 def vf_scaling_solve_reference(
@@ -399,11 +381,11 @@ def vf_scaling_solve_reference(
     equivalence oracle for the compact path, the conditioning fallback
     target, and the speedup reference for ``benchmarks/bench_vf_solver.py``.
     """
-    a_stacked, b_stacked = vf_scaling_blocks(phi, responses, q1, backend="numpy")
+    a_stacked, b_stacked = vf_scaling_blocks(phi, responses, q1)
     return np.linalg.lstsq(a_stacked, b_stacked, rcond=None)[0]
 
 
-def _vf_scaling_solve_compact(phi, responses, q1, bk, condition_limit):
+def _vf_scaling_solve_compact(phi, responses, q1, condition_limit):
     """Per-entry Cholesky-QR reduction of the fast-VF system; raises on doubt.
 
     Each entry's tall projected block ``[A_j | b_j]`` (``2N x (n+1)``) is
@@ -413,19 +395,18 @@ def _vf_scaling_solve_compact(phi, responses, q1, bk, condition_limit):
     ``E(n+1) x n`` system with *exactly* the singular values of the full
     stacked system, so the final small ``lstsq`` both solves it and prices
     its conditioning for free.  Raises :exc:`numpy.linalg.LinAlgError`
-    (or the backend's equivalent) when any Gram block is not numerically
-    SPD, the reduction is rank-deficient/non-finite, or the condition
-    estimate exceeds ``condition_limit`` -- the public wrapper then falls
-    back to :func:`vf_scaling_solve_reference`.
+    when any Gram block is not numerically SPD, the reduction is
+    rank-deficient/non-finite, or the condition estimate exceeds
+    ``condition_limit`` -- the public wrapper then falls back to
+    :func:`vf_scaling_solve_reference`.
     """
-    xp = bk.xp
-    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1, bk)
-    blocks = xp.transpose(projected, (1, 0, 2))  # (E, 2N, n)
-    rhs = xp.transpose(rhs_projected, (1, 0))  # (E, 2N)
-    return _vf_compact_reduce(blocks, rhs, bk, condition_limit)
+    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1)
+    blocks = np.transpose(projected, (1, 0, 2))  # (E, 2N, n)
+    rhs = np.transpose(rhs_projected, (1, 0))  # (E, 2N)
+    return _vf_compact_reduce(blocks, rhs, condition_limit)
 
 
-def _vf_compact_reduce(blocks, rhs, bk, condition_limit):
+def _vf_compact_reduce(blocks, rhs, condition_limit):
     """The compact solve stage: per-entry R-factors + one small stacked solve.
 
     ``blocks`` is the ``(E, 2N, n)`` stack of projected per-entry systems
@@ -433,16 +414,15 @@ def _vf_compact_reduce(blocks, rhs, bk, condition_limit):
     stage that replaces the tall ``E*2N x n`` stacked ``lstsq`` and the
     unit ``benchmarks/bench_vf_solver.py`` gates >=2x.
     """
-    xp = bk.xp
+    linalg = get_backend()
     n_entries, _, n_coeffs = blocks.shape
-    aug = xp.concatenate([blocks, rhs[:, :, xp.newaxis]], axis=2)  # (E, 2N, n+1)
-    gram = xp.matmul(xp.transpose(aug, (0, 2, 1)), aug)  # (E, n+1, n+1)
-    r_factor = xp.transpose(bk.cholesky(gram), (0, 2, 1))  # upper-triangular
+    aug = np.concatenate([blocks, rhs[:, :, np.newaxis]], axis=2)  # (E, 2N, n+1)
+    gram = np.matmul(np.transpose(aug, (0, 2, 1)), aug)  # (E, n+1, n+1)
+    r_factor = np.transpose(linalg.cholesky(gram), (0, 2, 1))  # upper-triangular
     a_small = r_factor[:, :, :n_coeffs].reshape(n_entries * (n_coeffs + 1), n_coeffs)
     b_small = r_factor[:, :, n_coeffs].reshape(n_entries * (n_coeffs + 1))
-    solution, _, rank, sv = bk.lstsq(a_small, b_small)
-    sv = bk.to_numpy(sv)
-    if rank < n_coeffs or not np.all(np.isfinite(bk.to_numpy(solution))):
+    solution, _, rank, sv = linalg.lstsq(a_small, b_small)
+    if rank < n_coeffs or not np.all(np.isfinite(solution)):
         raise np.linalg.LinAlgError("compact fast-VF reduction is rank-deficient")
     if sv.size:
         largest, smallest = float(sv[0]), float(sv[-1])
@@ -455,17 +435,17 @@ def _vf_compact_reduce(blocks, rhs, bk, condition_limit):
     # carries ~cond^2*eps error; a working-precision residual pushed back
     # through the (exact) summed Gram recovers ~cond*eps accuracy for an
     # O(1/n) fraction of the reduction's FLOPs.
-    residual = rhs - xp.matmul(blocks, solution)  # (E, 2N)
-    gradient = xp.matmul(
-        xp.transpose(blocks, (0, 2, 1)), residual[:, :, xp.newaxis]
+    residual = rhs - np.matmul(blocks, solution)  # (E, 2N)
+    gradient = np.matmul(
+        np.transpose(blocks, (0, 2, 1)), residual[:, :, np.newaxis]
     )  # (E, n, 1)
-    gradient = xp.sum(gradient, axis=0)[:, 0]  # A^T r, (n,)
-    gram_full = xp.sum(gram[:, :n_coeffs, :n_coeffs], axis=0)  # A^T A, (n, n)
-    lower = bk.cholesky(gram_full)
-    correction = bk.solve_triangular(
-        lower.T, bk.solve_triangular(lower, gradient, lower=True), lower=False
+    gradient = np.sum(gradient, axis=0)[:, 0]  # A^T r, (n,)
+    gram_full = np.sum(gram[:, :n_coeffs, :n_coeffs], axis=0)  # A^T A, (n, n)
+    lower = linalg.cholesky(gram_full)
+    correction = linalg.solve_triangular(
+        lower.T, linalg.solve_triangular(lower, gradient, lower=True), lower=False
     )
-    solution = bk.to_numpy(solution + correction)
+    solution = solution + correction
     if not np.all(np.isfinite(solution)):
         raise np.linalg.LinAlgError("compact fast-VF refinement diverged")
     return solution
@@ -476,7 +456,6 @@ def vf_scaling_solve(
     responses: np.ndarray,
     q1: np.ndarray,
     *,
-    backend=None,
     condition_limit: float = VF_COMPACT_CONDITION_LIMIT,
 ) -> np.ndarray:
     """Solve the stacked fast-VF system for the scaling coefficients.
@@ -492,10 +471,9 @@ def vf_scaling_solve(
     LAPACK-driver caution applies) automatically falls back to
     :func:`vf_scaling_solve_reference`, the pre-compaction solver.
     """
-    bk = resolve_backend(backend)
     try:
-        return _vf_scaling_solve_compact(phi, responses, q1, bk, condition_limit)
-    except bk.LinAlgError:
+        return _vf_scaling_solve_compact(phi, responses, q1, condition_limit)
+    except np.linalg.LinAlgError:
         return vf_scaling_solve_reference(phi, responses, q1)
 
 

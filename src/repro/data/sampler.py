@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.data.dataset import FrequencyData
 from repro.systems.statespace import DescriptorSystem
+from repro.utils.blas import single_thread_blas
 from repro.utils.validation import ensure_1d
 
 __all__ = ["sample_system", "sample_scattering", "sample_impedance", "sample_admittance"]
@@ -36,11 +37,15 @@ def sample_system(
     identical to the per-point reference loop, so generated datasets (and
     therefore their content-addressed cache fingerprints and the golden
     fixtures derived from them) are reproducible bit for bit, independent
-    of whichever fast path later model evaluations take.
+    of whichever fast path later model evaluations take.  The solves run
+    with BLAS pinned to one thread (:func:`~repro.utils.blas.single_thread_blas`):
+    multithreaded LU rounds differently, which would make the datasets
+    depend on the host's thread count.
     """
     freqs = ensure_1d(frequencies_hz, "frequencies_hz", dtype=float)
     try:
-        samples = system.frequency_response(freqs, method="solve")
+        with single_thread_blas():
+            samples = system.frequency_response(freqs, method="solve")
     except TypeError:
         # duck-typed sources (anything with a frequency_response) stay usable
         samples = system.frequency_response(freqs)

@@ -8,7 +8,8 @@ Building it here keeps the two in sync by construction (the same pattern as
 
 Every builder in :data:`WORKLOADS` is a **shardable entry point**: it is
 deterministic (same kwargs, bitwise-identical datasets -- all randomness is
-seeded), so a shard manifest (:mod:`repro.batch.sharding`) only needs to
+seeded, and :func:`~repro.data.sampler.sample_system` pins BLAS to one
+thread while it samples), so a shard manifest (:mod:`repro.batch.sharding`) only needs to
 record the builder's name and kwargs for a worker machine to rebuild exactly
 the planned jobs, verified by content fingerprint.  Keep new grids seeded
 and JSON-safe in their kwargs to stay shardable.
@@ -438,7 +439,7 @@ def passive_macromodel_jobs(
 
 #: The shardable named grids: every entry is deterministic for fixed kwargs,
 #: which is what lets a shard manifest reference jobs by (name, kwargs) and a
-#: worker machine rebuild them bit-exactly (``python -m repro.batch.shard``).
+#: worker machine rebuild them bit-exactly (``python -m repro shard run``).
 WORKLOADS: dict[str, Callable[..., list[FitJob]]] = {
     "mixed_batch_jobs": mixed_batch_jobs,
     "monte_carlo_jobs": monte_carlo_jobs,

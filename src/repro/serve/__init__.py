@@ -10,9 +10,9 @@ The serving layer of the batch stack (see the README's "Serving" section):
   :class:`FitServer`, a stdlib-``asyncio`` HTTP server streaming records back
   as NDJSON.
 * :mod:`repro.serve.dispatcher` -- plans a named workload onto shards,
-  launches shard runners through a pluggable :class:`Launcher` (subprocess
-  pool; ssh/slurm stubs), retries lost or straggling shards with backoff and
-  merges the results bit-exactly.
+  launches shard runners through a pluggable :class:`Launcher` (a local
+  subprocess pool by default), retries lost or straggling shards with
+  backoff and merges the results bit-exactly.
 * :mod:`repro.serve.client` -- the synchronous :class:`Client` /
   :func:`submit` facade the public API re-exports.
 """
@@ -22,8 +22,6 @@ from repro.serve.client import Client, ServeError, submit
 from repro.serve.dispatcher import (
     DispatchError,
     Launcher,
-    SlurmLauncher,
-    SshLauncher,
     SubprocessLauncher,
     dispatch_workload,
     runtime_weights,
@@ -48,8 +46,6 @@ __all__ = [
     "Launcher",
     "PROTOCOL_VERSION",
     "ServeError",
-    "SlurmLauncher",
-    "SshLauncher",
     "SubprocessLauncher",
     "ThreadedServer",
     "decode_dataset",

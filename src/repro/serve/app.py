@@ -65,7 +65,7 @@ class FitService:
         A :class:`~repro.batch.engine.BatchEngine` describing the execution
         resources: its resolved worker count sizes the service's thread pool
         (fits are BLAS-bound and release the GIL, like the engine's
-        ``thread`` backend) and its cache, if any, is shared by every job.
+        ``thread`` executor) and its cache, if any, is shared by every job.
         Accepts the same canonical config dict as everywhere else through
         :meth:`BatchEngine.from_config`.
     max_pending:
@@ -169,14 +169,7 @@ class FitService:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._pool,
-            functools.partial(
-                run_job,
-                0,
-                job,
-                self.engine.cache,
-                backend=self.engine.backend,
-                responses=self.responses,
-            ),
+            functools.partial(run_job, 0, job, self.engine.cache, responses=self.responses),
         )
 
     async def _await_record(self, task: asyncio.Task, index: int, job: FitJob) -> JobRecord:

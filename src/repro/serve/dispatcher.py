@@ -10,8 +10,7 @@ coordinator driving all shards:
    :func:`runtime_weights`),
 2. write the shard manifests,
 3. launch one runner per shard through a pluggable :class:`Launcher`
-   (subprocess pool first; ssh/slurm are declared stubs), each with a
-   per-shard timeout,
+   (a local subprocess pool by default), each with a per-shard timeout,
 4. retry lost, failed or straggling shards with exponential backoff --
    re-running a shard is safe because shard results are content-addressed
    against the plan and a shared disk cache replays the fits,
@@ -49,8 +48,6 @@ __all__ = [
     "DispatchError",
     "Launcher",
     "SubprocessLauncher",
-    "SshLauncher",
-    "SlurmLauncher",
     "runtime_weights",
     "dispatch_workload",
 ]
@@ -60,8 +57,20 @@ class DispatchError(RuntimeError):
     """A shard could not be completed within its retry budget."""
 
 
+def child_environment() -> dict[str, str]:
+    """``os.environ`` with this package's ``src`` root first on ``PYTHONPATH``.
+
+    A child process started with it imports the same ``repro`` sources as
+    this one, however this process was launched.
+    """
+    src_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(part for part in (src_root, env.get("PYTHONPATH")) if part)
+    return env
+
+
 class Launcher:
-    """Interface of one shard-execution backend.
+    """Interface of one way to execute a shard.
 
     :meth:`launch` runs the shard described by ``manifest_path`` to
     completion and must leave the result archive at ``result_path``.  It
@@ -81,25 +90,21 @@ class Launcher:
 class SubprocessLauncher(Launcher):
     """Run each shard as a local ``python -m repro shard run`` subprocess.
 
-    The runner subprocess is exactly the operator CLI -- same argv, same
-    PYTHONPATH injection as :func:`repro.batch.shard.cli_subprocess` -- so
+    The runner subprocess is exactly the operator CLI, started with the
+    same :func:`child_environment` as :func:`repro.cli.cli_subprocess`, so
     the dispatcher exercises the identical code path a manual cross-machine
-    run would.  ``executor`` / ``workers`` / ``chunk_size`` / ``backend`` /
-    ``shared_memory`` forward to the runner's engine flags.
+    run would.  ``executor`` / ``workers`` / ``chunk_size`` forward to the
+    runner's engine flags.
     """
 
     name = "subprocess"
 
     def __init__(self, *, executor: Optional[str] = None,
                  workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 backend: Optional[str] = None,
-                 shared_memory: bool = False):
+                 chunk_size: Optional[int] = None):
         self.executor = executor
         self.workers = workers
         self.chunk_size = chunk_size
-        self.backend = backend
-        self.shared_memory = bool(shared_memory)
 
     def _argv(self, manifest_path: str, result_path: str) -> list[str]:
         argv = [sys.executable, "-m", "repro", "shard", "run",
@@ -110,10 +115,6 @@ class SubprocessLauncher(Launcher):
             argv += ["--workers", str(self.workers)]
         if self.chunk_size is not None:
             argv += ["--chunk-size", str(self.chunk_size)]
-        if self.backend is not None:
-            argv += ["--backend", self.backend]
-        if self.shared_memory:
-            argv += ["--shared-memory"]
         return argv
 
     def _popen(self, argv: list[str]) -> subprocess.Popen:
@@ -124,14 +125,9 @@ class SubprocessLauncher(Launcher):
         timeout-kill of the direct child alone would orphan those workers
         mid-fit.  :meth:`launch` kills the whole group instead.
         """
-        src_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            part for part in (src_root, env.get("PYTHONPATH")) if part)
         return subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, env=env,
-                                start_new_session=True)
+                                stderr=subprocess.PIPE, text=True,
+                                env=child_environment(), start_new_session=True)
 
     @staticmethod
     def _kill_tree(process: subprocess.Popen) -> None:
@@ -160,45 +156,6 @@ class SubprocessLauncher(Launcher):
                               + " | ".join(tail) if tail
                               else f"exit code {process.returncode}")
         return "ok", ""
-
-
-class SshLauncher(Launcher):
-    """Declared stub: run shards on remote hosts over ssh.
-
-    The manifest/result files are already a complete wire format (a shard
-    runner only needs the manifest and a writable result path), so an ssh
-    backend is "scp manifest, run the CLI remotely, scp the result back".
-    Not implemented in this build; constructing the stub documents the
-    intended surface and :meth:`launch` fails loudly.
-    """
-
-    name = "ssh"
-
-    def __init__(self, hosts: tuple[str, ...] = ()):
-        self.hosts = tuple(hosts)
-
-    def launch(self, shard_index: int, manifest_path: str, result_path: str, *,
-               timeout: Optional[float] = None) -> tuple[str, str]:
-        raise NotImplementedError(
-            "SshLauncher is a declared stub; run shards manually with "
-            "'python -m repro shard run' on each host or use SubprocessLauncher"
-        )
-
-
-class SlurmLauncher(Launcher):
-    """Declared stub: submit shard runners as Slurm array jobs (``sbatch``)."""
-
-    name = "slurm"
-
-    def __init__(self, partition: Optional[str] = None):
-        self.partition = partition
-
-    def launch(self, shard_index: int, manifest_path: str, result_path: str, *,
-               timeout: Optional[float] = None) -> tuple[str, str]:
-        raise NotImplementedError(
-            "SlurmLauncher is a declared stub; submit 'python -m repro shard "
-            "run' through sbatch manually or use SubprocessLauncher"
-        )
 
 
 def runtime_weights(bench_path: str | os.PathLike) -> dict[str, float]:
@@ -263,7 +220,7 @@ def dispatch_workload(
         Optional shared :class:`~repro.cache.DiskStore` directory recorded in
         every manifest; retried shards then replay already-computed fits.
     launcher:
-        The execution backend (default: a plain :class:`SubprocessLauncher`).
+        How shards are run (default: a plain :class:`SubprocessLauncher`).
     timeout:
         Per-shard wall-clock budget per attempt; a straggler is killed and
         retried like any failure.

@@ -42,13 +42,9 @@ and the plan verifies, and ``solve`` otherwise.  Pole-residue (Cauchy)
 models are served by :func:`evaluate_cauchy`, which is the same vectorized
 weights-times-residues contraction the ``diag`` plan uses internally.
 
-The batched strategies accept a ``backend=`` argument (or pick up the
-active :func:`repro.backends.use_backend` scope) and run their inner array
-ops on the selected :mod:`repro.backends` backend, transferring only at
-kernel entry/exit.  The ``numpy`` backend executes the identical call
-sequence as before the shim (bitwise-pinned); plan *construction*
-(``eig``, one-time O(n^3)) and the ``pointwise`` reference/repair path
-deliberately stay on the host, where the bit-stability contract lives.
+The stacked solve of the ``solve`` strategy goes through the
+:func:`repro.backends.get_backend` record, fetched on every call; it holds
+``np.linalg.solve`` itself, so the results are unchanged by the indirection.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import resolve_backend
+from repro.backends import get_backend
 
 __all__ = [
     "EvaluationPlan",
@@ -102,7 +98,7 @@ def point_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, s: complex) -> np.n
     through (the pointwise reference loop here and
     :meth:`DescriptorSystem.transfer_function
     <repro.systems.statespace.DescriptorSystem.transfer_function>`); it
-    stays host-NumPy on purpose -- it *is* the bit-stability reference.
+    *is* the bit-stability reference.
     """
     pencil = s * E - A
     try:
@@ -130,36 +126,27 @@ def evaluate_pointwise(E, A, B, C, D, points) -> np.ndarray:
     return out
 
 
-def _evaluate_solve(
-    E, A, B, C, D, pts: np.ndarray, *, chunk: int = SOLVE_CHUNK, backend=None
-) -> np.ndarray:
-    """Batched stacked-pencil solves; on ``numpy``, bitwise identical to the loop."""
-    bk = resolve_backend(backend)
-    xp = bk.xp
-    b_host = B.astype(complex)
-    e_dev, a_dev = bk.asarray(E), bk.asarray(A)
-    b_dev = bk.asarray(b_host)
-    c_dev, d_dev = bk.asarray(C), bk.asarray(D)
-    pts_dev = bk.asarray(pts)
-    out = xp.empty((pts.size, C.shape[0], B.shape[1]), dtype=complex)
+def _evaluate_solve(E, A, B, C, D, pts: np.ndarray, *, chunk: int = SOLVE_CHUNK) -> np.ndarray:
+    """Batched stacked-pencil solves; bitwise identical to the per-point loop."""
+    solve = get_backend().solve
+    b = B.astype(complex)
+    out = np.empty((pts.size, C.shape[0], B.shape[1]), dtype=complex)
     for lo in range(0, pts.size, chunk):
-        block = pts_dev[lo : lo + chunk]
+        block = pts[lo : lo + chunk]
         n_block = block.shape[0]
-        pencils = block[:, xp.newaxis, xp.newaxis] * e_dev - a_dev
+        pencils = block[:, np.newaxis, np.newaxis] * E - A
         try:
-            x = bk.solve(pencils, xp.broadcast_to(b_dev, (n_block,) + b_host.shape))
-        except bk.LinAlgError:
+            x = solve(pencils, np.broadcast_to(b, (n_block,) + b.shape))
+        except np.linalg.LinAlgError:
             # a singular pencil inside the chunk: degrade to the per-point
             # reference, which resolves exactly the singular points via lstsq
-            out[lo : lo + n_block] = bk.asarray(
-                evaluate_pointwise(E, A, B, C, D, pts[lo : lo + chunk])
-            )
+            out[lo : lo + n_block] = evaluate_pointwise(E, A, B, C, D, block)
             continue
-        out[lo : lo + n_block] = xp.matmul(c_dev, x) + d_dev
-    return bk.to_numpy(out)
+        out[lo : lo + n_block] = np.matmul(C, x) + D
+    return out
 
 
-def evaluate_cauchy(poles, residues, d, points, *, backend=None) -> np.ndarray:
+def evaluate_cauchy(poles, residues, d, points) -> np.ndarray:
     """Vectorized pole-residue (Cauchy) evaluation ``sum_n R_n / (s - a_n) + D``.
 
     Parameters
@@ -178,17 +165,11 @@ def evaluate_cauchy(poles, residues, d, points, *, backend=None) -> np.ndarray:
     numpy.ndarray
         ``(k, p, m)`` stacked evaluations.
     """
-    bk = resolve_backend(backend)
-    xp = bk.xp
     pts = np.asarray(points, dtype=complex).ravel()
     poles = np.asarray(poles, dtype=complex).ravel()
-    pts_dev = bk.asarray(pts)
-    poles_dev = bk.asarray(poles)
-    res_dev = bk.asarray(np.asarray(residues))
-    d_dev = bk.asarray(np.asarray(d))
-    weights = 1.0 / (pts_dev[:, xp.newaxis] - poles_dev[xp.newaxis, :])  # (k, n)
-    response = xp.tensordot(weights, res_dev, axes=(1, 0))  # (k, p, m)
-    return bk.to_numpy(response + d_dev[xp.newaxis, :, :])
+    weights = 1.0 / (pts[:, np.newaxis] - poles[np.newaxis, :])  # (k, n)
+    response = np.tensordot(weights, np.asarray(residues), axes=(1, 0))  # (k, p, m)
+    return response + np.asarray(d)[np.newaxis, :, :]
 
 
 @dataclass(frozen=True)
@@ -218,7 +199,7 @@ class EvaluationPlan:
     c_tilde: np.ndarray
     d: np.ndarray
 
-    def evaluate(self, points, *, backend=None) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
         """Evaluate the transfer function at ``points`` (``(k, p, m)``).
 
         Points where the pencil is (near-)singular produce non-finite or
@@ -226,20 +207,13 @@ class EvaluationPlan:
         the guarded version that repairs them through the pointwise
         reference (see :meth:`suspect_points`).
         """
-        bk = resolve_backend(backend)
-        xp = bk.xp
         pts = np.asarray(points, dtype=complex).ravel()
-        pts_dev = bk.asarray(pts)
-        eig_dev = bk.asarray(self.eigenvalues)
-        b_dev = bk.asarray(self.b_tilde)
-        c_dev = bk.asarray(self.c_tilde)
-        d_dev = bk.asarray(self.d)
-        with bk.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             weights = 1.0 / (
-                (pts_dev[:, xp.newaxis] - self.sigma) * eig_dev[xp.newaxis, :] - 1.0
+                (pts[:, np.newaxis] - self.sigma) * self.eigenvalues[np.newaxis, :] - 1.0
             )
-            scaled = weights[:, xp.newaxis, :] * c_dev[xp.newaxis, :, :]  # (k, p, n)
-            return bk.to_numpy(xp.matmul(scaled, b_dev) + d_dev)
+            scaled = weights[:, np.newaxis, :] * self.c_tilde[np.newaxis, :, :]  # (k, p, n)
+            return np.matmul(scaled, self.b_tilde) + self.d
 
     def suspect_points(self, points) -> np.ndarray:
         """Boolean mask of points where the pencil is (near-)singular.
@@ -335,11 +309,9 @@ def build_evaluation_plan(
     return plan
 
 
-def _evaluate_with_plan(
-    plan: EvaluationPlan, E, A, B, C, D, pts: np.ndarray, *, backend=None
-) -> np.ndarray:
+def _evaluate_with_plan(plan: EvaluationPlan, E, A, B, C, D, pts: np.ndarray) -> np.ndarray:
     """Fast-path evaluation with (near-)singular points repaired via the reference."""
-    out = plan.evaluate(pts, backend=backend)
+    out = plan.evaluate(pts)
     bad = plan.suspect_points(pts) | ~np.isfinite(out).all(axis=(1, 2))
     if np.any(bad):
         out[bad] = evaluate_pointwise(E, A, B, C, D, pts[bad])
@@ -348,7 +320,7 @@ def _evaluate_with_plan(
 
 def evaluate_descriptor(
     E, A, B, C, D, points, *,
-    method: str = "auto", plan: EvaluationPlan | None = None, backend=None,
+    method: str = "auto", plan: EvaluationPlan | None = None,
 ) -> np.ndarray:
     """Evaluate ``H(s) = C (sE - A)^{-1} B + D`` at many points.
 
@@ -366,11 +338,6 @@ def evaluate_descriptor(
     plan:
         Optional pre-built :class:`EvaluationPlan` (e.g. the one cached on a
         :class:`~repro.systems.statespace.DescriptorSystem`).
-    backend:
-        :mod:`repro.backends` backend (name or instance) the batched
-        strategies run on; ``None`` resolves the active
-        :func:`~repro.backends.use_backend` scope, then
-        ``REPRO_ARRAY_BACKEND``, then ``numpy`` (bitwise-pinned).
 
     Returns
     -------
@@ -385,7 +352,7 @@ def evaluate_descriptor(
     if method == "pointwise":
         return evaluate_pointwise(E, A, B, C, D, pts)
     if method == "solve":
-        return _evaluate_solve(E, A, B, C, D, pts, backend=backend)
+        return _evaluate_solve(E, A, B, C, D, pts)
     if method == "diag":
         if plan is None:
             plan = build_evaluation_plan(E, A, B, C, D, pts)
@@ -394,10 +361,10 @@ def evaluate_descriptor(
                 "no valid diagonalization fast path for this system "
                 "(non-diagonalizable or ill-conditioned pencil)"
             )
-        return _evaluate_with_plan(plan, E, A, B, C, D, pts, backend=backend)
+        return _evaluate_with_plan(plan, E, A, B, C, D, pts)
     # auto
     if plan is None and pts.size >= FAST_PATH_MIN_POINTS:
         plan = build_evaluation_plan(E, A, B, C, D, pts)
     if plan is not None:
-        return _evaluate_with_plan(plan, E, A, B, C, D, pts, backend=backend)
-    return _evaluate_solve(E, A, B, C, D, pts, backend=backend)
+        return _evaluate_with_plan(plan, E, A, B, C, D, pts)
+    return _evaluate_solve(E, A, B, C, D, pts)

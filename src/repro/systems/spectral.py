@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backends import resolve_backend
+from repro.backends import get_backend
 
 __all__ = [
     "SpectralGrid",
@@ -208,7 +208,7 @@ def _windowed(spectrum: np.ndarray, grid: SpectralGrid, window: str) -> np.ndarr
 
 
 def impulse_from_spectrum(
-    spectrum: np.ndarray, grid: SpectralGrid, *, crop: bool = True, backend=None
+    spectrum: np.ndarray, grid: SpectralGrid, *, crop: bool = True
 ) -> np.ndarray:
     """Inverse-transform rfft-grid spectra to impulse responses.
 
@@ -222,12 +222,9 @@ def impulse_from_spectrum(
     requested ``n_points`` unless ``crop=False`` (the Parseval identity of
     :func:`impulse_energy` needs the full periodization window).
 
-    The transform runs on the selected :mod:`repro.backends` backend
-    (``backend=`` or the active :func:`~repro.backends.use_backend`
-    scope); the ``numpy`` backend is the bitwise-pinned ``np.fft.irfft``
-    call this function always made.
+    The transform is ``np.fft.irfft``, called through the
+    :func:`repro.backends.get_backend` record.
     """
-    bk = resolve_backend(backend)
     spectrum = np.asarray(spectrum)
     n_freq = grid.n_fft // 2 + 1
     if spectrum.ndim < 3 or spectrum.shape[-3] != n_freq:
@@ -235,8 +232,7 @@ def impulse_from_spectrum(
             f"spectrum must have shape (..., {n_freq}, p, m) for n_fft={grid.n_fft}, "
             f"got {spectrum.shape}"
         )
-    transformed = bk.irfft(bk.asarray(spectrum), n=grid.n_fft, axis=-3)
-    impulse = bk.to_numpy(transformed) / grid.dt
+    impulse = get_backend().irfft(spectrum, n=grid.n_fft, axis=-3) / grid.dt
     if crop:
         n_out = grid.n_points
         impulse = impulse[..., :n_out, :, :]
@@ -313,7 +309,6 @@ def batch_time_responses(
     *,
     method: str = "auto",
     window: str = DEFAULT_WINDOW,
-    backend=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Impulse and step responses of many models through one batched IFFT.
 
@@ -336,7 +331,7 @@ def batch_time_responses(
     spectra = np.stack([evaluate_spectrum(model, grid, method=method) for model in models])
     spectra = _windowed(spectra, grid, window)
     feedthroughs = np.stack([_feedthrough(model) for model in models])
-    impulse = impulse_from_spectrum(spectra, grid, backend=backend)
+    impulse = impulse_from_spectrum(spectra, grid)
     step = step_from_impulse(impulse, grid) + feedthroughs[:, np.newaxis, :, :]
     return impulse, step
 

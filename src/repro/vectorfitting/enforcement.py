@@ -48,7 +48,7 @@ from repro.vectorfitting.passivity import (
     immittance_margins,
     scattering_margins,
 )
-from repro.vectorfitting.rational import PoleResidueModel
+from repro.vectorfitting.rational import PoleResidueModel, pole_groups
 
 __all__ = [
     "PassivitySpec",
@@ -73,10 +73,6 @@ PASSIVITY_METRIC_KEYS = (
     "f_min_hz",
     "f_max_hz",
 )
-
-#: Relative tolerance used when pairing complex-conjugate poles (mirrors
-#: :mod:`repro.vectorfitting.rational`).
-_PAIR_TOLERANCE = 1e-8
 
 #: Largest margin correction requested in one perturbation round.  The
 #: update is first-order in the residues, so a deep violation is walked to
@@ -413,39 +409,6 @@ def refine_violation_bands(
 # --------------------------------------------------------------------------- #
 # the residue perturbation
 # --------------------------------------------------------------------------- #
-def _pole_groups(poles: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
-    """Real / conjugate-pair / free-complex grouping of the pole set.
-
-    Mirrors :meth:`PoleResidueModel._grouped_poles` but treats an unpaired
-    complex pole as its own ``"complex"`` group (a complex-valued model is
-    legal for enforcement; realness is preserved *per group*, so real models
-    stay real).
-    """
-    used = np.zeros(poles.size, dtype=bool)
-    groups: list[tuple[str, tuple[int, ...]]] = []
-    for i, pole in enumerate(poles):
-        if used[i]:
-            continue
-        if abs(pole.imag) <= _PAIR_TOLERANCE * max(abs(pole), 1.0):
-            groups.append(("real", (i,)))
-            used[i] = True
-            continue
-        partner = None
-        for j in range(i + 1, poles.size):
-            if used[j]:
-                continue
-            if np.isclose(poles[j], np.conj(pole), rtol=_PAIR_TOLERANCE, atol=_PAIR_TOLERANCE):
-                partner = j
-                break
-        if partner is None:
-            groups.append(("complex", (i,)))
-            used[i] = True
-        else:
-            groups.append(("pair", (i, partner)))
-            used[i] = used[partner] = True
-    return groups
-
-
 def _group_bases(groups, poles: np.ndarray, s: np.ndarray) -> list[list[np.ndarray]]:
     """Complex basis functions of every group's free parameters at points ``s``.
 
@@ -535,7 +498,7 @@ def _solve_perturbation(
     poles = model.poles
     residues = model.residues
     p, m = residues.shape[1], residues.shape[2]
-    groups = _pole_groups(poles)
+    groups = pole_groups(poles)
 
     margins, left, right, freq_index = _constraint_directions(
         model, constraint_freqs, spec.representation, spec.slack

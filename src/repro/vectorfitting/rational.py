@@ -18,10 +18,41 @@ from repro.systems.evaluation import evaluate_cauchy
 from repro.systems.statespace import StateSpace
 from repro.utils.validation import ensure_2d
 
-__all__ = ["PoleResidueModel"]
+__all__ = ["PoleResidueModel", "pole_groups"]
 
 #: Relative tolerance used when pairing complex-conjugate poles.
 _PAIR_TOLERANCE = 1e-8
+
+
+def pole_groups(poles: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+    """Walk a pole set into ``"real"``, ``"pair"`` and ``"complex"`` groups.
+
+    A pole whose imaginary part is below ``_PAIR_TOLERANCE`` (relative) is a
+    ``"real"`` single; a complex pole is paired with the first unused later
+    pole close to its conjugate (``"pair"``, both indices), and one without
+    such a partner is a ``"complex"`` single.  Passivity enforcement perturbs
+    a ``"complex"`` residue freely; :meth:`PoleResidueModel.to_statespace`
+    rejects it, because the model is then not real.
+    """
+    poles = np.asarray(poles, dtype=complex).ravel()
+    used = np.zeros(poles.size, dtype=bool)
+    groups: list[tuple[str, tuple[int, ...]]] = []
+    for i, pole in enumerate(poles):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(pole.imag) <= _PAIR_TOLERANCE * max(abs(pole), 1.0):
+            groups.append(("real", (i,)))
+            continue
+        for j in range(i + 1, poles.size):
+            if not used[j] and np.isclose(poles[j], np.conj(pole),
+                                          rtol=_PAIR_TOLERANCE, atol=_PAIR_TOLERANCE):
+                groups.append(("pair", (i, j)))
+                used[j] = True
+                break
+        else:
+            groups.append(("complex", (i,)))
+    return groups
 
 
 class PoleResidueModel:
@@ -140,34 +171,6 @@ class PoleResidueModel:
     # ------------------------------------------------------------------ #
     # conversion
     # ------------------------------------------------------------------ #
-    def _grouped_poles(self):
-        """Group poles into real singles and conjugate pairs (index-based)."""
-        used = np.zeros(self.n_poles, dtype=bool)
-        groups: list[tuple[str, tuple[int, ...]]] = []
-        for i, pole in enumerate(self._poles):
-            if used[i]:
-                continue
-            if abs(pole.imag) <= _PAIR_TOLERANCE * max(abs(pole), 1.0):
-                groups.append(("real", (i,)))
-                used[i] = True
-                continue
-            # find the conjugate partner
-            partner = None
-            for j in range(i + 1, self.n_poles):
-                if used[j]:
-                    continue
-                if np.isclose(self._poles[j], np.conj(pole),
-                              rtol=_PAIR_TOLERANCE, atol=_PAIR_TOLERANCE):
-                    partner = j
-                    break
-            if partner is None:
-                raise ValueError(
-                    f"complex pole {pole} has no conjugate partner; the model is not real"
-                )
-            groups.append(("pair", (i, partner)))
-            used[i] = used[partner] = True
-        return groups
-
     def to_statespace(self) -> StateSpace:
         """Real block state-space realization (order ``n_poles * m`` at most).
 
@@ -177,12 +180,17 @@ class PoleResidueModel:
         """
         m = self.n_inputs
         p = self.n_outputs
-        groups = self._grouped_poles()
+        groups = pole_groups(self._poles)
         a_blocks: list[np.ndarray] = []
         b_blocks: list[np.ndarray] = []
         c_blocks: list[np.ndarray] = []
         eye = np.eye(m)
         for kind, idx in groups:
+            if kind == "complex":
+                raise ValueError(
+                    f"complex pole {self._poles[idx[0]]} has no conjugate partner; "
+                    "the model is not real"
+                )
             if kind == "real":
                 pole = self._poles[idx[0]].real
                 residue = self._residues[idx[0]].real

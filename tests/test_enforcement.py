@@ -24,6 +24,7 @@ repository:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -40,13 +41,13 @@ from repro.batch import (
     merge_shard_results,
     numerical_differences,
 )
-from repro.batch.shard import cli_subprocess
 from repro.batch.sharding import _record_from_meta, _record_meta
 from repro.cache.fingerprint import (
     combined_fingerprint,
     dataset_fingerprint,
     options_fingerprint,
 )
+from repro.cli import cli_subprocess
 from repro.core.options import MftiOptions, canonical_token
 from repro.data.dataset import FrequencyData
 from repro.experiments.workloads import passive_macromodel_jobs
@@ -67,7 +68,7 @@ from repro.vectorfitting.enforcement import (
 from repro.vectorfitting.passivity import passivity_violations, passivity_violations_reference
 from repro.vectorfitting.rational import PoleResidueModel
 
-run_cli = cli_subprocess
+run_cli = functools.partial(cli_subprocess, "shard")
 
 #: Both passivity checkers must share the validation behaviour: the batched
 #: kernel path and the per-frequency oracle loop.

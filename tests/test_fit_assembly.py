@@ -7,6 +7,9 @@ GEMM batching reorders summations), the slicing-stable product makes the
 incrementally grown Loewner pencil bitwise identical to the from-scratch
 build, and ``sort_poles`` always produces a groupable pole array -- including
 on the previously untested "numerically unpaired complex pole" leftover path.
+The kernels that compute in numpy directly are also pinned bitwise to
+hand-inlined numpy replicas, and the compact fast-VF solver to its
+stacked-``lstsq`` oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.assembly import (
+    VF_COMPACT_CONDITION_LIMIT,
     IncrementalLoewner,
     PoleGrouping,
     partial_fraction_basis,
@@ -27,6 +31,8 @@ from repro.core.assembly import (
     residues_from_coefficients_reference,
     vf_scaling_blocks,
     vf_scaling_blocks_reference,
+    vf_scaling_solve,
+    vf_scaling_solve_reference,
 )
 from repro.core.loewner import build_loewner_pencil
 from repro.core.tangential import LeftBlock, RightBlock, TangentialData
@@ -378,3 +384,167 @@ class TestIncrementalLoewner:
         assert pencil.right_block_sizes == subset.right_block_sizes
         assert pencil.left_block_sizes == subset.left_block_sizes
         assert assembler.full is full
+
+
+# --------------------------------------------------------------------- #
+# numpy replicas, the compact fast-VF solver and residue QR reuse
+# --------------------------------------------------------------------- #
+def _vf_workload(seed: int, n_ports: int = 3, n_poles: int = 6, n_samples: int = 40):
+    """A small well-conditioned fast-VF workload (phi, responses, q1)."""
+    rng = np.random.default_rng(seed)
+    n_pairs = n_poles // 2
+    alpha = -0.5 - rng.random(n_pairs)
+    beta = 1.0 + 29.0 * rng.random(n_pairs)
+    poles = np.empty(2 * n_pairs, dtype=complex)
+    poles[0::2] = alpha + 1j * beta
+    poles[1::2] = alpha - 1j * beta
+    s_points = 1j * np.linspace(0.5, 30.0, n_samples)
+    n_entries = n_ports * n_ports
+    responses = rng.standard_normal((n_samples, n_entries)) + 1j * rng.standard_normal(
+        (n_samples, n_entries)
+    )
+    grouping = PoleGrouping.from_poles(poles)
+    phi = partial_fraction_basis(s_points, poles, grouping)
+    phi1_real = realify(np.hstack([phi, np.ones((n_samples, 1))]))
+    q1, _ = np.linalg.qr(phi1_real)
+    return phi, responses, q1
+
+
+solver_settings = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestNumpyReplicasBitwise:
+    """The kernels equal the same computation written out in plain numpy."""
+
+    @solver_settings
+    @given(seed=st.integers(0, 2**16), n_ports=st.integers(1, 4))
+    def test_scaling_blocks_equal_inlined_numpy(self, seed, n_ports):
+        phi, responses, q1 = _vf_workload(seed, n_ports=n_ports)
+        n_samples, n_entries = responses.shape
+        weighted = -responses[:, :, np.newaxis] * phi[:, np.newaxis, :]
+        weighted = np.concatenate([weighted.real, weighted.imag], axis=0)
+        rhs = np.concatenate([responses.real, responses.imag], axis=0)
+        flat = weighted.reshape(2 * n_samples, -1)
+        projected = (flat - q1 @ (q1.T @ flat)).reshape(2 * n_samples, n_entries, -1)
+        rhs_projected = rhs - q1 @ (q1.T @ rhs)
+        want_a = np.transpose(projected, (1, 0, 2)).reshape(n_entries * 2 * n_samples, -1)
+        want_b = rhs_projected.T.reshape(-1)
+        got_a, got_b = vf_scaling_blocks(phi, responses, q1)
+        assert np.array_equal(got_a, want_a)
+        assert np.array_equal(got_b, want_b)
+
+    @solver_settings
+    @given(seed=st.integers(0, 2**16))
+    def test_solve_sweep_equals_pointwise_loop(self, seed):
+        from repro.systems.evaluation import evaluate_descriptor, evaluate_pointwise
+        from repro.systems.random_systems import random_stable_system
+
+        system = random_stable_system(order=8, n_ports=2, feedthrough=0.1,
+                                      seed=seed % 1000)
+        points = 1j * np.linspace(1.0, 1e4, 12)
+        sweep = evaluate_descriptor(system.E, system.A, system.B, system.C,
+                                    system.D, points, method="solve")
+        loop = evaluate_pointwise(system.E, system.A, system.B, system.C,
+                                  system.D, points)
+        assert np.array_equal(sweep, loop)
+
+    def test_impulse_from_spectrum_equals_irfft(self):
+        from repro.systems.spectral import build_spectral_grid, impulse_from_spectrum
+
+        rng = np.random.default_rng(7)
+        grid = build_spectral_grid(1e-6, 16)
+        n_freq = grid.n_fft // 2 + 1
+        spectrum = rng.standard_normal((n_freq, 2, 2)) + 1j * rng.standard_normal(
+            (n_freq, 2, 2)
+        )
+        direct = (np.fft.irfft(spectrum, n=grid.n_fft, axis=-3)
+                  / grid.dt)[..., :grid.n_points, :, :]
+        assert np.array_equal(impulse_from_spectrum(spectrum, grid), direct)
+
+
+class TestCompactSolver:
+    @solver_settings
+    @given(seed=st.integers(0, 2**16), n_ports=st.integers(2, 5))
+    def test_agrees_with_reference_when_well_conditioned(self, seed, n_ports):
+        phi, responses, q1 = _vf_workload(seed, n_ports=n_ports)
+        reference = vf_scaling_solve_reference(phi, responses, q1)
+        compact = vf_scaling_solve(phi, responses, q1)
+        relative = np.linalg.norm(compact - reference) / np.linalg.norm(reference)
+        assert relative <= 1e-10, f"compact solution drifted {relative:.2e}"
+
+    def test_degenerate_basis_falls_back_to_reference(self):
+        """A duplicated basis column defeats the Cholesky: exact fallback."""
+        phi, responses, q1 = _vf_workload(3, n_ports=2)
+        phi_bad = phi.copy()
+        phi_bad[:, 1] = phi_bad[:, 0]  # rank-deficient weighted blocks
+        fallback = vf_scaling_solve(phi_bad, responses, q1)
+        reference = vf_scaling_solve_reference(phi_bad, responses, q1)
+        assert np.array_equal(fallback, reference)
+
+    def test_near_rank_deficient_basis_falls_back(self):
+        """Clustered poles push the conditioning gate: exact fallback."""
+        rng = np.random.default_rng(11)
+        n_samples, n_entries = 40, 4
+        poles = np.array([-1.0, -1.0 - 1e-13, -2.0, -2.0 - 1e-13])
+        grouping = PoleGrouping.from_poles(poles)
+        s_points = 1j * np.linspace(0.5, 30.0, n_samples)
+        phi = partial_fraction_basis(s_points, poles, grouping)
+        responses = rng.standard_normal((n_samples, n_entries)) + (
+            1j * rng.standard_normal((n_samples, n_entries))
+        )
+        phi1_real = realify(np.hstack([phi, np.ones((n_samples, 1))]))
+        q1, _ = np.linalg.qr(phi1_real)
+        fallback = vf_scaling_solve(phi, responses, q1)
+        reference = vf_scaling_solve_reference(phi, responses, q1)
+        assert np.array_equal(fallback, reference)
+
+    def test_tight_condition_limit_forces_fallback(self):
+        phi, responses, q1 = _vf_workload(5)
+        forced = vf_scaling_solve(phi, responses, q1, condition_limit=1.0)
+        reference = vf_scaling_solve_reference(phi, responses, q1)
+        assert np.array_equal(forced, reference)
+        assert VF_COMPACT_CONDITION_LIMIT > 1.0
+
+
+class TestResidueQrReuse:
+    def test_qr_reuse_matches_lstsq(self):
+        from repro.vectorfitting.fitting import _solve_residue_system
+
+        phi, responses, _ = _vf_workload(9, n_ports=2)
+        phi1_real = realify(np.hstack([phi, np.ones((phi.shape[0], 1))]))
+        responses_real = realify(responses)
+        q1, r1 = np.linalg.qr(phi1_real)
+        via_qr = _solve_residue_system(phi1_real, responses_real, (q1, r1))
+        via_lstsq = _solve_residue_system(phi1_real, responses_real, None)
+        assert np.allclose(via_qr, via_lstsq, rtol=0, atol=1e-11)
+
+    def test_wide_basis_falls_back_to_minimum_norm(self):
+        """More poles than realified samples: reduced R is not square, so
+        the reuse path must defer to lstsq's minimum-norm solve (this is
+        the Table-1 280-pole VF configuration)."""
+        from repro.vectorfitting.fitting import _solve_residue_system
+
+        phi, responses, _ = _vf_workload(13, n_ports=2, n_poles=30, n_samples=10)
+        phi1_real = realify(np.hstack([phi, np.ones((phi.shape[0], 1))]))
+        responses_real = realify(responses)
+        assert phi1_real.shape[0] < phi1_real.shape[1]
+        q1, r1 = np.linalg.qr(phi1_real)
+        guarded = _solve_residue_system(phi1_real, responses_real, (q1, r1))
+        minimum_norm = np.linalg.lstsq(phi1_real, responses_real, rcond=None)[0]
+        assert np.array_equal(guarded, minimum_norm)
+
+    def test_rank_deficient_basis_falls_back_to_lstsq(self):
+        from repro.vectorfitting.fitting import _solve_residue_system
+
+        phi, responses, _ = _vf_workload(9, n_ports=2)
+        phi1_real = realify(np.hstack([phi, np.ones((phi.shape[0], 1))]))
+        phi1_real[:, 2] = phi1_real[:, 1]  # exactly rank-deficient
+        responses_real = realify(responses)
+        q1, r1 = np.linalg.qr(phi1_real)
+        guarded = _solve_residue_system(phi1_real, responses_real, (q1, r1))
+        minimum_norm = np.linalg.lstsq(phi1_real, responses_real, rcond=None)[0]
+        assert np.array_equal(guarded, minimum_norm)

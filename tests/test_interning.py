@@ -2,17 +2,17 @@
 
 Three layers, mirroring the module split:
 
-* **hypothesis property tests** of :class:`~repro.cache.DatasetPool`,
-  :class:`~repro.cache.JobTable` and the shared-memory arena -- interning
-  and reconstruction (pickle *and* shm) are bitwise round trips, distinct
-  payloads never collide onto one ref, byte accounting adds up;
+* **hypothesis property tests** of :class:`~repro.cache.DatasetPool` and
+  :class:`~repro.cache.JobTable` -- interning and reconstruction are
+  bitwise round trips, distinct payloads never collide onto one ref, byte
+  accounting adds up;
 * **wire-protocol tests** -- the version-2 batch-level dataset table and the
   legacy version-1 inline shape decode to jobs with identical fingerprints
   and run to ``comparable_json``-identical batches; tampered tables and
   dangling refs are rejected;
-* **differential engine tests** -- serial / response-cache-off /
-  process+shared-memory runs and a 2-shard CLI round trip (process executor,
-  ``--shared-memory``) all produce ``comparable_json``-identical results,
+* **differential engine tests** -- serial / response-cache-off / process
+  runs and a 2-shard CLI round trip (process executor) all produce
+  ``comparable_json``-identical results,
   and the response-cache tallies are *exactly* what the sharing structure
   predicts.
 """
@@ -32,24 +32,21 @@ from repro.batch import (
     FitJob,
     comparable_json,
     job_fingerprint,
-    load_manifest,
     merge_shard_results,
     numerical_differences,
     write_manifests,
 )
-from repro.batch.shard import cli_subprocess
 from repro.batch.sharding import ShardPlan
 from repro.cache import (
     DatasetPool,
     JobTable,
     ResponseCache,
-    SharedDatasetArena,
     dataset_fingerprint,
     dataset_nbytes,
     grid_fingerprint,
     system_fingerprint,
 )
-from repro.cache.interning import _dataset_from_shared
+from repro.cli import cli_subprocess
 from repro.core.options import MftiOptions
 from repro.data.dataset import FrequencyData
 from repro.experiments.workloads import mixed_batch_jobs
@@ -141,38 +138,6 @@ class TestDatasetPool:
 
 
 # --------------------------------------------------------------------------- #
-# shared-memory transport
-# --------------------------------------------------------------------------- #
-class TestSharedMemory:
-    @settings(max_examples=10, deadline=None)
-    @given(data=datasets())
-    def test_shm_reconstruction_is_bitwise(self, data):
-        arena = SharedDatasetArena()
-        try:
-            ref = dataset_fingerprint(data)
-            entry = arena.entry_for(ref, data)
-            rebuilt = _dataset_from_shared(entry)
-            assert bitwise_equal(rebuilt, data)
-            assert dataset_fingerprint(rebuilt) == ref
-            # re-requesting the same fingerprint reuses the segment
-            again = arena.entry_for(ref, data)
-            assert again["segment"] == entry["segment"]
-            assert len(arena) == 1
-        finally:
-            arena.cleanup()
-        assert len(arena) == 0 and arena.shared_bytes == 0
-
-    def test_cleanup_unlinks_segments(self, small_data):
-        from multiprocessing import shared_memory
-
-        arena = SharedDatasetArena()
-        entry = arena.entry_for(dataset_fingerprint(small_data), small_data)
-        arena.cleanup()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=entry["segment"])
-
-
-# --------------------------------------------------------------------------- #
 # JobTable: the process executor's chunk codec
 # --------------------------------------------------------------------------- #
 class TestJobTable:
@@ -185,22 +150,13 @@ class TestJobTable:
         ]
         return list(enumerate(jobs)), jobs
 
-    @pytest.mark.parametrize("use_arena", [False, True])
     def test_pack_unpack_is_bitwise_and_dedupes(self, small_data, noisy_data,
-                                                dense_data, use_arena):
+                                                dense_data):
         chunk, jobs = self.chunk(small_data, noisy_data, dense_data)
-        arena = SharedDatasetArena() if use_arena else None
-        try:
-            table = JobTable.pack(chunk, arena=arena)
-            # 3 unique datasets across 6 consultations
-            assert len(table.datasets) == 3
-            if use_arena:
-                assert all(tag == "shm" for tag, _ in table.datasets.values())
-                assert len(arena) == 3
-            rebuilt = table.unpack()
-        finally:
-            if arena is not None:
-                arena.cleanup()
+        table = JobTable.pack(chunk)
+        # 3 unique datasets across 6 consultations
+        assert len(table.datasets) == 3
+        rebuilt = table.unpack()
         assert [index for index, _ in rebuilt] == [0, 1, 2]
         for (_, original), (_, job) in zip(chunk, rebuilt):
             assert bitwise_equal(job.data, original.data)
@@ -221,22 +177,11 @@ class TestJobTable:
         assert jobs_b[0][1].reference is jobs_a[0][1].reference
         assert len(pool) == 2
 
-    def test_unpack_rejects_dangling_refs_and_tampered_segments(self, small_data):
+    def test_unpack_rejects_dangling_refs(self, small_data):
         table = JobTable.pack([(0, FitJob(small_data, method="vfti"))])
         dangling = JobTable(jobs=table.jobs, datasets={})
         with pytest.raises(ValueError, match="unknown dataset"):
             dangling.unpack()
-        # a shm entry whose bytes do not hash back to the claimed ref
-        arena = SharedDatasetArena()
-        try:
-            other = small_data.with_samples(np.array(small_data.samples) * 2.0)
-            entry = arena.entry_for(dataset_fingerprint(other), other)
-            lying = JobTable(jobs=table.jobs,
-                             datasets={next(iter(table.datasets)): ("shm", entry)})
-            with pytest.raises(ValueError, match="different fingerprint"):
-                lying.unpack()
-        finally:
-            arena.cleanup()
 
     def test_packed_chunk_is_smaller_than_naive_pickle(self, small_data, dense_data):
         chunk = [(i, FitJob(small_data, method="vfti", reference=dense_data,
@@ -404,10 +349,8 @@ def serial_reference(grid_jobs):
 
 
 class TestEngineDifferentials:
-    def test_process_shared_memory_is_bitwise_identical(self, grid_jobs,
-                                                        serial_reference):
-        engine = BatchEngine(executor="process", max_workers=2, chunk_size=2,
-                             shared_memory=True)
+    def test_process_executor_is_bitwise_identical(self, grid_jobs, serial_reference):
+        engine = BatchEngine(executor="process", max_workers=2, chunk_size=2)
         result = engine.run(grid_jobs)
         assert not numerical_differences(serial_reference, result)
         assert comparable_json(result) == comparable_json(serial_reference)
@@ -420,32 +363,17 @@ class TestEngineDifferentials:
 
     def test_two_shard_cli_merge_with_interning_on(self, grid_jobs,
                                                    serial_reference, tmp_path):
-        """2-shard CLI round trip, process executor + shared memory per shard."""
+        """2-shard CLI round trip, process executor per shard."""
         plan = ShardPlan.from_jobs(grid_jobs, 2)
         paths = write_manifests(plan, grid_jobs, tmp_path,
                                 workload="mixed_batch_jobs",
                                 workload_kwargs=GRID_KWARGS)
         shard_files = []
         for path in paths:
-            run = cli_subprocess("run", str(path), "--executor", "process",
-                                 "--workers", "2", "--chunk-size", "1",
-                                 "--shared-memory")
+            run = cli_subprocess("shard", "run", str(path), "--executor", "process",
+                                 "--workers", "2", "--chunk-size", "1")
             assert run.returncode == 0, run.stderr
             shard_files.append(str(path).replace(".manifest.json", ".result.npz"))
         merged = merge_shard_results(shard_files)
         assert not numerical_differences(serial_reference, merged)
         assert comparable_json(merged) == comparable_json(serial_reference)
-
-    def test_manifest_round_trip_preserves_shared_memory_flag(self, grid_jobs,
-                                                              tmp_path):
-        engine = BatchEngine.from_config({"executor": "process",
-                                          "shared_memory": True})
-        assert engine.shared_memory
-        assert BatchEngine.from_config(engine.to_config()).shared_memory
-        # defaults stay terse: no flag emitted unless set
-        assert "shared_memory" not in BatchEngine().to_config()
-        paths = write_manifests(ShardPlan.from_jobs(grid_jobs, 2), grid_jobs,
-                                tmp_path, workload="mixed_batch_jobs",
-                                workload_kwargs=GRID_KWARGS)
-        manifest = load_manifest(paths[0])
-        assert manifest is not None

@@ -18,9 +18,8 @@ Four layers of defence:
   result is still bit-identical to the unsharded run; an exhausted retry
   budget raises :class:`DispatchError`.
 
-The CLI consolidation rides along: the umbrella ``python -m repro shard``
-and the deprecated ``python -m repro.batch.shard`` alias (with its warning)
-are exercised as real subprocesses.
+The CLI rides along: ``python -m repro shard`` is exercised as a real
+subprocess.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ import pytest
 from repro.batch.engine import BatchEngine
 from repro.batch.jobs import FitJob, JobRecord
 from repro.batch.results import comparable_json
-from repro.batch.shard import cli_subprocess
 from repro.batch.sharding import ShardPlan, job_fingerprint, plan_shards
 from repro.cache import FitCache
+from repro.cli import cli_subprocess
 from repro.core.options import (
     MftiOptions,
     VftiOptions,
@@ -454,13 +453,6 @@ class TestDispatcher:
             )
         assert launcher.calls == 2
 
-    def test_launcher_stubs_fail_loudly(self):
-        from repro.serve.dispatcher import SlurmLauncher, SshLauncher
-
-        for stub in (SshLauncher(("host-a",)), SlurmLauncher()):
-            with pytest.raises(NotImplementedError):
-                stub.launch(0, "manifest.json", "result.npz")
-
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="process-group kill asserted via /proc")
     def test_timeout_kill_leaves_no_orphaned_workers(self, tmp_path):
@@ -487,7 +479,7 @@ class TestDispatcher:
 
 
 # --------------------------------------------------------------------------- #
-# CLI consolidation
+# the CLI
 # --------------------------------------------------------------------------- #
 class TestCli:
     def test_umbrella_shard_plan(self, tmp_path):
@@ -495,19 +487,6 @@ class TestCli:
             "shard", "plan", "--workload", "port_sweep_jobs",
             "--workload-args", json.dumps(GRID_KWARGS),
             "--shards", "2", "--out-dir", str(tmp_path),
-            module="repro",
         )
         assert completed.returncode == 0, completed.stderr
-        assert "deprecated" not in completed.stderr
-        assert len(list(tmp_path.glob("*.manifest.json"))) == 2
-
-    def test_deprecated_alias_still_works_with_warning(self, tmp_path):
-        completed = cli_subprocess(
-            "plan", "--workload", "port_sweep_jobs",
-            "--workload-args", json.dumps(GRID_KWARGS),
-            "--shards", "2", "--out-dir", str(tmp_path),
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "deprecated" in completed.stderr
-        assert "python -m repro shard" in completed.stderr
         assert len(list(tmp_path.glob("*.manifest.json"))) == 2

@@ -11,7 +11,7 @@ Three layers of defence:
   included) and every merge rejection path (mismatched plan fingerprints,
   duplicate / missing / out-of-plan jobs);
 * the **differential test**: ``mixed_batch_jobs`` run unsharded vs. 2-shard
-  (full subprocess round-trip through the ``python -m repro.batch.shard``
+  (full subprocess round-trip through the ``python -m repro shard``
   CLI) and 3-shard (in-process, mixed executors) must produce merged
   results whose record order, numerical payloads, summary tables and JSON
   exports are *identical* to the single-process run -- including the cache
@@ -21,6 +21,7 @@ Three layers of defence:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 
@@ -47,9 +48,9 @@ from repro.batch import (
     write_manifests,
     write_shard_result,
 )
-from repro.batch.shard import cli_subprocess
 from repro.batch.sharding import manifest_name, validate_manifest
 from repro.cache import FitCache
+from repro.cli import cli_subprocess
 from repro.core.options import MftiOptions
 from repro.data import linear_frequencies, sample_scattering
 from repro.experiments.workloads import mixed_batch_jobs, time_domain_jobs
@@ -380,8 +381,9 @@ class TestShardResultFiles:
 # --------------------------------------------------------------------------- #
 # the differential acceptance test
 # --------------------------------------------------------------------------- #
-#: One shared subprocess harness (also used by the CI sharded smoke).
-run_cli = cli_subprocess
+#: ``python -m repro shard ...`` through the one shared subprocess harness
+#: (also used by the CI sharded smoke).
+run_cli = functools.partial(cli_subprocess, "shard")
 
 
 class TestShardedRunsMatchUnsharded:
