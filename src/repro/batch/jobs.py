@@ -485,25 +485,33 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
         else:
             result = run_fit(job.data, method=job.method, options=job.options)
 
-        if tally is not None and hasattr(result.system, "prime_evaluation_plan"):
+        primed = False
+
+        def model():
             # Cached sweep values must be pure functions of (system
             # fingerprint, grid fingerprint): a hit on the fit-grid sweep
             # would otherwise leave this system's lazily-built evaluation
             # plan to be seeded by whichever grid misses next, and the
             # plan's shift depends on the seeding grid.  Pinning the plan
             # to the fit grid -- what the first uncached sweep would have
-            # built -- keeps miss computations bitwise identical no
-            # matter which hits preceded them (or on which worker).
-            result.system.prime_evaluation_plan(job.data.frequencies_hz)
+            # built -- keeps miss computations bitwise identical no matter
+            # which hits preceded them (or on which worker).  The pin waits
+            # for the first sweep that may compute, so a job whose every
+            # evaluation replays from the fit cache's memo builds no plan.
+            nonlocal primed
+            if tally is not None and not primed:
+                result.system.prime_evaluation_plan(job.data.frequencies_hz)
+                primed = True
+            return result.system
 
         def evaluate(data):
             """Aggregate error vs ``data``, via the response cache if on."""
             if tally is None:
                 return result.aggregate_error(data)
             return model_aggregate_error(
-                result.system,
+                model(),
                 data,
-                response=tally.model_sweep(result.system, data),
+                response=tally.model_sweep(model(), data),
                 norms=tally.reference_norms(data),
             )
 
@@ -528,11 +536,11 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
             )
         time_domain = (
             time_domain_metrics(
-                result.system,
+                model(),
                 job.reference,
                 job.time_domain,
                 model_samples=(
-                    tally.model_sweep(result.system, job.reference)
+                    tally.model_sweep(model(), job.reference)
                     if tally is not None
                     else None
                 ),
@@ -542,7 +550,7 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
         )
         passivity = (
             passivity_metrics(
-                result.system,
+                model(),
                 job.data,
                 job.passivity,
                 reference=job.reference,

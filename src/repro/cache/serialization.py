@@ -1,8 +1,8 @@
 """Converting :class:`~repro.core.results.MacromodelResult` to/from payloads.
 
 A cached fit is stored as a *payload*: a dict of numpy arrays (the recovered
-system matrices and the singular-value profiles -- everything that must
-round-trip bitwise) plus a JSON-safe metadata dict (method, diagnostics,
+system matrices and the realization's singular values -- everything that
+must round-trip bitwise) plus a JSON-safe metadata dict (method, diagnostics,
 front-end metadata).  Both stores persist the same payload, so memory- and
 disk-cached fits are reconstructed by exactly the same code.
 
@@ -33,13 +33,11 @@ __all__ = [
     "PAYLOAD_SCHEMA_VERSION",
 ]
 
-#: Bump whenever the payload layout changes; loads reject newer schemas.
-#: v2: recursive fits now store only the "pencil" singular-value profile and
-#: every evaluation memo is computed through the vectorized sweep kernel --
-#: pre-kernel entries must not replay as if they were fresh fits.
-PAYLOAD_SCHEMA_VERSION = 2
-
-_SV_PREFIX = "sv__"
+#: Bump whenever the payload layout changes; loads reject other schemas.
+#: v2: every evaluation memo is computed through the vectorized sweep
+#: kernel -- pre-kernel entries must not replay as if they were fresh fits.
+#: v3: fits no longer carry the Fig.-1 singular-value profiles (``sv__*``).
+PAYLOAD_SCHEMA_VERSION = 3
 
 
 class UncacheableResultError(TypeError):
@@ -127,9 +125,6 @@ def result_to_payload(result: MacromodelResult) -> tuple[dict[str, np.ndarray], 
         "C": np.asarray(result.system.C),
         "D": np.asarray(result.system.D),
     }
-    for name, values in result.singular_values.items():
-        arrays[_SV_PREFIX + name] = np.asarray(values)
-
     realization = None
     if result.realization is not None:
         diag = result.realization
@@ -189,12 +184,6 @@ def payload_to_result(
 
     system = DescriptorSystem(arrays["E"], arrays["A"], arrays["B"], arrays["C"], arrays["D"])
 
-    singular_values = {
-        name[len(_SV_PREFIX):]: np.asarray(values)
-        for name, values in arrays.items()
-        if name.startswith(_SV_PREFIX)
-    }
-
     realization: Optional[RealizationDiagnostics] = None
     if meta.get("realization") is not None:
         spec = meta["realization"]
@@ -212,7 +201,6 @@ def payload_to_result(
     return MacromodelResult(
         system=system,
         method=meta["method"],
-        singular_values=singular_values,
         realization=realization,
         tangential=None,
         pencil=None,

@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.core.loewner import build_loewner_pencil
 from repro.core.options import InterpolationOptions
 from repro.core.realization import svd_realization, to_real_data
@@ -147,7 +145,6 @@ def realize_from_tangential(
     n_samples_used: int,
     started_at: float | None = None,
     metadata: dict | None = None,
-    singular_value_profiles: tuple[str, ...] | None = None,
     complex_pencil=None,
 ) -> MacromodelResult:
     """Run the Loewner realization pipeline on prepared tangential data.
@@ -168,11 +165,6 @@ def realize_from_tangential(
         generation, so the reported time covers the whole algorithm.
     metadata:
         Extra key/value pairs stored on the result.
-    singular_value_profiles:
-        Which Fig.-1 singular-value profiles to report on the result
-        (default: all three).  Front-ends that realize many intermediate
-        pencils (the recursive algorithm) restrict this to ``("pencil",)``
-        to skip two full SVDs per iteration.
     complex_pencil:
         Optional pre-assembled complex :class:`~repro.core.loewner.
         LoewnerPencil` for ``tangential``.  The recursive front-end passes
@@ -183,12 +175,6 @@ def realize_from_tangential(
     start = time.perf_counter() if started_at is None else started_at
     if complex_pencil is None:
         complex_pencil = build_loewner_pencil(tangential)
-    # singular-value profiles (Fig. 1) are always reported from the complex
-    # pencil; the real transform is unitary so the profiles are identical
-    singular_values = complex_pencil.singular_values(
-        options.x0, profiles=singular_value_profiles
-    )
-
     pencil = complex_pencil
     if options.real_output:
         pencil = to_real_data(complex_pencil)
@@ -207,7 +193,6 @@ def realize_from_tangential(
     return MacromodelResult(
         system=system,
         method=method,
-        singular_values={k: np.asarray(v) for k, v in singular_values.items()},
         realization=diagnostics,
         tangential=tangential,
         pencil=pencil,

@@ -124,42 +124,23 @@ class LoewnerPencil:
         """The matrix ``x0 * L - sL`` whose rank reveals the underlying order (Lemma 3.3)."""
         return complex(x0) * self.loewner - self.shifted_loewner
 
-    #: All singular-value profiles :meth:`singular_values` can compute.
-    PROFILE_NAMES = ("loewner", "shifted_loewner", "pencil")
-
-    def singular_values(
-        self,
-        x0: Optional[complex] = None,
-        *,
-        profiles: Optional[tuple[str, ...]] = None,
-    ) -> dict[str, np.ndarray]:
+    def singular_values(self, x0: Optional[complex] = None) -> dict[str, np.ndarray]:
         """Singular-value profiles of ``L``, ``sL`` and ``x0*L - sL`` (paper Fig. 1).
 
-        ``x0`` defaults to the first right sample point, matching the remark
-        after Lemma 3.4 that choosing ``x0 = lambda_1`` makes ``x0*L - sL``
-        behave like ``sL``.
-
-        ``profiles`` selects which of the (equally expensive, full-SVD)
-        profiles to compute; the default is all three.  Callers that only
-        need the rank-revealing ``"pencil"`` profile -- e.g. the recursive
-        front-end, which realizes a pencil per refinement iteration -- pass
-        ``profiles=("pencil",)`` and skip the other two SVDs entirely.
+        Keys ``"loewner"``, ``"shifted_loewner"`` and ``"pencil"``.  ``x0``
+        defaults to the first right sample point, matching the remark after
+        Lemma 3.4 that choosing ``x0 = lambda_1`` makes ``x0*L - sL`` behave
+        like ``sL``.  Fits do not call this (only the realization SVDs run);
+        the Fig.-1 experiments compute the profiles on demand.
         """
-        names = self.PROFILE_NAMES if profiles is None else tuple(profiles)
-        unknown = set(names) - set(self.PROFILE_NAMES)
-        if unknown:
-            raise ValueError(
-                f"unknown singular-value profiles {sorted(unknown)}; "
-                f"available: {self.PROFILE_NAMES}"
-            )
         if x0 is None:
             x0 = self.lambda_points[0]
         matrices = {
-            "loewner": lambda: self.loewner,
-            "shifted_loewner": lambda: self.shifted_loewner,
-            "pencil": lambda: self.shifted_pencil(x0),
+            "loewner": self.loewner,
+            "shifted_loewner": self.shifted_loewner,
+            "pencil": self.shifted_pencil(x0),
         }
-        return {name: economic_svd(matrices[name]())[1] for name in names}
+        return {name: economic_svd(matrix)[1] for name, matrix in matrices.items()}
 
     def augmented_row_matrix(self) -> np.ndarray:
         """The row-concatenated matrix ``[L  sL]`` used by the two-sided SVD realization."""

@@ -59,7 +59,8 @@ def mfti(
     Returns
     -------
     MacromodelResult
-        The recovered model plus singular-value profiles and diagnostics.
+        The recovered model plus the tangential data, pencil and
+        realization diagnostics.
 
     Examples
     --------

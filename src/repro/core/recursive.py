@@ -150,9 +150,6 @@ def recursive_mfti(
             method="mfti-recursive",
             n_samples_used=len(right_sel) + len(left_sel),
             metadata={"block_sizes": plan.per_sample_sizes},
-            # only the rank-revealing profile is needed per refinement
-            # iteration; skipping the L / sL SVDs makes each pass cheaper
-            singular_value_profiles=("pencil",),
             complex_pencil=complex_pencil,
         )
         if not remaining:
@@ -198,7 +195,6 @@ def recursive_mfti(
     return MacromodelResult(
         system=result.system,
         method="mfti-recursive",
-        singular_values=result.singular_values,
         realization=result.realization,
         tangential=result.tangential,
         pencil=result.pencil,

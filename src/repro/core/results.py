@@ -27,10 +27,6 @@ class MacromodelResult:
         The recovered descriptor system.
     method:
         ``"mfti"``, ``"mfti-recursive"``, ``"vfti"`` or ``"vector-fitting"``.
-    singular_values:
-        Profiles of ``L``, ``sL`` and ``x0*L - sL`` (keys ``"loewner"``,
-        ``"shifted_loewner"``, ``"pencil"``) -- the quantities of Fig. 1.
-        Empty for methods that have no Loewner pencil (vector fitting).
     realization:
         SVD diagnostics of the final projection (``None`` for vector fitting).
     tangential:
@@ -50,7 +46,6 @@ class MacromodelResult:
 
     system: DescriptorSystem
     method: str
-    singular_values: dict[str, np.ndarray] = field(default_factory=dict)
     realization: Optional[RealizationDiagnostics] = None
     tangential: Optional[TangentialData] = None
     pencil: Optional[LoewnerPencil] = None

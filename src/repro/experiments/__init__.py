@@ -22,6 +22,7 @@ from repro.experiments.example1 import (
     bode_experiment,
     sample_requirement_sweep,
     singular_value_experiment,
+    singular_value_profiles,
 )
 from repro.experiments.example2 import (
     Example2Config,
@@ -53,6 +54,7 @@ __all__ = [
     "Figure1Data",
     "Figure2Data",
     "singular_value_experiment",
+    "singular_value_profiles",
     "bode_experiment",
     "sample_requirement_sweep",
     "Example2Config",

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core import mfti, vfti
+from repro.core.loewner import build_loewner_pencil
 from repro.core.results import MacromodelResult
 from repro.data import log_frequencies, sample_scattering
 from repro.data.dataset import FrequencyData
@@ -38,6 +39,7 @@ __all__ = [
     "Figure1Data",
     "Figure2Data",
     "SampleRequirement",
+    "singular_value_profiles",
     "singular_value_experiment",
     "bode_experiment",
     "sample_requirement_sweep",
@@ -124,6 +126,23 @@ class SampleRequirement:
     tolerance: float
 
 
+def singular_value_profiles(result: MacromodelResult) -> dict[str, np.ndarray]:
+    """Fig.-1 singular-value profiles of a Loewner fit, computed on demand.
+
+    Fits run only their realization SVDs, so the profiles of ``L``, ``sL``
+    and ``x0*L - sL`` are recomputed here from the complex pencil of the
+    fit's tangential data (the real transform is unitary, so they are the
+    profiles of the realized pencil too).
+    """
+    if result.tangential is None:
+        raise ValueError(
+            f"{result.method} result carries no tangential data "
+            "(a fit-cache replay keeps only the model)"
+        )
+    x0 = result.metadata["options"].x0
+    return build_loewner_pencil(result.tangential).singular_values(x0)
+
+
 def singular_value_experiment(config: Example1Config | None = None) -> Figure1Data:
     """Reproduce Fig. 1: VFTI vs MFTI singular-value patterns on 8 samples."""
     cfg = config or Example1Config()
@@ -136,8 +155,8 @@ def singular_value_experiment(config: Example1Config | None = None) -> Figure1Da
     d = np.asarray(system.D)
     rank_d = int(np.linalg.matrix_rank(d)) if d.size else 0
     return Figure1Data(
-        vfti_singular_values=vfti_result.singular_values,
-        mfti_singular_values=mfti_result.singular_values,
+        vfti_singular_values=singular_value_profiles(vfti_result),
+        mfti_singular_values=singular_value_profiles(mfti_result),
         vfti_detected_order=vfti_result.realization.order,
         mfti_detected_order=mfti_result.realization.order,
         true_order=system.order,

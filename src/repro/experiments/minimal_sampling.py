@@ -24,6 +24,7 @@ import numpy as np
 from repro.core import mfti, vfti
 from repro.core.sampling import minimal_sample_count
 from repro.data import log_frequencies, sample_scattering
+from repro.experiments.example1 import singular_value_profiles
 from repro.systems.random_systems import random_stable_system
 from repro.utils.linalg import rank_from_gap
 
@@ -127,8 +128,7 @@ def minimal_sampling_experiment(
     # singular-value drop positions at the largest MFTI sample count
     largest = max(mfti_errors)
     data = sample_scattering(system, log_frequencies(f_min_hz, f_max_hz, largest))
-    result = mfti(data)
-    sv = result.singular_values
+    sv = singular_value_profiles(mfti(data))
     return MinimalSamplingResult(
         system_order=order,
         feedthrough_rank=rank_d,

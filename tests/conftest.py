@@ -7,6 +7,8 @@ benchmarks.  Expensive fixtures are session-scoped and immutable.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,25 @@ def fit_cache_dir(tmp_path_factory):
     test reuses one deterministic cache location.
     """
     return tmp_path_factory.mktemp("fit-cache")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of every :func:`~repro.utils.linalg.economic_svd` call the test makes.
+
+    Rebinds the function in every ``repro`` module that imported it, so the
+    count covers the pencil profiles and the realization alike.
+    """
+    from repro.utils import linalg
+
+    original = linalg.economic_svd
+    calls = []
+
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "economic_svd", None) is original:
+            monkeypatch.setattr(module, "economic_svd", counting)
+    return calls

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import run_fit
 from repro.core.directions import identity_directions
 from repro.core.loewner import build_loewner_pencil, sylvester_residuals
 from repro.core.realization import (
@@ -60,18 +61,6 @@ class TestLoewnerPencil:
         assert set(profiles) == {"loewner", "shifted_loewner", "pencil"}
         for values in profiles.values():
             assert np.all(np.diff(values) <= 1e-12)
-
-    def test_singular_value_profiles_selectable(self, setup):
-        """Requesting a subset computes only those SVDs (same values)."""
-        _, _, _, pencil = setup
-        full = pencil.singular_values()
-        pencil_only = pencil.singular_values(profiles=("pencil",))
-        assert set(pencil_only) == {"pencil"}
-        assert np.array_equal(pencil_only["pencil"], full["pencil"])
-        two = pencil.singular_values(profiles=("loewner", "pencil"))
-        assert set(two) == {"loewner", "pencil"}
-        with pytest.raises(ValueError, match="unknown singular-value profiles"):
-            pencil.singular_values(profiles=("bogus",))
 
     def test_augmented_matrices(self, setup):
         _, _, _, pencil = setup
@@ -148,6 +137,15 @@ class TestRealizations:
         err = (np.linalg.norm(model.frequency_response(freqs) - system.frequency_response(freqs))
                / np.linalg.norm(system.frequency_response(freqs)))
         assert err < 1e-7
+
+    @pytest.mark.parametrize("method", ["mfti", "vfti"])
+    @pytest.mark.parametrize("svd_mode,expected", [("two-sided", 2), ("pencil", 1)])
+    def test_fits_run_only_the_realization_svds(self, setup, svd_calls, method,
+                                                svd_mode, expected):
+        """No Fig.-1 profile SVDs: ``[L sL]`` and ``[L; sL]``, or ``x0*L - sL`` alone."""
+        _, data, _, _ = setup
+        run_fit(data, method=method, svd_mode=svd_mode)
+        assert len(svd_calls) == expected
 
     def test_explicit_order_truncation(self, setup):
         _, _, _, pencil = setup

@@ -83,7 +83,6 @@ class TestMftiRecovery:
         assert result.method == "mfti"
         assert result.n_samples_used == small_data.n_samples
         assert result.elapsed_seconds > 0
-        assert set(result.singular_values) == {"loewner", "shifted_loewner", "pencil"}
         assert result.pencil is not None and result.pencil.is_real
         assert result.realization.mode == "two-sided"
         assert "order=" in result.summary() or "order" in result.summary()

@@ -9,7 +9,9 @@ the two integration contracts that make caching trustworthy:
 * a batch sweep run twice over one ``DiskStore`` reports 100 % hits, equal
   numerical payloads (via the engine's own ``numerical_differences``
   contract) and correct counters -- including the per-job error-capture
-  path, which must never populate the cache.
+  path, which must never populate the cache;
+* a warm sweep builds no evaluation plan: ``run_job`` pins a model's plan
+  to its fit grid only before a sweep that may compute.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.cache import (
     DiskStore,
     FitCache,
     MemoryStore,
+    ResponseCache,
     dataset_fingerprint,
     evaluation_key,
     fit_key,
@@ -35,6 +38,10 @@ from repro.cache import (
 )
 from repro.core import run_fit
 from repro.core.options import MftiOptions, RecursiveOptions, VftiOptions
+from repro.experiments.workloads import mixed_batch_jobs
+from repro.metrics.timedomain import TimeDomainSpec
+from repro.systems import statespace
+from repro.vectorfitting.enforcement import PassivitySpec
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +129,8 @@ class TestSerialization:
         fresh = run_fit(small_data, method=method, options=options)
         arrays, meta = result_to_payload(fresh)
         json.dumps(meta)  # metadata must be JSON-serializable as-is
+        # the model and its realization SVD; no Fig.-1 profiles (schema 3)
+        assert set(arrays) == {"E", "A", "B", "C", "D", "realization_singular_values"}
         restored = payload_to_result(arrays, meta, options=options)
         for attribute in ("E", "A", "B", "C", "D"):
             assert np.array_equal(getattr(fresh.system, attribute),
@@ -129,10 +138,6 @@ class TestSerialization:
         assert restored.method == fresh.method
         assert restored.order == fresh.order
         assert restored.n_samples_used == fresh.n_samples_used
-        assert set(restored.singular_values) == set(fresh.singular_values)
-        for name in fresh.singular_values:
-            assert np.array_equal(restored.singular_values[name],
-                                  fresh.singular_values[name])
         assert restored.realization.order == fresh.realization.order
         assert np.array_equal(restored.realization.singular_values,
                               fresh.realization.singular_values)
@@ -436,3 +441,69 @@ class TestBatchCacheEquivalence:
         # therefore write to different stores by construction
         assert os.path.basename(str(fit_cache_dir)).startswith("fit-cache")
         assert "pytest" in os.path.basename(os.path.dirname(str(fit_cache_dir)))
+
+
+# --------------------------------------------------------------------------- #
+# evaluation-plan priming
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def plan_events(monkeypatch):
+    """``("prime"|"sweep", id(system))`` and ``("build", None)`` in call order."""
+    system_type = statespace.DescriptorSystem
+    prime = system_type.prime_evaluation_plan
+    sweep = system_type.evaluate_many
+    build = statespace.build_evaluation_plan
+    events = []
+
+    def recording_prime(system, frequencies_hz):
+        events.append(("prime", id(system)))
+        return prime(system, frequencies_hz)
+
+    def recording_sweep(system, points, **kwargs):
+        events.append(("sweep", id(system)))
+        return sweep(system, points, **kwargs)
+
+    def recording_build(*args):
+        events.append(("build", None))
+        return build(*args)
+
+    monkeypatch.setattr(system_type, "prime_evaluation_plan", recording_prime)
+    monkeypatch.setattr(system_type, "evaluate_many", recording_sweep)
+    monkeypatch.setattr(statespace, "build_evaluation_plan", recording_build)
+    return events
+
+
+class TestPlanPriming:
+    def test_warm_mixed_grid_builds_no_plan(self, plan_events):
+        jobs = mixed_batch_jobs(pdn_samples=36, pdn_validation=48, line_sections=10,
+                                line_samples=40, line_validation=50)
+        cache = FitCache()
+        cold = BatchEngine(cache=cache).run(jobs)
+        assert ("build", None) in plan_events
+        plan_events.clear()
+        warm = BatchEngine(cache=cache).run(jobs)
+        assert warm.n_cache_hits == len(jobs)
+        # every error replays from the evaluation memo: nothing to sweep
+        assert plan_events == []
+        assert numerical_differences(cold, warm) == []
+
+    @pytest.mark.parametrize("spec", [
+        {"time_domain": TimeDomainSpec(t_final=2e-4, n_points=64)},
+        {"passivity": PassivitySpec(n_check=32, max_iterations=2)},
+    ], ids=["time_domain", "passivity"])
+    def test_spec_jobs_prime_once_before_their_first_sweep(
+        self, small_data, dense_data, plan_events, spec
+    ):
+        job = FitJob(small_data, method="mfti", options=MftiOptions(block_size=2),
+                     reference=dense_data, **spec)
+        cache = FitCache()
+        run_job(0, job, cache, responses=ResponseCache())
+        plan_events.clear()
+        record = run_job(1, job, cache, responses=ResponseCache())
+        assert record.cache_status == "hit", record.error_traceback
+        primed = [system for kind, system in plan_events if kind == "prime"]
+        assert len(primed) == 1
+        prime_at = plan_events.index(("prime", primed[0]))
+        assert ("sweep", primed[0]) not in plan_events[:prime_at]
+        if "time_domain" in spec:  # enforcement sweeps a pole-residue copy instead
+            assert ("sweep", primed[0]) in plan_events[prime_at:]
