@@ -7,9 +7,10 @@ PDN / transmission-line workloads:
 * ``vf inner loop`` -- the pole-structured kernels executed on every
   vector-fitting relocation iteration (group walk, partial-fraction basis,
   relocation companion form, residue reconstruction): the looped reference
-  implementations (``*_reference``, one Python step per pole group exactly
-  like the pre-batched code) against the batched kernels operating on a
-  :class:`~repro.core.assembly.PoleGrouping` built once per iteration.
+  implementations (``*_reference`` in ``tests/oracles.py``, one Python step
+  per pole group exactly like the pre-batched code) against the batched
+  kernels operating on a :class:`~repro.core.assembly.PoleGrouping` built
+  once per iteration.
   Acceptance floor: **>= 3x** per workload (reference ~5-7x), with bitwise
   identical outputs.
 
@@ -46,14 +47,10 @@ from repro.core.assembly import (
     IncrementalLoewner,
     PoleGrouping,
     partial_fraction_basis,
-    partial_fraction_basis_reference,
     prepare_block_directions,
     relocation_matrices,
-    relocation_matrices_reference,
     residues_from_coefficients,
-    residues_from_coefficients_reference,
     vf_scaling_blocks,
-    vf_scaling_blocks_reference,
 )
 from repro.core.loewner import build_loewner_pencil
 from repro.core.options import RecursiveOptions
@@ -64,6 +61,13 @@ from repro.experiments.example2 import Example2Config, build_pdn_datasets
 from repro.utils.linalg import realify
 from repro.vectorfitting.fitting import vector_fit
 from repro.vectorfitting.poles import initial_poles, sort_poles
+
+from oracles import (
+    partial_fraction_basis_reference,
+    relocation_matrices_reference,
+    residues_from_coefficients_reference,
+    vf_scaling_blocks_reference,
+)
 
 #: Required batched-vs-looped speedup of the pole-structured VF kernels.
 MIN_KERNEL_SPEEDUP = 3.0

@@ -5,9 +5,9 @@ leans entirely on the batched margin kernels of
 :mod:`repro.vectorfitting.passivity`: every sweep of every perturbation
 round is one stacked ``np.linalg.svd`` (scattering) or ``eigvalsh``
 (immittance) call.  The per-frequency alternative is
-:func:`~repro.vectorfitting.passivity.passivity_violations_reference` --
-one small LAPACK factorization per frequency inside a Python loop, kept as
-the equivalence oracle.
+``passivity_violations_reference`` (``tests/oracles.py``) -- one small
+LAPACK factorization per frequency inside a Python loop, kept as the
+equivalence oracle.
 
 This module measures both on a population of seeded pole-residue models
 with genuine (normalized) passivity violations over a dense log sweep:
@@ -41,11 +41,10 @@ from repro.vectorfitting.enforcement import (
     enforce_passivity,
     passivity_margins,
 )
-from repro.vectorfitting.passivity import (
-    passivity_violations,
-    passivity_violations_reference,
-)
+from repro.vectorfitting.passivity import passivity_violations
 from repro.vectorfitting.rational import PoleResidueModel
+
+from oracles import passivity_violations_reference
 
 #: Required batched-margin speedup over the per-frequency reference loop.
 MIN_SPEEDUP = 3.0

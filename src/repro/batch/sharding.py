@@ -28,9 +28,10 @@ machines:
   round-trip; each record's scalars as its
   :func:`~repro.batch.jobs.record_to_document` document).
 * :func:`merge_shard_results` -- validates the shard files against each
-  other (same plan fingerprint, same schema, no missing / duplicate jobs)
-  and reassembles one :class:`BatchResult` whose record order and numerical
-  payloads are identical to the single-process run of the same batch.
+  other (same plan fingerprint, same schema, same BLAS thread count, no
+  missing / duplicate jobs) and reassembles one :class:`BatchResult` whose
+  record order and numerical payloads are identical to the single-process
+  run of the same batch at that thread count.
 
 Datasets deliberately never travel inside manifests: shards rebuild their
 jobs from a *named workload grid* (:data:`repro.experiments.workloads.
@@ -72,12 +73,12 @@ from repro.cache.serialization import (
     payload_to_result,
     result_to_payload,
 )
+from repro.utils.blas import blas_threads
 
 __all__ = [
     "ShardError",
     "ShardPlan",
     "ShardResult",
-    "job_fingerprint",
     "plan_fingerprint",
     "plan_shards",
     "write_manifests",
@@ -101,8 +102,8 @@ SHARD_RESULT_FORMAT = "repro-shard-result"
 #: Bump whenever the manifest or shard-result layout changes; mixing schema
 #: versions across machines is a validation error, never silent corruption.
 #: Version 2 moved job and record entries onto the shared document codec of
-#: :mod:`repro.batch.jobs`.
-SHARD_SCHEMA_VERSION = 2
+#: :mod:`repro.batch.jobs`; version 3 records the runner's BLAS thread count.
+SHARD_SCHEMA_VERSION = 3
 
 #: Key of the JSON metadata blob inside a shard-result ``.npz`` archive.
 _META_KEY = "__shard_meta__"
@@ -391,13 +392,20 @@ def run_shard(
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ShardResult:
-    """One shard's :class:`BatchResult` plus the plan identity it belongs to."""
+    """One shard's :class:`BatchResult` plus the plan identity it belongs to.
+
+    ``blas_threads`` is the runner's OpenBLAS thread count
+    (:func:`~repro.utils.blas.blas_threads`; ``None`` where it cannot be
+    read): fits round differently under different counts, so shards that
+    disagree on it do not merge.
+    """
 
     plan_fingerprint: str
     shard_index: int
     n_shards: int
     n_jobs_total: int
     result: BatchResult
+    blas_threads: Optional[int] = None
 
 
 def write_shard_result(
@@ -405,7 +413,8 @@ def write_shard_result(
 ) -> str:
     """Persist one shard's result as a single ``.npz`` archive; returns ``path``.
 
-    The archive holds the JSON metadata blob (plan identity, one
+    The archive holds the JSON metadata blob (plan identity, the writing
+    process's BLAS thread count, one
     :func:`~repro.batch.jobs.record_to_document` document per record) plus
     every successful record's numerical payload through the cache
     serialization (:func:`repro.cache.result_to_payload`), so a read-back
@@ -445,6 +454,7 @@ def write_shard_result(
         "shard_index": manifest["shard_index"],
         "n_shards": manifest["n_shards"],
         "n_jobs_total": manifest["n_jobs_total"],
+        "blas_threads": blas_threads(),
         "executor": result.executor,
         "n_workers": result.n_workers,
         "chunk_size": result.chunk_size,
@@ -541,6 +551,7 @@ def read_shard_result(path: Union[str, os.PathLike]) -> ShardResult:
         shard_index=int(document["shard_index"]),
         n_shards=int(document["n_shards"]),
         n_jobs_total=int(document["n_jobs_total"]),
+        blas_threads=document.get("blas_threads"),
         result=BatchResult(
             records=tuple(records),
             executor=document["executor"],
@@ -565,6 +576,9 @@ def merge_shard_results(
     * all shards must carry the same plan fingerprint, shard count and total
       job count (mixing runs of different plans is the classic silent-merge
       corruption this layer exists to prevent),
+    * all shards must report the same BLAS thread count (fits round
+      differently under different counts, so such a merge would match no
+      single-process run),
     * no shard index may appear twice,
     * the union of record indices must be exactly ``0 .. n_jobs_total - 1``
       -- a missing or duplicated job is an error, never a shorter result.
@@ -597,6 +611,13 @@ def merge_shard_results(
                 "shard results disagree on the plan shape: "
                 f"({shard.n_shards} shards, {shard.n_jobs_total} jobs) vs "
                 f"({reference.n_shards} shards, {reference.n_jobs_total} jobs)"
+            )
+        if shard.blas_threads != reference.blas_threads:
+            raise ShardError(
+                "shard results were computed under different BLAS threading: "
+                f"shard {shard.shard_index} ran {shard.blas_threads} OpenBLAS thread(s), "
+                f"shard {reference.shard_index} ran {reference.blas_threads}; rerun the "
+                "shards with one OPENBLAS_NUM_THREADS"
             )
         if shard.shard_index in seen_shards:
             raise ShardError(f"shard index {shard.shard_index} appears twice")

@@ -52,7 +52,6 @@ from repro.cache.interning import (
     JobTable,
     ResponseCache,
     ResponseTally,
-    dataset_nbytes,
 )
 from repro.cache.serialization import (
     PAYLOAD_SCHEMA_VERSION,
@@ -74,7 +73,6 @@ __all__ = [
     "JobTable",
     "ResponseCache",
     "ResponseTally",
-    "dataset_nbytes",
     "CacheStore",
     "MemoryStore",
     "DiskStore",

@@ -7,9 +7,9 @@ building blocks that fix that, keyed on the existing SHA-256 content
 fingerprints:
 
 * :class:`DatasetPool` -- an intern table keyed by
-  :func:`~repro.cache.fingerprint.dataset_fingerprint` with byte accounting
-  and memoized wire documents (so the serve protocol encodes each unique
-  dataset once, not once per job).
+  :func:`~repro.cache.fingerprint.dataset_fingerprint` with memoized wire
+  documents (so the serve protocol encodes each unique dataset once, not
+  once per job).
 * :class:`JobTable` -- a pickle-level codec that splits a chunk of
   ``(index, FitJob)`` pairs into (unique datasets, jobs-with-fingerprint-refs)
   so the process executor ships each unique dataset once per chunk.
@@ -46,13 +46,7 @@ __all__ = [
     "JobTable",
     "ResponseCache",
     "ResponseTally",
-    "dataset_nbytes",
 ]
-
-
-def dataset_nbytes(data: FrequencyData) -> int:
-    """Payload size of one dataset: frequency and sample array bytes."""
-    return int(data.frequencies_hz.nbytes) + int(data.samples.nbytes)
 
 
 class DatasetPool:
@@ -62,12 +56,7 @@ class DatasetPool:
     instance seen for each; ``get`` resolves a fingerprint back to that
     instance.  The pool also memoizes wire documents (the base64 encoding
     used by :mod:`repro.serve.protocol`) per fingerprint, so encoding a
-    24-job batch over one dataset hashes and base64-encodes it once --
-    ``encode_hits``/``encode_misses`` count exactly that.
-
-    Byte accounting: ``total_bytes`` sums the payload of every intern call
-    (what a naive per-job transport would ship), ``unique_bytes`` sums each
-    unique dataset once; the difference is what interning saved.
+    24-job batch over one dataset hashes and base64-encodes it once.
 
     Thread-safe; safe to share across a server's request handlers.
     """
@@ -76,11 +65,6 @@ class DatasetPool:
         self._lock = threading.Lock()
         self._datasets: Dict[str, FrequencyData] = {}
         self._documents: Dict[str, dict] = {}
-        self.interned = 0
-        self.total_bytes = 0
-        self.unique_bytes = 0
-        self.encode_hits = 0
-        self.encode_misses = 0
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -99,21 +83,11 @@ class DatasetPool:
         with self._lock:
             return len(self._datasets)
 
-    @property
-    def bytes_saved(self) -> int:
-        """Payload bytes a per-consultation transport would have re-shipped."""
-        return self.total_bytes - self.unique_bytes
-
     def intern(self, data: FrequencyData) -> str:
         """Intern ``data``; return its fingerprint (the ref everything uses)."""
         fingerprint = dataset_fingerprint(data)
-        size = dataset_nbytes(data)
         with self._lock:
-            self.interned += 1
-            self.total_bytes += size
-            if fingerprint not in self._datasets:
-                self._datasets[fingerprint] = data
-                self.unique_bytes += size
+            self._datasets.setdefault(fingerprint, data)
         return fingerprint
 
     def get(self, fingerprint: str) -> Optional[FrequencyData]:
@@ -131,27 +105,10 @@ class DatasetPool:
         with self._lock:
             document = self._documents.get(fingerprint)
         if document is not None:
-            with self._lock:
-                self.encode_hits += 1
             return document
         document = build(data)
         with self._lock:
-            self._documents.setdefault(fingerprint, document)
-            self.encode_misses += 1
-        return document
-
-    def stats(self) -> dict:
-        """Counter snapshot (used by benches and the serve ``/stats`` page)."""
-        with self._lock:
-            return {
-                "datasets": len(self._datasets),
-                "interned": self.interned,
-                "total_bytes": self.total_bytes,
-                "unique_bytes": self.unique_bytes,
-                "bytes_saved": self.total_bytes - self.unique_bytes,
-                "encode_hits": self.encode_hits,
-                "encode_misses": self.encode_misses,
-            }
+            return self._documents.setdefault(fingerprint, document)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,8 @@ through exactly the same code no matter which layer requested it.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,7 +45,8 @@ class FrontendSpec:
     name:
         Method name used for dispatch (``"mfti"``, ``"vfti"``, ...).
     runner:
-        The front-end callable: ``runner(data, *, options=None, **kwargs)``.
+        The timed front-end callable:
+        ``runner(data, *, options=None, **kwargs)``.
     options_type:
         The options dataclass the front-end expects.
     """
@@ -59,13 +62,22 @@ _FRONTENDS: dict[str, FrontendSpec] = {}
 def register_frontend(name: str, *, options_type: type[InterpolationOptions]):
     """Register the decorated callable as the front-end for ``name``.
 
-    Used by the front-end modules themselves; user code normally only calls
-    :func:`run_fit` / :func:`available_methods`.
+    The registered (and returned) callable is a wrapper that times each call
+    and stamps the wall-clock seconds on the result's ``elapsed_seconds`` --
+    the one fit timer every front-end shares.  Used by the front-end modules
+    themselves; user code normally only calls :func:`run_fit` /
+    :func:`available_methods`.
     """
 
     def decorate(runner: Callable[..., MacromodelResult]):
-        _FRONTENDS[name] = FrontendSpec(name=name, runner=runner, options_type=options_type)
-        return runner
+        @functools.wraps(runner)
+        def timed(*args, **kwargs) -> MacromodelResult:
+            started = time.perf_counter()
+            result = runner(*args, **kwargs)
+            return dataclasses.replace(result, elapsed_seconds=time.perf_counter() - started)
+
+        _FRONTENDS[name] = FrontendSpec(name=name, runner=timed, options_type=options_type)
+        return timed
 
     return decorate
 
@@ -143,7 +155,6 @@ def realize_from_tangential(
     *,
     method: str,
     n_samples_used: int,
-    started_at: float | None = None,
     metadata: dict | None = None,
     complex_pencil=None,
 ) -> MacromodelResult:
@@ -160,9 +171,6 @@ def realize_from_tangential(
         Name recorded on the result (``"mfti"``, ``"vfti"``, ...).
     n_samples_used:
         Number of sampled matrices that contributed to ``tangential``.
-    started_at:
-        Optional ``time.perf_counter()`` timestamp taken before the direction
-        generation, so the reported time covers the whole algorithm.
     metadata:
         Extra key/value pairs stored on the result.
     complex_pencil:
@@ -172,7 +180,6 @@ def realize_from_tangential(
         the from-scratch build, so the realization is unaffected); by
         default the pencil is assembled from ``tangential``.
     """
-    start = time.perf_counter() if started_at is None else started_at
     if complex_pencil is None:
         complex_pencil = build_loewner_pencil(tangential)
     pencil = complex_pencil
@@ -187,7 +194,6 @@ def realize_from_tangential(
         mode=options.svd_mode,
         x0=options.x0,
     )
-    elapsed = time.perf_counter() - start
     info = dict(metadata or {})
     info.setdefault("options", options)
     return MacromodelResult(
@@ -197,6 +203,5 @@ def realize_from_tangential(
         tangential=tangential,
         pencil=pencil,
         n_samples_used=int(n_samples_used),
-        elapsed_seconds=float(elapsed),
         metadata=info,
     )

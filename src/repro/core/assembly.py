@@ -12,11 +12,12 @@ same for the *fit* side.  Three families of helpers live here:
   reduction is rank-deficient or the conditioning estimate exceeds
   :data:`VF_COMPACT_CONDITION_LIMIT`), all as mask/index array operations
   over a precomputed :class:`PoleGrouping` instead of per-pole-group
-  Python loops.  Each kernel keeps its original looped implementation
-  next to it (``*_reference``) as the equivalence oracle for the property
-  tests and the speedup reference for
-  ``benchmarks/bench_fit_pipeline.py`` / ``bench_vf_solver.py`` -- the
-  same pattern :mod:`repro.systems.evaluation` uses for the sweep kernel.
+  Python loops.  :meth:`PoleGrouping.from_poles` is the repository's one
+  pole-pairing rule: pole sorting, the VF kernels, the pole-residue
+  state-space conversion and passivity enforcement all read it.  The
+  looped oracles the kernels are pinned against live in ``tests/oracles.py``;
+  only the stacked-``lstsq`` solver :func:`vf_scaling_solve_reference`
+  stays here, because it is the compact solver's runtime fallback.
   The compact solver calls its Cholesky, triangular solves and small
   ``lstsq`` through the :func:`repro.backends.get_backend` record, fetched
   on every call (the record holds the numpy/scipy callables themselves).
@@ -48,7 +49,7 @@ from repro.backends import get_backend
 from repro.core.directions import orthonormal_directions
 from repro.core.loewner import LoewnerPencil, divided_difference_blocks
 from repro.core.tangential import TangentialData
-from repro.utils.linalg import realify, rowcol_product
+from repro.utils.linalg import rowcol_product
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -56,13 +57,9 @@ __all__ = [
     "PoleGrouping",
     "real_pole_mask",
     "partial_fraction_basis",
-    "partial_fraction_basis_reference",
     "relocation_matrices",
-    "relocation_matrices_reference",
     "residues_from_coefficients",
-    "residues_from_coefficients_reference",
     "vf_scaling_blocks",
-    "vf_scaling_blocks_reference",
     "vf_scaling_solve",
     "vf_scaling_solve_reference",
     "VF_COMPACT_CONDITION_LIMIT",
@@ -77,6 +74,10 @@ __all__ = [
 
 #: Relative magnitude below which a pole's imaginary part is treated as zero.
 REAL_POLE_TOLERANCE = 1e-9
+
+#: ``np.isclose`` tolerances within which one pole is the conjugate of another.
+_PAIR_RTOL = 1e-6
+_PAIR_ATOL = 1e-12
 
 #: Condition-number estimate above which :func:`vf_scaling_solve` abandons
 #: the compact Cholesky-QR reduction for the stacked-``lstsq`` reference.
@@ -97,15 +98,22 @@ def real_pole_mask(poles: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PoleGrouping:
-    """Index structure of a pole array: real singles and adjacent conjugate pairs.
+    """The one pole-pairing rule: real singles, conjugate pairs, unpaired poles.
 
-    The vector-fitting kernels below consume this instead of re-walking the
-    pole array per call: ``real_indices`` are the positions of the real
+    A pole is real by :func:`real_pole_mask`.  Every other pole, in index
+    order, pairs with the first unused later non-real pole within
+    ``np.isclose(rtol=1e-6, atol=1e-12)`` of its conjugate; pairs need not
+    be adjacent, and a pole left without a partner is listed in
+    ``unpaired_indices``.  ``real_indices`` are the positions of the real
     poles, ``pair_first`` / ``pair_second`` the positions of each conjugate
-    pair, ``pair_poles`` the canonical (positive imaginary part)
-    representative of each pair, and ``first_is_negative`` records whether
-    the *stored* first element of the pair had negative imaginary part --
-    the residue reconstruction needs that original orientation.
+    pair (first < second), ``pair_poles`` the canonical (positive imaginary
+    part) representative of each pair, and ``first_is_negative`` records
+    whether the *stored* first element of the pair had negative imaginary
+    part -- the residue reconstruction needs that original orientation.
+
+    The vector-fitting kernels below refuse a grouping with unpaired poles
+    (their real-coefficient basis does not exist); passivity enforcement
+    perturbs such a pole's residue freely.
     """
 
     n_poles: int
@@ -114,36 +122,70 @@ class PoleGrouping:
     pair_second: np.ndarray
     pair_poles: np.ndarray
     first_is_negative: np.ndarray
+    unpaired_indices: np.ndarray
 
     @classmethod
     def from_poles(cls, poles: np.ndarray) -> "PoleGrouping":
-        """Group a pole array; complex poles must sit in adjacent conjugate pairs."""
+        """Group a pole array by the pairing rule (never raises)."""
         poles = np.asarray(poles, dtype=complex).ravel()
         mask = real_pole_mask(poles)
-        complex_idx = np.flatnonzero(~mask)
-        if complex_idx.size % 2:
-            raise ValueError("complex poles must appear in adjacent conjugate pairs")
-        first = complex_idx[0::2]
-        second = complex_idx[1::2]
-        if not (np.all(second == first + 1)
-                and np.all(np.isclose(poles[second], np.conj(poles[first]),
-                                      rtol=1e-6, atol=1e-12))):
-            raise ValueError("complex poles must appear in adjacent conjugate pairs")
+        candidates = np.flatnonzero(~mask)
+        values = poles[candidates]
+        # close[a, b]: candidate b lies within tolerance of conj(candidate a)
+        close = np.isclose(values[np.newaxis, :], np.conj(values)[:, np.newaxis],
+                           rtol=_PAIR_RTOL, atol=_PAIR_ATOL)
+        free = np.ones(values.size, dtype=bool)
+        firsts, seconds, lone = [], [], []
+        for a in range(values.size):
+            if not free[a]:
+                continue
+            later = np.flatnonzero(close[a, a + 1:] & free[a + 1:])
+            if later.size:
+                b = a + 1 + int(later[0])
+                free[b] = False
+                firsts.append(a)
+                seconds.append(b)
+            else:
+                lone.append(a)
+        first = candidates[np.asarray(firsts, dtype=np.intp)]
         stored = poles[first]
         negative = stored.imag < 0
         return cls(
             n_poles=poles.size,
             real_indices=np.flatnonzero(mask),
             pair_first=first,
-            pair_second=second,
+            pair_second=candidates[np.asarray(seconds, dtype=np.intp)],
             pair_poles=np.where(negative, np.conj(stored), stored),
             first_is_negative=negative,
+            unpaired_indices=candidates[np.asarray(lone, dtype=np.intp)],
         )
+
+    def groups(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Every group as ``(kind, indices)``, in first-pole-index order.
+
+        ``kind`` is ``"real"``, ``"pair"`` (first and second index) or
+        ``"unpaired"``; the passivity enforcer's constraint columns and the
+        pole-residue state-space blocks follow this order.
+        """
+        groups = [("real", (i,)) for i in self.real_indices.tolist()]
+        groups += [("pair", (i, j))
+                   for i, j in zip(self.pair_first.tolist(), self.pair_second.tolist())]
+        groups += [("unpaired", (i,)) for i in self.unpaired_indices.tolist()]
+        return sorted(groups, key=lambda group: group[1][0])
 
 
 # --------------------------------------------------------------------- #
 # vector-fitting kernels
 # --------------------------------------------------------------------- #
+def _require_pairs(grouping: PoleGrouping) -> None:
+    """The real-coefficient kernels exist only when every complex pole is paired."""
+    if grouping.unpaired_indices.size:
+        raise ValueError(
+            "complex poles must appear in conjugate pairs; unpaired pole indices "
+            f"{grouping.unpaired_indices.tolist()}"
+        )
+
+
 def partial_fraction_basis(
     s_points: np.ndarray,
     poles: np.ndarray,
@@ -154,9 +196,10 @@ def partial_fraction_basis(
     Returns a complex ``(N, n_poles)`` matrix whose columns multiply *real*
     coefficients: real poles get ``1/(s - a)``; conjugate pairs get
     ``1/(s-a) + 1/(s-conj(a))`` and ``j/(s-a) - j/(s-conj(a))``.  Bitwise
-    identical to :func:`partial_fraction_basis_reference` (every entry is
-    the same elementwise expression).
+    identical to the looped oracle (every entry is the same elementwise
+    expression).
     """
+    _require_pairs(grouping)
     s_points = np.asarray(s_points, dtype=complex).ravel()
     poles = np.asarray(poles, dtype=complex).ravel()
     phi = np.empty((s_points.size, poles.size), dtype=complex)
@@ -172,51 +215,6 @@ def partial_fraction_basis(
     return phi
 
 
-def _walk_groups(poles: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
-    """The legacy sequential group walk (one Python step per pole group).
-
-    Kept verbatim as the cost model of the pre-batched implementation: the
-    original ``_basis`` / ``_relocate_poles`` / ``_fit_residues`` each
-    re-walked the pole array on every call, which is what the looped
-    ``*_reference`` kernels below reproduce (and the benchmark measures).
-    """
-    groups: list[tuple[str, tuple[int, ...]]] = []
-    i = 0
-    n = poles.size
-    while i < n:
-        pole = poles[i]
-        if abs(pole.imag) <= REAL_POLE_TOLERANCE * max(abs(pole), 1.0):
-            groups.append(("real", (i,)))
-            i += 1
-            continue
-        if i + 1 < n and np.isclose(poles[i + 1], np.conj(pole), rtol=1e-6, atol=1e-12):
-            groups.append(("pair", (i, i + 1)))
-            i += 2
-            continue
-        raise ValueError("complex poles must appear in adjacent conjugate pairs")
-    return groups
-
-
-def partial_fraction_basis_reference(
-    s_points: np.ndarray,
-    poles: np.ndarray,
-) -> np.ndarray:
-    """Looped oracle for :func:`partial_fraction_basis` (one pole group at a time)."""
-    s_points = np.asarray(s_points, dtype=complex).ravel()
-    poles = np.asarray(poles, dtype=complex).ravel()
-    phi = np.empty((s_points.size, poles.size), dtype=complex)
-    for kind, idx in _walk_groups(poles):
-        if kind == "real":
-            phi[:, idx[0]] = 1.0 / (s_points - poles[idx[0]].real)
-        else:
-            a = poles[idx[0]]
-            if a.imag < 0:
-                a = np.conj(a)
-            phi[:, idx[0]] = 1.0 / (s_points - a) + 1.0 / (s_points - np.conj(a))
-            phi[:, idx[1]] = 1j / (s_points - a) - 1j / (s_points - np.conj(a))
-    return phi
-
-
 def relocation_matrices(
     poles: np.ndarray,
     grouping: PoleGrouping,
@@ -226,8 +224,9 @@ def relocation_matrices(
     The relocated poles are the eigenvalues of ``A - b @ c_tilde^T``; real
     poles contribute a ``1 x 1`` block, conjugate pairs the standard
     ``2 x 2`` real rotation block.  Assembled with index writes instead of
-    a per-group loop; bitwise identical to the reference.
+    a per-group loop; bitwise identical to the looped oracle.
     """
+    _require_pairs(grouping)
     poles = np.asarray(poles, dtype=complex).ravel()
     n = poles.size
     a_mat = np.zeros((n, n))
@@ -249,33 +248,6 @@ def relocation_matrices(
     return a_mat, b_vec
 
 
-def relocation_matrices_reference(
-    poles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Looped oracle for :func:`relocation_matrices`."""
-    poles = np.asarray(poles, dtype=complex).ravel()
-    n = poles.size
-    a_mat = np.zeros((n, n))
-    b_vec = np.zeros(n)
-    for kind, idx in _walk_groups(poles):
-        if kind == "real":
-            a_mat[idx[0], idx[0]] = poles[idx[0]].real
-            b_vec[idx[0]] = 1.0
-        else:
-            a = poles[idx[0]]
-            if a.imag < 0:
-                a = np.conj(a)
-            alpha, beta = a.real, a.imag
-            i, j = idx
-            a_mat[i, i] = alpha
-            a_mat[i, j] = beta
-            a_mat[j, i] = -beta
-            a_mat[j, j] = alpha
-            b_vec[i] = 2.0
-            b_vec[j] = 0.0
-    return a_mat, b_vec
-
-
 def residues_from_coefficients(
     coefficients: np.ndarray,
     poles: np.ndarray,
@@ -288,8 +260,9 @@ def residues_from_coefficients(
     entry (row-major ``p x m``); real poles carry their residue directly,
     conjugate pairs combine their two real coefficient rows into ``re +/- j im``
     with the orientation of the *stored* first pole.  Bitwise identical to
-    the looped reference.
+    the looped oracle.
     """
+    _require_pairs(grouping)
     poles = np.asarray(poles, dtype=complex).ravel()
     p, m = shape
     residues = np.zeros((poles.size, p, m), dtype=complex)
@@ -302,30 +275,6 @@ def residues_from_coefficients(
         sign = np.where(grouping.first_is_negative, -1.0, 1.0)[:, np.newaxis, np.newaxis]
         residues[grouping.pair_first] = re_part + 1j * (sign * im_part)
         residues[grouping.pair_second] = re_part - 1j * (sign * im_part)
-    return residues
-
-
-def residues_from_coefficients_reference(
-    coefficients: np.ndarray,
-    poles: np.ndarray,
-    shape: tuple[int, int],
-) -> np.ndarray:
-    """Looped oracle for :func:`residues_from_coefficients`."""
-    poles = np.asarray(poles, dtype=complex).ravel()
-    p, m = shape
-    residues = np.zeros((poles.size, p, m), dtype=complex)
-    for kind, idx in _walk_groups(poles):
-        if kind == "real":
-            residues[idx[0]] = coefficients[idx[0]].reshape(p, m)
-        else:
-            re_part = coefficients[idx[0]].reshape(p, m)
-            im_part = coefficients[idx[1]].reshape(p, m)
-            if poles[idx[0]].imag < 0:
-                residues[idx[0]] = re_part - 1j * im_part
-                residues[idx[1]] = re_part + 1j * im_part
-            else:
-                residues[idx[0]] = re_part + 1j * im_part
-                residues[idx[1]] = re_part - 1j * im_part
     return residues
 
 
@@ -355,12 +304,12 @@ def vf_scaling_blocks(
     ``-F_j(s) * phi`` and the response onto the orthogonal complement of the
     per-entry basis (spanned by ``q1``); the projected blocks are stacked
     into one LS system for the shared scaling coefficients ``c_tilde``.
-    The looped reference does this one entry (two small GEMMs plus a Python
+    The looped oracle does this one entry (two small GEMMs plus a Python
     iteration) at a time; here the realified blocks are assembled **once
     per iteration** and all entries share two large GEMMs.
 
     Returns ``(a_stacked, b_stacked)`` with the entry blocks in the same
-    row order as the reference (bitwise identical to it).
+    row order as the oracle.
     """
     n_samples, n_entries = responses.shape
     projected, rhs_projected = _vf_scaling_projected(phi, responses, q1)
@@ -475,23 +424,6 @@ def vf_scaling_solve(
         return _vf_scaling_solve_compact(phi, responses, q1, condition_limit)
     except np.linalg.LinAlgError:
         return vf_scaling_solve_reference(phi, responses, q1)
-
-
-def vf_scaling_blocks_reference(
-    phi: np.ndarray,
-    responses: np.ndarray,
-    q1: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Looped oracle for :func:`vf_scaling_blocks` (one matrix entry at a time)."""
-    n_entries = responses.shape[1]
-    blocks = []
-    rhs_blocks = []
-    for j in range(n_entries):
-        weighted = realify(-responses[:, j, np.newaxis] * phi)
-        rhs_j = np.concatenate([responses[:, j].real, responses[:, j].imag])
-        blocks.append(weighted - q1 @ (q1.T @ weighted))
-        rhs_blocks.append(rhs_j - q1 @ (q1.T @ rhs_j))
-    return np.vstack(blocks), np.concatenate(rhs_blocks)
 
 
 # --------------------------------------------------------------------- #

@@ -18,23 +18,16 @@ tangential columns on the samples that matter.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.core._pipeline import realize_from_tangential, register_frontend
-from repro.core.assembly import (
-    generate_direction_sets,
-    prepare_block_directions,
-    resolve_block_sizes,
-)
+from repro.core.assembly import prepare_block_directions
 from repro.core.options import MftiOptions
 from repro.core.results import MacromodelResult
 from repro.core.tangential import build_tangential_data
 from repro.data.dataset import FrequencyData
 
-# resolve_block_sizes / generate_direction_sets are re-exported: the
-# implementations moved into the shared assembly layer (repro.core.assembly)
-__all__ = ["mfti", "resolve_block_sizes", "generate_direction_sets"]
+__all__ = ["mfti"]
 
 
 @register_frontend("mfti", options_type=MftiOptions)
@@ -77,7 +70,6 @@ def mfti(
         raise ValueError("pass either an options object or keyword arguments, not both")
     opts = options if options is not None else MftiOptions(**kwargs)
 
-    started = time.perf_counter()
     k = data.n_samples
     if k < 2:
         raise ValueError("MFTI needs at least two sampled frequencies")
@@ -96,6 +88,5 @@ def mfti(
         opts,
         method="mfti",
         n_samples_used=k,
-        started_at=started,
         metadata={"block_sizes": plan.per_sample_sizes},
     )

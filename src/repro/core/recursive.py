@@ -20,7 +20,6 @@ the frequency-strided pattern instead.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -105,7 +104,6 @@ def recursive_mfti(
         raise ValueError("pass either an options object or keyword arguments, not both")
     opts = options if options is not None else RecursiveOptions(**kwargs)
 
-    started = time.perf_counter()
     k = data.n_samples
     if k < 4:
         raise ValueError("recursive MFTI needs at least four sampled frequencies")
@@ -183,7 +181,6 @@ def recursive_mfti(
         remaining = [i for i in remaining if i not in set(to_add)]
 
     assert result is not None  # max_iterations >= 1 guarantees at least one pass
-    elapsed = time.perf_counter() - started
     diagnostics = RecursiveDiagnostics(
         iterations=tuple(history),
         converged=converged,
@@ -199,6 +196,5 @@ def recursive_mfti(
         tangential=result.tangential,
         pencil=result.pencil,
         n_samples_used=len(selected),
-        elapsed_seconds=elapsed,
         metadata=metadata,
     )

@@ -39,7 +39,9 @@ class MacromodelResult:
         How many sampled matrices contributed to the model (relevant for the
         recursive algorithm, which may stop before using every sample).
     elapsed_seconds:
-        Wall-clock time spent inside the algorithm.
+        Wall-clock time of the front-end call, stamped by the timer
+        :func:`~repro.core._pipeline.register_frontend` puts around every
+        front-end.
     metadata:
         Free-form extras recorded by the front-end (options, weights, ...).
     """

@@ -300,14 +300,6 @@ class TangentialData:
         data._conjugate_pairs = bool(conjugate_pairs)
         return data
 
-    def select_samples(
-        self,
-        right_indices: Iterable[int],
-        left_indices: Iterable[int],
-    ) -> "TangentialData":
-        """Original name of :meth:`subset`, retained for backwards compatibility."""
-        return self.subset(right_indices, left_indices)
-
     # ------------------------------------------------------------------ #
     # diagnostics
     # ------------------------------------------------------------------ #

@@ -12,7 +12,6 @@ information content of the data, not from implementation details.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.core._pipeline import realize_from_tangential, register_frontend
@@ -59,7 +58,6 @@ def vfti(
         raise ValueError("pass either an options object or keyword arguments, not both")
     opts = options if options is not None else VftiOptions(**kwargs)
 
-    started = time.perf_counter()
     k = data.n_samples
     if k < 2:
         raise ValueError("VFTI needs at least two sampled frequencies")
@@ -83,6 +81,5 @@ def vfti(
         opts,
         method="vfti",
         n_samples_used=k,
-        started_at=started,
         metadata={"direction_start": opts.direction_start},
     )

@@ -22,7 +22,6 @@ simulator is available.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -213,16 +212,14 @@ def _vf_row(
     data: FrequencyData,
     validation: FrequencyData,
 ) -> Table1Row:
-    started = time.perf_counter()
     fit = vector_fit(data, n_poles, n_iterations=n_iterations)
-    elapsed = time.perf_counter() - started
     response_fit = fit.frequency_response(data.frequencies_hz)
     response_val = fit.frequency_response(validation.frequencies_hz)
     return Table1Row(
         algorithm=algorithm,
         test=test,
         reduced_order=fit.n_poles,
-        time_seconds=elapsed,
+        time_seconds=fit.elapsed_seconds,
         error_vs_measurement=aggregate_error(response_fit, data.samples),
         error_vs_truth=aggregate_error(response_val, validation.samples),
     )

@@ -109,8 +109,8 @@ def encode_dataset(data: FrequencyData, *, pool: Optional[DatasetPool] = None) -
 
     With a :class:`~repro.cache.DatasetPool` the document is memoized by
     content fingerprint: re-encoding an interned dataset returns the stored
-    document without re-hashing or re-base64-encoding the arrays (the pool's
-    ``encode_hits`` counter proves it).  Treat pooled documents as immutable.
+    document without re-hashing or re-base64-encoding the arrays.  Treat
+    pooled documents as immutable.
     """
     if pool is not None:
         return pool.document(data, _build_dataset_document)
@@ -181,17 +181,16 @@ def decode_record(spec: dict[str, Any]) -> JobRecord:
         raise ProtocolError(f"malformed record spec: {exc}") from exc
 
 
-def encode_batch(jobs: list[FitJob], *, pool: Optional[DatasetPool] = None) -> dict[str, Any]:
+def encode_batch(jobs: list[FitJob]) -> dict[str, Any]:
     """The ``POST /submit`` request body for a list of jobs.
 
     Every unique dataset ships once in the batch-level ``"datasets"`` table,
     keyed by fingerprint; the jobs are :func:`~repro.batch.jobs.job_to_document`
-    documents naming their datasets by that key.  ``pool`` optionally
-    supplies the intern table, so callers can read its byte/encode counters
-    afterwards (a fresh one is used per batch by default).
+    documents naming their datasets by that key.  A per-batch
+    :class:`~repro.cache.DatasetPool` builds each unique dataset's document
+    once.
     """
-    if pool is None:
-        pool = DatasetPool()
+    pool = DatasetPool()
     datasets: dict[str, Any] = {}
     for job in jobs:
         for data in (job.data, job.reference):

@@ -107,10 +107,6 @@ def point_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, s: complex) -> np.n
         return np.linalg.lstsq(pencil, B, rcond=None)[0]
 
 
-#: Backwards-compatible alias for :func:`point_solve`.
-_point_solve = point_solve
-
-
 def evaluate_pointwise(E, A, B, C, D, points) -> np.ndarray:
     """Reference per-point loop: ``H(s_i) = C (s_i E - A)^{-1} B + D``.
 
@@ -122,7 +118,7 @@ def evaluate_pointwise(E, A, B, C, D, points) -> np.ndarray:
     b = B.astype(complex)
     out = np.empty((pts.size, C.shape[0], B.shape[1]), dtype=complex)
     for i, s in enumerate(pts):
-        out[i] = C @ _point_solve(E, A, b, complex(s)) + D
+        out[i] = C @ point_solve(E, A, b, complex(s)) + D
     return out
 
 

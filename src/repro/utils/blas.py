@@ -6,6 +6,7 @@ the thread count.  Dataset generation must not depend on it: dataset
 fingerprints, golden fixtures and shard manifests pin its output bit for
 bit.  :func:`single_thread_blas` sets numpy's bundled OpenBLAS to one thread
 for the duration of a ``with`` block and restores the previous count.
+:func:`blas_threads` reads the count, so shard results can name it.
 
 The thread count is process-global, so the guard holds a lock while it is
 active.  Where the thread controls are absent (numpy built against MKL or
@@ -21,9 +22,9 @@ import glob
 import os
 import threading
 import warnings
-from typing import Iterator
+from typing import Iterator, Optional
 
-__all__ = ["single_thread_blas"]
+__all__ = ["blas_threads", "single_thread_blas"]
 
 _GETTER = "scipy_openblas_get_num_threads64_"
 _SETTER = "scipy_openblas_set_num_threads64_"
@@ -72,3 +73,16 @@ def single_thread_blas() -> Iterator[None]:
             yield
         finally:
             set_threads(previous)
+
+
+def blas_threads() -> Optional[int]:
+    """numpy's OpenBLAS thread count, or ``None`` where the controls are absent.
+
+    Waits out a :func:`single_thread_blas` block held by another thread, so
+    it reports the process's own count rather than the temporary pin.
+    """
+    controls = _thread_controls()
+    if controls is None:
+        return None
+    with _lock:
+        return int(controls[0]())

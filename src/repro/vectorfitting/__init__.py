@@ -18,6 +18,7 @@ to the sampled data.  This package provides a from-scratch implementation:
   (Gustavsen-style residue perturbation) producing certified passive models.
 """
 
+from repro.core.assembly import PoleGrouping
 from repro.vectorfitting.enforcement import (
     EnforcementFailed,
     PassivityCertificate,
@@ -26,7 +27,7 @@ from repro.vectorfitting.enforcement import (
 )
 from repro.vectorfitting.fitting import VectorFitResult, vector_fit
 from repro.vectorfitting.passivity import is_passive_scattering, passivity_violations
-from repro.vectorfitting.poles import PoleGrouping, initial_poles, sort_poles
+from repro.vectorfitting.poles import initial_poles, sort_poles
 from repro.vectorfitting.rational import PoleResidueModel
 
 __all__ = [

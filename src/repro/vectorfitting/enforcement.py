@@ -43,12 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.assembly import PoleGrouping
 from repro.core.options import canonical_token
 from repro.vectorfitting.passivity import (
     immittance_margins,
     scattering_margins,
 )
-from repro.vectorfitting.rational import PoleResidueModel, pole_groups
+from repro.vectorfitting.rational import PoleResidueModel
 
 __all__ = [
     "PassivitySpec",
@@ -414,7 +415,7 @@ def _group_bases(groups, poles: np.ndarray, s: np.ndarray) -> list[list[np.ndarr
 
     Real group: ``[phi]`` (one real matrix parameter).  Conjugate pair with
     representative ``a``: ``[phi_a + phi_conj(a), j (phi_a - phi_conj(a))]``
-    (the real and imaginary parts of the representative residue).  Free
+    (the real and imaginary parts of the representative residue).  Unpaired
     complex pole: ``[phi, j phi]``.
     """
     bases: list[list[np.ndarray]] = []
@@ -425,7 +426,7 @@ def _group_bases(groups, poles: np.ndarray, s: np.ndarray) -> list[list[np.ndarr
         elif kind == "pair":
             phi_conj = 1.0 / (s - poles[idx[1]])
             bases.append([phi + phi_conj, 1j * (phi - phi_conj)])
-        else:
+        else:  # unpaired
             bases.append([phi, 1j * phi])
     return bases
 
@@ -498,7 +499,7 @@ def _solve_perturbation(
     poles = model.poles
     residues = model.residues
     p, m = residues.shape[1], residues.shape[2]
-    groups = pole_groups(poles)
+    groups = PoleGrouping.from_poles(poles).groups()
 
     margins, left, right, freq_index = _constraint_directions(
         model, constraint_freqs, spec.representation, spec.slack

@@ -16,10 +16,10 @@ the fitting band) and report the violations found.
 Following the repository's kernel-module convention the per-frequency checks
 are vectorized: one stacked :func:`numpy.linalg.svd` (scattering) or
 :func:`numpy.linalg.eigvalsh` (immittance) call over the whole sweep replaces
-the Python loop, which is kept as :func:`passivity_violations_reference` --
-the oracle the equivalence tests pin the batched path against.  The batched
-margin primitives (:func:`scattering_margins`, :func:`immittance_margins`)
-are the fast building block for a future batched passivity-enforcement stage.
+the Python loop, which lives on as the equivalence oracle in
+``tests/oracles.py``.  The batched margin primitives
+(:func:`scattering_margins`, :func:`immittance_margins`) are the building
+blocks of :mod:`repro.vectorfitting.enforcement`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "PassivityViolation",
     "passivity_violations",
-    "passivity_violations_reference",
     "scattering_margins",
     "immittance_margins",
     "is_passive_scattering",
@@ -61,7 +60,7 @@ def _response(model, frequencies_hz: np.ndarray) -> np.ndarray:
 
 
 def _validated_sweep(frequencies_hz, tolerance: float) -> np.ndarray:
-    """Shared input validation of the passivity checks (both code paths).
+    """Input validation of the passivity checks.
 
     An empty sweep would make every ``is_passive_*`` helper return ``True``
     without checking anything -- a vacuous pass that could certify an
@@ -129,8 +128,7 @@ def passivity_violations(
     The whole sweep is evaluated through the model's vectorized
     ``frequency_response`` and checked with one stacked SVD / eigenvalue
     call (:func:`scattering_margins` / :func:`immittance_margins`); the
-    reported violations are identical to the per-frequency reference loop
-    (:func:`passivity_violations_reference`).
+    reported violations are identical to the per-frequency loop.
 
     Parameters
     ----------
@@ -166,39 +164,6 @@ def passivity_violations(
         PassivityViolation(float(f), float(metric))
         for f, metric in zip(freqs[offending], margins[offending])
     ]
-
-
-def passivity_violations_reference(
-    model,
-    frequencies_hz,
-    *,
-    representation: str = "S",
-    tolerance: float = 1e-8,
-) -> list[PassivityViolation]:
-    """Per-frequency reference loop of :func:`passivity_violations`.
-
-    Kept (and exported) as the oracle the vectorized path is measured
-    against, per the kernel-module convention -- including the input
-    validation: empty sweeps and non-finite / negative tolerances raise
-    here exactly as they do on the batched path.
-    """
-    freqs = _validated_sweep(frequencies_hz, tolerance)
-    response = _response(model, freqs)
-    violations: list[PassivityViolation] = []
-    if representation == "S":
-        for f, matrix in zip(freqs, response):
-            sigma_max = float(np.linalg.norm(matrix, 2))
-            if sigma_max > 1.0 + tolerance:
-                violations.append(PassivityViolation(float(f), sigma_max))
-    elif representation in ("Z", "Y"):
-        for f, matrix in zip(freqs, response):
-            herm = 0.5 * (matrix + matrix.conj().T)
-            min_eig = float(np.min(np.linalg.eigvalsh(herm)))
-            if min_eig < -tolerance:
-                violations.append(PassivityViolation(float(f), min_eig))
-    else:
-        raise ValueError(f"representation must be 'S', 'Z' or 'Y', got {representation!r}")
-    return violations
 
 
 def is_passive_scattering(model, frequencies_hz, *, tolerance: float = 1e-8) -> bool:

@@ -11,67 +11,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.assembly import PoleGrouping, real_pole_mask
+from repro.core.assembly import PoleGrouping
 from repro.utils.validation import check_positive_integer
 
-__all__ = ["PoleGrouping", "initial_poles", "sort_poles"]
+__all__ = ["initial_poles", "sort_poles"]
 
 
 def sort_poles(poles: np.ndarray) -> np.ndarray:
     """Order poles with conjugate pairs adjacent (positive imaginary part first).
 
-    Real poles come first (sorted ascending), then each complex pole with
-    positive imaginary part followed by its mirror at the conjugate, sorted
-    by ``(|Im|, Re)``.  Genuinely paired poles (a matching lower-half-plane
-    partner exists) always keep their slots; positives without a partner --
-    the upper-half-plane input convention -- are auto-mirrored while room
-    remains.  Any leftover complex pole (no partner and no room for a
-    mirror, e.g. when relocation round-off breaks a pair) is replaced by a
-    *real* pole at its own real part, so the result is always a valid input
-    for :class:`~repro.core.assembly.PoleGrouping` (a dangling complex pole
-    would make the real-coefficient basis unbuildable).  Mirroring takes
-    priority over leftover fills (the legacy behaviour): when a mirrored
-    positive consumes the last slots, a leftover lower-half-plane pole is
-    dropped rather than realified.
+    Poles group by :meth:`~repro.core.assembly.PoleGrouping.from_poles`.
+    Real poles come first (sorted ascending), then each conjugate pair as
+    its upper-half-plane member followed by that member's exact conjugate,
+    sorted by ``(|Im|, Re)``.  Unpaired positives -- the upper-half-plane
+    input convention -- are then mirrored while room remains; a genuine
+    pair is never displaced to make that room.  Any leftover unpaired pole
+    (no room for a mirror, or a lower-half-plane pole whose partner was lost
+    to relocation round-off) is replaced by a *real* pole at its own real
+    part, so the result always groups without unpaired poles.  Mirroring
+    takes priority over leftover fills: when a mirrored positive consumes
+    the last slots, a leftover is dropped rather than realified.
     """
     poles = np.asarray(poles, dtype=complex).ravel()
     n = poles.size
-    mask = real_pole_mask(poles)
-    reals = sorted(poles[mask].real.tolist())
-    complexes = poles[~mask]
-    positives = sorted(
-        complexes[complexes.imag > 0].tolist(), key=lambda p: (abs(p.imag), p.real)
-    )
-    negatives = complexes[complexes.imag < 0].tolist()
-    consumed = [False] * len(negatives)
-    ordered: list[complex] = [complex(r, 0.0) for r in reals]
-    unmatched: list[complex] = []
-    for pole in positives:
-        # emitting the exact conjugate (rather than the matched partner,
-        # which may differ in the last bits) is the historical behaviour
-        match = None
-        for i, candidate in enumerate(negatives):
-            if consumed[i]:
-                continue
-            if np.isclose(candidate, np.conj(pole), rtol=1e-6, atol=1e-12):
-                match = i
-                break
-        if match is None:
-            unmatched.append(pole)
-            continue
-        consumed[match] = True
-        ordered.append(pole)
-        ordered.append(complex(np.conj(pole)))
+    grouping = PoleGrouping.from_poles(poles)
+
+    def order(values):
+        return sorted(values.tolist(), key=lambda p: (abs(p.imag), p.real))
+
+    first = poles[grouping.pair_first]
+    uppers = np.where(first.imag > 0, first, poles[grouping.pair_second])
+    unpaired = poles[grouping.unpaired_indices]
+    ordered = [complex(r, 0.0) for r in sorted(poles[grouping.real_indices].real.tolist())]
+    for pole in order(uppers):
+        # the exact conjugate, not the stored partner (which may differ in
+        # the last bits), so every emitted pair is exactly conjugate
+        ordered += [pole, pole.conjugate()]
     leftovers: list[complex] = []
-    for pole in unmatched:
-        # upper-half-plane convention: mirror an unpaired pole when room
-        # allows; a genuine pair is never displaced to make that room
+    for pole in order(unpaired[unpaired.imag > 0]):
         if len(ordered) + 2 <= n:
-            ordered.append(pole)
-            ordered.append(complex(np.conj(pole)))
+            ordered += [pole, pole.conjugate()]
         else:
             leftovers.append(pole)
-    leftovers.extend(q for i, q in enumerate(negatives) if not consumed[i])
+    leftovers += unpaired[unpaired.imag < 0].tolist()
     for pole in leftovers:
         # distinct real fills (one per leftover pole, at its own real part)
         # keep the partial-fraction basis columns independent

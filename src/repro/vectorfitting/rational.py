@@ -14,45 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.assembly import PoleGrouping
 from repro.systems.evaluation import evaluate_cauchy
 from repro.systems.statespace import StateSpace
 from repro.utils.validation import ensure_2d
 
-__all__ = ["PoleResidueModel", "pole_groups"]
-
-#: Relative tolerance used when pairing complex-conjugate poles.
-_PAIR_TOLERANCE = 1e-8
-
-
-def pole_groups(poles: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
-    """Walk a pole set into ``"real"``, ``"pair"`` and ``"complex"`` groups.
-
-    A pole whose imaginary part is below ``_PAIR_TOLERANCE`` (relative) is a
-    ``"real"`` single; a complex pole is paired with the first unused later
-    pole close to its conjugate (``"pair"``, both indices), and one without
-    such a partner is a ``"complex"`` single.  Passivity enforcement perturbs
-    a ``"complex"`` residue freely; :meth:`PoleResidueModel.to_statespace`
-    rejects it, because the model is then not real.
-    """
-    poles = np.asarray(poles, dtype=complex).ravel()
-    used = np.zeros(poles.size, dtype=bool)
-    groups: list[tuple[str, tuple[int, ...]]] = []
-    for i, pole in enumerate(poles):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(pole.imag) <= _PAIR_TOLERANCE * max(abs(pole), 1.0):
-            groups.append(("real", (i,)))
-            continue
-        for j in range(i + 1, poles.size):
-            if not used[j] and np.isclose(poles[j], np.conj(pole),
-                                          rtol=_PAIR_TOLERANCE, atol=_PAIR_TOLERANCE):
-                groups.append(("pair", (i, j)))
-                used[j] = True
-                break
-        else:
-            groups.append(("complex", (i,)))
-    return groups
+__all__ = ["PoleResidueModel"]
 
 
 class PoleResidueModel:
@@ -177,16 +144,18 @@ class PoleResidueModel:
         Real poles contribute ``m`` states with ``(A, B, C) = (a I, I, Re(R))``;
         complex pairs contribute ``2m`` states with the standard real 2x2 block
         ``[[alpha I, beta I], [-beta I, alpha I]]`` and ``C = [Re(R), Im(R)]``.
+        Poles group by :meth:`~repro.core.assembly.PoleGrouping.from_poles`;
+        an unpaired complex pole makes the model non-real and raises.
         """
         m = self.n_inputs
         p = self.n_outputs
-        groups = pole_groups(self._poles)
+        groups = PoleGrouping.from_poles(self._poles).groups()
         a_blocks: list[np.ndarray] = []
         b_blocks: list[np.ndarray] = []
         c_blocks: list[np.ndarray] = []
         eye = np.eye(m)
         for kind, idx in groups:
-            if kind == "complex":
+            if kind == "unpaired":
                 raise ValueError(
                     f"complex pole {self._poles[idx[0]]} has no conjugate partner; "
                     "the model is not real"

@@ -1,0 +1,169 @@
+"""Looped equivalence oracles for the batched kernels in ``src/``.
+
+Each function here is the straightforward one-step-at-a-time version of a
+batched kernel: the property tests pin the kernel against it (bitwise where
+the operations are elementwise), and ``benchmarks/bench_fit_pipeline.py`` /
+``bench_passivity.py`` time the kernel against it.  Nothing in ``src/``
+imports this module.  The stacked-``lstsq`` fast-VF solver
+(:func:`repro.core.assembly.vf_scaling_solve_reference`) is not here: it is
+the compact solver's runtime fallback.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.assembly import REAL_POLE_TOLERANCE
+from repro.utils.linalg import realify
+from repro.vectorfitting.passivity import PassivityViolation, _validated_sweep
+
+__all__ = [
+    "partial_fraction_basis_reference",
+    "relocation_matrices_reference",
+    "residues_from_coefficients_reference",
+    "vf_scaling_blocks_reference",
+    "passivity_violations_reference",
+]
+
+
+def _walk_groups(poles: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+    """The sequential group walk of the pre-batched VF kernels.
+
+    One Python step per pole group, re-run on every call -- the cost model
+    the batched kernels are measured against.  Complex poles must sit in
+    adjacent conjugate pairs.
+    """
+    groups: list[tuple[str, tuple[int, ...]]] = []
+    i = 0
+    n = poles.size
+    while i < n:
+        pole = poles[i]
+        if abs(pole.imag) <= REAL_POLE_TOLERANCE * max(abs(pole), 1.0):
+            groups.append(("real", (i,)))
+            i += 1
+            continue
+        if i + 1 < n and np.isclose(poles[i + 1], np.conj(pole), rtol=1e-6, atol=1e-12):
+            groups.append(("pair", (i, i + 1)))
+            i += 2
+            continue
+        raise ValueError("complex poles must appear in adjacent conjugate pairs")
+    return groups
+
+
+def partial_fraction_basis_reference(
+    s_points: np.ndarray,
+    poles: np.ndarray,
+) -> np.ndarray:
+    """Looped oracle for :func:`~repro.core.assembly.partial_fraction_basis`."""
+    s_points = np.asarray(s_points, dtype=complex).ravel()
+    poles = np.asarray(poles, dtype=complex).ravel()
+    phi = np.empty((s_points.size, poles.size), dtype=complex)
+    for kind, idx in _walk_groups(poles):
+        if kind == "real":
+            phi[:, idx[0]] = 1.0 / (s_points - poles[idx[0]].real)
+        else:
+            a = poles[idx[0]]
+            if a.imag < 0:
+                a = np.conj(a)
+            phi[:, idx[0]] = 1.0 / (s_points - a) + 1.0 / (s_points - np.conj(a))
+            phi[:, idx[1]] = 1j / (s_points - a) - 1j / (s_points - np.conj(a))
+    return phi
+
+
+def relocation_matrices_reference(
+    poles: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Looped oracle for :func:`~repro.core.assembly.relocation_matrices`."""
+    poles = np.asarray(poles, dtype=complex).ravel()
+    n = poles.size
+    a_mat = np.zeros((n, n))
+    b_vec = np.zeros(n)
+    for kind, idx in _walk_groups(poles):
+        if kind == "real":
+            a_mat[idx[0], idx[0]] = poles[idx[0]].real
+            b_vec[idx[0]] = 1.0
+        else:
+            a = poles[idx[0]]
+            if a.imag < 0:
+                a = np.conj(a)
+            alpha, beta = a.real, a.imag
+            i, j = idx
+            a_mat[i, i] = alpha
+            a_mat[i, j] = beta
+            a_mat[j, i] = -beta
+            a_mat[j, j] = alpha
+            b_vec[i] = 2.0
+            b_vec[j] = 0.0
+    return a_mat, b_vec
+
+
+def residues_from_coefficients_reference(
+    coefficients: np.ndarray,
+    poles: np.ndarray,
+    shape: tuple[int, int],
+) -> np.ndarray:
+    """Looped oracle for :func:`~repro.core.assembly.residues_from_coefficients`."""
+    poles = np.asarray(poles, dtype=complex).ravel()
+    p, m = shape
+    residues = np.zeros((poles.size, p, m), dtype=complex)
+    for kind, idx in _walk_groups(poles):
+        if kind == "real":
+            residues[idx[0]] = coefficients[idx[0]].reshape(p, m)
+        else:
+            re_part = coefficients[idx[0]].reshape(p, m)
+            im_part = coefficients[idx[1]].reshape(p, m)
+            if poles[idx[0]].imag < 0:
+                residues[idx[0]] = re_part - 1j * im_part
+                residues[idx[1]] = re_part + 1j * im_part
+            else:
+                residues[idx[0]] = re_part + 1j * im_part
+                residues[idx[1]] = re_part - 1j * im_part
+    return residues
+
+
+def vf_scaling_blocks_reference(
+    phi: np.ndarray,
+    responses: np.ndarray,
+    q1: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Looped oracle for :func:`~repro.core.assembly.vf_scaling_blocks` (one entry at a time)."""
+    n_entries = responses.shape[1]
+    blocks = []
+    rhs_blocks = []
+    for j in range(n_entries):
+        weighted = realify(-responses[:, j, np.newaxis] * phi)
+        rhs_j = np.concatenate([responses[:, j].real, responses[:, j].imag])
+        blocks.append(weighted - q1 @ (q1.T @ weighted))
+        rhs_blocks.append(rhs_j - q1 @ (q1.T @ rhs_j))
+    return np.vstack(blocks), np.concatenate(rhs_blocks)
+
+
+def passivity_violations_reference(
+    model,
+    frequencies_hz,
+    *,
+    representation: str = "S",
+    tolerance: float = 1e-8,
+) -> list[PassivityViolation]:
+    """Per-frequency loop oracle for :func:`~repro.vectorfitting.passivity.passivity_violations`.
+
+    Validates its input exactly as the batched path does: empty sweeps and
+    non-finite / negative tolerances raise.
+    """
+    freqs = _validated_sweep(frequencies_hz, tolerance)
+    response = np.asarray(model.frequency_response(freqs))
+    violations: list[PassivityViolation] = []
+    if representation == "S":
+        for f, matrix in zip(freqs, response):
+            sigma_max = float(np.linalg.norm(matrix, 2))
+            if sigma_max > 1.0 + tolerance:
+                violations.append(PassivityViolation(float(f), sigma_max))
+    elif representation in ("Z", "Y"):
+        for f, matrix in zip(freqs, response):
+            herm = 0.5 * (matrix + matrix.conj().T)
+            min_eig = float(np.min(np.linalg.eigvalsh(herm)))
+            if min_eig < -tolerance:
+                violations.append(PassivityViolation(float(f), min_eig))
+    else:
+        raise ValueError(f"representation must be 'S', 'Z' or 'Y', got {representation!r}")
+    return violations

@@ -127,20 +127,20 @@ class TestTangentialData:
         assert np.max(right) < 1e-9
         assert np.max(left) < 1e-9
 
-    def test_select_samples_keeps_pairs(self, small_tangential):
+    def test_subset_keeps_pairs(self, small_tangential):
         _, _, tangential = small_tangential
-        subset = tangential.select_samples([0, 2], [1])
+        subset = tangential.subset([0, 2], [1])
         assert subset.n_right_samples == 2
         assert subset.n_left_samples == 1
         assert subset.conjugate_pairs
         assert subset.k_right == 8
 
-    def test_select_samples_validation(self, small_tangential):
+    def test_subset_validation(self, small_tangential):
         _, _, tangential = small_tangential
         with pytest.raises(ValueError):
-            tangential.select_samples([], [0])
+            tangential.subset([], [0])
         with pytest.raises(ValueError):
-            tangential.select_samples([0], [99])
+            tangential.subset([0], [99])
 
     def test_left_right_points_disjoint_enforced(self):
         right = [RightBlock(1j, np.eye(2), np.eye(2)), RightBlock(-1j, np.eye(2), np.eye(2))]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MftiOptions, mfti
-from repro.core.mfti import resolve_block_sizes
+from repro.core.assembly import resolve_block_sizes
 from repro.core.sampling import minimal_sample_count
 from repro.data import log_frequencies, sample_scattering
 from repro.systems.random_systems import random_stable_system

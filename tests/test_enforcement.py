@@ -65,8 +65,10 @@ from repro.vectorfitting.enforcement import (
     passivity_margins,
     refine_violation_bands,
 )
-from repro.vectorfitting.passivity import passivity_violations, passivity_violations_reference
+from repro.vectorfitting.passivity import passivity_violations
 from repro.vectorfitting.rational import PoleResidueModel
+
+from oracles import passivity_violations_reference
 
 run_cli = functools.partial(cli_subprocess, "shard")
 

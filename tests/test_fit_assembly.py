@@ -24,13 +24,9 @@ from repro.core.assembly import (
     IncrementalLoewner,
     PoleGrouping,
     partial_fraction_basis,
-    partial_fraction_basis_reference,
     relocation_matrices,
-    relocation_matrices_reference,
     residues_from_coefficients,
-    residues_from_coefficients_reference,
     vf_scaling_blocks,
-    vf_scaling_blocks_reference,
     vf_scaling_solve,
     vf_scaling_solve_reference,
 )
@@ -38,6 +34,14 @@ from repro.core.loewner import build_loewner_pencil
 from repro.core.tangential import LeftBlock, RightBlock, TangentialData
 from repro.utils.linalg import realify, rowcol_product
 from repro.vectorfitting.poles import initial_poles, sort_poles
+from repro.vectorfitting.rational import PoleResidueModel
+
+from oracles import (
+    partial_fraction_basis_reference,
+    relocation_matrices_reference,
+    residues_from_coefficients_reference,
+    vf_scaling_blocks_reference,
+)
 
 common_settings = settings(
     max_examples=25,
@@ -202,8 +206,33 @@ class TestSortPolesProperties:
         assert ordered[0] == complex(-0.3, 0.0)
 
     def test_grouping_rejects_dangling_complex_pole(self):
-        with pytest.raises(ValueError):
-            PoleGrouping.from_poles(np.array([complex(-1.0, 2.0), complex(-1.0, 3.0)]))
+        """The grouping reports dangling poles; the VF kernels refuse them."""
+        poles = np.array([complex(-1.0, 2.0), complex(-1.0, 3.0)])
+        grouping = PoleGrouping.from_poles(poles)
+        assert grouping.unpaired_indices.tolist() == [0, 1]
+        assert grouping.pair_first.size == 0 and grouping.real_indices.size == 0
+        assert grouping.groups() == [("unpaired", (0,)), ("unpaired", (1,))]
+        with pytest.raises(ValueError, match="unpaired"):
+            partial_fraction_basis(1j * np.linspace(1.0, 5.0, 4), poles, grouping)
+
+    def test_pair_between_the_old_real_thresholds_is_one_pair(self):
+        """``Im = 5e-9 |a|`` is complex to every consumer: one pair, one 2x2 block."""
+        poles = np.array([complex(-1.0, 5e-9), complex(-1.0, -5e-9)])
+        residues = np.array([[[1.0 + 2.0j]], [[1.0 - 2.0j]]])
+        a = PoleResidueModel(poles, residues).to_statespace().A
+        assert a.shape == (2, 2)
+        assert a[0, 1] == 5e-9 and a[1, 0] == -5e-9
+        grouping = PoleGrouping.from_poles(poles)
+        assert grouping.groups() == [("pair", (0, 1))]
+        assert grouping.real_indices.size == 0 and grouping.unpaired_indices.size == 0
+
+    def test_pairs_need_not_be_adjacent(self):
+        a, b = complex(-1.0, 4.0), complex(-2.0, 7.0)
+        poles = np.array([a, b, -3.0, np.conj(b), np.conj(a)])
+        grouping = PoleGrouping.from_poles(poles)
+        assert grouping.groups() == [("pair", (0, 4)), ("pair", (1, 3)), ("real", (2,))]
+        assert np.array_equal(grouping.pair_poles, [a, b])
+        assert np.array_equal(sort_poles(poles), [-3.0, a, np.conj(a), b, np.conj(b)])
 
     def test_grouping_partitions_the_pole_indices(self):
         poles = sort_poles(initial_poles(7, 1e2, 1e5))

@@ -36,9 +36,8 @@ import numpy as np
 import pytest
 
 from repro.batch.engine import BatchEngine
-from repro.batch.jobs import FitJob, JobRecord
+from repro.batch.jobs import FitJob, JobRecord, job_fingerprint
 from repro.batch.results import comparable_json
-from repro.batch.sharding import job_fingerprint
 from repro.cache import FitCache
 from repro.cli import cli_subprocess
 from repro.core.options import (

@@ -384,6 +384,27 @@ class TestShardResultFiles:
         with pytest.raises(ShardError, match="schema 1"):
             read_shard_result(old)
 
+    def test_merge_refuses_shards_run_under_different_blas_threading(self, tiny_jobs,
+                                                                     tmp_path):
+        plan = ShardPlan.from_jobs(tiny_jobs, 2)
+        paths = []
+        for manifest_path in write_manifests(plan, tiny_jobs, tmp_path):
+            manifest = load_manifest(manifest_path)
+            paths.append(write_shard_result(
+                manifest_path.replace(".manifest.json", ".result.npz"),
+                manifest, run_shard(manifest, tiny_jobs)))
+        assert merge_shard_results(paths).n_jobs == len(tiny_jobs)
+        # rewrite shard 1's recorded count, as a runner under another
+        # OPENBLAS_NUM_THREADS would have written it
+        with np.load(paths[1]) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(arrays["__shard_meta__"].tobytes().decode())
+        meta["blas_threads"] = (meta["blas_threads"] or 1) + 1
+        arrays["__shard_meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(paths[1], **arrays)
+        with pytest.raises(ShardError, match="different BLAS threading"):
+            merge_shard_results(paths)
+
     def test_load_manifest_missing_path_is_shard_error(self, tmp_path):
         with pytest.raises(ShardError, match="cannot read manifest"):
             load_manifest(tmp_path / "does-not-exist.manifest.json")

@@ -12,11 +12,12 @@ from repro.vectorfitting.passivity import (
     is_passive_immittance,
     is_passive_scattering,
     passivity_violations,
-    passivity_violations_reference,
     scattering_margins,
 )
 from repro.vectorfitting.poles import initial_poles
 from repro.vectorfitting.rational import PoleResidueModel
+
+from oracles import passivity_violations_reference
 
 
 class TestInitialPoles:
