@@ -37,7 +37,9 @@ __all__ = [
 #: v2: every evaluation memo is computed through the vectorized sweep
 #: kernel -- pre-kernel entries must not replay as if they were fresh fits.
 #: v3: fits no longer carry the Fig.-1 singular-value profiles (``sv__*``).
-PAYLOAD_SCHEMA_VERSION = 3
+#: v4: evaluation plans of real systems run in real arithmetic, so memoized
+#: sweep errors moved at round-off -- v3 entries must not replay them.
+PAYLOAD_SCHEMA_VERSION = 4
 
 
 class UncacheableResultError(TypeError):

@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.loewner import LoewnerPencil
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.linalg import (
-    block_diag,
     economic_svd,
     numerical_rank,
     rank_from_gap,
@@ -114,16 +113,20 @@ def real_transform_matrix(block_sizes: tuple[int, ...]) -> np.ndarray:
     sizes = tuple(int(t) for t in block_sizes)
     if len(sizes) % 2 != 0:
         raise ValueError("block sizes must come in conjugate pairs (even count)")
-    blocks = []
-    for i in range(0, len(sizes), 2):
-        t_plus, t_minus = sizes[i], sizes[i + 1]
+    transform = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    pair_blocks: dict[int, np.ndarray] = {}  # built once per distinct size
+    start = 0
+    for pair, (t_plus, t_minus) in enumerate(zip(sizes[0::2], sizes[1::2])):
         if t_plus != t_minus:
             raise ValueError(
-                f"conjugate pair {i // 2} has mismatched block sizes ({t_plus}, {t_minus})"
+                f"conjugate pair {pair} has mismatched block sizes ({t_plus}, {t_minus})"
             )
-        eye = np.eye(t_plus)
-        blocks.append(np.block([[eye, -1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0))
-    return block_diag(blocks)
+        if t_plus not in pair_blocks:
+            eye = np.eye(t_plus)
+            pair_blocks[t_plus] = np.block([[eye, -1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0)
+        transform[start : start + 2 * t_plus, start : start + 2 * t_plus] = pair_blocks[t_plus]
+        start += 2 * t_plus
+    return transform
 
 
 def to_real_data(pencil: LoewnerPencil, *, imaginary_tolerance: float = 1e-6) -> LoewnerPencil:

@@ -345,17 +345,23 @@ class TangentialData:
 
 
 def _check_conjugate_pairs(blocks, side: str) -> None:
+    """Raise for the first adjacent pair that is not a conjugate pair of equal size."""
     if len(blocks) % 2 != 0:
         raise ValueError(f"{side} blocks must come in conjugate pairs (even count)")
-    for i in range(0, len(blocks), 2):
-        a, b = blocks[i], blocks[i + 1]
-        if a.block_size != b.block_size:
-            raise ValueError(f"{side} conjugate pair {i // 2} has mismatched block sizes")
-        if not np.isclose(b.point, np.conj(a.point)):
-            raise ValueError(
-                f"{side} blocks {i} and {i + 1} are not a conjugate pair "
-                f"({a.point} vs {b.point})"
-            )
+    sizes = np.array([b.block_size for b in blocks])
+    points = np.array([b.point for b in blocks])
+    mismatched = sizes[0::2] != sizes[1::2]
+    failing = mismatched | ~np.isclose(points[1::2], np.conj(points[0::2]))
+    if not failing.any():
+        return
+    pair = int(np.argmax(failing))
+    if mismatched[pair]:
+        raise ValueError(f"{side} conjugate pair {pair} has mismatched block sizes")
+    a, b = blocks[2 * pair], blocks[2 * pair + 1]
+    raise ValueError(
+        f"{side} blocks {2 * pair} and {2 * pair + 1} are not a conjugate pair "
+        f"({a.point} vs {b.point})"
+    )
 
 
 def build_tangential_data(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.assembly import REAL_POLE_TOLERANCE
-from repro.utils.linalg import realify
+from repro.utils.linalg import block_diag, realify
 from repro.vectorfitting.passivity import PassivityViolation, _validated_sweep
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "residues_from_coefficients_reference",
     "vf_scaling_blocks_reference",
     "passivity_violations_reference",
+    "real_transform_matrix_reference",
 ]
 
 
@@ -167,3 +168,17 @@ def passivity_violations_reference(
     else:
         raise ValueError(f"representation must be 'S', 'Z' or 'Y', got {representation!r}")
     return violations
+
+
+def real_transform_matrix_reference(block_sizes) -> np.ndarray:
+    """Per-pair oracle for :func:`~repro.core.realization.real_transform_matrix`.
+
+    Builds the ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block afresh for every
+    conjugate pair and stacks the blocks with :func:`block_diag`.
+    """
+    sizes = tuple(int(t) for t in block_sizes)
+    blocks = []
+    for i in range(0, len(sizes), 2):
+        eye = np.eye(sizes[i])
+        blocks.append(np.block([[eye, -1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0))
+    return block_diag(blocks)

@@ -154,6 +154,41 @@ class TestTangentialData:
         with pytest.raises(ValueError, match="conjugate"):
             TangentialData(right, left, conjugate_pairs=True)
 
+    @staticmethod
+    def _blocks(side, layout):
+        """Blocks at ``(point, block size)``; the other side gets a valid pair."""
+        def right(point, t):
+            return RightBlock(point, np.ones((2, t)), np.ones((2, t)))
+
+        def left(point, t):
+            return LeftBlock(point, np.ones((t, 2)), np.ones((t, 2)))
+
+        make, other = (right, left) if side == "right" else (left, right)
+        blocks = [make(point, t) for point, t in layout]
+        valid = [other(50j, 1), other(-50j, 1)]
+        return (blocks, valid) if side == "right" else (valid, blocks)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_conjugate_pair_errors_name_the_first_failing_pair(self, side):
+        good = [(1j, 2), (-1j, 2), (2j, 1), (-2j, 1)]
+        cases = [
+            # third pair: size mismatch, then a non-conjugate point
+            (good + [(3j, 2), (-3j, 1)],
+             f"{side} conjugate pair 2 has mismatched block sizes"),
+            (good + [(3j, 1), (4j, 1)],
+             f"{side} blocks 4 and 5 are not a conjugate pair ({3j} vs {4j})"),
+            # the first failing pair wins over a later one, whatever the failure
+            (good + [(3j, 1), (4j, 1), (5j, 2), (-5j, 1)],
+             f"{side} blocks 4 and 5 are not a conjugate pair ({3j} vs {4j})"),
+            (good + [(3j, 2), (4j, 1), (5j, 1), (6j, 1)],
+             f"{side} conjugate pair 2 has mismatched block sizes"),
+        ]
+        for layout, message in cases:
+            right, left = self._blocks(side, layout)
+            with pytest.raises(ValueError) as failure:
+                TangentialData(right, left, conjugate_pairs=True)
+            assert str(failure.value) == message
+
     def test_builder_rejects_overlapping_indices(self, small_tangential):
         _, data, _ = small_tangential
         directions = identity_directions(4, 1, 2)

@@ -17,6 +17,8 @@ from repro.data import sample_scattering
 from repro.data.frequency import log_frequencies
 from repro.systems.random_systems import random_stable_system
 
+from oracles import real_transform_matrix_reference
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -79,6 +81,16 @@ class TestRealTransform:
             real_transform_matrix((2, 1))
         with pytest.raises(ValueError):
             real_transform_matrix((2, 2, 1))
+        with pytest.raises(ValueError,
+                           match=r"conjugate pair 2 has mismatched block sizes \(3, 2\)"):
+            real_transform_matrix((2, 2, 1, 1, 3, 2))
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 1, 1, 2, 2, 1, 1), (1, 1), (2, 2, 2, 2, 4, 4)])
+    def test_transform_matrix_equals_per_pair_oracle_bitwise(self, sizes):
+        got = real_transform_matrix(sizes)
+        want = real_transform_matrix_reference(sizes)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_real_transform_produces_real_pencil(self, setup):
         _, _, _, pencil = setup

@@ -11,8 +11,9 @@ per-point evaluation loops, so its contract is locked from three sides:
 
       PYTHONPATH=src python tests/test_evaluation_kernel.py --regenerate
 
-* **hypothesis properties** -- over randomly generated stable systems the
-  batched ``solve`` strategy is *bitwise identical* to the reference loop,
+* **hypothesis properties** -- over randomly generated stable systems,
+  real and with a complex ``A``, and sweeps spanning several stacked-solve
+  chunks, the batched ``solve`` strategy is *bitwise identical* to the reference loop,
   and the ``auto`` strategy (eigendecomposition fast path) agrees to
   ``<= 1e-10`` relative error per point;
 
@@ -29,7 +30,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.pdn import PdnConfiguration, power_distribution_network
@@ -37,6 +38,7 @@ from repro.metrics.errors import relative_error_per_frequency
 from repro.systems import DescriptorSystem, StateSpace, random_stable_system
 from repro.systems.evaluation import (
     FAST_PATH_MIN_POINTS,
+    SOLVE_CHUNK,
     build_evaluation_plan,
     evaluate_cauchy,
     evaluate_descriptor,
@@ -154,11 +156,23 @@ class TestGoldenEquivalence:
 @given(order=st.integers(min_value=2, max_value=20),
        n_ports=st.integers(min_value=1, max_value=4),
        seed=st.integers(min_value=0, max_value=2**31 - 1),
-       n_points=st.integers(min_value=1, max_value=24))
-def test_vectorized_matches_loop_property(order, n_ports, seed, n_points):
-    """solve == loop bitwise; auto (fast path) == loop to <= 1e-10 relative."""
+       n_points=st.integers(min_value=1, max_value=3 * SOLVE_CHUNK),
+       complex_a=st.booleans())
+# the stacked solve's pencil buffer reused over full chunks and a partial
+# last one, for a real and a complex system
+@example(order=12, n_ports=2, seed=0, n_points=2 * SOLVE_CHUNK + 22, complex_a=False)
+@example(order=12, n_ports=2, seed=0, n_points=2 * SOLVE_CHUNK + 22, complex_a=True)
+def test_vectorized_matches_loop_property(order, n_ports, seed, n_points, complex_a):
+    """solve == loop bitwise; auto (fast path) == loop to <= 1e-10 relative.
+
+    ``complex_a`` perturbs ``A`` off the real line, so the plan runs in
+    complex arithmetic instead of the real arithmetic of a real system.
+    """
     system = random_stable_system(order=order, n_ports=n_ports,
                                   feedthrough=0.05, seed=seed)
+    if complex_a:
+        system = DescriptorSystem(system.E, system.A + 1e-2j, system.B,
+                                  system.C, system.D)
     points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, n_points)
     ref = evaluate_pointwise(system.E, system.A, system.B, system.C,
                              system.D, points)
@@ -325,6 +339,27 @@ class TestEvaluateDescriptor:
             evaluate_descriptor(small_system.E, small_system.A, small_system.B,
                                 small_system.C, small_system.D, [1j],
                                 method="fancy")
+
+    @pytest.mark.parametrize("perturbation, dtype", [(0.0, np.float64),
+                                                     (1e-2j, np.complex128)])
+    def test_plan_follows_the_system_dtype(self, small_system, monkeypatch,
+                                          perturbation, dtype):
+        """A real system's plan runs a real ``eig``; a complex one a complex ``eig``."""
+        eig = np.linalg.eig
+        seen = []
+
+        def recording_eig(matrix):
+            seen.append(matrix.dtype)
+            return eig(matrix)
+
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        plan = build_evaluation_plan(
+            small_system.E, small_system.A + perturbation, small_system.B,
+            small_system.C, small_system.D, 1j * np.logspace(1, 5, 10),
+        )
+        assert plan is not None
+        assert seen == [np.dtype(dtype)]
+        assert type(plan.sigma) is float
 
     def test_plan_verification_rejects_bad_probes(self, small_system):
         # an absurdly tight guard rejects every plan -> None
