@@ -7,22 +7,26 @@ is passive; :mod:`repro.vectorfitting.passivity` *checks* that, this module
 margin kernels:
 
 1. **Sweep** -- the model is evaluated over a log-spaced check grid spanning
-   the data band extended by ``band_factor`` on both sides (DC included), and
-   the passivity margin of every frequency comes from one stacked SVD /
-   ``eigvalsh`` call (:func:`~repro.vectorfitting.passivity.
-   scattering_margins` / :func:`~repro.vectorfitting.passivity.
-   immittance_margins`).
+   the data band extended by ``band_factor`` on both sides (DC included),
+   plus pole-anchored points that reach from every resonance's peak out to
+   ``96`` bandwidths along its skirt, and the passivity margin of every
+   frequency comes from one stacked SVD / ``eigvalsh`` call
+   (:func:`~repro.vectorfitting.passivity.scattering_margins` /
+   :func:`~repro.vectorfitting.passivity.immittance_margins`).
 2. **Localize** -- adaptive bisection refinement inserts log-midpoints around
    every sign change of the margin (and next to every violating node), so
    violation bands *between* check frequencies are caught instead of sampled
    over.
 3. **Perturb** -- the offending residues receive a least-squares-minimal
    first-order update pushing ``sigma_max(S) <= 1 - slack`` (scattering)
-   resp. ``lambda_min(Herm H) >= slack`` (immittance) at every violating
-   frequency.  Columns of the constraint system are scaled by each pole
-   basis function's L2 norm over the *original sample frequencies*, so the
-   minimum-norm solve preferentially spends perturbation where it costs the
-   fit the least.  Poles and the feed-through ``D`` are never touched.
+   resp. ``lambda_min(Herm H) >= slack`` (immittance) at each violation
+   band's margin minima: the local minima of every run of sub-``slack``
+   margins in the refined sweep, not every point of the run
+   (Grivet-Talocia, IEEE TCAS-I 2004).  Columns of the constraint system
+   are scaled by each pole basis function's L2 norm over the *original
+   sample frequencies*, so the minimum-norm solve preferentially spends
+   perturbation where it costs the fit the least.  Poles and the
+   feed-through ``D`` are never touched.
 4. **Certify** -- iteration ends when the refined sweep *and* a denser
    hold-out sweep (``holdout_oversample`` times the base grid) are clean;
    the result is a :class:`PassivityCertificate` (checked band, residual
@@ -133,12 +137,14 @@ class PassivitySpec:
     slack:
         Enforcement target margin: violations are pushed to
         ``sigma_max <= 1 - slack`` (resp. ``lambda_min >= slack``), not just
-        to the boundary.  The constraints hold exactly *at* the check
-        frequencies; between them the margin ripples by roughly a tenth of
-        the repaired violation depth, so the slack must dominate that
-        ripple -- the ``1e-3`` default holds for violations up to a few
-        percent, and deeper violations warrant a proportionally larger
-        slack.
+        to the boundary.  A run of sweep points with margin below ``slack``
+        is a violation band, and the constraints hold *at* each band's
+        margin minima; the rest of the band is lifted with them (a later
+        round constrains any point left behind), and between check
+        frequencies the margin ripples by roughly a tenth of the repaired
+        violation depth, so the slack must dominate that ripple -- the
+        ``1e-3`` default holds for violations up to a few percent, and
+        deeper violations warrant a proportionally larger slack.
     tolerance:
         Check tolerance (the :func:`~repro.vectorfitting.passivity.
         passivity_violations` meaning): residual margins above ``-tolerance``
@@ -407,6 +413,27 @@ def refine_violation_bands(
     return freqs, margins
 
 
+def _band_minima(margins: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices of the local margin minima inside every run of sub-``threshold`` margins.
+
+    A run is a maximal stretch of consecutive sweep points with margin below
+    ``threshold``.  A flat stretch of equal margins counts as one point and
+    is kept whole when it is lower than its nearest different neighbours in
+    the run (a run edge competes only inwards).  Flat stretches are real:
+    pole anchors and refinement midpoints can land one ulp apart, and such
+    points carry bitwise-equal margins, so comparing single neighbours would
+    keep a spurious minimum at every such pair on a slope.  Ascending
+    indices, empty when every margin clears ``threshold``.
+    """
+    level = np.where(np.asarray(margins) < threshold, margins, np.inf)
+    new_stretch = np.ones(level.size, dtype=bool)
+    new_stretch[1:] = level[1:] != level[:-1]
+    starts = np.flatnonzero(new_stretch)
+    flat = np.concatenate([[np.inf], level[starts], [np.inf]])
+    lowest = (flat[1:-1] < flat[:-2]) & (flat[1:-1] < flat[2:])
+    return np.flatnonzero(np.repeat(lowest, np.diff(np.append(starts, level.size))))
+
+
 # --------------------------------------------------------------------------- #
 # the residue perturbation
 # --------------------------------------------------------------------------- #
@@ -447,11 +474,13 @@ def _apply_update(residues: np.ndarray, groups, updates: list[list[np.ndarray]])
 def _constraint_directions(
     model: PoleResidueModel, freqs: np.ndarray, representation: str, threshold: float
 ):
-    """Every offending singular/eigen direction at the constraint sweep.
+    """Every offending singular/eigen direction at the constraint frequencies.
 
-    One constraint per *(frequency, violating direction)* pair: constraining
-    only the worst singular value would let the second one rise through the
-    ceiling while the first is pushed down.  Returns
+    The frequencies are the violation bands' margin minima
+    (:func:`_band_minima`), and each contributes one constraint per
+    *(frequency, violating direction)* pair: constraining only the worst
+    singular value would let the second one rise through the ceiling while
+    the first is pushed down.  Returns
     ``(margins, left, right, freq_index)`` flattened over all directions with
     margin below ``threshold`` (the worst direction of each frequency is
     always included); a residue update moves each margin to first order by
@@ -488,11 +517,13 @@ def _solve_perturbation(
 ) -> np.ndarray:
     """One least-squares-minimal residue update enforcing the slack targets.
 
-    Builds one real linear constraint per violating frequency (first-order
-    margin change through the worst singular/eigen pair) over the per-group
-    real residue parameters, scales every column by its basis function's L2
-    norm over the *data* frequencies (so minimum-norm in scaled coordinates
-    approximately minimizes the fit perturbation), and solves with
+    Builds one real linear constraint (first-order margin change) per
+    offending singular/eigen direction at every constraint frequency -- the
+    margin minima of the violation bands, so a band costs a few rows instead
+    of one per refined-sweep point -- over the per-group real residue
+    parameters, scales every column by its basis function's L2 norm over the
+    *data* frequencies (so minimum-norm in scaled coordinates approximately
+    minimizes the fit perturbation), and solves with
     :func:`numpy.linalg.lstsq` (minimum-norm for the underdetermined case).
     Returns the updated residue stack.
     """
@@ -565,8 +596,12 @@ def _check_band(data_freqs: np.ndarray, spec: PassivitySpec) -> tuple[float, flo
 #: Bandwidth offsets of the pole-anchored check points: every resonance gets
 #: samples at ``f0 * (1 + k * zeta)`` for these ``k`` (``zeta`` = relative
 #: half-bandwidth), so high-Q dips narrower than the log-grid spacing are
-#: sampled instead of straddled.
-_ANCHOR_OFFSETS = (-3.0, -2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0)
+#: sampled instead of straddled.  The geometric tail out to ``96 zeta`` covers
+#: each resonance's skirt: with one constraint per violation band, narrow
+#: violations a few to tens of bandwidths off a high-Q pole are otherwise left
+#: to the log grid, whose spacing can be wider than the whole skirt.
+_ANCHOR_SKIRT = (0.25, 0.5, 1.0, 2.0, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0)
+_ANCHOR_OFFSETS = (*(-k for k in reversed(_ANCHOR_SKIRT)), 0.0, *_ANCHOR_SKIRT)
 
 
 def _pole_anchor_points(
@@ -578,13 +613,15 @@ def _pole_anchor_points(
     a relative bandwidth ``zeta ~ |Re a| / |a|``; a log-spaced grid coarser
     than ``zeta`` can straddle the whole dip, which is exactly the failure
     bisection refinement cannot recover from (no node ever sees the
-    violation).  ``density`` subdivides the offsets for denser hold-out use.
+    violation).  ``density`` subdivides every interval between adjacent
+    offsets into that many equal steps for denser hold-out use.
     """
     anchors = []
     offsets = np.asarray(_ANCHOR_OFFSETS)
     if density > 1:
-        fine = np.linspace(offsets.min(), offsets.max(), density * (offsets.size - 1) + 1)
-        offsets = np.union1d(offsets, fine)
+        steps = np.arange(density) / density
+        inner = offsets[:-1, np.newaxis] + np.diff(offsets)[:, np.newaxis] * steps
+        offsets = np.append(inner.ravel(), offsets[-1])
     for pole in np.asarray(poles, dtype=complex):
         magnitude = abs(pole)
         if magnitude == 0.0:
@@ -695,9 +732,9 @@ def enforce_passivity(
         holdout_clean = bool(np.all(holdout_margins >= -spec.tolerance))
         worst = float(min(margins.min(), holdout_margins.min()))
         n_checked = np.union1d(freqs, holdout).size
-        return sweep_clean and holdout_clean, freqs, margins, worst, n_checked
+        return sweep_clean and holdout_clean, freqs, margins, holdout_margins, worst, n_checked
 
-    ok, freqs, margins, worst, n_checked = verified(prm)
+    ok, freqs, margins, _, worst, n_checked = verified(prm)
     if ok:
         certificate = PassivityCertificate(
             representation=spec.representation,
@@ -722,19 +759,15 @@ def enforce_passivity(
     current = prm
     work_freqs, work_margins = freqs, margins
     for iteration in range(1, spec.max_iterations + 1):
-        needs_fix = work_margins < spec.slack
-        constraint_freqs = work_freqs[needs_fix]
+        constraint_freqs = work_freqs[_band_minima(work_margins, spec.slack)]
         if constraint_freqs.size == 0:
             constraint_freqs = work_freqs[np.argsort(work_margins)[:1]]
         new_residues = _solve_perturbation(current, constraint_freqs, spec, data_freqs)
         current = PoleResidueModel(current.poles, new_residues, d=current.d)
 
-        ok, work_freqs, work_margins, worst, n_checked = verified(current)
+        ok, work_freqs, work_margins, holdout_margins, worst, n_checked = verified(current)
         if not ok:
             # fold clear hold-out violations into the next round's sweep
-            holdout_margins = passivity_margins(
-                current, holdout, representation=spec.representation
-            )
             bad_mask = holdout_margins < -spec.tolerance
             bad = holdout[bad_mask]
             if bad.size:

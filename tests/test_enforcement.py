@@ -1,6 +1,6 @@
 """Differential tests of the passivity-enforcement stage, end to end.
 
-Four layers of coverage, mirroring how a certificate travels through the
+Five layers of coverage, mirroring how a certificate travels through the
 repository:
 
 * **Kernel regressions** -- the empty-sweep / bad-tolerance guards of
@@ -12,6 +12,10 @@ repository:
   bitwise-deterministic, a bitwise no-op for already-passive inputs, and
   loudly :class:`~repro.vectorfitting.enforcement.EnforcementFailed` for
   non-passive feed-through, exhausted budgets and fit-error growth.
+* **Constraint placement** -- every perturbation round constrains exactly the
+  margin minima of its violation bands, the pole anchors reach each
+  resonance's skirt, and every default-zoo model passes an independent
+  20,000-point sweep.
 * **Identity** -- hypothesis properties pinning the pre-enforcement
   ``job_fingerprint`` / ``request_key`` byte-for-byte for every job without a
   :class:`~repro.vectorfitting.enforcement.PassivitySpec` (caches and dedupe
@@ -48,6 +52,7 @@ from repro.cache.fingerprint import (
     options_fingerprint,
 )
 from repro.cli import cli_subprocess
+from repro.core import run_fit
 from repro.core.options import MftiOptions, canonical_token
 from repro.data.dataset import FrequencyData
 from repro.experiments.workloads import passive_macromodel_jobs
@@ -55,6 +60,7 @@ from repro.serve.app import FitService, ThreadedServer
 from repro.serve.client import Client
 from repro.serve.protocol import decode_record, encode_record, request_key
 from repro.systems.random_systems import random_stable_system
+from repro.vectorfitting import enforcement
 from repro.vectorfitting.enforcement import (
     PASSIVITY_METRIC_KEYS,
     EnforcementFailed,
@@ -83,8 +89,10 @@ GRID_KWARGS = dict(
 )
 
 
-def _violating_model(seed: int, *, n_ports: int = 2, n_pairs: int = 5) -> PoleResidueModel:
-    """A seeded stable pole-residue model normalized to sigma_max ~ 1.04."""
+def _violating_model(
+    seed: int, *, n_ports: int = 2, n_pairs: int = 5, sigma_max: float = 1.04
+) -> PoleResidueModel:
+    """A seeded stable pole-residue model normalized to ``sigma_max`` (default 1.04)."""
     rng = np.random.default_rng(seed)
     f0 = rng.uniform(1e6, 1e9, n_pairs)
     zeta = rng.uniform(0.05, 0.3, n_pairs)
@@ -98,16 +106,21 @@ def _violating_model(seed: int, *, n_ports: int = 2, n_pairs: int = 5) -> PoleRe
     model = PoleResidueModel(poles, residues, d=d)
     probe = np.geomspace(1e5, 5e9, 2048)
     response = np.asarray(model.frequency_response(probe))
-    sigma_max = float(np.linalg.svd(response, compute_uv=False)[:, 0].max())
-    return PoleResidueModel(poles, residues * (1.04 / sigma_max), d=d)
+    peak = float(np.linalg.svd(response, compute_uv=False)[:, 0].max())
+    return PoleResidueModel(poles, residues * (sigma_max / peak), d=d)
+
+
+def _sampled(model: PoleResidueModel) -> FrequencyData:
+    """The fixture's fit data: 40 log-spaced samples over 1 MHz - 1 GHz."""
+    freqs = np.geomspace(1e6, 1e9, 40)
+    return FrequencyData(freqs, np.asarray(model.frequency_response(freqs)), kind="S")
 
 
 @pytest.fixture(scope="module")
 def violating():
     """(model, fit data, spec): a genuine violator and its enforcement setup."""
     model = _violating_model(7)
-    freqs = np.geomspace(1e6, 1e9, 40)
-    data = FrequencyData(freqs, np.asarray(model.frequency_response(freqs)), kind="S")
+    data = _sampled(model)
     spec = PassivitySpec(
         n_check=64, band_factor=2.0, max_iterations=30, max_error_growth=5.0, holdout_oversample=2
     )
@@ -272,8 +285,10 @@ class TestEnforcement:
         with pytest.raises(EnforcementFailed, match="feed-through"):
             enforce_passivity(improper, data, spec)
 
-    def test_exhausted_iteration_budget_fails_loudly(self, violating):
-        model, data, _ = violating
+    def test_exhausted_iteration_budget_fails_loudly(self):
+        # sigma_max 1.3 is deeper than one round's margin step can close
+        model = _violating_model(7, sigma_max=1.3)
+        data = _sampled(model)
         impatient = PassivitySpec(
             n_check=64,
             band_factor=2.0,
@@ -316,6 +331,114 @@ class TestEnforcement:
         rebuilt = np.asarray(converted.frequency_response(freqs))
         scale = float(np.abs(original).max())
         assert float(np.abs(rebuilt - original).max()) <= 1e-9 * scale
+
+
+# --------------------------------------------------------------------------- #
+# where the constraints and check points go
+# --------------------------------------------------------------------------- #
+def _band_minima_loop(margins: np.ndarray, threshold: float) -> list[int]:
+    """Per-point oracle: a sub-threshold point is kept unless the nearest
+    different margin on either side, inside its run, is lower."""
+    inside = np.asarray(margins) < threshold
+    keep = []
+    for i in np.flatnonzero(inside):
+        undercut = False
+        for step in (-1, 1):
+            j = i + step
+            while 0 <= j < len(margins) and inside[j] and margins[j] == margins[i]:
+                j += step
+            undercut |= bool(0 <= j < len(margins) and inside[j] and margins[j] < margins[i])
+        if not undercut:
+            keep.append(int(i))
+    return keep
+
+
+class TestConstraintPlacement:
+    def test_band_minima_of_a_hand_made_sweep(self):
+        margins = np.array([0.5, -0.1, -0.3, -0.2, 0.5, -0.4, -0.4, -0.1, -0.6, 0.5])
+        # run 1..3 has its minimum inside; run 5..8 opens on a flat minimum
+        # (kept whole) and closes on a lower minimum at its edge
+        assert enforcement._band_minima(margins, 1e-3).tolist() == [2, 5, 6, 8]
+        # a flat step on a slope (two points one ulp apart) is not a minimum
+        slope = np.array([-0.1, -0.2, -0.2, -0.3])
+        assert enforcement._band_minima(slope, 0.0).tolist() == [3]
+        for sweep in (margins, slope):
+            assert enforcement._band_minima(sweep, 1e-3).tolist() == _band_minima_loop(sweep, 1e-3)
+        assert enforcement._band_minima(np.array([0.5, 1e-3, 0.2]), 1e-3).size == 0
+
+    def test_each_round_constrains_exactly_its_band_minima(self, monkeypatch):
+        model = _violating_model(7, sigma_max=1.3)
+        data = _sampled(model)
+        spec = PassivitySpec(
+            n_check=64,
+            band_factor=2.0,
+            max_iterations=30,
+            max_error_growth=50.0,
+            holdout_oversample=2,
+        )
+        rounds = []
+        solve = enforcement._solve_perturbation
+
+        def recording(current, constraint_freqs, *args):
+            rounds.append((current, constraint_freqs.copy()))
+            return solve(current, constraint_freqs, *args)
+
+        monkeypatch.setattr(enforcement, "_solve_perturbation", recording)
+        _, certificate = enforce_passivity(model, data, spec)
+        assert len(rounds) == certificate.iterations >= 2
+
+        f_lo, f_hi = enforcement._check_band(data.frequencies_hz, spec)
+        base = enforcement._check_grid(f_lo, f_hi, spec.n_check, model.poles)
+        oversample = spec.holdout_oversample
+        holdout = enforcement._check_grid(
+            f_lo, f_hi, oversample * spec.n_check, model.poles, anchor_density=oversample
+        )
+        sub_slack_points = 0
+        for k, (current, constraint_freqs) in enumerate(rounds):
+            freqs, margins = refine_violation_bands(
+                current, base, levels=spec.refine_levels, threshold=spec.slack
+            )
+            if k:  # from round 2 on, the last hold-out violations join the sweep
+                holdout_margins = passivity_margins(current, holdout)
+                extra = (holdout_margins < -spec.tolerance) & ~np.isin(holdout, freqs)
+                order = np.argsort(np.concatenate([freqs, holdout[extra]]))
+                freqs = np.concatenate([freqs, holdout[extra]])[order]
+                margins = np.concatenate([margins, holdout_margins[extra]])[order]
+            expected = freqs[_band_minima_loop(margins, spec.slack)]
+            assert expected.size
+            assert np.array_equal(constraint_freqs, expected)
+            sub_slack_points += int(np.count_nonzero(margins < spec.slack))
+        assert sum(chosen.size for _, chosen in rounds) < sub_slack_points
+
+    def test_pole_anchors_reach_each_resonance_skirt(self):
+        f0, zeta = 1e9, 1e-3
+        w0 = 2.0 * np.pi * f0
+        pole = np.array([-zeta * w0 + 1j * w0 * np.sqrt(1.0 - zeta**2)])
+        skirt = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0])
+        offsets = np.concatenate([-skirt[::-1], [0.0], skirt])
+        anchors = enforcement._pole_anchor_points(pole, 1e8, 1e10)
+        np.testing.assert_allclose(anchors, f0 * (1.0 + offsets * zeta), rtol=1e-12)
+        assert anchors[0] == pytest.approx(f0 * (1.0 - 96.0 * zeta), rel=1e-12)
+        assert anchors[-1] == pytest.approx(f0 * (1.0 + 96.0 * zeta), rel=1e-12)
+        # density 2 adds the midpoint of every adjacent offset pair
+        midpoints = 0.5 * (offsets[:-1] + offsets[1:])
+        dense = enforcement._pole_anchor_points(pole, 1e8, 1e10, density=2)
+        np.testing.assert_allclose(
+            dense, f0 * (1.0 + np.sort(np.concatenate([offsets, midpoints])) * zeta), rtol=1e-12
+        )
+
+    def test_default_zoo_models_pass_an_independent_dense_sweep(self):
+        for job in passive_macromodel_jobs():
+            spec = job.passivity
+            fitted = run_fit(job.data, method=job.method, options=job.options)
+            model, certificate = enforce_passivity(fitted, job.data, spec, reference=job.reference)
+            dense = np.concatenate(
+                [[0.0], np.geomspace(certificate.f_min_hz, certificate.f_max_hz, 20_000)]
+            )
+            violations = passivity_violations(
+                model, dense, representation=spec.representation, tolerance=spec.tolerance
+            )
+            assert not violations, (job.label, violations[:3])
 
 
 # --------------------------------------------------------------------------- #
