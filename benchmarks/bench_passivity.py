@@ -3,8 +3,9 @@
 The passivity-enforcement stage (:mod:`repro.vectorfitting.enforcement`)
 leans entirely on the batched margin kernels of
 :mod:`repro.vectorfitting.passivity`: every sweep of every perturbation
-round is one stacked ``np.linalg.svd`` (scattering) or ``eigvalsh``
-(immittance) call.  The per-frequency alternative is
+round is one call of the stacked spectral-norm kernel
+:func:`~repro.utils.linalg.spectral_norms` (scattering) or one stacked
+``eigvalsh`` (immittance).  The per-frequency alternative is
 ``passivity_violations_reference`` (``tests/oracles.py``) -- one small
 LAPACK factorization per frequency inside a Python loop, kept as the
 equivalence oracle.
@@ -50,8 +51,8 @@ from oracles import passivity_violations_reference
 MIN_SPEEDUP = 3.0
 
 #: Agreement demanded between the two violation lists (relative, on the
-#: reported metric; the stacked gufunc SVD and the per-matrix norm run the
-#: same factorization up to reduction order).
+#: reported metric; the spectral-norm kernel and the per-matrix LAPACK norm
+#: agree to a few ulps).
 METRIC_AGREEMENT = 1e-10
 
 N_MODELS = 4

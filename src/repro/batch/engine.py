@@ -115,7 +115,7 @@ class BatchEngine:
         hit/miss statuses come back on the records either way.
 
     Every run shares a cross-job :class:`~repro.cache.ResponseCache`:
-    reference-norm SVDs are memoized per unique validation dataset and model
+    reference-norm sweeps are memoized per unique validation dataset and model
     sweeps per ``(system, grid)`` fingerprint pair, so jobs sharing a
     reference reuse one evaluation.  Values are bitwise-identical to the
     uncached ``run_job(..., responses=None)`` path; per-record hit/miss

@@ -185,7 +185,7 @@ class JobRecord:
         process executor, whose workers hold private cache copies.
     response_hits, response_misses:
         Cross-job response-cache consultations made while evaluating this
-        job (reference-norm SVDs and model sweeps; zero when the batch ran
+        job (reference-norm sweeps and model sweeps; zero when the batch ran
         without a response cache).  The *values* never depend on these
         counters -- a hit returns exactly what the miss computed -- and the
         split between hits and misses depends on executor scheduling, so
@@ -464,7 +464,7 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
 
     ``responses`` optionally supplies a batch-shared
     :class:`~repro.cache.ResponseCache`: the model sweep and the
-    reference-norm SVDs behind ``error_vs_data``/``error_vs_reference``,
+    reference-norm sweeps behind ``error_vs_data``/``error_vs_reference``,
     ``time_domain`` and the passivity certificate are then memoized across
     jobs by ``(system fingerprint, grid fingerprint)`` / dataset
     fingerprint, and the record carries this job's hit/miss tally.  Cached

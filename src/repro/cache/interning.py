@@ -198,7 +198,7 @@ class ResponseCache:
 
     * ``norms``: ``dataset_fingerprint ->`` the per-frequency largest
       singular values of the dataset (the model-independent denominator of
-      every relative-error metric) -- one SVD sweep per unique validation
+      every relative-error metric) -- one norm sweep per unique validation
       dataset per batch instead of one per job.
     * ``sweeps``: ``(system_fingerprint, grid_fingerprint) -> model sweep``
       over that grid -- ``error_vs_reference`` and ``time_domain_metrics``

@@ -39,7 +39,9 @@ __all__ = [
 #: v3: fits no longer carry the Fig.-1 singular-value profiles (``sv__*``).
 #: v4: evaluation plans of real systems run in real arithmetic, so memoized
 #: sweep errors moved at round-off -- v3 entries must not replay them.
-PAYLOAD_SCHEMA_VERSION = 4
+#: v5: error norms come from the spectral-norm kernel instead of a stacked
+#: SVD, so memoized sweep errors moved at round-off again.
+PAYLOAD_SCHEMA_VERSION = 5
 
 
 class UncacheableResultError(TypeError):

@@ -45,6 +45,7 @@ __all__ = [
     "Table1Row",
     "Table1Data",
     "build_pdn_datasets",
+    "build_pdn_measurement",
     "loewner_table1_jobs",
     "table1_experiment",
 ]
@@ -137,27 +138,37 @@ class Table1Data:
         return min(rows, key=lambda r: r.error_vs_truth)
 
 
+def build_pdn_measurement(config: Example2Config | None = None):
+    """Build the PDN, its Test-1 measurement set and the clean validation sweep.
+
+    Returns ``(system, test1, validation)``: the network, noisy scattering
+    data on the uniform grid, and a dense noise-free sweep of the same
+    network.  Callers that never read Test 2 (the mixed workload grid) stop
+    here; :func:`build_pdn_datasets` adds it.
+    """
+    cfg = config or Example2Config()
+    system = power_distribution_network(cfg.pdn)
+    uniform = linear_frequencies(cfg.f_min_hz, cfg.f_max_hz, cfg.n_samples)
+    validation_freqs = linear_frequencies(cfg.f_min_hz, cfg.f_max_hz, cfg.n_validation)
+    test1_clean = sample_scattering(system, uniform, system_kind="Z", label="pdn test1")
+    validation = sample_scattering(system, validation_freqs, system_kind="Z",
+                                   label="pdn validation")
+    test1 = add_measurement_noise(test1_clean, relative_level=cfg.noise_level,
+                                  seed=cfg.noise_seed)
+    return system, test1, validation
+
+
 def build_pdn_datasets(config: Example2Config | None = None):
     """Build the Test-1 / Test-2 measurement sets and the clean validation sweep.
 
     Returns ``(test1, test2, validation)`` where the first two are noisy
     scattering data on the uniform / clustered grids and the third is a dense
-    noise-free log sweep of the same network.
+    noise-free sweep of the same network.
     """
     cfg = config or Example2Config()
-    system = power_distribution_network(cfg.pdn)
-
-    uniform = linear_frequencies(cfg.f_min_hz, cfg.f_max_hz, cfg.n_samples)
+    system, test1, validation = build_pdn_measurement(cfg)
     clustered = clustered_frequencies(cfg.f_min_hz, cfg.f_max_hz, cfg.n_samples)
-    validation_freqs = linear_frequencies(cfg.f_min_hz, cfg.f_max_hz, cfg.n_validation)
-
-    test1_clean = sample_scattering(system, uniform, system_kind="Z", label="pdn test1")
     test2_clean = sample_scattering(system, clustered, system_kind="Z", label="pdn test2")
-    validation = sample_scattering(system, validation_freqs, system_kind="Z",
-                                   label="pdn validation")
-
-    test1 = add_measurement_noise(test1_clean, relative_level=cfg.noise_level,
-                                  seed=cfg.noise_seed)
     test2 = add_measurement_noise(test2_clean, relative_level=cfg.noise_level,
                                   seed=cfg.noise_seed + 1)
     return test1, test2, validation

@@ -31,7 +31,7 @@ from repro.data import (
     sample_impedance,
     sample_scattering,
 )
-from repro.experiments.example2 import Example2Config, build_pdn_datasets
+from repro.experiments.example2 import Example2Config, build_pdn_measurement
 from repro.metrics.timedomain import TimeDomainSpec
 from repro.vectorfitting.enforcement import PassivitySpec
 
@@ -60,7 +60,7 @@ def mixed_batch_jobs(
     port count offers enough distinct sizes.
     """
     cfg = Example2Config(n_samples=pdn_samples, n_validation=pdn_validation)
-    pdn_data, _, pdn_reference = build_pdn_datasets(cfg)
+    _, pdn_data, pdn_reference = build_pdn_measurement(cfg)
 
     line = netlist_to_descriptor(lumped_transmission_line(0.1, line_sections))
     line_data = add_measurement_noise(

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data.dataset import FrequencyData
 from repro.systems.statespace import DescriptorSystem
+from repro.utils.linalg import spectral_norms
 
 __all__ = [
     "relative_error_per_frequency",
@@ -47,12 +48,11 @@ def reference_norms(reference_samples) -> np.ndarray:
     This is the model-independent denominator of every relative-error
     metric; it depends only on the reference dataset, so jobs sharing a
     validation dataset can compute it once (the response cache memoizes it
-    by dataset fingerprint).
+    by dataset fingerprint).  One call of the stacked spectral-norm kernel
+    :func:`~repro.utils.linalg.spectral_norms`, which agrees with
+    ``np.linalg.norm(S, 2)`` per frequency to a few ulps.
     """
-    reference = _stack(reference_samples)
-    if reference.shape[0] == 0:
-        return np.empty(0)
-    return np.linalg.svd(reference, compute_uv=False)[..., 0]
+    return spectral_norms(_stack(reference_samples))
 
 
 def relative_error_per_frequency(model_samples, reference_samples, *, norms=None) -> np.ndarray:
@@ -63,7 +63,7 @@ def relative_error_per_frequency(model_samples, reference_samples, *, norms=None
 
     ``norms`` optionally supplies precomputed :func:`reference_norms` of
     ``reference_samples`` (same values, computed by the same code), so a
-    batch of jobs sharing one reference runs its SVD sweep once.
+    batch of jobs sharing one reference runs its norm sweep once.
     """
     model = _stack(model_samples)
     reference = _stack(reference_samples)
@@ -71,15 +71,8 @@ def relative_error_per_frequency(model_samples, reference_samples, *, norms=None
         raise ValueError(
             f"model samples shape {model.shape} does not match reference {reference.shape}"
         )
-    if model.shape[0] == 0:
-        return np.empty(0)
-    # spectral norms of the whole stack in one batched SVD each (the same
-    # per-slice LAPACK factorization np.linalg.norm(..., 2) runs one by one)
-    num = np.linalg.svd(model - reference, compute_uv=False)[..., 0]
-    if norms is not None:
-        denom = np.asarray(norms)
-    else:
-        denom = np.linalg.svd(reference, compute_uv=False)[..., 0]
+    num = spectral_norms(model - reference)
+    denom = spectral_norms(reference) if norms is None else np.asarray(norms)
     if denom.shape != num.shape:
         raise ValueError(f"norms shape {denom.shape} does not match sweep {num.shape}")
     return np.where(denom == 0.0, num, num / np.where(denom == 0.0, 1.0, denom))

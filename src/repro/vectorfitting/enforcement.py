@@ -10,7 +10,7 @@ margin kernels:
    the data band extended by ``band_factor`` on both sides (DC included),
    plus pole-anchored points that reach from every resonance's peak out to
    ``96`` bandwidths along its skirt, and the passivity margin of every
-   frequency comes from one stacked SVD / ``eigvalsh`` call
+   frequency comes from one stacked spectral-norm / ``eigvalsh`` call
    (:func:`~repro.vectorfitting.passivity.scattering_margins` /
    :func:`~repro.vectorfitting.passivity.immittance_margins`).
 2. **Localize** -- adaptive bisection refinement inserts log-midpoints around
@@ -691,7 +691,7 @@ def enforce_passivity(
         ``error_delta`` is measured against it instead of the fit data.
     responses:
         Optional response tally (see :class:`repro.cache.ResponseTally`);
-        shares the reference-norm SVD sweeps of ``data``/``reference`` with
+        shares the reference-norm sweeps of ``data``/``reference`` with
         other jobs in a batch.  Never changes any value.
 
     Returns

@@ -7,6 +7,9 @@ benchmarks.  Expensive fixtures are session-scoped and immutable.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import sys
 
 import numpy as np
@@ -109,3 +112,22 @@ def svd_calls(monkeypatch):
         if name.startswith("repro") and getattr(module, "economic_svd", None) is original:
             monkeypatch.setattr(module, "economic_svd", counting)
     return calls
+
+
+@pytest.fixture(scope="session")
+def openblas_threads():
+    """``(get, set)`` of numpy's bundled OpenBLAS thread count; skips where absent.
+
+    Looked up here rather than through :mod:`repro.utils.blas`, so the tests
+    of thread-count independence do not rely on the code they check.
+    """
+    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*"))):
+        library = ctypes.CDLL(path)
+        getter = getattr(library, "scipy_openblas_get_num_threads64_", None)
+        setter = getattr(library, "scipy_openblas_set_num_threads64_", None)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    pytest.skip("numpy's bundled OpenBLAS thread controls are not available")

@@ -17,7 +17,12 @@ from repro.experiments.example1 import (
     sample_requirement_sweep,
     singular_value_experiment,
 )
-from repro.experiments.example2 import Example2Config, build_pdn_datasets, table1_experiment
+from repro.experiments.example2 import (
+    Example2Config,
+    build_pdn_datasets,
+    build_pdn_measurement,
+    table1_experiment,
+)
 from repro.experiments.minimal_sampling import minimal_sampling_experiment
 from repro.experiments.reporting import format_series, format_table
 
@@ -92,6 +97,14 @@ class TestExample2:
         split = 1e6 + 0.7 * (2e9 - 1e6)
         assert np.count_nonzero(test2.frequencies_hz >= split) > np.count_nonzero(
             test1.frequencies_hz >= split)
+
+    def test_measurement_helper_builds_the_table1_datasets_bitwise(self, small_example2):
+        # the mixed workload grid samples only Test 1 and the validation sweep
+        test1, _, validation = build_pdn_datasets(small_example2)
+        _, alone1, alone_validation = build_pdn_measurement(small_example2)
+        for built, alone in ((test1, alone1), (validation, alone_validation)):
+            assert built.samples.tobytes() == alone.samples.tobytes()
+            assert built.frequencies_hz.tobytes() == alone.frequencies_hz.tobytes()
 
     def test_table1_shape(self, small_example2):
         """MFTI beats VFTI on both tests; accuracy improves with the block size."""

@@ -112,35 +112,9 @@ def test_dataset_fingerprints_unchanged(golden, fresh_batch):
         assert case["options_fingerprint"] == options_fingerprint(job.method, job.options)
 
 
-def _openblas_thread_controls():
-    """``(get, set)`` of numpy's bundled OpenBLAS thread count, or ``None``.
-
-    Looked up here rather than through :mod:`repro.utils.blas`, so the test
-    does not rely on the code it checks.
-    """
-    import ctypes
-    import glob
-
-    import numpy
-
-    libs_dir = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*"))):
-        library = ctypes.CDLL(path)
-        getter = getattr(library, "scipy_openblas_get_num_threads64_", None)
-        setter = getattr(library, "scipy_openblas_set_num_threads64_", None)
-        if getter is not None and setter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return getter, setter
-    return None
-
-
-def test_dataset_fingerprints_independent_of_blas_threads(golden):
+def test_dataset_fingerprints_independent_of_blas_threads(golden, openblas_threads):
     """Datasets hash the same with a multithreaded OpenBLAS as with one thread."""
-    controls = _openblas_thread_controls()
-    if controls is None:
-        pytest.skip("numpy's bundled OpenBLAS thread controls are not available")
-    get_threads, set_threads = controls
+    get_threads, set_threads = openblas_threads
     previous = get_threads()
     set_threads(2)
     try:

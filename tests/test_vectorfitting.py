@@ -227,6 +227,13 @@ class TestBatchedPassivityKernel:
         assert scattering_margins(np.empty((0, 2, 2))).size == 0
         assert immittance_margins(np.empty((0, 2, 2))).size == 0
 
+    def test_non_finite_response_raises_instead_of_a_nan_margin(self):
+        # a NaN margin compares False, so it would hide a violation
+        response = np.ones((3, 2, 2), dtype=complex)
+        response[1, 0, 1] = np.inf
+        with pytest.raises(np.linalg.LinAlgError, match="1 of 3 matrices hold non-finite"):
+            scattering_margins(response)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             scattering_margins(np.ones((2, 2)))
