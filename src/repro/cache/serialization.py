@@ -6,11 +6,12 @@ must round-trip bitwise) plus a JSON-safe metadata dict (method, diagnostics,
 front-end metadata).  Both stores persist the same payload, so memory- and
 disk-cached fits are reconstructed by exactly the same code.
 
-The heavyweight intermediates -- the tangential data and the Loewner pencil
--- are deliberately *not* stored: they are derivable by re-running the fit,
-they dominate the result's footprint, and no downstream consumer of a cached
-fit (error metrics, tables, model export) reads them.  A reconstructed result
-therefore carries ``tangential=None`` / ``pencil=None``.
+The tangential data is deliberately *not* stored: it is derivable by
+re-running the fit, it dominates the result's footprint, and no downstream
+consumer of a cached fit (error metrics, tables, model export) reads it.  A
+reconstructed result therefore carries ``tangential=None``.  No result keeps
+its Loewner pencil; ``build_loewner_pencil(result.tangential)`` rebuilds it
+from a fresh fit.
 
 Not every result is serializable (front-ends may attach arbitrary metadata);
 :exc:`UncacheableResultError` signals "skip caching this one", never a user
@@ -41,7 +42,10 @@ __all__ = [
 #: sweep errors moved at round-off -- v3 entries must not replay them.
 #: v5: error norms come from the spectral-norm kernel instead of a stacked
 #: SVD, so memoized sweep errors moved at round-off again.
-PAYLOAD_SCHEMA_VERSION = 5
+#: v6: the real transform is applied pair by pair and the two-sided SVDs run
+#: on triangular QR factors, so fitted models moved at round-off -- v5
+#: entries must not replay as if they were fresh fits.
+PAYLOAD_SCHEMA_VERSION = 6
 
 
 class UncacheableResultError(TypeError):
@@ -207,7 +211,6 @@ def payload_to_result(
         method=meta["method"],
         realization=realization,
         tangential=None,
-        pencil=None,
         n_samples_used=int(meta["n_samples_used"]),
         elapsed_seconds=float(meta["elapsed_seconds"]),
         metadata=metadata,

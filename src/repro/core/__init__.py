@@ -50,7 +50,6 @@ from repro.core.mfti import mfti
 from repro.core.options import InterpolationOptions, MftiOptions, RecursiveOptions, VftiOptions
 from repro.core.realization import (
     direct_realization,
-    real_transform_matrix,
     svd_realization,
     to_real_data,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "sylvester_residuals",
     "direct_realization",
     "svd_realization",
-    "real_transform_matrix",
     "to_real_data",
     "minimal_sample_count",
     "recommend_sample_count",

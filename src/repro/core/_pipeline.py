@@ -178,7 +178,9 @@ def realize_from_tangential(
         LoewnerPencil` for ``tangential``.  The recursive front-end passes
         the incrementally grown pencil here (which is bitwise identical to
         the from-scratch build, so the realization is unaffected); by
-        default the pencil is assembled from ``tangential``.
+        default the pencil is assembled from ``tangential``.  The result
+        does not keep the pencil: ``build_loewner_pencil(result.tangential)``
+        rebuilds it on demand.
     """
     if complex_pencil is None:
         complex_pencil = build_loewner_pencil(tangential)
@@ -201,7 +203,6 @@ def realize_from_tangential(
         method=method,
         realization=diagnostics,
         tangential=tangential,
-        pencil=pencil,
         n_samples_used=int(n_samples_used),
         metadata=info,
     )

@@ -52,8 +52,9 @@ def mfti(
     Returns
     -------
     MacromodelResult
-        The recovered model plus the tangential data, pencil and
-        realization diagnostics.
+        The recovered model plus the tangential data and realization
+        diagnostics.  The Loewner pencil is not kept:
+        ``build_loewner_pencil(result.tangential)`` rebuilds it.
 
     Examples
     --------

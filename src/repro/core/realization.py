@@ -5,9 +5,10 @@ Three ingredients of the paper's Section 3.3-3.4 live here:
 * :func:`direct_realization` -- Lemma 3.1: when the pencil is square and
   ``x L - sL`` is invertible at every sample point, the raw quintuple
   ``(E, A, B, C, D) = (-L, -sL, V, W, 0)`` already interpolates the data.
-* :func:`real_transform_matrix` / :func:`to_real_data` -- Lemma 3.2: a block
-  unitary congruence that maps the complex, conjugate-structured Loewner
-  quantities to real matrices (so the final model has real coefficients).
+* :func:`to_real_data` -- Lemma 3.2: a block unitary congruence that maps the
+  complex, conjugate-structured Loewner quantities to real matrices (so the
+  final model has real coefficients).  Each transform block mixes only the two
+  halves of one conjugate pair, so it is applied pair by pair in O(k^2).
 * :func:`svd_realization` -- Lemmas 3.3-3.4: when the data oversamples the
   underlying system the pencil is singular, and the regular part is extracted
   by a rank-revealing SVD followed by a two-sided projection.
@@ -16,9 +17,12 @@ Two SVD flavours are provided:
 
 * ``mode="pencil"`` follows the paper literally: one SVD of ``x0*L - sL`` with
   ``x0`` a sample point (complex in general),
-* ``mode="two-sided"`` uses the SVDs of ``[L, sL]`` (rows) and ``[L; sL]``
-  (columns), the standard choice for noisy/redundant data in the Loewner
-  literature; with real-transformed data it keeps every factor real.
+* ``mode="two-sided"`` uses the singular values and vectors of ``[L, sL]``
+  (rows) and ``[L; sL]`` (columns), the standard choice for noisy/redundant
+  data in the Loewner literature; with real-transformed data it keeps every
+  factor real.  Both SVDs run on the ``k x k`` triangular QR factors of the
+  ``2k``-wide matrices, which have the same singular values and, as right
+  singular vectors, the ones the projection reads.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from repro.utils.linalg import (
 
 __all__ = [
     "direct_realization",
-    "real_transform_matrix",
     "to_real_data",
     "svd_realization",
     "RealizationDiagnostics",
@@ -55,7 +58,8 @@ class RealizationDiagnostics:
         Order of the realized model (rank kept in the truncation).
     singular_values:
         Singular values of the matrix whose SVD drove the projection
-        (``x0*L - sL`` in pencil mode, ``[L, sL]`` in two-sided mode).
+        (``x0*L - sL`` in pencil mode, ``[L, sL]`` in two-sided mode, taken
+        from its triangular QR factor).
     x0:
         The shift used in pencil mode (``None`` in two-sided mode).
     mode:
@@ -102,31 +106,48 @@ def direct_realization(pencil: LoewnerPencil) -> DescriptorSystem:
     )
 
 
-def real_transform_matrix(block_sizes: tuple[int, ...]) -> np.ndarray:
-    """The block unitary ``T`` of Lemma 3.2 for conjugate-paired blocks.
+def _pair_halves(block_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the ``+j omega`` and ``-j omega`` halves of every conjugate pair.
 
     ``block_sizes`` lists the tangential block sizes in order; they must come
     in adjacent pairs of equal size (one block at ``+j omega``, one at
-    ``-j omega``).  For each pair of size ``t`` the transform contributes the
-    ``2t x 2t`` block ``(1/sqrt(2)) [[I, -jI], [I, jI]]``.
+    ``-j omega``).  Entry ``i`` of the two returned arrays names the two rows
+    (or columns) that one ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block of the
+    Lemma 3.2 transform mixes.
     """
-    sizes = tuple(int(t) for t in block_sizes)
-    if len(sizes) % 2 != 0:
+    sizes = np.asarray(block_sizes, dtype=int)
+    if sizes.size % 2 != 0:
         raise ValueError("block sizes must come in conjugate pairs (even count)")
-    transform = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
-    pair_blocks: dict[int, np.ndarray] = {}  # built once per distinct size
-    start = 0
-    for pair, (t_plus, t_minus) in enumerate(zip(sizes[0::2], sizes[1::2])):
-        if t_plus != t_minus:
-            raise ValueError(
-                f"conjugate pair {pair} has mismatched block sizes ({t_plus}, {t_minus})"
-            )
-        if t_plus not in pair_blocks:
-            eye = np.eye(t_plus)
-            pair_blocks[t_plus] = np.block([[eye, -1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0)
-        transform[start : start + 2 * t_plus, start : start + 2 * t_plus] = pair_blocks[t_plus]
-        start += 2 * t_plus
-    return transform
+    t_plus, t_minus = sizes[0::2], sizes[1::2]
+    mismatched = np.flatnonzero(t_plus != t_minus)
+    if mismatched.size:
+        pair = int(mismatched[0])
+        raise ValueError(
+            f"conjugate pair {pair} has mismatched block sizes "
+            f"({t_plus[pair]}, {t_minus[pair]})"
+        )
+    pair_starts = np.cumsum(2 * t_plus) - 2 * t_plus
+    within = np.arange(t_plus.sum()) - np.repeat(np.cumsum(t_plus) - t_plus, t_plus)
+    plus = np.repeat(pair_starts, t_plus) + within
+    return plus, plus + np.repeat(t_plus, t_plus)
+
+
+def _mix_rows(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """``sqrt(2) T* M``: rows ``a + b`` and ``j (a - b)`` of every pair's halves."""
+    a, b = matrix[plus], matrix[minus]
+    mixed = np.empty(matrix.shape, dtype=complex)
+    mixed[plus] = a + b
+    mixed[minus] = 1j * (a - b)
+    return mixed
+
+
+def _mix_columns(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """``sqrt(2) M T``: columns ``a + b`` and ``j (b - a)`` of every pair's halves."""
+    a, b = matrix[:, plus], matrix[:, minus]
+    mixed = np.empty(matrix.shape, dtype=complex)
+    mixed[:, plus] = a + b
+    mixed[:, minus] = 1j * (b - a)
+    return mixed
 
 
 def to_real_data(pencil: LoewnerPencil, *, imaginary_tolerance: float = 1e-6) -> LoewnerPencil:
@@ -137,39 +158,46 @@ def to_real_data(pencil: LoewnerPencil, *, imaginary_tolerance: float = 1e-6) ->
     ``L -> T_l* L T_r``,  ``sL -> T_l* sL T_r``,  ``V -> T_l* V``,  ``W -> W T_r``
 
     where ``T_l`` / ``T_r`` are the block unitaries built from the left/right
-    block structure.  The result is verified to be real up to
-    ``imaginary_tolerance`` (relative) and the imaginary round-off is dropped.
+    block structure.  Every block of ``T`` mixes only the two halves of one
+    conjugate pair, so the products are formed pair by pair in O(k^2) without
+    building ``T``: the unnormalised row and column combinations are scaled
+    by exactly ``0.5`` (``L``, ``sL``) or ``sqrt(0.5)`` (``V``, ``W``).  The
+    result is verified to be real up to ``imaginary_tolerance`` (relative)
+    and the imaginary round-off is dropped.
 
     Raises
     ------
     ValueError
-        If the transformed matrices are not numerically real -- which happens
-        when the input data lacked conjugate symmetry (e.g. conjugate blocks
-        were not included, or the data itself violates ``H(-jw) = conj(H(jw))``).
+        If the block sizes do not come in adjacent conjugate pairs of equal
+        size, or if the transformed matrices are not numerically real --
+        which happens when the input data lacked conjugate symmetry (e.g.
+        conjugate blocks were not included, or the data itself violates
+        ``H(-jw) = conj(H(jw))``).
     """
     if pencil.is_real:
         return pencil
-    t_right = real_transform_matrix(pencil.right_block_sizes)
-    t_left = real_transform_matrix(pencil.left_block_sizes)
-    tl_h = t_left.conj().T
+    columns = _pair_halves(pencil.right_block_sizes)
+    rows = _pair_halves(pencil.left_block_sizes)
 
     transformed = {
-        "loewner": tl_h @ pencil.loewner @ t_right,
-        "shifted_loewner": tl_h @ pencil.shifted_loewner @ t_right,
-        "V": tl_h @ pencil.V,
-        "W": pencil.W @ t_right,
+        "loewner": (_mix_columns(_mix_rows(pencil.loewner, *rows), *columns), 0.5),
+        "shifted_loewner": (
+            _mix_columns(_mix_rows(pencil.shifted_loewner, *rows), *columns), 0.5,
+        ),
+        "V": (_mix_rows(pencil.V, *rows), np.sqrt(0.5)),
+        "W": (_mix_columns(pencil.W, *columns), np.sqrt(0.5)),
     }
     reals = {}
-    for name, matrix in transformed.items():
+    for name, (matrix, factor) in transformed.items():
         scale = np.max(np.abs(matrix)) if matrix.size else 0.0
         imag = np.max(np.abs(matrix.imag)) if matrix.size else 0.0
         if scale > 0 and imag > imaginary_tolerance * scale:
             raise ValueError(
                 f"real transform left a significant imaginary part in {name} "
-                f"({imag:.2e} vs scale {scale:.2e}); the tangential data is not "
-                "conjugate-symmetric"
+                f"({imag * factor:.2e} vs scale {scale * factor:.2e}); the tangential "
+                "data is not conjugate-symmetric"
             )
-        reals[name] = matrix.real
+        reals[name] = matrix.real * factor
     return LoewnerPencil(
         loewner=reals["loewner"],
         shifted_loewner=reals["shifted_loewner"],
@@ -233,7 +261,11 @@ def svd_realization(
         paper reports in Fig. 1) or ``"tolerance"``.
     mode:
         ``"pencil"`` (single SVD of ``x0*L - sL``, the paper's Algorithm 1
-        step 5) or ``"two-sided"`` (SVDs of ``[L, sL]`` and ``[L; sL]``).
+        step 5) or ``"two-sided"`` (SVDs of ``[L, sL]`` and ``[L; sL]``, run
+        on their triangular QR factors ``R_row`` and ``R_col``, where
+        ``[L, sL]* = Q R_row`` and ``[L; sL] = Q R_col``: the right singular
+        vectors of ``R_row`` are the conjugated left ones of ``[L, sL]``,
+        those of ``R_col`` the right ones of ``[L; sL]``).
     x0:
         Shift for pencil mode; defaults to the first right sample point.
 
@@ -256,16 +288,20 @@ def svd_realization(
         diag_sv = s
         used_x0: Optional[complex] = shift
     else:
-        row_matrix = pencil.augmented_row_matrix()
-        col_matrix = pencil.augmented_column_matrix()
-        y_full, s_row, _ = economic_svd(row_matrix)
-        _, s_col, xh_full = economic_svd(col_matrix)
+        # [L, sL] = R_row* Q_row* and [L; sL] = Q_col R_col with orthonormal
+        # Q columns: the triangular factors have the singular values, and as
+        # right singular vectors the ones the projection reads (conjugated for
+        # the rows), without the 2k-long vectors nobody reads
+        row_factor = np.linalg.qr(pencil.augmented_row_matrix().conj().T, mode="r")
+        col_factor = np.linalg.qr(pencil.augmented_column_matrix(), mode="r")
+        _, s_row, yh_full = economic_svd(row_factor)
+        _, s_col, xh_full = economic_svd(col_factor)
         limit = min(s_row.size, s_col.size)
         rank_row = _determine_order(s_row[:limit], order, rank_tolerance, rank_method)
         rank_col = _determine_order(s_col[:limit], order, rank_tolerance, rank_method)
         rank = min(rank_row, rank_col) if order is None else int(order)
         rank = min(rank, limit)
-        y = y_full[:, :rank]
+        y = yh_full[:rank, :].conj().T
         x = xh_full[:rank, :].conj().T
         diag_sv = s_row
         used_x0 = None

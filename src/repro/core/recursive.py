@@ -194,7 +194,6 @@ def recursive_mfti(
         method="mfti-recursive",
         realization=result.realization,
         tangential=result.tangential,
-        pencil=result.pencil,
         n_samples_used=len(selected),
         metadata=metadata,
     )

@@ -7,7 +7,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.loewner import LoewnerPencil
 from repro.core.realization import RealizationDiagnostics
 from repro.core.tangential import TangentialData
 from repro.data.dataset import FrequencyData
@@ -31,10 +30,10 @@ class MacromodelResult:
         SVD diagnostics of the final projection (``None`` for vector fitting).
     tangential:
         The tangential data the model was built from (``None`` for vector
-        fitting).
-    pencil:
-        The Loewner pencil (possibly real-transformed) used in the final
-        realization.
+        fitting and for fits replayed from a cache).  The result keeps no
+        Loewner pencil; ``build_loewner_pencil(result.tangential)`` rebuilds
+        the complex one, and :func:`~repro.core.realization.to_real_data`
+        its real transform.
     n_samples_used:
         How many sampled matrices contributed to the model (relevant for the
         recursive algorithm, which may stop before using every sample).
@@ -50,7 +49,6 @@ class MacromodelResult:
     method: str
     realization: Optional[RealizationDiagnostics] = None
     tangential: Optional[TangentialData] = None
-    pencil: Optional[LoewnerPencil] = None
     n_samples_used: int = 0
     elapsed_seconds: float = 0.0
     metadata: dict[str, Any] = field(default_factory=dict)

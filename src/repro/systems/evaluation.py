@@ -66,6 +66,7 @@ __all__ = [
     "FAST_PATH_MIN_POINTS",
     "PLAN_GUARD_TOLERANCE",
     "SINGULAR_DENOMINATOR_RTOL",
+    "SOLVE_BUFFER_BYTES",
     "SOLVE_CHUNK",
 ]
 
@@ -77,9 +78,14 @@ FAST_PATH_MIN_POINTS = 8
 #: achieve before the fast path is trusted for a system.
 PLAN_GUARD_TOLERANCE = 1e-7
 
-#: Points per stacked ``np.linalg.solve`` call; bounds the transient
-#: ``(chunk, n, n)`` pencil array to a cache-friendly size.
+#: Most points per stacked ``np.linalg.solve`` call.
 SOLVE_CHUNK = 64
+
+#: Byte budget of one call's transient ``(chunk, n, n)`` pencil buffer: a
+#: system too large for ``SOLVE_CHUNK`` pencils in it solves fewer points per
+#: call (at least one).  Each point still gets its own LAPACK ``gesv``, so the
+#: results do not depend on the chunk.
+SOLVE_BUFFER_BYTES = 8 * 2**20
 
 #: Relative cancellation threshold below which a Cauchy-weight denominator
 #: ``(s - sigma) lambda - 1`` marks the pencil (near-)singular at a point.
@@ -122,19 +128,21 @@ def evaluate_pointwise(E, A, B, C, D, points) -> np.ndarray:
     return out
 
 
-def _evaluate_solve(E, A, B, C, D, pts: np.ndarray, *, chunk: int = SOLVE_CHUNK) -> np.ndarray:
+def _evaluate_solve(E, A, B, C, D, pts: np.ndarray) -> np.ndarray:
     """Batched stacked-pencil solves; bitwise identical to the per-point loop.
 
     Every chunk's pencils ``s E - A`` are assembled in one reused buffer
     (multiply into it, subtract ``A`` in place): the same elementwise
     operations as ``s * E - A``, without two fresh ``(chunk, n, n)``
-    temporaries per chunk.
+    temporaries per chunk.  The chunk keeps that buffer within
+    ``SOLVE_BUFFER_BYTES``.
     """
     solve = get_backend().solve
     b = B.astype(complex)
     out = np.empty((pts.size, C.shape[0], B.shape[1]), dtype=complex)
-    buffer = np.empty((min(chunk, pts.size),) + A.shape,
-                      dtype=np.result_type(pts, E, A))
+    dtype = np.result_type(pts, E, A)
+    chunk = min(SOLVE_CHUNK, max(1, SOLVE_BUFFER_BYTES // (max(A.size, 1) * dtype.itemsize)))
+    buffer = np.empty((min(chunk, pts.size),) + A.shape, dtype=dtype)
     for lo in range(0, pts.size, chunk):
         block = pts[lo : lo + chunk]
         n_block = block.shape[0]

@@ -6,7 +6,9 @@ the operations are elementwise), and ``benchmarks/bench_fit_pipeline.py`` /
 ``bench_passivity.py`` time the kernel against it.  Nothing in ``src/``
 imports this module.  The stacked-``lstsq`` fast-VF solver
 (:func:`repro.core.assembly.vf_scaling_solve_reference`) is not here: it is
-the compact solver's runtime fallback.
+the compact solver's runtime fallback.  Two oracles do the work the
+realization skips instead of looping: the dense Lemma 3.2 transform and the
+two-sided SVDs of the full ``2k``-wide matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.assembly import REAL_POLE_TOLERANCE
-from repro.utils.linalg import block_diag, realify
+from repro.core.realization import _determine_order
+from repro.systems.statespace import DescriptorSystem
+from repro.utils.linalg import block_diag, economic_svd, realify
 from repro.vectorfitting.passivity import PassivityViolation, _validated_sweep
 
 __all__ = [
@@ -24,6 +28,7 @@ __all__ = [
     "vf_scaling_blocks_reference",
     "passivity_violations_reference",
     "real_transform_matrix_reference",
+    "two_sided_realization_reference",
 ]
 
 
@@ -171,10 +176,12 @@ def passivity_violations_reference(
 
 
 def real_transform_matrix_reference(block_sizes) -> np.ndarray:
-    """Per-pair oracle for :func:`~repro.core.realization.real_transform_matrix`.
+    """Dense oracle for the Lemma 3.2 transform ``T`` of conjugate-paired blocks.
 
-    Builds the ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block afresh for every
-    conjugate pair and stacks the blocks with :func:`block_diag`.
+    :func:`~repro.core.realization.to_real_data` applies ``T`` pair by pair
+    without forming it; this builds the ``(1/sqrt(2)) [[I, -jI], [I, jI]]``
+    block afresh for every conjugate pair and stacks the blocks with
+    :func:`block_diag`, so ``T_l* L T_r`` can be formed densely.
     """
     sizes = tuple(int(t) for t in block_sizes)
     blocks = []
@@ -182,3 +189,36 @@ def real_transform_matrix_reference(block_sizes) -> np.ndarray:
         eye = np.eye(sizes[i])
         blocks.append(np.block([[eye, -1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0))
     return block_diag(blocks)
+
+
+def two_sided_realization_reference(
+    pencil,
+    *,
+    order=None,
+    rank_tolerance: float = 1e-9,
+    rank_method: str = "gap",
+):
+    """Uncompressed oracle for the two-sided
+    :func:`~repro.core.realization.svd_realization`.
+
+    Runs :func:`economic_svd` on the full ``[L, sL]`` and ``[L; sL]``, with
+    their ``2k``-long singular vectors, instead of on their triangular QR
+    factors, then truncates and projects the same way.  Returns the model
+    and the singular values of ``[L, sL]``.
+    """
+    y_full, s_row, _ = economic_svd(pencil.augmented_row_matrix())
+    _, s_col, xh_full = economic_svd(pencil.augmented_column_matrix())
+    limit = min(s_row.size, s_col.size)
+    rank_row = _determine_order(s_row[:limit], order, rank_tolerance, rank_method)
+    rank_col = _determine_order(s_col[:limit], order, rank_tolerance, rank_method)
+    rank = min(rank_row, rank_col, limit)
+    yh = y_full[:, :rank].conj().T
+    x = xh_full[:rank, :].conj().T
+    system = DescriptorSystem(
+        -yh @ pencil.loewner @ x,
+        -yh @ pencil.shifted_loewner @ x,
+        yh @ pencil.V,
+        pencil.W @ x,
+        np.zeros((pencil.n_outputs, pencil.n_inputs)),
+    )
+    return system, s_row

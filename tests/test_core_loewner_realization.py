@@ -1,5 +1,7 @@
 """Tests for the Loewner pencil assembly and the realization lemmas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from repro.core import run_fit
 from repro.core.directions import identity_directions
 from repro.core.loewner import build_loewner_pencil, sylvester_residuals
 from repro.core.realization import (
+    _mix_columns,
+    _mix_rows,
+    _pair_halves,
     direct_realization,
-    real_transform_matrix,
     svd_realization,
     to_real_data,
 )
@@ -17,7 +21,7 @@ from repro.data import sample_scattering
 from repro.data.frequency import log_frequencies
 from repro.systems.random_systems import random_stable_system
 
-from oracles import real_transform_matrix_reference
+from oracles import real_transform_matrix_reference, two_sided_realization_reference
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +35,52 @@ def setup():
     )
     pencil = build_loewner_pencil(tangential)
     return system, data, tangential, pencil
+
+
+@pytest.fixture(scope="module")
+def oversampled_pencils(setup):
+    """Full-block pencils of 12 samples of the order-17 setup system (with
+    ``rank(D)``): square, ``k_right > k_left`` and ``k_left > k_right``."""
+    system = setup[0]
+    data = sample_scattering(system, log_frequencies(1e2, 1e5, 12))
+    layouts = {  # (right samples, left samples)
+        "square": ([0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11]),
+        "wide": ([0, 2, 4, 6, 8, 9, 10, 11], [1, 3, 5, 7]),
+        "tall": ([0, 2, 4, 6], [1, 3, 5, 7, 8, 9, 10, 11]),
+    }
+    pencils = {}
+    for shape, (right, left) in layouts.items():
+        tangential = build_tangential_data(
+            data, right_directions=[np.eye(3)] * len(right),
+            left_directions=[np.eye(3)] * len(left),
+            right_indices=right, left_indices=left,
+        )
+        pencils[shape] = build_loewner_pencil(tangential)
+    return pencils
+
+
+def _mixed_block_pencil(data, right_sizes, left_sizes, seed=0):
+    """Complex pencil with one random direction block per size, conjugates included.
+
+    Right samples come first in ``data``, left samples after them, so the two
+    point sets are disjoint for any pair of size lists.
+    """
+    rng = np.random.default_rng(seed)
+    n_ports = data.n_ports
+
+    def directions(sizes):
+        return [rng.normal(size=(n_ports, t)) + 1j * rng.normal(size=(n_ports, t))
+                for t in sizes]
+
+    n_right = len(right_sizes)
+    tangential = build_tangential_data(
+        data,
+        right_directions=directions(right_sizes),
+        left_directions=directions(left_sizes),
+        right_indices=list(range(n_right)),
+        left_indices=list(range(n_right, n_right + len(left_sizes))),
+    )
+    return build_loewner_pencil(tangential)
 
 
 class TestLoewnerPencil:
@@ -72,25 +122,75 @@ class TestLoewnerPencil:
 
 class TestRealTransform:
     def test_transform_matrix_is_unitary(self):
-        t = real_transform_matrix((2, 2, 1, 1))
+        """The pair mixing scaled by ``1/sqrt(2)`` is the unitary ``T`` of Lemma 3.2."""
+        t = _mix_columns(np.eye(6), *_pair_halves((2, 2, 1, 1))) / np.sqrt(2.0)
         assert t.shape == (6, 6)
         assert np.allclose(t.conj().T @ t, np.eye(6), atol=1e-12)
 
     def test_transform_matrix_validation(self):
-        with pytest.raises(ValueError):
-            real_transform_matrix((2, 1))
-        with pytest.raises(ValueError):
-            real_transform_matrix((2, 2, 1))
+        with pytest.raises(ValueError,
+                           match=r"conjugate pair 0 has mismatched block sizes \(2, 1\)"):
+            _pair_halves((2, 1))
+        with pytest.raises(ValueError, match=r"conjugate pairs \(even count\)"):
+            _pair_halves((2, 2, 1))
         with pytest.raises(ValueError,
                            match=r"conjugate pair 2 has mismatched block sizes \(3, 2\)"):
-            real_transform_matrix((2, 2, 1, 1, 3, 2))
+            _pair_halves((2, 2, 1, 1, 3, 2))
+
+    def test_to_real_data_validates_block_pairs(self, setup):
+        _, _, _, pencil = setup
+        odd = dataclasses.replace(pencil, right_block_sizes=pencil.right_block_sizes[:-1])
+        with pytest.raises(ValueError, match=r"conjugate pairs \(even count\)"):
+            to_real_data(odd)
+        sizes = pencil.left_block_sizes
+        mismatched = dataclasses.replace(
+            pencil, left_block_sizes=(sizes[0] - 1, sizes[1] + 1) + sizes[2:])
+        with pytest.raises(ValueError, match="conjugate pair 0 has mismatched block sizes"):
+            to_real_data(mismatched)
 
     @pytest.mark.parametrize("sizes", [(3, 3, 1, 1, 2, 2, 1, 1), (1, 1), (2, 2, 2, 2, 4, 4)])
     def test_transform_matrix_equals_per_pair_oracle_bitwise(self, sizes):
-        got = real_transform_matrix(sizes)
+        """Mixing the identity's rows and columns pair by pair gives the dense
+        oracle's ``T*`` and ``T`` entry for entry (signed zeros aside)."""
+        halves = _pair_halves(sizes)
+        eye = np.eye(sum(sizes))
         want = real_transform_matrix_reference(sizes)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(_mix_columns(eye, *halves) / np.sqrt(2.0), want)
+        assert np.array_equal(_mix_rows(eye, *halves) / np.sqrt(2.0), want.conj().T)
+
+    @pytest.mark.parametrize("right_sizes,left_sizes", [
+        ((1, 2, 3), (3, 2, 1)),     # square, mixed block sizes
+        ((1, 2, 3, 2), (3, 1)),     # k_right > k_left
+        ((2,), (1, 3, 3, 2)),       # k_left > k_right
+    ])
+    def test_to_real_data_matches_dense_oracle(self, setup, right_sizes, left_sizes):
+        """``T_l* L T_r``, ``T_l* sL T_r``, ``T_l* V`` and ``W T_r`` formed with the
+        dense oracle ``T`` agree to 1e-14 relative (Frobenius)."""
+        _, data, _, _ = setup
+        pencil = _mixed_block_pencil(data, right_sizes, left_sizes)
+        real_pencil = to_real_data(pencil)
+        t_left = real_transform_matrix_reference(pencil.left_block_sizes)
+        t_right = real_transform_matrix_reference(pencil.right_block_sizes)
+        tl_h = t_left.conj().T
+        expected = {
+            "loewner": tl_h @ pencil.loewner @ t_right,
+            "shifted_loewner": tl_h @ pencil.shifted_loewner @ t_right,
+            "V": tl_h @ pencil.V,
+            "W": pencil.W @ t_right,
+        }
+        for name, want in expected.items():
+            got = getattr(real_pencil, name)
+            assert got.dtype == np.float64, name
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), name
+
+    def test_real_transform_rejects_broken_conjugate_symmetry(self, setup):
+        """One entry moved off its conjugate partner leaves an imaginary part."""
+        _, data, _, _ = setup
+        pencil = _mixed_block_pencil(data, (1, 2, 3), (3, 2, 1))
+        shifted = pencil.shifted_loewner.copy()
+        shifted[0, 0] += 1e-3j * np.max(np.abs(shifted))
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            to_real_data(dataclasses.replace(pencil, shifted_loewner=shifted))
 
     def test_real_transform_produces_real_pencil(self, setup):
         _, _, _, pencil = setup
@@ -139,6 +239,31 @@ class TestRealizations:
         err = np.linalg.norm(response - reference) / np.linalg.norm(reference)
         assert err < 1e-8
         assert model.is_real
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+    @pytest.mark.parametrize("rank_method,order", [
+        ("gap", None), ("tolerance", None), ("gap", 10),
+    ])
+    def test_two_sided_matches_uncompressed_oracle(self, oversampled_pencils, shape, real,
+                                                   rank_method, order):
+        """The SVDs of the QR factors give what the SVDs of the full ``[L, sL]``
+        and ``[L; sL]`` give: singular values, order and transfer function."""
+        pencil = oversampled_pencils[shape]
+        if real:
+            pencil = to_real_data(pencil)
+        model, diag = svd_realization(pencil, order=order, rank_method=rank_method)
+        reference, s_ref = two_sided_realization_reference(
+            pencil, order=order, rank_method=rank_method)
+        assert diag.singular_values.shape == s_ref.shape
+        assert np.max(np.abs(diag.singular_values - s_ref)) <= 1e-12 * s_ref[0]
+        assert diag.order == model.order == reference.order == (order or 17)
+        assert model.is_real == real
+        points = pencil.sample_points
+        got = model.evaluate_many(points, method="pointwise")
+        want = reference.evaluate_many(points, method="pointwise")
+        rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert np.max(rel) <= 1e-9
 
     def test_pencil_mode_realization(self, setup):
         system, _, _, pencil = setup

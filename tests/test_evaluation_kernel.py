@@ -24,6 +24,7 @@ per-point evaluation loops, so its contract is locked from three sides:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -33,11 +34,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import backends
 from repro.circuits.pdn import PdnConfiguration, power_distribution_network
 from repro.metrics.errors import relative_error_per_frequency
 from repro.systems import DescriptorSystem, StateSpace, random_stable_system
 from repro.systems.evaluation import (
     FAST_PATH_MIN_POINTS,
+    SOLVE_BUFFER_BYTES,
     SOLVE_CHUNK,
     build_evaluation_plan,
     evaluate_cauchy,
@@ -53,6 +56,11 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_eval.jso
 EQUIVALENCE_RTOL = 1e-10
 
 METHODS = ("solve", "auto", "pointwise")
+
+#: An order whose complex ``(chunk, n, n)`` pencil buffer the byte budget
+#: caps below ``SOLVE_CHUNK`` points, and the chunk it gets.
+BUDGET_ORDER = 120
+BUDGET_CHUNK = SOLVE_BUFFER_BYTES // (BUDGET_ORDER**2 * np.dtype(complex).itemsize)
 
 
 # --------------------------------------------------------------------------- #
@@ -159,9 +167,11 @@ class TestGoldenEquivalence:
        n_points=st.integers(min_value=1, max_value=3 * SOLVE_CHUNK),
        complex_a=st.booleans())
 # the stacked solve's pencil buffer reused over full chunks and a partial
-# last one, for a real and a complex system
+# last one, for a real and a complex system, and with chunks the byte
+# budget cuts below SOLVE_CHUNK
 @example(order=12, n_ports=2, seed=0, n_points=2 * SOLVE_CHUNK + 22, complex_a=False)
 @example(order=12, n_ports=2, seed=0, n_points=2 * SOLVE_CHUNK + 22, complex_a=True)
+@example(order=BUDGET_ORDER, n_ports=2, seed=0, n_points=2 * BUDGET_CHUNK + 7, complex_a=False)
 def test_vectorized_matches_loop_property(order, n_ports, seed, n_points, complex_a):
     """solve == loop bitwise; auto (fast path) == loop to <= 1e-10 relative.
 
@@ -179,6 +189,24 @@ def test_vectorized_matches_loop_property(order, n_ports, seed, n_points, comple
     assert np.array_equal(system.evaluate_many(points, method="solve"), ref)
     fast = system.evaluate_many(points, method="auto")
     assert np.max(_per_point_relative(fast, ref)) <= EQUIVALENCE_RTOL
+
+
+def test_stacked_solve_chunk_is_bounded_by_bytes(monkeypatch):
+    """A pencil too large for SOLVE_CHUNK points per buffer solves fewer per call."""
+    assert 1 <= BUDGET_CHUNK < SOLVE_CHUNK
+    numpy_backend = backends.get_backend()
+    chunks = []
+
+    def counting_solve(a, b):
+        chunks.append(a.shape[0])
+        return numpy_backend.solve(a, b)
+
+    monkeypatch.setitem(backends._instances, "numpy",
+                        dataclasses.replace(numpy_backend, solve=counting_solve))
+    system = random_stable_system(order=BUDGET_ORDER, n_ports=2, feedthrough=0.05, seed=0)
+    points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, 2 * BUDGET_CHUNK + 7)
+    system.evaluate_many(points, method="solve")
+    assert chunks == [BUDGET_CHUNK, BUDGET_CHUNK, 7]
 
 
 @settings(max_examples=20, deadline=None)

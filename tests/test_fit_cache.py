@@ -129,6 +129,8 @@ class TestSerialization:
         fresh = run_fit(small_data, method=method, options=options)
         arrays, meta = result_to_payload(fresh)
         json.dumps(meta)  # metadata must be JSON-serializable as-is
+        # schema 6: fits realized pair by pair and through QR factors
+        assert meta["schema_version"] == PAYLOAD_SCHEMA_VERSION == 6
         # the model and its realization SVD; no Fig.-1 profiles (schema 3)
         assert set(arrays) == {"E", "A", "B", "C", "D", "realization_singular_values"}
         restored = payload_to_result(arrays, meta, options=options)
@@ -142,9 +144,9 @@ class TestSerialization:
         assert np.array_equal(restored.realization.singular_values,
                               fresh.realization.singular_values)
         # metadata round-trips with tuples/diagnostics intact; the heavy
-        # intermediates are dropped by design
+        # tangential data is dropped by design
         assert restored.metadata == fresh.metadata
-        assert restored.tangential is None and restored.pencil is None
+        assert restored.tangential is None
 
     def test_schema_mismatch_rejected(self, small_data):
         arrays, meta = result_to_payload(run_fit(small_data, method="mfti"))

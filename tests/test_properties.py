@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.directions import identity_directions, orthonormal_directions
 from repro.core.loewner import build_loewner_pencil, sylvester_residuals
-from repro.core.realization import real_transform_matrix, svd_realization, to_real_data
+from repro.core.realization import svd_realization, to_real_data
 from repro.core.sampling import minimal_sample_count
 from repro.core.tangential import build_tangential_data
 from repro.data import sample_scattering
@@ -171,12 +171,3 @@ class TestFrequencyDataProperties:
         assert np.allclose(decimated.samples[0], data.samples[0])
         subset = data.subset(range(data.n_samples))
         assert np.allclose(subset.samples, data.samples)
-
-
-def test_real_transform_matrix_unitary_property():
-    """T is unitary for every conjugate-pair block structure (exhaustive small cases)."""
-    for sizes in [(1, 1), (2, 2), (3, 3, 1, 1), (2, 2, 2, 2, 1, 1)]:
-        t = real_transform_matrix(sizes)
-        dim = sum(sizes)
-        assert t.shape == (dim, dim)
-        assert np.allclose(t.conj().T @ t, np.eye(dim), atol=1e-12)
