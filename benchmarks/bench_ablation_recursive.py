@@ -26,7 +26,7 @@ def pdn_workload():
 def test_ablation_recursive_parameters(benchmark, pdn_workload, reportable, json_reportable):
     """Sweep k0 in {4, 8, 16} and Th in {5e-2, 1e-2, 2e-3} on the noisy PDN data."""
     config, data, validation = pdn_workload
-    engine = BatchEngine.from_env()
+    engine = BatchEngine()
     rows = benchmark.pedantic(
         lambda: recursive_parameter_ablation(
             data, validation,

@@ -29,7 +29,7 @@ def example1_workload():
 def test_ablation_svd_modes(benchmark, example1_workload, reportable, json_reportable):
     """Compare two-sided projection against the pencil SVD with three shifts."""
     data, reference = example1_workload
-    engine = BatchEngine.from_env()
+    engine = BatchEngine()
     rows = benchmark.pedantic(
         lambda: svd_mode_ablation(data, reference, rank_tolerance=1e-9, engine=engine),
         rounds=1, iterations=1,

@@ -28,7 +28,7 @@ def test_ablation_block_size_sweep(benchmark, pdn_workload, reportable, json_rep
     """Sweep t in {1, 2, 3, 5, 8, 14} on the uniform-grid PDN data."""
     config, data, validation = pdn_workload
     sizes = [1, 2, 3, 5, 8, 14]
-    engine = BatchEngine.from_env()
+    engine = BatchEngine()
     rows = benchmark.pedantic(
         lambda: weighting_ablation(data, validation, block_sizes=sizes,
                                    rank_tolerance=config.rank_tolerance,

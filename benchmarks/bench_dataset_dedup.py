@@ -1,10 +1,10 @@
-"""Dataset-interning acceptance: shared datasets ship once, evaluate once.
+"""Shared-dataset acceptance: shared datasets ship once, evaluate once.
 
-The scenario the interning layer exists for, made measurable: a 24-job
-option sweep over *one* board -- every job fits the same noisy measurement
-against the same clean reference (same frequency grid).  Without interning
-each transport boundary ships 48 dataset copies and each job re-runs the
-reference SVD sweep; with it, two.
+The shape of every scenario grid, made measurable: a 24-job option sweep
+over *one* board -- every job fits the same noisy measurement against the
+same clean reference (same frequency grid).  Shipped per job, each transport
+boundary would carry 48 dataset copies, and each job would re-run the
+reference SVD sweep; shared, two.
 
 Three exact gates, one timing gate:
 
@@ -22,10 +22,11 @@ Three exact gates, one timing gate:
 3. **Bitwise identity** -- ``comparable_json`` of the engine run and of the
    uncached ``run_job(..., responses=None)`` path must be string-equal: the
    cache may only ever return what the direct computation produces.
-4. **Chunk shipping** -- :class:`~repro.cache.JobTable` (what the process
-   executor pickles per chunk) against naively pickling the chunk with
-   per-job dataset copies (what per-job transports deliver): gated on
-   byte reduction (>= 10x) and on not being slower to round-trip.
+4. **Chunk shipping** -- the engine's own chunk, ``list(enumerate(jobs))``
+   pickled as the process executor ships it (pickle's memo stores each
+   shared dataset object once), against pickling the chunk with per-job
+   dataset copies (what per-job transports deliver): gated on byte
+   reduction (>= 10x) and on not being slower to round-trip.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.batch import (
     job_fingerprint,
     run_job,
 )
-from repro.cache import JobTable, dataset_fingerprint, system_fingerprint
+from repro.cache import dataset_fingerprint, system_fingerprint
 from repro.core.options import MftiOptions
 from repro.data import log_frequencies, sample_scattering
 from repro.data.noise import add_measurement_noise
@@ -86,7 +87,7 @@ def distinct_copy_chunk(jobs: list[FitJob]) -> list[tuple]:
     """The chunk as cross-process transports see it: per-job dataset copies.
 
     Pickle memoizes *object-identical* datasets, so the honest baseline for
-    the chunk codec is a chunk whose jobs hold equal-but-distinct copies --
+    the engine's chunk is a chunk whose jobs hold equal-but-distinct copies --
     what decoding one document per job would produce.
     """
     import numpy as np
@@ -104,7 +105,7 @@ def distinct_copy_chunk(jobs: list[FitJob]) -> list[tuple]:
 
 
 def round_trip_seconds(ship, rounds: int = 5) -> float:
-    """Best-of-N wall time of one ship() round trip (pack/dumps/loads/unpack)."""
+    """Best-of-N wall time of one ship() round trip (dumps + loads)."""
     best = float("inf")
     for _ in range(rounds):
         started = time.perf_counter()
@@ -160,24 +161,19 @@ def test_dataset_dedup_ships_once_evaluates_once(benchmark, job_grid,
                                       for index, job in enumerate(job_grid)))
     json_equal = comparable_json(result) == comparable_json(plain)
 
-    # -- chunk shipping: JobTable vs. naive per-copy pickle ---------------- #
+    # -- chunk shipping: the engine's chunk vs. per-copy pickle ------------ #
+    engine_chunk = list(enumerate(job_grid))
     chunk = distinct_copy_chunk(job_grid)
-    packed_bytes = JobTable.pack(chunk).payload_nbytes()
-    naive_blob = pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
-    naive_bytes = len(naive_blob)
-    chunk_bytes_reduction = naive_bytes / packed_bytes
+    engine_chunk_bytes = len(pickle.dumps(engine_chunk, protocol=pickle.HIGHEST_PROTOCOL))
+    naive_bytes = len(pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
+    chunk_bytes_reduction = naive_bytes / engine_chunk_bytes
 
-    def ship_packed():
-        table = pickle.loads(pickle.dumps(JobTable.pack(chunk),
-                                          protocol=pickle.HIGHEST_PROTOCOL))
-        return table.unpack()
+    def ship(items):
+        return pickle.loads(pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL))
 
-    def ship_naive():
-        return pickle.loads(pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
-
-    packed_seconds = round_trip_seconds(ship_packed)
-    naive_seconds = round_trip_seconds(ship_naive)
-    chunk_ship_speedup = naive_seconds / packed_seconds
+    engine_chunk_seconds = round_trip_seconds(lambda: ship(engine_chunk))
+    naive_seconds = round_trip_seconds(lambda: ship(chunk))
+    chunk_ship_speedup = naive_seconds / engine_chunk_seconds
 
     assert decoded_equal and json_equal
     assert (result.n_response_hits, result.n_response_misses) == \
@@ -188,7 +184,7 @@ def test_dataset_dedup_ships_once_evaluates_once(benchmark, job_grid,
                                    f"{n_unique_datasets} unique datasets"),
         f"wire bytes: per-job datasets={per_job_dataset_bytes} "
         f"batch document={wire_bytes} reduction={wire_reduction:.1f}x",
-        f"chunk bytes: naive={naive_bytes} packed={packed_bytes} "
+        f"chunk bytes: naive={naive_bytes} engine={engine_chunk_bytes} "
         f"reduction={chunk_bytes_reduction:.1f}x "
         f"ship speedup={chunk_ship_speedup:.1f}x",
         f"response cache: hits={result.n_response_hits} "
@@ -210,9 +206,9 @@ def test_dataset_dedup_ships_once_evaluates_once(benchmark, job_grid,
         "expected_response_hits": expected_hits,
         "expected_response_misses": expected_misses,
         "naive_chunk_bytes": naive_bytes,
-        "packed_chunk_bytes": packed_bytes,
+        "engine_chunk_bytes": engine_chunk_bytes,
         "chunk_bytes_reduction": chunk_bytes_reduction,
-        "packed_ship_seconds": packed_seconds,
+        "engine_chunk_ship_seconds": engine_chunk_seconds,
         "naive_ship_seconds": naive_seconds,
         "chunk_ship_speedup": chunk_ship_speedup,
         "jobs": [record.to_dict() for record in result.records],

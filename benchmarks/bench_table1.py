@@ -9,12 +9,11 @@ order, CPU time, relative error.
 
 The measured INC-board data of the paper is proprietary; the workload here is
 the synthetic PDN documented in ``DESIGN.md``.  The Loewner rows of both
-tests run as one :class:`~repro.batch.engine.BatchEngine` job grid (set
-``REPRO_BATCH_EXECUTOR=thread|process`` to run them pooled); the VF rows are
-timed individually because vector fitting is not a Loewner front-end.  The
-aggregated table (the reproduction of Table 1) is printed and written to
-``benchmarks/results/table1.txt`` plus ``BENCH_table1.json`` once all rows
-have run.
+tests run as one :class:`~repro.batch.engine.BatchEngine` job grid; the VF
+rows are timed individually because vector fitting is not a Loewner
+front-end.  The aggregated table (the reproduction of Table 1) is printed
+and written to ``benchmarks/results/table1.txt`` plus ``BENCH_table1.json``
+once all rows have run.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def test_table1_loewner_batch(benchmark, workloads):
         for job in loewner_table1_jobs(_CONFIG, test, workloads[test],
                                        workloads["validation"])
     ]
-    engine = BatchEngine.from_env()
+    engine = BatchEngine()
     batch = benchmark.pedantic(lambda: engine.run(jobs), rounds=1, iterations=1)
     assert batch.n_failed == 0, batch.failures
     for record in batch.records:

@@ -157,11 +157,6 @@ def run(results: str, baseline_dir: str, *, allow_missing: bool = False,
     if os.path.isdir(results):
         exports = {}
         for path in sorted(glob.glob(os.path.join(results, "BENCH_*.json"))):
-            # BENCH_summary.json (collect_summary.py) is an aggregate of the
-            # other exports, not a measurement: every value in it is already
-            # gated through the export it came from
-            if os.path.basename(path) == "BENCH_summary.json":
-                continue
             payload = load_json(path)
             exports[payload.get("benchmark", os.path.basename(path))] = (path, payload)
     else:

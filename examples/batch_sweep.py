@@ -44,8 +44,7 @@ def main() -> None:
 
     executor = "process" if (os.cpu_count() or 1) >= 2 else "serial"
     with tempfile.TemporaryDirectory(prefix="repro-fit-cache-") as cache_dir:
-        # a DiskStore-backed cache is shared across executors and re-runs;
-        # set REPRO_FIT_CACHE=off to switch caching off without code changes
+        # a DiskStore-backed cache is shared across executors and re-runs
         cache = FitCache.on_disk(cache_dir)
         engine = BatchEngine(executor=executor, max_workers=2, cache=cache)
         print(f"running {len(jobs)} jobs with the {engine.executor!r} executor "

@@ -6,9 +6,9 @@ an ill-conditioned (high-frequency-clustered) grid, and compares VFTI, MFTI-1
 (t = 2, 3) and the recursive MFTI-2 -- the Loewner rows of Table 1.  Set
 ``INCLUDE_VECTOR_FITTING = True`` to add the (slower) VF rows.
 
-All Loewner fits run as one grid through the batch engine; set
-``REPRO_BATCH_EXECUTOR=thread`` (or ``process``) to fit both tests' rows in
-parallel instead of serially.
+All Loewner fits run as one grid through the batch engine; build it as
+``BatchEngine(executor="thread")`` (or ``"process"``) in :func:`main` to fit
+both tests' rows in parallel instead of serially.
 
 Run with ``python examples/pdn_noisy_modeling.py`` (about half a minute).
 """
@@ -26,7 +26,7 @@ INCLUDE_VECTOR_FITTING = False
 
 def main() -> None:
     config = Example2Config()
-    engine = BatchEngine.from_env()
+    engine = BatchEngine()
     print("Example 2 workload: synthetic 14-port PDN, "
           f"{config.n_samples} samples per test over "
           f"[{config.f_min_hz:.0e}, {config.f_max_hz:.0e}] Hz, "

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 from repro.batch.jobs import FitJob, JobRecord, run_job
 from repro.batch.results import BatchResult
 from repro.cache.fitcache import FitCache
-from repro.cache.interning import DatasetPool, JobTable, ResponseCache
+from repro.cache.responses import ResponseCache
 from repro.cache.stores import MemoryStore
 
 __all__ = ["BatchEngine", "EXECUTORS", "contiguous_chunks"]
@@ -67,27 +67,22 @@ def _run_chunk(
 
 #: Per-worker state for the process executor, installed once per worker by
 #: :func:`_pool_initializer` instead of travelling with every chunk: the
-#: (stripped) fit cache, a worker-persistent
-#: :class:`~repro.cache.DatasetPool` (later chunks resolve dataset refs
-#: without reconstructing) and the worker's :class:`~repro.cache.ResponseCache`.
+#: (stripped) fit cache and the worker's :class:`~repro.cache.ResponseCache`.
 _WORKER_STATE: dict = {}
 
 
 def _pool_initializer(cache) -> None:
     """One-time process-worker setup (runs in the worker, once per worker)."""
     _WORKER_STATE["cache"] = cache
-    _WORKER_STATE["pool"] = DatasetPool()
     _WORKER_STATE["responses"] = ResponseCache()
 
 
-def _run_packed_chunk(table: JobTable) -> list[JobRecord]:
+def _run_worker_chunk(chunk: Sequence[tuple[int, FitJob]]) -> list[JobRecord]:
     """Worker-side entry point for the process executor.
 
-    The chunk arrives as a :class:`~repro.cache.JobTable` -- unique datasets
-    once, jobs as fingerprint refs -- and everything else comes from the
-    worker state installed by :func:`_pool_initializer`.
+    The chunk arrives as it was submitted; the caches come from the worker
+    state installed by :func:`_pool_initializer`.
     """
-    chunk = table.unpack(pool=_WORKER_STATE.get("pool"))
     return _run_chunk(chunk, _WORKER_STATE.get("cache"), _WORKER_STATE.get("responses"))
 
 
@@ -120,7 +115,11 @@ class BatchEngine:
     reference reuse one evaluation.  Values are bitwise-identical to the
     uncached ``run_job(..., responses=None)`` path; per-record hit/miss
     tallies land on the records.  Serial and thread executors share one
-    cache per :meth:`run`; each process worker holds its own.
+    cache per :meth:`run`; each process worker builds its own.
+
+    The process executor pickles each chunk of ``(index, FitJob)`` pairs as
+    it is.  Jobs that share a dataset object ship it once per chunk, through
+    pickle's memo, and arrive sharing one object again.
     """
 
     executor: str = "serial"
@@ -135,28 +134,6 @@ class BatchEngine:
             raise ValueError("max_workers must be >= 1 when given")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 when given")
-
-    @classmethod
-    def from_env(cls, default: str = "serial") -> "BatchEngine":
-        """Build an engine from ``REPRO_BATCH_EXECUTOR`` / ``_WORKERS`` / ``_CHUNK``.
-
-        Lets benchmarks and scripts switch executor without code changes, e.g.
-        ``REPRO_BATCH_EXECUTOR=process REPRO_BATCH_WORKERS=4 pytest benchmarks/``.
-        """
-        def int_env(name: str):
-            value = os.environ.get(name)
-            if not value:
-                return None
-            try:
-                return int(value)
-            except ValueError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-        return cls(
-            executor=os.environ.get("REPRO_BATCH_EXECUTOR", default),
-            max_workers=int_env("REPRO_BATCH_WORKERS"),
-            chunk_size=int_env("REPRO_BATCH_CHUNK"),
-        )
 
     @classmethod
     def from_config(cls, config: Optional[dict]) -> "BatchEngine":
@@ -290,17 +267,14 @@ class BatchEngine:
                 futures = [pool.submit(_run_chunk, chunk, cache, responses) for chunk in chunks]
                 chunk_records = [future.result() for future in futures]
         else:
-            # each chunk crosses the pipe as a JobTable (unique datasets
-            # once, jobs as fingerprint refs); cache and response cache
-            # install once per worker via the pool initializer instead of
-            # travelling with every chunk
-            tables = [JobTable.pack(chunk) for chunk in chunks]
+            # the fit cache and a response cache install once per worker via
+            # the pool initializer instead of travelling with every chunk
             with ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 initializer=_pool_initializer,
                 initargs=(cache,),
             ) as pool:
-                futures = [pool.submit(_run_packed_chunk, table) for table in tables]
+                futures = [pool.submit(_run_worker_chunk, chunk) for chunk in chunks]
                 chunk_records = [future.result() for future in futures]
         records = sorted(
             (record for chunk in chunk_records for record in chunk),

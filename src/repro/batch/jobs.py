@@ -30,7 +30,7 @@ from repro.cache.fingerprint import (
     dataset_fingerprint,
     options_fingerprint,
 )
-from repro.cache.interning import ResponseTally
+from repro.cache.responses import ResponseTally
 from repro.core._pipeline import frontend_spec, run_fit
 from repro.core.options import InterpolationOptions, canonical_token, options_from_items
 from repro.core.results import MacromodelResult
@@ -488,18 +488,19 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
         primed = False
 
         def model():
-            # Cached sweep values must be pure functions of (system
-            # fingerprint, grid fingerprint): a hit on the fit-grid sweep
-            # would otherwise leave this system's lazily-built evaluation
-            # plan to be seeded by whichever grid misses next, and the
-            # plan's shift depends on the seeding grid.  Pinning the plan
-            # to the fit grid -- what the first uncached sweep would have
-            # built -- keeps miss computations bitwise identical no matter
-            # which hits preceded them (or on which worker).  The pin waits
-            # for the first sweep that may compute, so a job whose every
-            # evaluation replays from the fit cache's memo builds no plan.
+            # Sweep values must be pure functions of (system fingerprint,
+            # grid fingerprint): a hit on the fit-grid sweep -- in the
+            # response cache or the fit cache's evaluation memo -- would
+            # otherwise leave this system's lazily-built evaluation plan to
+            # be seeded by whichever grid misses next, and the plan's shift
+            # depends on the seeding grid.  Pinning the plan to the fit grid
+            # -- what the first uncached sweep would have built -- keeps
+            # miss computations bitwise identical no matter which hits
+            # preceded them (or on which worker).  The pin waits for the
+            # first sweep that may compute, so a job whose every evaluation
+            # replays from the fit cache's memo builds no plan.
             nonlocal primed
-            if tally is not None and not primed:
+            if not primed:
                 result.system.prime_evaluation_plan(job.data.frequencies_hz)
                 primed = True
             return result.system

@@ -13,12 +13,10 @@ Pieces, bottom-up:
 * :mod:`repro.cache.serialization` -- result <-> (arrays + JSON) payloads,
 * :mod:`repro.cache.stores` -- :class:`MemoryStore` (bounded LRU) and
   :class:`DiskStore` (compressed NPZ + JSON sidecars, corruption-safe),
-* :mod:`repro.cache.fitcache` -- :class:`FitCache` (counters, env kill
-  switch) and :func:`fit_with_cache`, the single cached dispatch path,
-* :mod:`repro.cache.interning` -- content-addressed dataset interning
-  (:class:`DatasetPool`), the pickle-level :class:`JobTable` chunk codec
-  and the cross-job :class:`ResponseCache` keyed on (system fingerprint,
-  grid fingerprint).
+* :mod:`repro.cache.fitcache` -- :class:`FitCache` (counters) and
+  :func:`fit_with_cache`, the single cached dispatch path,
+* :mod:`repro.cache.responses` -- the cross-job :class:`ResponseCache`
+  keyed on (system fingerprint, grid fingerprint).
 
 Transparent integration::
 
@@ -33,8 +31,6 @@ Transparent integration::
     from repro.batch import BatchEngine
     result = BatchEngine(executor="process", cache=cache).run(jobs)
     print(result.n_cache_hits, cache.stats())
-
-Set ``REPRO_FIT_CACHE=off`` to disable all caching without code changes.
 """
 
 from repro.cache.fingerprint import (
@@ -46,13 +42,8 @@ from repro.cache.fingerprint import (
     options_fingerprint,
     system_fingerprint,
 )
-from repro.cache.fitcache import CacheStats, FitCache, cache_disabled_by_env, fit_with_cache
-from repro.cache.interning import (
-    DatasetPool,
-    JobTable,
-    ResponseCache,
-    ResponseTally,
-)
+from repro.cache.fitcache import CacheStats, FitCache, fit_with_cache
+from repro.cache.responses import ResponseCache, ResponseTally
 from repro.cache.serialization import (
     PAYLOAD_SCHEMA_VERSION,
     UncacheableResultError,
@@ -69,8 +60,6 @@ __all__ = [
     "fit_key",
     "evaluation_key",
     "combined_fingerprint",
-    "DatasetPool",
-    "JobTable",
     "ResponseCache",
     "ResponseTally",
     "CacheStore",
@@ -79,7 +68,6 @@ __all__ = [
     "FitCache",
     "CacheStats",
     "fit_with_cache",
-    "cache_disabled_by_env",
     "UncacheableResultError",
     "result_to_payload",
     "payload_to_result",

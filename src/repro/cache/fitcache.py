@@ -13,9 +13,7 @@ Correctness guardrails:
   it is *never* cached (status ``"skipped"``), because a replayed result
   would silently pin one random draw forever;
 * results whose metadata cannot be faithfully serialized are computed and
-  returned but not stored (:exc:`~repro.cache.serialization.UncacheableResultError`);
-* the environment variable ``REPRO_FIT_CACHE`` (``0`` / ``off`` / ``false``
-  / ``no``) disables every cache instance at runtime without code changes.
+  returned but not stored (:exc:`~repro.cache.serialization.UncacheableResultError`).
 """
 
 from __future__ import annotations
@@ -39,17 +37,8 @@ __all__ = [
     "FitCache",
     "CacheStats",
     "fit_with_cache",
-    "cache_disabled_by_env",
     "is_nondeterministic",
 ]
-
-#: Values of ``REPRO_FIT_CACHE`` that switch caching off globally.
-_DISABLE_VALUES = ("0", "off", "false", "no")
-
-
-def cache_disabled_by_env() -> bool:
-    """Whether ``REPRO_FIT_CACHE`` currently disables all fit caching."""
-    return os.environ.get("REPRO_FIT_CACHE", "").strip().lower() in _DISABLE_VALUES
 
 
 @dataclass(frozen=True)
@@ -70,7 +59,7 @@ class CacheStats:
         Entries the store dropped to make room (bounded stores only).
     skips:
         Fits that bypassed the cache entirely: nondeterministic options,
-        unserializable results, or the env-var kill switch.
+        options without a canonical encoding, or unserializable results.
     """
 
     hits: int = 0
@@ -142,27 +131,9 @@ class FitCache:
         """A cache backed by a :class:`DiskStore` rooted at ``root``."""
         return cls(DiskStore(root))
 
-    @classmethod
-    def from_env(cls, default_dir: Optional[str] = None) -> Optional["FitCache"]:
-        """Build a cache from the environment, or ``None`` when disabled.
-
-        ``REPRO_FIT_CACHE`` in ``0/off/false/no`` returns ``None``;
-        ``REPRO_FIT_CACHE_DIR`` (or ``default_dir``) selects a disk store;
-        otherwise an unbounded memory store is used.
-        """
-        if cache_disabled_by_env():
-            return None
-        cache_dir = os.environ.get("REPRO_FIT_CACHE_DIR") or default_dir
-        return cls.on_disk(cache_dir) if cache_dir else cls()
-
     # ------------------------------------------------------------------ #
     # state
     # ------------------------------------------------------------------ #
-    @property
-    def enabled(self) -> bool:
-        """Live view of the ``REPRO_FIT_CACHE`` kill switch."""
-        return not cache_disabled_by_env()
-
     def stats(self) -> CacheStats:
         """Consistent snapshot of the counters."""
         with self._lock:
@@ -313,7 +284,7 @@ def fit_with_cache(
     """Run one fit through the cache; returns ``(result, status, key)``.
 
     ``status`` is ``"hit"`` (replayed from the store), ``"miss"`` (computed
-    and stored), or ``"skipped"`` (cache absent/disabled, nondeterministic
+    and stored), or ``"skipped"`` (no cache, nondeterministic
     options, or an unserializable result); ``key`` is the content-addressed
     fit key (``None`` when skipped), reusable for evaluation caching via
     :meth:`FitCache.cached_aggregate_error`.  Keyword-argument shortcuts are
@@ -332,9 +303,6 @@ def fit_with_cache(
 
     opts = options if options is not None else spec.options_type(**kwargs)
     if cache is None:
-        return spec.runner(data, options=opts), "skipped", None
-    if not cache.enabled:
-        cache.count_skip()
         return spec.runner(data, options=opts), "skipped", None
     if is_nondeterministic(opts):
         cache.count_skip()

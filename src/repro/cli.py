@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import json
 import os
 import subprocess
@@ -261,13 +260,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "be run through repro.batch.sharding.run_shard() directly"
         )
     jobs = _build_jobs(workload["name"], workload.get("kwargs") or {})
-    # REPRO_BATCH_EXECUTOR / _WORKERS / _CHUNK apply like everywhere else in
-    # the batch layer; explicit CLI flags override the environment
-    try:
-        engine = dataclasses.replace(BatchEngine.from_env(), **_engine_config_from_args(args))
-    except ValueError as exc:
-        raise ShardError(f"invalid engine configuration: {exc}") from exc
-    result = run_shard(manifest, jobs, engine=engine)
+    result = run_shard(manifest, jobs, engine=_engine_from_args(args))
     out = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.manifest)),
         shard_result_name(manifest["shard_index"], manifest["n_shards"]),
@@ -311,7 +304,7 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
 def _add_engine_arguments(parser: argparse.ArgumentParser, *,
                           with_cache: bool = True) -> None:
     parser.add_argument("--executor", default=None, choices=EXECUTORS,
-                        help="batch executor (default: REPRO_BATCH_EXECUTOR or serial)")
+                        help="batch executor (default: serial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the pooled executors")
     parser.add_argument("--chunk-size", type=int, default=None,

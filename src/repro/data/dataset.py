@@ -74,6 +74,12 @@ class FrequencyData:
         object.__setattr__(self, "frequencies_hz", freqs)
         object.__setattr__(self, "samples", samples)
 
+    def __setstate__(self, state):
+        # unpickling skips __post_init__, and numpy unpickles arrays writable
+        self.__dict__.update(state)
+        self.frequencies_hz.setflags(write=False)
+        self.samples.setflags(write=False)
+
     # ------------------------------------------------------------------ #
     # basic views
     # ------------------------------------------------------------------ #

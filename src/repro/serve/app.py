@@ -39,7 +39,7 @@ from typing import Any, Optional, Sequence
 
 from repro.batch.engine import BatchEngine
 from repro.batch.jobs import FitJob, JobRecord, run_job
-from repro.cache.interning import ResponseCache
+from repro.cache.responses import ResponseCache
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,

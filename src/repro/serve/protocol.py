@@ -23,7 +23,7 @@ against its key.
 from __future__ import annotations
 
 import base64
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from repro.cache.fingerprint import (
     options_fingerprint,
 )
 from repro.cache.fitcache import is_nondeterministic
-from repro.cache.interning import DatasetPool
 from repro.data.dataset import FrequencyData
 
 __all__ = [
@@ -93,7 +92,8 @@ def _array_from_spec(spec: dict[str, Any]) -> np.ndarray:
         raise ProtocolError(f"malformed array spec: {exc}") from exc
 
 
-def _build_dataset_document(data: FrequencyData) -> dict[str, Any]:
+def encode_dataset(data: FrequencyData) -> dict[str, Any]:
+    """Encode one :class:`FrequencyData` (arrays + metadata + fingerprint)."""
     return {
         "kind": data.kind,
         "reference_impedance": float(data.reference_impedance).hex(),
@@ -102,19 +102,6 @@ def _build_dataset_document(data: FrequencyData) -> dict[str, Any]:
         "samples": _array_spec(data.samples),
         "fingerprint": dataset_fingerprint(data),
     }
-
-
-def encode_dataset(data: FrequencyData, *, pool: Optional[DatasetPool] = None) -> dict[str, Any]:
-    """Encode one :class:`FrequencyData` (arrays + metadata + fingerprint).
-
-    With a :class:`~repro.cache.DatasetPool` the document is memoized by
-    content fingerprint: re-encoding an interned dataset returns the stored
-    document without re-hashing or re-base64-encoding the arrays.  Treat
-    pooled documents as immutable.
-    """
-    if pool is not None:
-        return pool.document(data, _build_dataset_document)
-    return _build_dataset_document(data)
 
 
 def decode_dataset(spec: dict[str, Any]) -> FrequencyData:
@@ -186,17 +173,16 @@ def encode_batch(jobs: list[FitJob]) -> dict[str, Any]:
 
     Every unique dataset ships once in the batch-level ``"datasets"`` table,
     keyed by fingerprint; the jobs are :func:`~repro.batch.jobs.job_to_document`
-    documents naming their datasets by that key.  A per-batch
-    :class:`~repro.cache.DatasetPool` builds each unique dataset's document
-    once.
+    documents naming their datasets by that key.  The table is consulted
+    before a document is built, so each unique dataset is encoded once.
     """
-    pool = DatasetPool()
     datasets: dict[str, Any] = {}
     for job in jobs:
         for data in (job.data, job.reference):
             if data is not None:
-                document = encode_dataset(data, pool=pool)
-                datasets.setdefault(document["fingerprint"], document)
+                fingerprint = dataset_fingerprint(data)
+                if fingerprint not in datasets:
+                    datasets[fingerprint] = encode_dataset(data)
     return {
         "protocol_version": PROTOCOL_VERSION,
         "datasets": datasets,

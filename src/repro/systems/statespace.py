@@ -187,6 +187,12 @@ class DescriptorSystem:
         state["_eval_plan_band"] = None
         return state
 
+    def __setstate__(self, state):
+        # unpickling skips __init__, and numpy unpickles arrays writable
+        self.__dict__.update(state)
+        for mat in (self._E, self._A, self._B, self._C, self._D):
+            mat.setflags(write=False)
+
     # ------------------------------------------------------------------ #
     # transfer-function evaluation
     # ------------------------------------------------------------------ #

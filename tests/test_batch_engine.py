@@ -186,15 +186,6 @@ class TestBatchEngine:
             BatchEngine(chunk_size=0)
         assert set(EXECUTORS) == {"serial", "thread", "process"}
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_EXECUTOR", "thread")
-        monkeypatch.setenv("REPRO_BATCH_WORKERS", "3")
-        monkeypatch.setenv("REPRO_BATCH_CHUNK", "2")
-        engine = BatchEngine.from_env()
-        assert (engine.executor, engine.max_workers, engine.chunk_size) == ("thread", 3, 2)
-        monkeypatch.delenv("REPRO_BATCH_EXECUTOR")
-        assert BatchEngine.from_env(default="serial").executor == "serial"
-
 
 # --------------------------------------------------------------------------- #
 # BatchResult

@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.data.frequency` and :mod:`repro.data.dataset`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,12 @@ class TestFrequencyData:
     def test_samples_readonly(self, toy_data):
         with pytest.raises(ValueError):
             toy_data.samples[0, 0, 0] = 1.0
+
+    def test_pickle_round_trip_keeps_arrays_readonly(self, toy_data):
+        clone = pickle.loads(pickle.dumps(toy_data))
+        assert np.array_equal(clone.samples, toy_data.samples)
+        assert not clone.frequencies_hz.flags.writeable
+        assert not clone.samples.flags.writeable
 
     def test_iteration(self, toy_data):
         items = list(toy_data)

@@ -11,7 +11,8 @@ the two integration contracts that make caching trustworthy:
   contract) and correct counters -- including the per-job error-capture
   path, which must never populate the cache;
 * a warm sweep builds no evaluation plan: ``run_job`` pins a model's plan
-  to its fit grid only before a sweep that may compute.
+  to its fit grid only before a sweep that may compute, and a fit-cache
+  hit's metrics equal the miss's with or without a response cache.
 """
 
 from __future__ import annotations
@@ -277,28 +278,6 @@ class TestFitCache:
         run_fit(small_data, method="mfti", options=seeded, cache=cache)
         assert cache.stats().hits == 1
 
-    def test_env_kill_switch(self, small_data, monkeypatch):
-        cache = FitCache()
-        monkeypatch.setenv("REPRO_FIT_CACHE", "off")
-        assert not cache.enabled
-        run_fit(small_data, method="mfti", cache=cache)
-        assert cache.stats().lookups == 0
-        assert cache.stats().skips == 1  # the bypass is visible in the counters
-        monkeypatch.delenv("REPRO_FIT_CACHE")
-        assert cache.enabled
-        run_fit(small_data, method="mfti", cache=cache)
-        assert cache.stats().misses == 1
-
-    def test_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FIT_CACHE", "0")
-        assert FitCache.from_env() is None
-        monkeypatch.delenv("REPRO_FIT_CACHE")
-        assert isinstance(FitCache.from_env().store, MemoryStore)
-        monkeypatch.setenv("REPRO_FIT_CACHE_DIR", str(tmp_path / "store"))
-        cache = FitCache.from_env()
-        assert isinstance(cache.store, DiskStore)
-        assert cache.store.root == str(tmp_path / "store")
-
     def test_wrong_options_type_still_raises(self, small_data):
         with pytest.raises(TypeError, match="expects MftiOptions"):
             run_fit(small_data, method="mfti", options=VftiOptions(), cache=FitCache())
@@ -509,3 +488,18 @@ class TestPlanPriming:
         assert ("sweep", primed[0]) not in plan_events[:prime_at]
         if "time_domain" in spec:  # enforcement sweeps a pole-residue copy instead
             assert ("sweep", primed[0]) in plan_events[prime_at:]
+
+    @pytest.mark.parametrize("method", ["mfti", "vfti"])
+    def test_hit_without_response_cache_matches_the_miss(
+        self, many_sample_data, dense_data, method
+    ):
+        # the miss seeds its plan from the error_vs_data sweep; the hit
+        # replays both errors from the memo, so the pin must place the
+        # time-domain sweep on the same plan
+        job = FitJob(many_sample_data, method=method, reference=dense_data,
+                     time_domain=TimeDomainSpec(t_final=1e-3))
+        cache = FitCache()
+        miss = run_job(0, job, cache)
+        hit = run_job(1, job, cache)
+        assert (miss.cache_status, hit.cache_status) == ("miss", "hit")
+        assert hit.time_domain == miss.time_domain

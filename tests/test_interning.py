@@ -1,12 +1,14 @@
-"""The interning layer's contract: bitwise identity, dedup, exact counters.
+"""Shared datasets and the response cache: bitwise identity, dedup, exact counters.
 
-Three layers, mirroring the module split:
+Three layers:
 
-* **hypothesis property tests** of :class:`~repro.cache.DatasetPool` and
-  :class:`~repro.cache.JobTable` -- interning and reconstruction are
-  bitwise round trips, distinct payloads never collide onto one ref, byte
-  accounting adds up;
-* **wire-protocol tests** -- the batch-level dataset table decodes to jobs
+* **the process executor's chunk** -- a plain pickle of ``(index, FitJob)``
+  pairs ships each shared dataset object once and rebuilds jobs that share
+  it, the workload grids share one object per dataset content, and a
+  worker's response cache outlives its chunks;
+* **wire-protocol tests** -- hypothesis property tests of the batch-level
+  dataset table (a bitwise round trip that dedupes equal copies, and
+  distinct payloads never collide on one entry); the table decodes to jobs
   with identical fingerprints that run to ``comparable_json``-identical
   batches; tampered tables and dangling refs are rejected;
 * **differential engine tests** -- serial / uncached ``run_job`` / process
@@ -19,7 +21,7 @@ Three layers, mirroring the module split:
 from __future__ import annotations
 
 import json
-import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -37,15 +39,15 @@ from repro.batch import (
     run_job,
     write_manifests,
 )
+from repro.batch import engine as engine_module
 from repro.batch.sharding import ShardPlan
 from repro.cache import (
-    DatasetPool,
-    JobTable,
     ResponseCache,
     dataset_fingerprint,
     grid_fingerprint,
     system_fingerprint,
 )
+from repro.cache import responses as responses_module
 from repro.cli import cli_subprocess
 from repro.core.options import MftiOptions
 from repro.data.dataset import FrequencyData
@@ -89,117 +91,91 @@ def bitwise_equal(a: FrequencyData, b: FrequencyData) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# DatasetPool properties
+# the process executor's chunk: a plain pickle of (index, FitJob) pairs
 # --------------------------------------------------------------------------- #
-class TestDatasetPool:
-    @settings(max_examples=25, deadline=None)
-    @given(data=datasets())
-    def test_intern_is_a_bitwise_round_trip(self, data):
-        pool = DatasetPool()
-        ref = pool.intern(data)
-        assert ref == dataset_fingerprint(data)
-        assert pool.get(ref) is data
-        assert bitwise_equal(pool.get(ref), data)
-        # interning an equal copy dedupes onto the first instance
-        copy = FrequencyData(
-            np.array(data.frequencies_hz, copy=True),
-            np.array(data.samples, copy=True),
-            kind=data.kind,
-            reference_impedance=data.reference_impedance,
-            label="another label",
-        )
-        assert pool.intern(copy) == ref
-        assert pool.get(ref) is data
-        assert len(pool) == 1 and ref in pool
-
-    @settings(max_examples=25, deadline=None)
-    @given(data=datasets(), st_data=st.data())
-    def test_distinct_payloads_never_collide_on_one_ref(self, data, st_data):
-        k = st_data.draw(st.integers(0, data.n_samples - 1), label="freq index")
-        i = st_data.draw(st.integers(0, data.n_outputs - 1), label="row")
-        j = st_data.draw(st.integers(0, data.n_inputs - 1), label="col")
-        samples = np.array(data.samples, copy=True)
-        entry = samples[k, i, j]
-        samples[k, i, j] = np.nextafter(entry.real, np.inf) + 1j * entry.imag
-        perturbed = data.with_samples(samples)
-        pool = DatasetPool()
-        assert pool.intern(data) != pool.intern(perturbed)
-        assert len(pool) == 2
-
-    def test_pickle_round_trip_drops_nothing_but_the_lock(self, small_data):
-        pool = DatasetPool()
-        ref = pool.intern(small_data)
-        clone = pickle.loads(pickle.dumps(pool))
-        assert bitwise_equal(clone.get(ref), small_data)
-        assert len(clone) == len(pool) == 1
+def test_engine_chunk_ships_each_shared_dataset_once(small_data, dense_data,
+                                                     grid_jobs):
+    jobs = [FitJob(small_data, method="vfti", reference=dense_data, label=f"job-{i}")
+            for i in range(8)]
+    chunk = list(enumerate(jobs))
+    # the process executor's pipe pickles with multiprocessing's pickler
+    blob = ForkingPickler.dumps(chunk)
+    rebuilt = ForkingPickler.loads(blob)
+    assert [index for index, _ in rebuilt] == list(range(8))
+    assert [job_fingerprint(job) for _, job in rebuilt] == \
+           [job_fingerprint(job) for job in jobs]
+    assert bitwise_equal(rebuilt[0][1].data, small_data)
+    assert bitwise_equal(rebuilt[0][1].reference, dense_data)
+    # the shared datasets come back as one instance each
+    assert len({id(job.data) for _, job in rebuilt}) == 1
+    assert len({id(job.reference) for _, job in rebuilt}) == 1
+    # each extra job costs its own fields, not another dataset copy
+    one_job = len(ForkingPickler.dumps(chunk[:1]))
+    assert len(blob) < one_job + 7 * 256
+    # the workload grids share one object per dataset content, so pickle's
+    # object identity is all the deduplication their chunks need
+    datasets = [data for job in grid_jobs for data in (job.data, job.reference)
+                if data is not None]
+    assert len({id(data) for data in datasets}) == \
+           len({dataset_fingerprint(data) for data in datasets})
 
 
-# --------------------------------------------------------------------------- #
-# JobTable: the process executor's chunk codec
-# --------------------------------------------------------------------------- #
-class TestJobTable:
-    def chunk(self, small_data, noisy_data, dense_data):
-        jobs = [
-            FitJob(small_data, method="vfti", reference=dense_data, label="a"),
-            FitJob(small_data, method="mfti", options=MftiOptions(block_size=2),
-                   reference=dense_data, label="b", tags={"t": 2}),
-            FitJob(noisy_data, method="vfti", reference=dense_data, label="c"),
-        ]
-        return list(enumerate(jobs)), jobs
+def test_engine_chunk_is_smaller_than_distinct_copies(small_data, dense_data):
+    chunk = [(i, FitJob(small_data, method="vfti", reference=dense_data,
+                        label=f"job-{i}"))
+             for i in range(8)]
+    # the same jobs, each holding its own dataset copies -- what a chunk of
+    # jobs built apart (say, decoded one by one) would carry
+    distinct = [
+        (i, FitJob(job.data.with_samples(np.array(job.data.samples, copy=True)),
+                   method=job.method, label=job.label,
+                   reference=job.reference.with_samples(
+                       np.array(job.reference.samples, copy=True))))
+        for i, job in chunk
+    ]
+    shared = len(ForkingPickler.dumps(chunk))
+    # 16 dataset consultations ship as 2 copies instead of 16
+    assert 4 * shared < len(ForkingPickler.dumps(distinct))
 
-    def test_pack_unpack_is_bitwise_and_dedupes(self, small_data, noisy_data,
-                                                dense_data):
-        chunk, jobs = self.chunk(small_data, noisy_data, dense_data)
-        table = JobTable.pack(chunk)
-        # 3 unique datasets across 6 consultations
-        assert len(table.datasets) == 3
-        rebuilt = table.unpack()
-        assert [index for index, _ in rebuilt] == [0, 1, 2]
-        for (_, original), (_, job) in zip(chunk, rebuilt):
-            assert bitwise_equal(job.data, original.data)
-            assert bitwise_equal(job.reference, original.reference)
-            assert job_fingerprint(job) == job_fingerprint(original)
-        # jobs sharing a dataset resolve to one instance per chunk
-        assert rebuilt[0][1].data is rebuilt[1][1].data
-        assert rebuilt[0][1].reference is rebuilt[2][1].reference
 
-    def test_unpack_through_pool_persists_across_chunks(self, small_data, dense_data):
-        pool = DatasetPool()
-        chunk_a = [(0, FitJob(small_data, method="vfti", reference=dense_data))]
-        chunk_b = [(1, FitJob(small_data, method="mfti", reference=dense_data))]
-        jobs_a = JobTable.pack(chunk_a).unpack(pool=pool)
-        jobs_b = JobTable.pack(chunk_b).unpack(pool=pool)
-        # the second chunk resolves straight out of the worker pool
-        assert jobs_b[0][1].data is jobs_a[0][1].data
-        assert jobs_b[0][1].reference is jobs_a[0][1].reference
-        assert len(pool) == 2
+def test_engine_chunk_round_trips_mixed_jobs_bitwise(small_data, noisy_data,
+                                                     dense_data):
+    jobs = [
+        FitJob(small_data, method="vfti", reference=dense_data, label="a"),
+        FitJob(small_data, method="mfti", options=MftiOptions(block_size=2),
+               reference=dense_data, label="b", tags={"t": 2}),
+        FitJob(noisy_data, method="vfti", reference=dense_data, label="c"),
+    ]
+    chunk = list(enumerate(jobs))
+    rebuilt = ForkingPickler.loads(ForkingPickler.dumps(chunk))
+    assert [index for index, _ in rebuilt] == [0, 1, 2]
+    for (_, original), (_, job) in zip(chunk, rebuilt):
+        assert bitwise_equal(job.data, original.data)
+        assert bitwise_equal(job.reference, original.reference)
+        assert job_fingerprint(job) == job_fingerprint(original)
+        assert not job.data.samples.flags.writeable
+    # jobs sharing a dataset resolve to one instance per chunk, and only they do
+    assert rebuilt[0][1].data is rebuilt[1][1].data
+    assert rebuilt[0][1].data is not rebuilt[2][1].data
+    assert rebuilt[0][1].reference is rebuilt[2][1].reference
 
-    def test_unpack_rejects_dangling_refs(self, small_data):
-        table = JobTable.pack([(0, FitJob(small_data, method="vfti"))])
-        dangling = JobTable(jobs=table.jobs, datasets={})
-        with pytest.raises(ValueError, match="unknown dataset"):
-            dangling.unpack()
 
-    def test_packed_chunk_is_smaller_than_naive_pickle(self, small_data, dense_data):
-        chunk = [(i, FitJob(small_data, method="vfti", reference=dense_data,
-                            label=f"job-{i}"))
-                 for i in range(8)]
-        naive = len(pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
-        packed = JobTable.pack(chunk).payload_nbytes()
-        # 16 dataset consultations collapse to 2 shipped copies.  (The naive
-        # pickle also memoizes *object-identical* datasets, so compare
-        # against distinct-copy jobs the way cross-process transports see
-        # decoded payloads.)
-        distinct = [
-            (i, FitJob(job.data.with_samples(np.array(job.data.samples, copy=True)),
-                       method=job.method, label=job.label,
-                       reference=job.reference.with_samples(
-                           np.array(job.reference.samples, copy=True))))
-            for i, job in chunk
-        ]
-        naive_distinct = len(pickle.dumps(distinct, protocol=pickle.HIGHEST_PROTOCOL))
-        assert packed < naive_distinct
-        assert packed <= naive + 4096  # refs cost a few hundred bytes, not copies
+def test_worker_response_cache_persists_across_chunks(small_data, dense_data,
+                                                      monkeypatch):
+    monkeypatch.setattr(engine_module, "_WORKER_STATE", {})
+    engine_module._pool_initializer(None)
+    assert set(engine_module._WORKER_STATE) == {"cache", "responses"}
+    jobs = [FitJob(small_data, method="vfti", reference=dense_data, label="a"),
+            FitJob(small_data, method="mfti", reference=dense_data, label="b")]
+    # one single-job chunk each, unpickled apart as a worker receives them
+    records = [record for index, job in enumerate(jobs)
+               for record in engine_module._run_worker_chunk(
+                   ForkingPickler.loads(ForkingPickler.dumps([(index, job)])))]
+    # the second chunk's datasets are fresh objects, yet its reference norms
+    # hit: the worker's response cache outlives a chunk and keys on content
+    assert [(r.response_hits, r.response_misses) for r in records] == [(0, 4), (2, 2)]
+    assert comparable_json(BatchResult(records=tuple(records))) == \
+           comparable_json(uncached_run(jobs))
 
 
 def uncached_run(jobs) -> BatchResult:
@@ -224,8 +200,8 @@ class TestWireProtocol:
         from repro.serve import protocol
 
         built = []
-        build = protocol._build_dataset_document
-        monkeypatch.setattr(protocol, "_build_dataset_document",
+        build = protocol.encode_dataset
+        monkeypatch.setattr(protocol, "encode_dataset",
                             lambda data: built.append(data) or build(data))
         jobs = self.jobs(small_data, noisy_data, dense_data)
         document = encode_batch(jobs)
@@ -242,6 +218,41 @@ class TestWireProtocol:
         # jobs sharing a dataset resolve to one decoded instance
         assert decoded[0].data is decoded[1].data
         assert decoded[0].reference is decoded[2].reference
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=datasets())
+    def test_table_round_trip_is_bitwise_and_dedupes_equal_copies(self, data):
+        # an equal-but-separate copy, labelled apart, shares the first's entry
+        copy = FrequencyData(
+            np.array(data.frequencies_hz, copy=True),
+            np.array(data.samples, copy=True),
+            kind=data.kind,
+            reference_impedance=data.reference_impedance,
+            label="another label",
+        )
+        document = encode_batch([FitJob(data, method="vfti"),
+                                 FitJob(copy, method="mfti", reference=data)])
+        assert list(document["datasets"]) == [dataset_fingerprint(data)]
+        decoded = decode_batch(json.loads(json.dumps(document)))
+        assert bitwise_equal(decoded[0].data, data)
+        assert decoded[1].data is decoded[0].data
+        assert decoded[1].reference is decoded[0].data
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=datasets(), st_data=st.data())
+    def test_distinct_payloads_never_collide_in_the_table(self, data, st_data):
+        k = st_data.draw(st.integers(0, data.n_samples - 1), label="freq index")
+        i = st_data.draw(st.integers(0, data.n_outputs - 1), label="row")
+        j = st_data.draw(st.integers(0, data.n_inputs - 1), label="col")
+        samples = np.array(data.samples, copy=True)
+        entry = samples[k, i, j]
+        samples[k, i, j] = np.nextafter(entry.real, np.inf) + 1j * entry.imag
+        perturbed = data.with_samples(samples)
+        document = encode_batch([FitJob(data, method="vfti", reference=perturbed)])
+        assert len(document["datasets"]) == 2
+        decoded = decode_batch(json.loads(json.dumps(document)))[0]
+        assert bitwise_equal(decoded.data, data)
+        assert bitwise_equal(decoded.reference, perturbed)
 
     def test_decoded_batches_run_to_identical_results(self, small_data, noisy_data,
                                                       dense_data):
@@ -296,8 +307,9 @@ class TestResponseCache:
         _, status = cache.model_sweep(small_system, dense_data)
         assert status == "miss"  # same model, different grid
 
-    def test_lru_bound_evicts_oldest(self, small_data, dense_data):
-        cache = ResponseCache(max_entries=1)
+    def test_lru_bound_evicts_oldest(self, small_data, dense_data, monkeypatch):
+        monkeypatch.setattr(responses_module, "MAX_ENTRIES", 1)
+        cache = ResponseCache()
         cache.reference_norms(small_data)
         cache.reference_norms(dense_data)  # evicts small_data's norms
         _, status = cache.reference_norms(small_data)
@@ -328,7 +340,7 @@ class TestResponseCache:
 
 
 # --------------------------------------------------------------------------- #
-# engine + shard differentials with interning on
+# engine + shard differentials
 # --------------------------------------------------------------------------- #
 #: Scaled-down mixed grid shared with test_sharding (fast, same structure).
 GRID_KWARGS = dict(pdn_samples=36, pdn_validation=48, line_sections=10,
@@ -353,6 +365,11 @@ class TestEngineDifferentials:
         result = engine.run(grid_jobs)
         assert not numerical_differences(serial_reference, result)
         assert comparable_json(result) == comparable_json(serial_reference)
+        # unpickled models keep the read-only matrices their fingerprints rely on
+        for record in result.records:
+            system = record.result.system
+            assert not any(matrix.flags.writeable for matrix in
+                           (system.E, system.A, system.B, system.C, system.D))
 
     def test_response_cache_off_is_bitwise_identical(self, grid_jobs,
                                                      serial_reference):

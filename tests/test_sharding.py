@@ -523,6 +523,17 @@ class TestShardedRunsMatchUnsharded:
         assert missing.returncode == 2
         assert "cannot read manifest" in missing.stderr
 
+    def test_run_rejects_invalid_engine_flags(self, grid_jobs, tmp_path):
+        plan = ShardPlan.from_jobs(grid_jobs, 2)
+        path = write_manifests(plan, grid_jobs, tmp_path,
+                               workload="mixed_batch_jobs",
+                               workload_kwargs=GRID_KWARGS)[0]
+        bad = run_cli("run", str(path), "--chunk-size", "0")
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("error: invalid engine configuration")
+        assert len(bad.stderr.strip().splitlines()) == 1
+        assert not os.path.exists(str(path).replace(".manifest.json", ".result.npz"))
+
 
 class TestTimeDomainJobsThroughShards:
     """``time_domain_jobs`` end-to-end: BatchEngine + shard merge must carry

@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.systems.statespace`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ class TestConstruction:
     def test_matrices_are_readonly(self, simple_system):
         with pytest.raises(ValueError):
             simple_system.A[0, 0] = 5.0
+
+    def test_pickle_round_trip_keeps_matrices_readonly(self, small_system):
+        clone = pickle.loads(pickle.dumps(small_system))
+        matrices = (clone.E, clone.A, clone.B, clone.C, clone.D)
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(
+            matrices, (small_system.E, small_system.A, small_system.B,
+                       small_system.C, small_system.D)))
+        assert not any(matrix.flags.writeable for matrix in matrices)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
