@@ -467,9 +467,12 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
     reference-norm sweeps behind ``error_vs_data``/``error_vs_reference``,
     ``time_domain`` and the passivity certificate are then memoized across
     jobs by ``(system fingerprint, grid fingerprint)`` / dataset
-    fingerprint, and the record carries this job's hit/miss tally.  Cached
-    values are what the direct computation produces, so results are
-    bitwise-identical with or without it.
+    fingerprint, and the record carries this job's hit/miss tally.  A
+    sweep is a function of the model and the grid alone (the model's
+    evaluation plan is built from its matrices, not from whichever grid it
+    meets first), so a cached value is what the direct computation
+    produces: results are bitwise-identical with or without the cache,
+    whichever sweeps hit.
     """
     started = time.perf_counter()
     cache_status: Optional[str] = None
@@ -485,34 +488,16 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
         else:
             result = run_fit(job.data, method=job.method, options=job.options)
 
-        primed = False
-
-        def model():
-            # Sweep values must be pure functions of (system fingerprint,
-            # grid fingerprint): a hit on the fit-grid sweep -- in the
-            # response cache or the fit cache's evaluation memo -- would
-            # otherwise leave this system's lazily-built evaluation plan to
-            # be seeded by whichever grid misses next, and the plan's shift
-            # depends on the seeding grid.  Pinning the plan to the fit grid
-            # -- what the first uncached sweep would have built -- keeps
-            # miss computations bitwise identical no matter which hits
-            # preceded them (or on which worker).  The pin waits for the
-            # first sweep that may compute, so a job whose every evaluation
-            # replays from the fit cache's memo builds no plan.
-            nonlocal primed
-            if not primed:
-                result.system.prime_evaluation_plan(job.data.frequencies_hz)
-                primed = True
-            return result.system
+        system = result.system
 
         def evaluate(data):
             """Aggregate error vs ``data``, via the response cache if on."""
             if tally is None:
                 return result.aggregate_error(data)
             return model_aggregate_error(
-                model(),
+                system,
                 data,
-                response=tally.model_sweep(model(), data),
+                response=tally.model_sweep(system, data),
                 norms=tally.reference_norms(data),
             )
 
@@ -521,11 +506,11 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
             # dominate the wall clock, not the (skipped) fits.  The
             # response-cache sweep only runs on an evaluation-memo miss.
             error_vs_data = cache.cached_aggregate_error(
-                fit_key, result, job.data, compute=lambda: evaluate(job.data)
+                fit_key, job.data, compute=lambda: evaluate(job.data)
             )
             error_vs_reference = (
                 cache.cached_aggregate_error(
-                    fit_key, result, job.reference, compute=lambda: evaluate(job.reference)
+                    fit_key, job.reference, compute=lambda: evaluate(job.reference)
                 )
                 if job.reference is not None
                 else float("nan")
@@ -537,11 +522,11 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
             )
         time_domain = (
             time_domain_metrics(
-                model(),
+                system,
                 job.reference,
                 job.time_domain,
                 model_samples=(
-                    tally.model_sweep(model(), job.reference)
+                    tally.model_sweep(system, job.reference)
                     if tally is not None
                     else None
                 ),
@@ -551,7 +536,7 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
         )
         passivity = (
             passivity_metrics(
-                model(),
+                system,
                 job.data,
                 job.passivity,
                 reference=job.reference,

@@ -31,7 +31,6 @@ from repro.cache.serialization import (
     result_to_payload,
 )
 from repro.cache.stores import CacheStore, DiskStore, MemoryStore
-from repro.metrics.errors import model_aggregate_error
 
 __all__ = [
     "FitCache",
@@ -199,7 +198,7 @@ class FitCache:
             self._evictions += int(evicted)
         return True
 
-    def cached_aggregate_error(self, fit: str, result, data, *, compute=None) -> float:
+    def cached_aggregate_error(self, fit: str, data, *, compute) -> float:
         """The aggregate error of a (cached) fit against ``data``, memoized.
 
         The error is a pure function of the model (pinned by the ``fit``
@@ -209,13 +208,10 @@ class FitCache:
         measurement and validation grids -- this is what makes a fully-warm
         sweep orders of magnitude faster, not just the skipped fits.
 
-        A memoization miss computes the error through
-        :func:`repro.metrics.errors.model_aggregate_error` -- the same
-        vectorized-kernel code path uncached evaluations take -- so memoized
-        and fresh values are the result of one implementation.  ``compute``
-        optionally replaces that default with a caller-supplied thunk (the
-        batch layer passes one that reuses response-cache sweeps); it runs
-        only on a memoization miss, so hits stay free either way.
+        A memoization miss calls ``compute()``, the thunk that computes the
+        error the way an uncached evaluation does (the batch layer's reuses
+        response-cache sweeps), so memoized and fresh values are the result
+        of one implementation; hits never call it.
         """
         key = evaluation_key(fit, data)
         with self._lock:
@@ -232,10 +228,7 @@ class FitCache:
                     return float(meta["error"])
             except (KeyError, TypeError, ValueError):
                 pass  # corrupt evaluation entry: recompute and overwrite
-        if compute is None:
-            value = float(model_aggregate_error(result.system, data))
-        else:
-            value = float(compute())
+        value = float(compute())
         meta = {
             "schema_version": PAYLOAD_SCHEMA_VERSION,
             "kind": "evaluation",

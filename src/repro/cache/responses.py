@@ -52,7 +52,10 @@ class ResponseCache:
 
     Methods return ``(value, status)`` with status ``"hit"``/``"miss"``;
     cached arrays are frozen read-only and must not be mutated.  Values are
-    computed by the same code the uncached path runs, so results are
+    computed by the same code the uncached path runs, and a model sweep
+    depends only on the system and the grid (the system's evaluation plan is
+    built from its matrices alone), so a value is the same whichever job
+    computed it and whichever sweeps that job skipped: results are
     bitwise-identical either way.  Thread-safe (the thread executor shares
     one instance across workers; each process worker builds its own).
     """

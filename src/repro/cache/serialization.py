@@ -45,7 +45,9 @@ __all__ = [
 #: v6: the real transform is applied pair by pair and the two-sided SVDs run
 #: on triangular QR factors, so fitted models moved at round-off -- v5
 #: entries must not replay as if they were fresh fits.
-PAYLOAD_SCHEMA_VERSION = 6
+#: v7: evaluation plans take their shift from the system instead of from the
+#: first grid swept, so memoized sweep errors moved at round-off again.
+PAYLOAD_SCHEMA_VERSION = 7
 
 
 class UncacheableResultError(TypeError):

@@ -32,10 +32,13 @@ for descriptor systems ``H(s) = C (sE - A)^{-1} B + D``:
     so after an O(n^3) plan (:class:`EvaluationPlan`) every point costs only
     ``O(n m + p n m)`` -- the same Cauchy-kernel algebra as a pole-residue
     model, eq. ``H(s) = Ctilde (sI - Lambda)^{-1} Btilde + D`` in
-    diagonalized coordinates.  Plans are verified against the direct solve
-    at probe points and rejected (per-system fallback to ``solve``) when the
-    pencil is non-diagonalizable or too ill-conditioned; points where the
-    pencil is singular are repaired through the pointwise reference.
+    diagonalized coordinates.  A plan is a pure function of the system: its
+    shift comes from the matrices, and it is verified against the direct
+    solve on the imaginary axis at the magnitudes of its own smallest,
+    median and largest finite poles, and rejected (per-system fallback to
+    ``solve``) when the pencil is non-diagonalizable or too
+    ill-conditioned; points where the pencil is singular are repaired
+    through the pointwise reference.
 
 ``auto`` picks ``diag`` when the sweep is long enough to amortize the plan
 and the plan verifies, and ``solve`` otherwise.  Pole-residue (Cauchy)
@@ -58,7 +61,6 @@ from repro.backends import get_backend
 __all__ = [
     "EvaluationPlan",
     "build_evaluation_plan",
-    "verify_evaluation_plan",
     "evaluate_descriptor",
     "evaluate_pointwise",
     "evaluate_cauchy",
@@ -74,8 +76,8 @@ __all__ = [
 #: shorter sweeps cannot amortize the O(n^3) plan.
 FAST_PATH_MIN_POINTS = 8
 
-#: Relative agreement (vs the direct solve, at probe points) a plan must
-#: achieve before the fast path is trusted for a system.
+#: Relative agreement (vs the direct solve, at the plan's probe points) a
+#: plan must achieve before the fast path is trusted for a system.
 PLAN_GUARD_TOLERANCE = 1e-7
 
 #: Most points per stacked ``np.linalg.solve`` call.
@@ -193,10 +195,12 @@ class EvaluationPlan:
     Attributes
     ----------
     sigma:
-        The real spectral shift used to regularise the pencil (chosen from
-        the probe points; any value that is not a generalized eigenvalue
-        works).  Being real, it keeps the plan of a real system in real
-        arithmetic.
+        The real spectral shift used to regularise the pencil,
+        ``||A||_F / ||E||_F`` (any value that is not a generalized eigenvalue
+        works; this one is on the scale of the system's poles and depends on
+        nothing else, so every sweep through the plan is a function of the
+        system and its points alone).  Being real, it keeps the plan of a
+        real system in real arithmetic.
     eigenvalues:
         Eigenvalues ``lambda_i`` of ``K = (A - sigma E)^{-1} E``.  Infinite
         generalized eigenvalues of ``(A, E)`` map to ``lambda_i = 0`` and are
@@ -247,31 +251,22 @@ class EvaluationPlan:
         )
 
 
-def _choose_sigma(pts: np.ndarray) -> float:
-    """A real spectral shift on the scale of the requested points."""
-    scale = float(np.median(np.abs(pts))) if pts.size else 0.0
-    return scale if scale > 0.0 else 1.0
+def _plan_verifies(plan: EvaluationPlan, E, A, B, C, D) -> bool:
+    """Whether the plan reproduces the direct solve at its probe points.
 
-
-def _probe_indices(n_points: int, n_probes: int = 3) -> np.ndarray:
-    """Deterministic probe positions spread over the requested sweep."""
-    if n_points <= n_probes:
-        return np.arange(n_points)
-    return np.unique(np.linspace(0, n_points - 1, n_probes).astype(int))
-
-
-def verify_evaluation_plan(
-    plan: EvaluationPlan, E, A, B, C, D, probe_points, *,
-    guard_tolerance: float = PLAN_GUARD_TOLERANCE,
-) -> bool:
-    """Whether the plan reproduces the direct solve at probe points.
-
+    The probes are ``j |p|`` for the smallest, median and largest of the
+    plan's finite poles ``p = sigma + 1 / lambda_i`` (an infinite
+    generalized eigenvalue maps to ``lambda_i = 0`` and gives none).
     Probes where the pencil is (near-)singular are excluded -- the guarded
     evaluation repairs those through the reference anyway, so they say
     nothing about the plan's quality elsewhere.
     """
-    pts = np.asarray(probe_points, dtype=complex).ravel()
-    probes = pts[_probe_indices(pts.size)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        magnitudes = np.abs(plan.sigma + 1.0 / plan.eigenvalues)
+    magnitudes = np.sort(magnitudes[np.isfinite(magnitudes)])
+    if not magnitudes.size:
+        return True
+    probes = 1j * magnitudes[[0, magnitudes.size // 2, -1]]
     probes = probes[~plan.suspect_points(probes)]
     if not probes.size:
         return True
@@ -280,29 +275,28 @@ def verify_evaluation_plan(
     scale = np.linalg.norm(direct.reshape(probes.size, -1), axis=1)
     mismatch = np.linalg.norm((fast - direct).reshape(probes.size, -1), axis=1)
     return bool(np.all(
-        mismatch <= guard_tolerance * np.maximum(scale, np.finfo(float).tiny)
+        mismatch <= PLAN_GUARD_TOLERANCE * np.maximum(scale, np.finfo(float).tiny)
     ))
 
 
-def build_evaluation_plan(
-    E, A, B, C, D, probe_points, *, guard_tolerance: float = PLAN_GUARD_TOLERANCE
-):
-    """Build and verify a :class:`EvaluationPlan`, or return ``None``.
+def build_evaluation_plan(E, A, B, C, D):
+    """Build and verify the :class:`EvaluationPlan` of a system, or return ``None``.
 
-    The shift is real, so the factorizations follow the dtype of the
-    system's matrices: a real system gets a real ``eig``, a complex system
-    the complex one.  The plan is checked against the direct dense solve at
-    a few probe points drawn from ``probe_points``; a relative disagreement beyond
-    ``guard_tolerance`` (ill-conditioned eigenvectors, non-diagonalizable
-    pencil) rejects the plan so callers fall back to the ``solve`` strategy
-    for this system.  Callers that later reuse a cached plan on sweeps
-    outside the band it was verified on should re-check it with
-    :func:`verify_evaluation_plan` (as
-    :meth:`DescriptorSystem.evaluate_many <repro.systems.statespace.DescriptorSystem.evaluate_many>`
-    does).
+    The plan is a pure function of the five matrices.  The shift
+    ``||A||_F / ||E||_F`` (1.0 where that is undefined) is a scale of the
+    system's poles; being real, it makes the factorizations follow the
+    dtype of the system's matrices: a real system gets a real ``eig``, a
+    complex system the complex one.  The plan is checked against the direct
+    dense solve at ``j |p|`` for the smallest, median and largest of its own
+    finite poles ``p``, the ends and the middle of the band the system
+    responds in; a relative disagreement beyond
+    :data:`PLAN_GUARD_TOLERANCE` (ill-conditioned eigenvectors,
+    non-diagonalizable pencil) rejects the plan so callers fall back to the
+    ``solve`` strategy for this system.
     """
-    pts = np.asarray(probe_points, dtype=complex).ravel()
-    shift = _choose_sigma(pts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.linalg.norm(A) / np.linalg.norm(E)
+    shift = float(shift) if np.isfinite(shift) and shift > 0.0 else 1.0
     try:
         factor = A - shift * E
         k_mat = np.linalg.solve(factor, E)
@@ -321,10 +315,7 @@ def build_evaluation_plan(
         c_tilde=c_tilde,
         d=np.asarray(D),
     )
-    if not verify_evaluation_plan(plan, E, A, B, C, D, pts,
-                                  guard_tolerance=guard_tolerance):
-        return None
-    return plan
+    return plan if _plan_verifies(plan, E, A, B, C, D) else None
 
 
 def _evaluate_with_plan(plan: EvaluationPlan, E, A, B, C, D, pts: np.ndarray) -> np.ndarray:
@@ -373,7 +364,7 @@ def evaluate_descriptor(
         return _evaluate_solve(E, A, B, C, D, pts)
     if method == "diag":
         if plan is None:
-            plan = build_evaluation_plan(E, A, B, C, D, pts)
+            plan = build_evaluation_plan(E, A, B, C, D)
         if plan is None:
             raise np.linalg.LinAlgError(
                 "no valid diagonalization fast path for this system "
@@ -382,7 +373,7 @@ def evaluate_descriptor(
         return _evaluate_with_plan(plan, E, A, B, C, D, pts)
     # auto
     if plan is None and pts.size >= FAST_PATH_MIN_POINTS:
-        plan = build_evaluation_plan(E, A, B, C, D, pts)
+        plan = build_evaluation_plan(E, A, B, C, D)
     if plan is not None:
         return _evaluate_with_plan(plan, E, A, B, C, D, pts)
     return _evaluate_solve(E, A, B, C, D, pts)

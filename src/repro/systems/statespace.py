@@ -26,7 +26,6 @@ from repro.systems.evaluation import (
     build_evaluation_plan,
     evaluate_descriptor,
     point_solve,
-    verify_evaluation_plan,
 )
 from repro.utils.validation import check_finite, ensure_2d
 
@@ -41,11 +40,6 @@ def _as_readonly(array: np.ndarray) -> np.ndarray:
 
 #: Sentinel stored in the plan cache when the fast path was tried and rejected.
 _PLAN_UNAVAILABLE = object()
-
-#: How far (multiplicatively) a sweep may leave the plan's verified
-#: point-magnitude band before the cached plan is re-verified against the
-#: dense solve on the new sweep's probe points.
-_PLAN_BAND_MARGIN = 16.0
 
 
 class DescriptorSystem:
@@ -80,8 +74,6 @@ class DescriptorSystem:
         if E.shape != A.shape:
             raise ValueError(f"E shape {E.shape} must match A shape {A.shape}")
         B = ensure_2d(B, "B")
-        if B.ndim == 2 and B.shape[0] != n and B.shape[1] == n and B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got shape {B.shape}")
         if B.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got shape {B.shape}")
         C = ensure_2d(C, "C")
@@ -101,10 +93,9 @@ class DescriptorSystem:
         self._C = _as_readonly(C)
         self._D = _as_readonly(D)
         # lazily built evaluation fast path (shared sweep-evaluation kernel);
-        # safe to cache because the matrices are immutable.  The band records
-        # the point-magnitude range the plan has been verified on.
+        # safe to cache because the matrices are immutable and the plan is a
+        # function of them alone
         self._eval_plan = None
-        self._eval_plan_band = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -182,9 +173,9 @@ class DescriptorSystem:
     def __getstate__(self):
         # the plan cache may hold an identity-based sentinel; rebuild lazily
         # on the other side instead of shipping it across pickle boundaries
+        # (the rebuilt plan is the same one: it depends on the matrices alone)
         state = self.__dict__.copy()
         state["_eval_plan"] = None
-        state["_eval_plan_band"] = None
         return state
 
     def __setstate__(self, state):
@@ -205,64 +196,15 @@ class DescriptorSystem:
         """Alias for :meth:`transfer_function`."""
         return self.transfer_function(s)
 
-    @staticmethod
-    def _point_band(points: np.ndarray) -> tuple[float, float]:
-        magnitudes = np.abs(points)
-        tiny = float(np.finfo(float).tiny)
-        return (max(float(np.min(magnitudes)), tiny),
-                max(float(np.max(magnitudes)), tiny))
+    def _evaluation_plan(self):
+        """The cached fast-path plan, built (and verified) on first use.
 
-    def _evaluation_plan(self, probe_points: np.ndarray):
-        """The cached fast-path plan, building (and verifying) it on first use.
-
-        The plan's probe verification only covers the point band it was
-        built on; a later sweep that leaves that band (beyond a fixed
-        margin) triggers a cheap re-verification against the dense solve at
-        the new sweep's probes.  Success extends the recorded band; failure
-        falls back to the batched solve for that sweep without discarding
-        the plan for in-band use.
+        ``None`` when the plan was rejected; the rejection is cached too.
         """
         if self._eval_plan is None:
-            plan = build_evaluation_plan(
-                self._E, self._A, self._B, self._C, self._D, probe_points
-            )
-            # publish the band before the plan: concurrent readers on a
-            # shared system must never observe a plan without its band
-            if plan is not None:
-                self._eval_plan_band = self._point_band(probe_points)
+            plan = build_evaluation_plan(self._E, self._A, self._B, self._C, self._D)
             self._eval_plan = _PLAN_UNAVAILABLE if plan is None else plan
-        plan = self._eval_plan
-        if plan is _PLAN_UNAVAILABLE:
-            return None
-        lo, hi = self._eval_plan_band
-        new_lo, new_hi = self._point_band(probe_points)
-        if new_lo >= lo / _PLAN_BAND_MARGIN and new_hi <= hi * _PLAN_BAND_MARGIN:
-            return plan
-        if verify_evaluation_plan(plan, self._E, self._A, self._B, self._C,
-                                  self._D, probe_points):
-            self._eval_plan_band = (min(lo, new_lo), max(hi, new_hi))
-            return plan
-        return None
-
-    def prime_evaluation_plan(self, frequencies_hz: Iterable[float]) -> None:
-        """Pin the cached fast-path plan to the state a sweep over
-        ``frequencies_hz`` would leave behind, without running the sweep.
-
-        The lazily-built plan's spectral shift comes from the points that
-        first built it, so two objects with identical content can produce
-        bitwise-different (round-off apart) sweeps if their *first*
-        evaluations ran on different grids.  Callers that may skip this
-        object's first sweep -- the cross-job response cache, where a hit
-        on the fit grid leaves the plan to be seeded by whichever later
-        grid misses -- prime from the canonical first grid instead, so
-        every subsequent evaluation is independent of which sweeps were
-        skipped.  A no-op when the sweep is too short for the fast path
-        or a plan was already built.
-        """
-        freqs = np.asarray(list(frequencies_hz), dtype=float)
-        pts = 1j * 2.0 * np.pi * freqs
-        if pts.size >= FAST_PATH_MIN_POINTS:
-            self._evaluation_plan(pts)
+        return None if self._eval_plan is _PLAN_UNAVAILABLE else self._eval_plan
 
     def frequency_response(
         self, frequencies_hz: Iterable[float], *, method: str = "auto"
@@ -304,7 +246,7 @@ class DescriptorSystem:
         pts = np.asarray(list(points), dtype=complex)
         plan = None
         if method == "auto" and pts.size >= FAST_PATH_MIN_POINTS:
-            plan = self._evaluation_plan(pts)
+            plan = self._evaluation_plan()
             if plan is None:
                 method = "solve"
         return evaluate_descriptor(

@@ -10,15 +10,17 @@ the two integration contracts that make caching trustworthy:
   numerical payloads (via the engine's own ``numerical_differences``
   contract) and correct counters -- including the per-job error-capture
   path, which must never populate the cache;
-* a warm sweep builds no evaluation plan: ``run_job`` pins a model's plan
-  to its fit grid only before a sweep that may compute, and a fit-cache
-  hit's metrics equal the miss's with or without a response cache.
+* a model's sweep depends only on the model and its grid, not on earlier
+  sweeps: a warm sweep builds no evaluation plan, content-identical jobs
+  build one, and a fit-cache hit's metrics equal the miss's with or
+  without a response cache.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from repro.cache import (
     DiskStore,
     FitCache,
     MemoryStore,
-    ResponseCache,
     dataset_fingerprint,
     evaluation_key,
     fit_key,
@@ -42,7 +43,6 @@ from repro.core.options import MftiOptions, RecursiveOptions, VftiOptions
 from repro.experiments.workloads import mixed_batch_jobs
 from repro.metrics.timedomain import TimeDomainSpec
 from repro.systems import statespace
-from repro.vectorfitting.enforcement import PassivitySpec
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +130,8 @@ class TestSerialization:
         fresh = run_fit(small_data, method=method, options=options)
         arrays, meta = result_to_payload(fresh)
         json.dumps(meta)  # metadata must be JSON-serializable as-is
-        # schema 6: fits realized pair by pair and through QR factors
-        assert meta["schema_version"] == PAYLOAD_SCHEMA_VERSION == 6
+        # schema 7: sweep errors from plans shifted by the system alone
+        assert meta["schema_version"] == PAYLOAD_SCHEMA_VERSION == 7
         # the model and its realization SVD; no Fig.-1 profiles (schema 3)
         assert set(arrays) == {"E", "A", "B", "C", "D", "realization_singular_values"}
         restored = payload_to_result(arrays, meta, options=options)
@@ -425,77 +425,68 @@ class TestBatchCacheEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# evaluation-plan priming
+# evaluation plans
 # --------------------------------------------------------------------------- #
 @pytest.fixture
-def plan_events(monkeypatch):
-    """``("prime"|"sweep", id(system))`` and ``("build", None)`` in call order."""
-    system_type = statespace.DescriptorSystem
-    prime = system_type.prime_evaluation_plan
-    sweep = system_type.evaluate_many
+def plan_builds(monkeypatch):
+    """One entry per evaluation plan a ``DescriptorSystem`` sweep builds."""
     build = statespace.build_evaluation_plan
-    events = []
+    calls = []
 
-    def recording_prime(system, frequencies_hz):
-        events.append(("prime", id(system)))
-        return prime(system, frequencies_hz)
-
-    def recording_sweep(system, points, **kwargs):
-        events.append(("sweep", id(system)))
-        return sweep(system, points, **kwargs)
-
-    def recording_build(*args):
-        events.append(("build", None))
+    def counting_build(*args):
+        calls.append(None)
         return build(*args)
 
-    monkeypatch.setattr(system_type, "prime_evaluation_plan", recording_prime)
-    monkeypatch.setattr(system_type, "evaluate_many", recording_sweep)
-    monkeypatch.setattr(statespace, "build_evaluation_plan", recording_build)
-    return events
+    monkeypatch.setattr(statespace, "build_evaluation_plan", counting_build)
+    return calls
 
 
-class TestPlanPriming:
-    def test_warm_mixed_grid_builds_no_plan(self, plan_events):
+class TestEvaluationPlans:
+    @pytest.mark.parametrize("method", ["mfti", "vfti"])
+    @pytest.mark.parametrize("data_name", ["small_data", "noisy_data", "many_sample_data"])
+    def test_sweep_does_not_depend_on_earlier_sweeps(
+        self, request, dense_data, data_name, method
+    ):
+        # a sweep over the reference grid is the same whether or not the
+        # data grid was swept first, and survives a pickle round trip
+        data = request.getfixturevalue(data_name)
+        model = run_fit(data, method=method).system
+        fresh = model.copy().frequency_response(dense_data.frequencies_hz)
+        seasoned = model.copy()
+        seasoned.frequency_response(data.frequencies_hz)
+        assert np.array_equal(seasoned.frequency_response(dense_data.frequencies_hz), fresh)
+        clone = pickle.loads(pickle.dumps(seasoned))
+        assert np.array_equal(clone.frequency_response(dense_data.frequencies_hz), fresh)
+
+    def test_content_identical_jobs_build_one_plan(
+        self, many_sample_data, dense_data, plan_builds
+    ):
+        # the second job's sweeps all hit the response cache, so its model
+        # (a fresh fit of the same content) never needs a plan
+        job = FitJob(many_sample_data, method="mfti", reference=dense_data)
+        batch = BatchEngine().run([job, job])
+        assert [record.ok for record in batch.records] == [True, True]
+        assert len(plan_builds) == 1
+
+    def test_warm_mixed_grid_builds_no_plan(self, plan_builds):
         jobs = mixed_batch_jobs(pdn_samples=36, pdn_validation=48, line_sections=10,
                                 line_samples=40, line_validation=50)
         cache = FitCache()
         cold = BatchEngine(cache=cache).run(jobs)
-        assert ("build", None) in plan_events
-        plan_events.clear()
+        assert plan_builds
+        plan_builds.clear()
         warm = BatchEngine(cache=cache).run(jobs)
         assert warm.n_cache_hits == len(jobs)
         # every error replays from the evaluation memo: nothing to sweep
-        assert plan_events == []
+        assert plan_builds == []
         assert numerical_differences(cold, warm) == []
-
-    @pytest.mark.parametrize("spec", [
-        {"time_domain": TimeDomainSpec(t_final=2e-4, n_points=64)},
-        {"passivity": PassivitySpec(n_check=32, max_iterations=2)},
-    ], ids=["time_domain", "passivity"])
-    def test_spec_jobs_prime_once_before_their_first_sweep(
-        self, small_data, dense_data, plan_events, spec
-    ):
-        job = FitJob(small_data, method="mfti", options=MftiOptions(block_size=2),
-                     reference=dense_data, **spec)
-        cache = FitCache()
-        run_job(0, job, cache, responses=ResponseCache())
-        plan_events.clear()
-        record = run_job(1, job, cache, responses=ResponseCache())
-        assert record.cache_status == "hit", record.error_traceback
-        primed = [system for kind, system in plan_events if kind == "prime"]
-        assert len(primed) == 1
-        prime_at = plan_events.index(("prime", primed[0]))
-        assert ("sweep", primed[0]) not in plan_events[:prime_at]
-        if "time_domain" in spec:  # enforcement sweeps a pole-residue copy instead
-            assert ("sweep", primed[0]) in plan_events[prime_at:]
 
     @pytest.mark.parametrize("method", ["mfti", "vfti"])
     def test_hit_without_response_cache_matches_the_miss(
         self, many_sample_data, dense_data, method
     ):
-        # the miss seeds its plan from the error_vs_data sweep; the hit
-        # replays both errors from the memo, so the pin must place the
-        # time-domain sweep on the same plan
+        # the miss sweeps the data grid before the time-domain sweep; the hit
+        # replays both errors from the memo and sweeps only the reference
         job = FitJob(many_sample_data, method=method, reference=dense_data,
                      time_domain=TimeDomainSpec(t_final=1e-3))
         cache = FitCache()
