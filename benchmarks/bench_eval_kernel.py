@@ -17,6 +17,14 @@ The acceptance floor (enforced here and by the CI perf gate through
 least **5x** faster than the loop on each workload, while agreeing with it
 to a tiny relative error (reported; typically ``1e-11`` .. ``1e-8``).
 Results land in ``BENCH_eval_kernel.json`` for the perf-regression gate.
+
+Before anything is timed, each workload system's plan is built and checked
+at its probe points (:func:`~repro.systems.evaluation.plan_probe_ratio`,
+the check :func:`~repro.systems.evaluation.build_evaluation_plan` applies):
+a rejected plan fails the bench naming the probe, its mismatch and the
+tolerance, instead of surfacing as a ~1x cold speedup.  The worst probe's
+mismatch as a fraction of the tolerance is exported, for information only,
+as ``plan_probe_ratio``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,12 @@ from repro.circuits.pdn import power_distribution_network
 from repro.circuits.transmission_line import lumped_transmission_line
 from repro.experiments.example2 import Example2Config
 from repro.data import linear_frequencies
-from repro.systems.evaluation import evaluate_pointwise
+from repro.systems.evaluation import (
+    PLAN_GUARD_TOLERANCE,
+    evaluate_pointwise,
+    factor_evaluation_plan,
+    plan_probe_ratio,
+)
 
 #: Required cold-sweep (plan construction included) speedup per workload.
 MIN_COLD_SPEEDUP = 5.0
@@ -60,6 +73,19 @@ def _timed(fn):
     return value, time.perf_counter() - started
 
 
+def _verified_probe_ratio(name: str, system) -> float:
+    """The plan's worst probe mismatch over the tolerance; fails when rejected."""
+    matrices = (system.E, system.A, system.B, system.C, system.D)
+    plan = factor_evaluation_plan(*matrices)
+    assert plan is not None, f"{name}: the evaluation plan's factorizations failed"
+    probe, ratio = plan_probe_ratio(plan, *matrices)
+    assert ratio <= 1.0, (
+        f"{name}: evaluation plan rejected at probe s = {probe:.6g}: relative "
+        f"mismatch {ratio * PLAN_GUARD_TOLERANCE:.3e} > tolerance "
+        f"{PLAN_GUARD_TOLERANCE:.1e}")
+    return ratio
+
+
 def _sup_relative(got: np.ndarray, want: np.ndarray) -> float:
     k = want.shape[0]
     scale = np.maximum(np.linalg.norm(want.reshape(k, -1), axis=1), np.finfo(float).tiny)
@@ -70,7 +96,10 @@ def test_eval_kernel_speedup(benchmark, reportable, json_reportable):
     """Cold vectorized sweeps beat the per-point loop >=5x on both workloads."""
     rows = []
     results = {}
-    for name, (system, freqs) in _workloads().items():
+    workloads = _workloads()
+    probe_ratios = {name: _verified_probe_ratio(name, system)
+                    for name, (system, _) in workloads.items()}
+    for name, (system, freqs) in workloads.items():
         points = 1j * 2.0 * np.pi * freqs
 
         reference, loop_seconds = _timed(lambda: evaluate_pointwise(
@@ -102,13 +131,14 @@ def test_eval_kernel_speedup(benchmark, reportable, json_reportable):
             "speedup_cold": speedup_cold,
             "speedup_warm": speedup_warm,
             "agreement_rel": agreement,
+            "plan_probe_ratio": probe_ratios[name],
         }
         rows.append(
             f"{name:6s} n={system.order:4d} k={points.size:5d}  "
             f"loop {loop_seconds:7.3f}s  solve {solve_seconds:7.3f}s  "
             f"cold {cold_seconds:7.3f}s ({speedup_cold:5.1f}x)  "
             f"warm {warm_seconds:7.3f}s ({speedup_warm:5.1f}x)  "
-            f"agree {agreement:.1e}"
+            f"agree {agreement:.1e}  probe {probe_ratios[name]:.3f}"
         )
 
     # the pytest-benchmark record: one extra warm sweep of the larger system

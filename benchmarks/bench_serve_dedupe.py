@@ -6,7 +6,7 @@ at once" -- made measurable: a small port-sweep grid is fitted once locally
 times over, and in-flight dedupe must collapse the eight sweeps onto one set
 of underlying fits.
 
-Two phases, two different guarantees:
+Two phases, two different guarantees, and a repeat:
 
 1. **Deterministic dedupe** -- one ``/submit`` carrying all eight copies of
    the grid.  Admission and task creation are synchronous, so exactly
@@ -16,8 +16,12 @@ Two phases, two different guarantees:
    submitting the full grid.  Every served result must equal the local
    reference through :func:`comparable_json`, and the wall clock of all
    eight sweeps together is gated against the single cold fit
-   (``overhead_ratio``) -- the ISSUE's "K sweeps cost ~ 1 cold fit plus
-   overhead" acceptance line.
+   (``overhead_ratio``) -- the "K sweeps cost ~ 1 cold fit plus overhead"
+   acceptance line.
+3. **Datasets ship once** -- the phase-1 client submits the grid again.  The
+   server holds the grid's datasets from phase 1, so the repeat must ship
+   none of them inline (``repeat_inline_datasets``, read from ``/stats``)
+   and still equal the reference (``repeat_json_equal``).
 
 The service runs *cacheless* on purpose: records then carry ``cache: None``
 exactly like the local reference (string-equal exports), and any dedupe
@@ -100,8 +104,14 @@ def test_serve_dedupe_k_sweeps_cost_one_fit(benchmark, job_grid, reportable,
         assert not errors, errors
         final = client.stats()["counters"]
 
+        # -- repeat: the phase-1 client names the datasets it shipped -------
+        inline_before = client.stats()["datasets"]["inline"]
+        repeat = client.submit(job_grid)
+        repeat_inline_datasets = client.stats()["datasets"]["inline"] - inline_before
+
     json_equal = all(result is not None and comparable_json(result) == reference_json
                      for result in results)
+    repeat_json_equal = comparable_json(repeat) == reference_json
     concurrent = {key: final[key] - phase1[key] for key in final}
     overhead_ratio = dedupe_wall_seconds / cold_seconds
 
@@ -116,6 +126,8 @@ def test_serve_dedupe_k_sweeps_cost_one_fit(benchmark, job_grid, reportable,
         f"concurrent phase: {K_SWEEPS} clients, computed={concurrent['computed']}"
         f" coalesced={concurrent['coalesced']}"
         f" overhead_ratio={overhead_ratio:.3f}",
+        f"repeat by the phase-1 client: {repeat_inline_datasets} datasets inline,"
+        f" json_equal={repeat_json_equal}",
     ]))
     json_reportable("serve_dedupe", {
         "n_jobs": n_jobs,
@@ -133,6 +145,8 @@ def test_serve_dedupe_k_sweeps_cost_one_fit(benchmark, job_grid, reportable,
         "cold_fit_seconds": cold_seconds,
         "dedupe_wall_seconds": dedupe_wall_seconds,
         "overhead_ratio": overhead_ratio,
+        "repeat_inline_datasets": repeat_inline_datasets,
+        "repeat_json_equal": int(repeat_json_equal),
         "jobs": [record.to_dict() for record in single_batch.records],
     })
     benchmark.extra_info.update({

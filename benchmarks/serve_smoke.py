@@ -11,7 +11,10 @@ would run it -- no in-process shortcuts:
 4. assert the served result is string-identical to the reference through
    :func:`~repro.batch.results.comparable_json` (the same bitwise contract
    the sharded smoke enforces),
-5. ``POST /shutdown`` and require a clean exit code.
+5. submit the grid again through the same client, which now names the
+   datasets the server holds instead of shipping them, and require the
+   same identity,
+6. ``POST /shutdown`` and require a clean exit code.
 
 Run from the repository root::
 
@@ -78,6 +81,13 @@ def main() -> int:
             "served result differs from the local reference")
         print(f"served result: {served.n_ok}/{served.n_jobs} ok, "
               "comparable JSON identical to the local reference")
+
+        repeat = client.submit(jobs)
+        assert comparable_json(repeat) == comparable_json(reference), (
+            "repeat served result differs from the local reference")
+        datasets = client.stats()["datasets"]
+        print(f"repeat result: comparable JSON identical; server datasets: "
+              f"{datasets['inline']} inline, {datasets['resolved']} resolved")
 
         client.shutdown()
         returncode = server.wait(timeout=30)

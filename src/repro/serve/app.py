@@ -19,7 +19,9 @@ partial batches.
 * ``GET /stats`` -- service counters, queue depth and cache statistics,
 * ``POST /submit`` -- a :func:`~repro.serve.protocol.encode_batch` document;
   the response streams one NDJSON ``record`` event per job *as it
-  completes*, then a terminating ``end`` event,
+  completes*, then a terminating ``end`` event.  A batch naming a dataset
+  the service does not hold is answered 409 with the ``missing``
+  fingerprints, and a body longer than :data:`MAX_BODY_BYTES` 413 unread,
 * ``POST /shutdown`` -- clean shutdown (used by the CI smoke).
 
 :class:`ThreadedServer` runs the whole thing on a background thread for
@@ -42,6 +44,8 @@ from repro.batch.jobs import FitJob, JobRecord, run_job
 from repro.cache.responses import ResponseCache
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
+    HeldDatasets,
+    MissingDatasets,
     ProtocolError,
     decode_batch,
     encode_record,
@@ -49,7 +53,18 @@ from repro.serve.protocol import (
     request_key,
 )
 
-__all__ = ["Backpressure", "FitService", "FitServer", "ThreadedServer", "serve_forever"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "Backpressure",
+    "FitService",
+    "FitServer",
+    "ThreadedServer",
+    "serve_forever",
+]
+
+#: Largest request body the server reads.  A request declaring a longer
+#: ``Content-Length`` is answered 413 before a byte of its body is read.
+MAX_BODY_BYTES = 64 * 2**20
 
 
 class Backpressure(RuntimeError):
@@ -73,6 +88,10 @@ class FitService:
         (deduped) in flight at once.  A batch that would push past it is
         rejected whole with :class:`Backpressure`.
 
+    The service also keeps the datasets of the batches it decodes in one
+    :class:`~repro.serve.protocol.HeldDatasets` table (:attr:`datasets`), so
+    a client ships each dataset once and names it by fingerprint afterwards.
+
     All public methods must run on the event loop thread; the fits themselves
     run on the thread pool.
     """
@@ -91,6 +110,8 @@ class FitService:
         # across every submission the service ever handles, exactly like the
         # engine shares one per batch
         self.responses = ResponseCache()
+        # the verified datasets of earlier batches, resolved by fingerprint
+        self.datasets = HeldDatasets()
         self.counters: dict[str, int] = {
             "submitted": 0,   # jobs accepted into batches
             "completed": 0,   # record answers streamed with status "ok"
@@ -192,7 +213,12 @@ class FitService:
     # introspection and lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:
-        """The ``GET /stats`` document: counters, queue depth, cache stats."""
+        """The ``GET /stats`` document: counters, queue depth, cache stats.
+
+        ``"datasets"`` is the held-dataset table: ``entries`` and ``bytes``
+        held, datasets decoded ``inline``, refs ``resolved`` from the table
+        and refs ``missing`` from it (answered 409).
+        """
         document: dict[str, Any] = {
             "protocol_version": PROTOCOL_VERSION,
             "counters": dict(self.counters),
@@ -206,6 +232,7 @@ class FitService:
                 else None
             ),
             "responses": self.responses.stats(),
+            "datasets": self.datasets.stats(),
         }
         return document
 
@@ -283,10 +310,17 @@ class FitServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is not None:
-                method, target, body = request
-                await self._route(method, target, body, writer)
+            head = await self._read_head(reader)
+            if head is not None:
+                method, target, length = head
+                if length > MAX_BODY_BYTES:
+                    await self._respond_json(writer, 413, "Payload Too Large", {
+                        "error": f"request body of {length} bytes exceeds the "
+                                 f"{MAX_BODY_BYTES}-byte bound",
+                    })
+                else:
+                    body = await reader.readexactly(length) if length > 0 else b""
+                    await self._route(method, target, body, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to answer
         finally:
@@ -295,7 +329,8 @@ class FitServer:
                 await writer.wait_closed()
 
     @staticmethod
-    async def _read_request(reader: asyncio.StreamReader):
+    async def _read_head(reader: asyncio.StreamReader):
+        """``(method, target, Content-Length)`` of the next request, or ``None``."""
         request_line = await reader.readline()
         if not request_line:
             return None
@@ -314,8 +349,7 @@ class FitServer:
                     length = int(value.strip())
                 except ValueError:
                     length = 0
-        body = await reader.readexactly(length) if length > 0 else b""
-        return method, target, body
+        return method, target, length
 
     async def _route(self, method: str, target: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:
@@ -346,7 +380,13 @@ class FitServer:
 
     async def _handle_submit(self, body: bytes, writer: asyncio.StreamWriter) -> None:
         try:
-            jobs = decode_batch(json.loads(body.decode()))
+            jobs = decode_batch(json.loads(body.decode()), self.service.datasets)
+        except MissingDatasets as exc:
+            # nothing was admitted: the client resends these datasets inline
+            await self._respond_json(writer, 409, "Conflict", {
+                "error": str(exc), "missing": exc.fingerprints,
+            })
+            return
         except (ProtocolError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             await self._respond_json(writer, 400, "Bad Request", {"error": str(exc)})
             return

@@ -10,19 +10,23 @@ stay server-side), but everything
 bit-exactly, so a served batch is verifiable against a local
 :meth:`BatchEngine.run` by string equality.
 
-:func:`submit` is the one-call convenience the public API re-exports.
+A :class:`Client` ships each dataset to its server once: later batches name
+it by fingerprint.  :func:`submit` is the one-call convenience the public
+API re-exports; it builds a fresh client, so it always ships every dataset.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from typing import Any, Iterable, Optional
+import threading
+from typing import Any, Collection, Iterable, Optional
 
 from repro.batch.jobs import FitJob, JobRecord
 from repro.batch.results import BatchResult
 from repro.serve.app import Backpressure
 from repro.serve.protocol import (
+    MissingDatasets,
     decode_record,
     encode_batch,
     records_to_batch_result,
@@ -46,6 +50,14 @@ class Client:
     timeout:
         Socket timeout per request; submissions wait for fits to stream
         back, so size it to the workload, not to a ping.
+
+    The client remembers the fingerprints of the datasets the server has
+    accepted from it and sends those as bare refs in later batches.  When
+    the server no longer holds one (it evicted it, or it restarted), it
+    answers 409 with the missing fingerprints: the client forgets them and
+    resends the batch once, with every dataset inline.  The memory belongs
+    to the client, not to a connection, because every request is its own
+    ``Connection: close`` connection.  One client may be shared by threads.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8765, *,
@@ -53,6 +65,8 @@ class Client:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
+        self._held: set[str] = set()  # fingerprints the server accepted
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -103,6 +117,10 @@ class Client:
     def submit(self, jobs: Iterable[FitJob]) -> BatchResult:
         """Submit a batch and collect the streamed records into a result.
 
+        Datasets the server accepted from this client earlier travel as
+        fingerprints only; on a 409 the batch is resent once with every
+        dataset inline.
+
         Raises
         ------
         Backpressure
@@ -113,18 +131,35 @@ class Client:
             like a short batch).
         """
         job_list = list(jobs)
-        body = json.dumps(encode_batch(job_list)).encode()
+        with self._lock:
+            held = frozenset(self._held)
+        try:
+            return self._submit(job_list, held)
+        except MissingDatasets as exc:
+            with self._lock:
+                self._held.difference_update(exc.fingerprints)
+            return self._submit(job_list, ())
+
+    def _submit(self, job_list: list[FitJob], held: Collection[str]) -> BatchResult:
+        """One ``POST /submit`` of ``job_list``, the ``held`` datasets by ref."""
+        document = encode_batch(job_list, held)
+        body = json.dumps(document).encode()
         connection = self._connection()
         try:
             connection.request("POST", "/submit", body=body,
                                headers={"Content-Type": "application/json"})
             response = connection.getresponse()
             if response.status == 503:
-                document = self._parse(response.read().decode(), context="/submit")
-                raise Backpressure(document.get("error", "server rejected the batch"))
+                answer = self._parse(response.read().decode(), context="/submit")
+                raise Backpressure(answer.get("error", "server rejected the batch"))
+            if response.status == 409 and held:
+                answer = self._parse(response.read().decode(), context="/submit")
+                raise MissingDatasets(answer.get("missing", []))
             if response.status != 200:
                 payload = response.read().decode()
                 raise ServeError(f"POST /submit -> {response.status}: {payload.strip()}")
+            with self._lock:
+                self._held.update(document["datasets"])
             records: list[JobRecord] = []
             ended = False
             for raw_line in response:
@@ -160,5 +195,8 @@ class Client:
 
 def submit(jobs: Iterable[FitJob], *, host: str = "127.0.0.1",
            port: int = 8765, timeout: float = 600.0) -> BatchResult:
-    """One-shot convenience: submit ``jobs`` to a running fit server."""
+    """One-shot convenience: submit ``jobs`` to a running fit server.
+
+    A fresh :class:`Client` sends the request, so every dataset ships inline.
+    """
     return Client(host, port, timeout=timeout).submit(jobs)

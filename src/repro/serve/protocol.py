@@ -18,12 +18,21 @@ round-trip) once per batch, in a ``"datasets"`` table keyed by
 ``"data_ref"``/``"reference_ref"``, so an N-job sweep over one system ships
 its arrays once instead of N times.  The decoder verifies every table entry
 against its key.
+
+Across batches a dataset ships once too: a server keeps the datasets it has
+decoded and verified in a bounded :class:`HeldDatasets` table, and a ref
+that is missing from a batch's ``"datasets"`` table resolves from there.  A client names the
+datasets the server already holds (``encode_batch(jobs, held)``) instead of
+re-sending them; a ref the server does not hold fails the whole batch with
+:class:`MissingDatasets` (HTTP 409, the fingerprints listed) before any of
+its jobs starts, and the client resends those datasets inline.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any
+from collections import OrderedDict
+from typing import Any, Collection, Optional
 
 import numpy as np
 
@@ -46,7 +55,10 @@ from repro.cache.fitcache import is_nondeterministic
 from repro.data.dataset import FrequencyData
 
 __all__ = [
+    "MAX_HELD_BYTES",
     "PROTOCOL_VERSION",
+    "HeldDatasets",
+    "MissingDatasets",
     "ProtocolError",
     "encode_dataset",
     "decode_dataset",
@@ -61,12 +73,82 @@ __all__ = [
 #: Bump whenever any wire document changes shape (the shard layer's schema
 #: discipline, applied to HTTP); any other version is refused.  Version 3
 #: moved jobs and records onto the shared document codec and dropped the
-#: inline per-job datasets of version 1.
-PROTOCOL_VERSION = 3
+#: inline per-job datasets of version 1; version 4 lets a job name a dataset
+#: the server holds from an earlier batch without shipping it again.
+PROTOCOL_VERSION = 4
+
+#: Most dataset bytes (frequencies plus samples) a :class:`HeldDatasets`
+#: table keeps; the least recently used datasets go first.
+MAX_HELD_BYTES = 64 * 2**20
 
 
 class ProtocolError(ValueError):
     """A wire document failed validation (shape, fingerprint, version)."""
+
+
+class MissingDatasets(ProtocolError):
+    """A batch names datasets that are neither inline nor held by the server.
+
+    ``fingerprints`` lists them, sorted; the client resends the batch with
+    them inline.
+    """
+
+    def __init__(self, fingerprints: Collection[str]):
+        self.fingerprints = sorted(fingerprints)
+        super().__init__(
+            f"{len(self.fingerprints)} referenced dataset(s) are not held by "
+            "this server; resend them inline"
+        )
+
+
+class HeldDatasets:
+    """The datasets a server has decoded and verified, keyed by fingerprint.
+
+    An LRU table bounded at :data:`MAX_HELD_BYTES` of array data, with the
+    tallies ``GET /stats`` reports: datasets decoded inline, refs resolved
+    from the table and refs answered with :class:`MissingDatasets`.  Not
+    thread-safe: the fit service uses it from its event loop only.
+    """
+
+    def __init__(self) -> None:
+        self._held: "OrderedDict[str, FrequencyData]" = OrderedDict()
+        self.nbytes = 0
+        self.inline = 0
+        self.resolved = 0
+        self.missing = 0
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return fingerprint in self._held
+
+    def resolve(self, fingerprint: str) -> FrequencyData:
+        """The held dataset (``KeyError`` when it is not held); marks it recent."""
+        self._held.move_to_end(fingerprint)
+        return self._held[fingerprint]
+
+    def hold(self, fingerprint: str, data: FrequencyData) -> None:
+        """Keep a verified dataset, evicting the least recently used beyond the bound."""
+        if fingerprint in self._held:
+            self._held.move_to_end(fingerprint)
+            return
+        self._held[fingerprint] = data
+        self.nbytes += _nbytes(data)
+        while self.nbytes > MAX_HELD_BYTES:
+            _, evicted = self._held.popitem(last=False)
+            self.nbytes -= _nbytes(evicted)
+
+    def stats(self) -> dict[str, int]:
+        """The ``"datasets"`` entry of ``GET /stats``."""
+        return {
+            "entries": len(self._held),
+            "bytes": self.nbytes,
+            "inline": self.inline,
+            "resolved": self.resolved,
+            "missing": self.missing,
+        }
+
+
+def _nbytes(data: FrequencyData) -> int:
+    return int(data.frequencies_hz.nbytes + data.samples.nbytes)
 
 
 # --------------------------------------------------------------------------- #
@@ -168,20 +250,23 @@ def decode_record(spec: dict[str, Any]) -> JobRecord:
         raise ProtocolError(f"malformed record spec: {exc}") from exc
 
 
-def encode_batch(jobs: list[FitJob]) -> dict[str, Any]:
+def encode_batch(jobs: list[FitJob], held: Collection[str] = ()) -> dict[str, Any]:
     """The ``POST /submit`` request body for a list of jobs.
 
     Every unique dataset ships once in the batch-level ``"datasets"`` table,
     keyed by fingerprint; the jobs are :func:`~repro.batch.jobs.job_to_document`
     documents naming their datasets by that key.  The table is consulted
     before a document is built, so each unique dataset is encoded once.
+    Datasets whose fingerprint is in ``held`` (those the server has already
+    accepted from this client) are left out of the table: the jobs still name
+    them, and the server resolves them from its :class:`HeldDatasets`.
     """
     datasets: dict[str, Any] = {}
     for job in jobs:
         for data in (job.data, job.reference):
             if data is not None:
                 fingerprint = dataset_fingerprint(data)
-                if fingerprint not in datasets:
+                if fingerprint not in datasets and fingerprint not in held:
                     datasets[fingerprint] = encode_dataset(data)
     return {
         "protocol_version": PROTOCOL_VERSION,
@@ -190,11 +275,30 @@ def encode_batch(jobs: list[FitJob]) -> dict[str, Any]:
     }
 
 
-def decode_batch(document: dict[str, Any]) -> list[FitJob]:
+def _referenced(jobs_spec: list) -> set[str]:
+    """The dataset fingerprints the job documents name (malformed ones skipped)."""
+    refs = set()
+    for spec in jobs_spec:
+        if isinstance(spec, dict):
+            for key in ("data_ref", "reference_ref"):
+                if isinstance(spec.get(key), str):
+                    refs.add(spec[key])
+    return refs
+
+
+def decode_batch(document: dict[str, Any],
+                 held: Optional[HeldDatasets] = None) -> list[FitJob]:
     """Validate and decode a ``POST /submit`` body into jobs.
 
     Every dataset-table entry is verified against its fingerprint key, and
     every job against its ``job_id``; any other protocol version is refused.
+
+    Without ``held``, every dataset a job names must be in the body's table.
+    With it, a named dataset missing from the table resolves from ``held``;
+    if ``held`` lacks any, :class:`MissingDatasets` lists them before a
+    single inline dataset is decoded.  The inline datasets of a batch that
+    decodes in full are then held for later batches; a batch that fails
+    verification holds nothing.
     """
     if not isinstance(document, dict):
         raise ProtocolError("submit body must be a JSON object")
@@ -210,6 +314,13 @@ def decode_batch(document: dict[str, Any]) -> list[FitJob]:
     if not isinstance(table, dict):
         raise ProtocolError("the 'datasets' table must be a JSON object")
     datasets: dict[str, FrequencyData] = {}
+    if held is not None:
+        refs = _referenced(jobs_spec).difference(table)
+        missing = [ref for ref in refs if ref not in held]
+        if missing:
+            held.missing += len(missing)
+            raise MissingDatasets(missing)
+        datasets.update((ref, held.resolve(ref)) for ref in refs)
     for fingerprint, spec in table.items():
         if not isinstance(spec, dict):
             raise ProtocolError(f"dataset table entry {fingerprint!r} is not an object")
@@ -221,9 +332,15 @@ def decode_batch(document: dict[str, Any]) -> list[FitJob]:
             )
         datasets[fingerprint] = data
     try:
-        return [job_from_document(spec, datasets) for spec in jobs_spec]
+        jobs = [job_from_document(spec, datasets) for spec in jobs_spec]
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid job spec: {exc}") from exc
+    if held is not None:
+        for fingerprint in table:
+            held.hold(fingerprint, datasets[fingerprint])
+        held.inline += len(table)
+        held.resolved += len(refs)
+    return jobs
 
 
 def records_to_batch_result(records: list[JobRecord]) -> BatchResult:

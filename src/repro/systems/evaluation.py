@@ -53,6 +53,7 @@ The stacked solve of the ``solve`` strategy goes through the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -64,6 +65,8 @@ __all__ = [
     "evaluate_descriptor",
     "evaluate_pointwise",
     "evaluate_cauchy",
+    "factor_evaluation_plan",
+    "plan_probe_ratio",
     "point_solve",
     "FAST_PATH_MIN_POINTS",
     "PLAN_GUARD_TOLERANCE",
@@ -251,48 +254,47 @@ class EvaluationPlan:
         )
 
 
-def _plan_verifies(plan: EvaluationPlan, E, A, B, C, D) -> bool:
-    """Whether the plan reproduces the direct solve at its probe points.
+def plan_probe_ratio(plan: EvaluationPlan, E, A, B, C, D) -> tuple[Optional[complex], float]:
+    """The plan's worst probe point and its mismatch as a fraction of the tolerance.
 
     The probes are ``j |p|`` for the smallest, median and largest of the
     plan's finite poles ``p = sigma + 1 / lambda_i`` (an infinite
     generalized eigenvalue maps to ``lambda_i = 0`` and gives none).
     Probes where the pencil is (near-)singular are excluded -- the guarded
     evaluation repairs those through the reference anyway, so they say
-    nothing about the plan's quality elsewhere.
+    nothing about the plan's quality elsewhere.  At each probe the mismatch
+    is the plan's deviation from the direct solve relative to the solve's
+    norm; the ratio divides the largest by :data:`PLAN_GUARD_TOLERANCE`, so
+    the plan verifies iff it is at most 1.  ``(None, 0.0)`` when no probe
+    remains.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         magnitudes = np.abs(plan.sigma + 1.0 / plan.eigenvalues)
     magnitudes = np.sort(magnitudes[np.isfinite(magnitudes)])
     if not magnitudes.size:
-        return True
+        return None, 0.0
     probes = 1j * magnitudes[[0, magnitudes.size // 2, -1]]
     probes = probes[~plan.suspect_points(probes)]
     if not probes.size:
-        return True
+        return None, 0.0
     fast = plan.evaluate(probes)
     direct = _evaluate_solve(E, A, B, C, D, probes)
     scale = np.linalg.norm(direct.reshape(probes.size, -1), axis=1)
     mismatch = np.linalg.norm((fast - direct).reshape(probes.size, -1), axis=1)
-    return bool(np.all(
-        mismatch <= PLAN_GUARD_TOLERANCE * np.maximum(scale, np.finfo(float).tiny)
-    ))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = mismatch / (PLAN_GUARD_TOLERANCE * np.maximum(scale, np.finfo(float).tiny))
+    worst = int(np.argmax(np.where(np.isnan(ratios), np.inf, ratios)))
+    return complex(probes[worst]), float(ratios[worst])
 
 
-def build_evaluation_plan(E, A, B, C, D):
-    """Build and verify the :class:`EvaluationPlan` of a system, or return ``None``.
+def factor_evaluation_plan(E, A, B, C, D) -> Optional[EvaluationPlan]:
+    """The unverified :class:`EvaluationPlan` of a system, or ``None``.
 
-    The plan is a pure function of the five matrices.  The shift
-    ``||A||_F / ||E||_F`` (1.0 where that is undefined) is a scale of the
-    system's poles; being real, it makes the factorizations follow the
+    ``None`` when a factorization fails or yields non-finite values.  The
+    shift ``||A||_F / ||E||_F`` (1.0 where that is undefined) is a scale of
+    the system's poles; being real, it makes the factorizations follow the
     dtype of the system's matrices: a real system gets a real ``eig``, a
-    complex system the complex one.  The plan is checked against the direct
-    dense solve at ``j |p|`` for the smallest, median and largest of its own
-    finite poles ``p``, the ends and the middle of the band the system
-    responds in; a relative disagreement beyond
-    :data:`PLAN_GUARD_TOLERANCE` (ill-conditioned eigenvectors,
-    non-diagonalizable pencil) rejects the plan so callers fall back to the
-    ``solve`` strategy for this system.
+    complex system the complex one.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.linalg.norm(A) / np.linalg.norm(E)
@@ -308,14 +310,31 @@ def build_evaluation_plan(E, A, B, C, D):
     if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(b_tilde))
             and np.all(np.isfinite(c_tilde))):
         return None
-    plan = EvaluationPlan(
+    return EvaluationPlan(
         sigma=shift,
         eigenvalues=eigenvalues,
         b_tilde=b_tilde,
         c_tilde=c_tilde,
         d=np.asarray(D),
     )
-    return plan if _plan_verifies(plan, E, A, B, C, D) else None
+
+
+def build_evaluation_plan(E, A, B, C, D):
+    """Build and verify the :class:`EvaluationPlan` of a system, or return ``None``.
+
+    The plan is a pure function of the five matrices
+    (:func:`factor_evaluation_plan`).  It is checked against the direct
+    dense solve at ``j |p|`` for the smallest, median and largest of its own
+    finite poles ``p``, the ends and the middle of the band the system
+    responds in; a relative disagreement beyond :data:`PLAN_GUARD_TOLERANCE`
+    (:func:`plan_probe_ratio` above 1: ill-conditioned eigenvectors,
+    non-diagonalizable pencil) rejects the plan so callers fall back to the
+    ``solve`` strategy for this system.
+    """
+    plan = factor_evaluation_plan(E, A, B, C, D)
+    if plan is None or not plan_probe_ratio(plan, E, A, B, C, D)[1] <= 1.0:
+        return None
+    return plan
 
 
 def _evaluate_with_plan(plan: EvaluationPlan, E, A, B, C, D, pts: np.ndarray) -> np.ndarray:

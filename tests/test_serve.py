@@ -1,6 +1,6 @@
 """The serving layer's contract: protocol, service, dispatcher, CLI.
 
-Four layers of defence:
+Five layers of defence:
 
 * **wire-format round-trips** -- datasets, jobs and records must survive the
   JSON protocol bitwise (fingerprint-verified), and every tamper path must
@@ -14,6 +14,10 @@ Four layers of defence:
   exactly one underlying fit (and N answers), nondeterministic jobs never
   coalesce, and a batch that would overrun the admission bound is rejected
   whole with :class:`Backpressure` while the server stays healthy;
+* **held datasets** -- a client's repeat batches name the datasets the
+  server already holds, a ref it no longer holds is answered 409 before any
+  job starts and resent inline, and an oversized body is answered 413
+  unread;
 * the **dispatcher** -- an injected shard failure is retried and the merged
   result is still bit-identical to the unsharded run; an exhausted retry
   budget raises :class:`DispatchError`.
@@ -28,6 +32,7 @@ import dataclasses
 import http.client
 import json
 import math
+import socket
 import sys
 import threading
 import time
@@ -38,7 +43,7 @@ import pytest
 from repro.batch.engine import BatchEngine
 from repro.batch.jobs import FitJob, JobRecord, job_fingerprint
 from repro.batch.results import comparable_json
-from repro.cache import FitCache
+from repro.cache import FitCache, dataset_fingerprint
 from repro.cli import cli_subprocess
 from repro.core.options import (
     MftiOptions,
@@ -48,7 +53,8 @@ from repro.core.options import (
     parse_canonical_token,
 )
 from repro.experiments.workloads import port_sweep_jobs
-from repro.serve.app import Backpressure, FitService, ThreadedServer
+from repro.serve import protocol
+from repro.serve.app import MAX_BODY_BYTES, Backpressure, FitService, ThreadedServer
 from repro.serve.client import Client, ServeError
 from repro.serve.dispatcher import (
     DispatchError,
@@ -192,8 +198,21 @@ class TestProtocol:
             decode_batch(tampered)
 
     def test_previous_protocol_version_is_refused_by_name(self, grid_jobs):
-        document = dict(encode_batch(grid_jobs[:1]), protocol_version=2)
-        with pytest.raises(ProtocolError, match="protocol 2"):
+        document = dict(encode_batch(grid_jobs[:1]), protocol_version=3)
+        with pytest.raises(ProtocolError, match="protocol 3"):
+            decode_batch(document)
+
+    def test_held_datasets_travel_as_refs_only(self, grid_jobs):
+        fingerprints = _fingerprints(grid_jobs)
+        document = encode_batch(grid_jobs, fingerprints[:1])
+        assert list(document["datasets"]) == fingerprints[1:]
+        assert {job["data_ref"] for job in document["jobs"]} | \
+               {job["reference_ref"] for job in document["jobs"]} == set(fingerprints)
+
+    def test_decode_without_a_table_needs_every_dataset_inline(self, grid_jobs):
+        document = json.loads(json.dumps(
+            encode_batch(grid_jobs, _fingerprints(grid_jobs)[:1])))
+        with pytest.raises(ProtocolError, match="unknown dataset"):
             decode_batch(document)
 
     def test_record_round_trip_is_exact(self):
@@ -338,6 +357,149 @@ class TestFitServer:
             assert response.status == 400
             assert b"protocol" in response.read()
             connection.close()
+
+
+# --------------------------------------------------------------------------- #
+# held datasets and request bounds
+# --------------------------------------------------------------------------- #
+def _fingerprints(jobs) -> list[str]:
+    """The sorted fingerprints of every dataset the jobs name."""
+    return sorted({dataset_fingerprint(data) for job in jobs
+                   for data in (job.data, job.reference) if data is not None})
+
+
+def _nbytes(jobs) -> int:
+    """Array bytes of the distinct datasets the jobs name."""
+    datasets = {dataset_fingerprint(data): data for job in jobs
+                for data in (job.data, job.reference) if data is not None}
+    return sum(data.frequencies_hz.nbytes + data.samples.nbytes
+               for data in datasets.values())
+
+
+def _post_submit(server, document) -> tuple[int, dict]:
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.request("POST", "/submit", body=json.dumps(document).encode(),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHeldDatasets:
+    def test_stats_tally_inline_resolved_and_missing_datasets(
+            self, grid_jobs, reference_run, monkeypatch):
+        other = port_sweep_jobs(port_counts=[3], block_sizes=[1], order=8,
+                                n_samples=10, n_validation=12)[:1]
+        grid_bytes, other_bytes = _nbytes(grid_jobs), _nbytes(other)
+        expected = comparable_json(reference_run)
+        with ThreadedServer(FitService(BatchEngine())) as server:
+            client = Client(server.host, server.port)
+            first = client.submit(grid_jobs)
+            after_first = client.stats()["datasets"]
+            repeat = client.submit(grid_jobs)
+            after_repeat = client.stats()["datasets"]
+            # a bound that holds only the other batch's datasets evicts the grid's
+            monkeypatch.setattr(protocol, "MAX_HELD_BYTES", other_bytes)
+            Client(server.host, server.port).submit(other)
+            after_eviction = client.stats()["datasets"]
+            # the client still names the grid's datasets: 409, then inline
+            monkeypatch.setattr(protocol, "MAX_HELD_BYTES", grid_bytes)
+            resent = client.submit(grid_jobs)
+            stats = client.stats()
+        assert after_first == {"entries": 2, "bytes": grid_bytes,
+                               "inline": 2, "resolved": 0, "missing": 0}
+        assert after_repeat == {"entries": 2, "bytes": grid_bytes,
+                                "inline": 2, "resolved": 2, "missing": 0}
+        assert after_eviction == {"entries": 2, "bytes": other_bytes,
+                                  "inline": 4, "resolved": 2, "missing": 0}
+        assert stats["datasets"] == {"entries": 2, "bytes": grid_bytes,
+                                     "inline": 6, "resolved": 2, "missing": 2}
+        # the 409 admitted nothing: 3 grid batches and the other job ran
+        assert stats["counters"]["submitted"] == 3 * len(grid_jobs) + 1
+        assert stats["counters"]["computed"] == 3 * len(grid_jobs) + 1
+        for result in (first, repeat, resent):
+            assert comparable_json(result) == expected
+
+    def test_missing_dataset_is_409_and_starts_nothing(self, grid_jobs):
+        fingerprints = _fingerprints(grid_jobs)
+        with ThreadedServer(FitService(BatchEngine())) as server:
+            status, answer = _post_submit(server, encode_batch(grid_jobs, fingerprints))
+            stats = Client(server.host, server.port).stats()
+        assert status == 409
+        assert answer["missing"] == fingerprints
+        assert set(stats["counters"].values()) == {0}
+        assert stats["queue_depth"] == 0 and stats["inflight_keys"] == 0
+        assert stats["datasets"] == {"entries": 0, "bytes": 0, "inline": 0,
+                                     "resolved": 0, "missing": 2}
+
+    def test_tampered_inline_dataset_is_400_and_never_held(self, grid_jobs):
+        document = json.loads(json.dumps(encode_batch(grid_jobs)))
+        tampered = dataset_fingerprint(grid_jobs[0].reference)
+        document["datasets"][tampered]["reference_impedance"] = float(75.0).hex()
+        with ThreadedServer(FitService(BatchEngine())) as server:
+            status, answer = _post_submit(server, document)
+            client = Client(server.host, server.port)
+            held_after_tamper = client.stats()["datasets"]
+            # the honest batch then ships both datasets inline
+            client.submit(grid_jobs)
+            stats = client.stats()
+        assert status == 400 and "fingerprint" in answer["error"]
+        assert held_after_tamper == {"entries": 0, "bytes": 0, "inline": 0,
+                                     "resolved": 0, "missing": 0}
+        assert stats["datasets"]["inline"] == 2
+        assert stats["counters"]["submitted"] == len(grid_jobs)
+
+    def test_one_client_shared_by_eight_threads(self, grid_jobs, reference_run):
+        expected = comparable_json(reference_run)
+        with ThreadedServer(FitService(BatchEngine(executor="thread",
+                                                   max_workers=2))) as server:
+            client = Client(server.host, server.port)
+            results: list = []
+            errors: list = []
+
+            def submit_twice() -> None:
+                try:
+                    results.extend(client.submit(grid_jobs) for _ in range(2))
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=submit_twice) for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # interleave the threads' updates of the client
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+            finally:
+                sys.setswitchinterval(interval)
+            datasets = client.stats()["datasets"]
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == 16
+        assert all(comparable_json(result) == expected for result in results)
+        # every batch's 2 datasets travelled once: inline or as a ref; each
+        # thread's second batch named both datasets the first one shipped
+        assert datasets["inline"] + datasets["resolved"] == 16 * 2
+        assert datasets["resolved"] >= 8 * 2
+        assert datasets["missing"] == 0
+
+    def test_oversized_body_is_413_before_it_is_read(self, grid_jobs, reference_run):
+        head = (f"POST /submit HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n")
+        with ThreadedServer(FitService(BatchEngine())) as server:
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(head.encode("latin-1"))
+                answer = b""
+                while chunk := sock.recv(65536):
+                    answer += chunk
+            served = Client(server.host, server.port).submit(grid_jobs)
+        assert answer.startswith(b"HTTP/1.1 413")
+        assert b"exceeds" in answer
+        assert comparable_json(served) == comparable_json(reference_run)
 
 
 # --------------------------------------------------------------------------- #
