@@ -15,10 +15,11 @@ Three exact gates, one timing gate:
    (structurally ~20x: 48 dataset documents collapse to 2 table entries);
    the decoded batch must round-trip to fingerprint-identical jobs.
 2. **Response-cache counters** -- the serial run's hit/miss tally must equal
-   what the sharing structure predicts *exactly*: 2 unique datasets across
-   48 norm consultations (``2 * (n_jobs - 1)`` hits) and one shared grid
-   across 48 sweep consultations (``2 * n_jobs - n_unique_systems`` hits).
-   Off-by-one here means a fingerprint unexpectedly collided or missed.
+   what the sharing structure predicts *exactly*: 48 score lookups (each
+   job's ``error_vs_data`` and ``error_vs_reference``), of which
+   ``2 * n_jobs - 2 * n_unique_systems`` hit, and the norm lookups of the
+   score misses, 2 per unique system over 2 unique datasets.  Off-by-one
+   here means a fingerprint unexpectedly collided or missed.
 3. **Bitwise identity** -- ``comparable_json`` of the engine run and of the
    uncached ``run_job(..., responses=None)`` path must be string-equal: the
    cache may only ever return what the direct computation produces.
@@ -149,12 +150,13 @@ def test_dataset_dedup_ships_once_evaluates_once(benchmark, job_grid,
                              for data in (job.data, job.reference)})
     n_unique_systems = len({system_fingerprint(record.result.system)
                             for record in result.records})
-    # per job: 2 norm + 2 sweep consultations (error_vs_data + _reference);
-    # data and reference share one grid, so each fitted system sweeps once
-    expected_norm_hits = 2 * n_jobs - n_unique_datasets
-    expected_sweep_hits = 2 * n_jobs - n_unique_systems
-    expected_hits = expected_norm_hits + expected_sweep_hits
-    expected_misses = n_unique_datasets + n_unique_systems
+    # per job: 2 score lookups (error_vs_data + _reference), which hit for
+    # every job whose system an earlier job scored; the first job of each
+    # system misses both and looks up both datasets' norms
+    expected_score_hits = 2 * n_jobs - 2 * n_unique_systems
+    expected_norm_hits = 2 * n_unique_systems - n_unique_datasets
+    expected_hits = expected_score_hits + expected_norm_hits
+    expected_misses = 2 * n_unique_systems + n_unique_datasets
 
     # -- bitwise identity: the cache may not change a single byte ---------- #
     plain = BatchResult(records=tuple(run_job(index, job)

@@ -18,9 +18,10 @@ least **5x** faster than the loop on each workload, while agreeing with it
 to a tiny relative error (reported; typically ``1e-11`` .. ``1e-8``).
 Results land in ``BENCH_eval_kernel.json`` for the perf-regression gate.
 
-Before anything is timed, each workload system's plan is built and checked
-at its probe points (:func:`~repro.systems.evaluation.plan_probe_ratio`,
-the check :func:`~repro.systems.evaluation.build_evaluation_plan` applies):
+Before anything is timed, each workload system's plan is chosen and checked
+at its probe points (:func:`~repro.systems.evaluation.choose_evaluation_plan`,
+the plan and check :func:`~repro.systems.evaluation.build_evaluation_plan`
+applies):
 a rejected plan fails the bench naming the probe, its mismatch and the
 tolerance, instead of surfacing as a ~1x cold speedup.  The worst probe's
 mismatch as a fraction of the tolerance is exported, for information only,
@@ -41,9 +42,8 @@ from repro.experiments.example2 import Example2Config
 from repro.data import linear_frequencies
 from repro.systems.evaluation import (
     PLAN_GUARD_TOLERANCE,
+    choose_evaluation_plan,
     evaluate_pointwise,
-    factor_evaluation_plan,
-    plan_probe_ratio,
 )
 
 #: Required cold-sweep (plan construction included) speedup per workload.
@@ -75,10 +75,9 @@ def _timed(fn):
 
 def _verified_probe_ratio(name: str, system) -> float:
     """The plan's worst probe mismatch over the tolerance; fails when rejected."""
-    matrices = (system.E, system.A, system.B, system.C, system.D)
-    plan = factor_evaluation_plan(*matrices)
+    plan, probe, ratio = choose_evaluation_plan(
+        system.E, system.A, system.B, system.C, system.D)
     assert plan is not None, f"{name}: the evaluation plan's factorizations failed"
-    probe, ratio = plan_probe_ratio(plan, *matrices)
     assert ratio <= 1.0, (
         f"{name}: evaluation plan rejected at probe s = {probe:.6g}: relative "
         f"mismatch {ratio * PLAN_GUARD_TOLERANCE:.3e} > tolerance "

@@ -21,10 +21,10 @@ PDN / transmission-line workloads:
   than flops; the floor is simply "not slower" and the agreement with the
   looped reference is checked to round-off.
 
-* ``recursive assembly`` -- the per-iteration Loewner build of Algorithm 2:
-  from-scratch :func:`~repro.core.loewner.build_loewner_pencil` on every
-  grown selection against :class:`~repro.core.assembly.IncrementalLoewner`
-  reusing the previous iteration's assembled entries.  The grown pencils
+* ``recursive assembly`` -- the per-iteration real Loewner build of
+  Algorithm 2: from-scratch ``build_loewner_pencil(..., real=True)`` on
+  every grown selection against ``IncrementalLoewner(..., real=True)``
+  reusing the previous iteration's assembled ``+j omega`` rows.  The grown pencils
   must stay **bitwise identical** to the scratch builds, and the
   incremental path must show a measured per-iteration win (floor: 1.5x,
   reference ~2.5x).
@@ -129,16 +129,19 @@ def recursive_assembly(workloads):
         schedule.append(list(range(count)))
         count += opts.samples_per_iteration
 
+    # both sides build the real pencil from the +j omega half, as the fit does
     started = time.perf_counter()
-    scratch_pencils = [build_loewner_pencil(full.subset(sel, sel)) for sel in schedule]
+    scratch_pencils = [build_loewner_pencil(full.subset(sel, sel), real=True)
+                       for sel in schedule]
     scratch_seconds = time.perf_counter() - started
 
-    assembler = IncrementalLoewner(full)
+    assembler = IncrementalLoewner(full, real=True)
     started = time.perf_counter()
     grown_pencils = [assembler.update(sel, sel)[1] for sel in schedule]
     incremental_seconds = time.perf_counter() - started
 
     for scratch, grown in zip(scratch_pencils, grown_pencils):
+        assert grown.is_real and scratch.is_real
         assert np.array_equal(grown.loewner, scratch.loewner), (
             "incremental pencil is not bitwise identical to the scratch build")
         assert np.array_equal(grown.shifted_loewner, scratch.shifted_loewner)

@@ -31,6 +31,28 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 #: Schema of the ``BENCH_*.json`` exports; bump when the envelope changes.
 BENCH_SCHEMA_VERSION = 1
 
+#: The BLAS threading variables a benchmark run must pin to one thread.
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def pytest_configure(config):
+    """Refuse to start unless BLAS is pinned to one thread.
+
+    The speedup floors compare serial kernels against loops and executors
+    against serial runs; under default BLAS threading the serial side
+    silently uses every core and the process executor oversubscribes it, so
+    a bench would fail (or pass) for a reason it never names.
+    """
+    unpinned = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES
+                if os.environ.get(name) != "1"}
+    if unpinned:
+        settings = ", ".join(f"{name}={value!r}" for name, value in unpinned.items())
+        raise pytest.UsageError(
+            "the benchmarks need BLAS pinned to one thread: set "
+            + " ".join(f"{name}=1" for name in BLAS_THREAD_VARIABLES)
+            + f" (unpinned here: {settings})"
+        )
+
 
 def save_report(name: str, text: str) -> str:
     """Write a formatted report under ``benchmarks/results`` and return its path."""

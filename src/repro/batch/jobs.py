@@ -28,6 +28,7 @@ import numpy as np
 from repro.cache.fingerprint import (
     combined_fingerprint,
     dataset_fingerprint,
+    grid_fingerprint,
     options_fingerprint,
 )
 from repro.cache.responses import ResponseTally
@@ -462,17 +463,20 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
     path and the record carries the per-job hit/miss status; a failing job
     never populates the cache.
 
+    The model is swept at most once per frequency grid the job reads (data
+    and reference often share one), and that sweep feeds both the aggregate
+    error and the time-domain metrics; it is dropped with the job.
     ``responses`` optionally supplies a batch-shared
-    :class:`~repro.cache.ResponseCache`: the model sweep and the
-    reference-norm sweeps behind ``error_vs_data``/``error_vs_reference``,
-    ``time_domain`` and the passivity certificate are then memoized across
-    jobs by ``(system fingerprint, grid fingerprint)`` / dataset
-    fingerprint, and the record carries this job's hit/miss tally.  A
-    sweep is a function of the model and the grid alone (the model's
-    evaluation plan is built from its matrices, not from whichever grid it
-    meets first), so a cached value is what the direct computation
-    produces: results are bitwise-identical with or without the cache,
-    whichever sweeps hit.
+    :class:`~repro.cache.ResponseCache`: ``error_vs_data`` and
+    ``error_vs_reference`` are then memoized across jobs by (system
+    fingerprint, dataset fingerprint), ``time_domain`` by (system, reference,
+    spec), and the reference-norm sweeps behind the errors and the passivity
+    certificate by dataset fingerprint, and the record carries this job's
+    hit/miss tally.  A job whose scores all hit sweeps nothing.  A score is
+    a function of the model and the dataset alone (a sweep depends on the
+    model and the grid, not on which grid the model met first), so a cached
+    value is what the direct computation produces: results are
+    bitwise-identical with or without the cache, whichever lookups hit.
     """
     started = time.perf_counter()
     cache_status: Optional[str] = None
@@ -489,22 +493,29 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
             result = run_fit(job.data, method=job.method, options=job.options)
 
         system = result.system
+        sweeps: dict[str, np.ndarray] = {}
 
-        def evaluate(data):
-            """Aggregate error vs ``data``, via the response cache if on."""
-            if tally is None:
-                return result.aggregate_error(data)
-            return model_aggregate_error(
-                system,
-                data,
-                response=tally.model_sweep(system, data),
-                norms=tally.reference_norms(data),
-            )
+        def sweep(data: FrequencyData) -> np.ndarray:
+            """The model over ``data``'s grid, swept once per grid in this job."""
+            key = grid_fingerprint(data)
+            if key not in sweeps:
+                response = np.asarray(system.frequency_response(data.frequencies_hz))
+                response.setflags(write=False)
+                sweeps[key] = response
+            return sweeps[key]
+
+        def evaluate(data: FrequencyData) -> float:
+            """Aggregate error vs ``data``, a memoized score with a response cache."""
+            def compute() -> float:
+                norms = tally.reference_norms(data) if tally is not None else None
+                return model_aggregate_error(system, data, response=sweep(data), norms=norms)
+
+            return compute() if tally is None else tally.aggregate_error(system, data, compute)
 
         if fit_key is not None:
             # memoized evaluations: on warm sweeps the error evaluations
             # dominate the wall clock, not the (skipped) fits.  The
-            # response-cache sweep only runs on an evaluation-memo miss.
+            # response-cache score only runs on an evaluation-memo miss.
             error_vs_data = cache.cached_aggregate_error(
                 fit_key, job.data, compute=lambda: evaluate(job.data)
             )
@@ -520,20 +531,17 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
             error_vs_reference = (
                 evaluate(job.reference) if job.reference is not None else float("nan")
             )
-        time_domain = (
-            time_domain_metrics(
-                system,
-                job.reference,
-                job.time_domain,
-                model_samples=(
-                    tally.model_sweep(system, job.reference)
-                    if tally is not None
-                    else None
-                ),
+        time_domain: dict[str, float] = {}
+        if job.time_domain is not None:
+            def time_domain_scores() -> dict[str, float]:
+                return time_domain_metrics(system, job.reference, job.time_domain,
+                                           model_samples=sweep(job.reference))
+
+            time_domain = (
+                time_domain_scores() if tally is None
+                else tally.time_domain(system, job.reference, job.time_domain,
+                                       time_domain_scores)
             )
-            if job.time_domain is not None
-            else {}
-        )
         passivity = (
             passivity_metrics(
                 system,

@@ -15,8 +15,8 @@ Pieces, bottom-up:
   :class:`DiskStore` (compressed NPZ + JSON sidecars, corruption-safe),
 * :mod:`repro.cache.fitcache` -- :class:`FitCache` (counters) and
   :func:`fit_with_cache`, the single cached dispatch path,
-* :mod:`repro.cache.responses` -- the cross-job :class:`ResponseCache`
-  keyed on (system fingerprint, grid fingerprint).
+* :mod:`repro.cache.responses` -- the cross-job :class:`ResponseCache` of
+  model scores keyed on (system fingerprint, dataset fingerprint).
 
 Transparent integration::
 

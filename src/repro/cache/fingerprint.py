@@ -81,11 +81,11 @@ def grid_fingerprint(data: FrequencyData) -> str:
 
     Two datasets that differ in samples, kind or reference impedance but
     share a bitwise-identical frequency axis get the same grid fingerprint.
-    This is the evaluation-side half of a response-cache key: a model sweep
-    ``model.frequency_response(data.frequencies_hz)`` depends on the grid
-    alone, so jobs whose validation datasets share a grid can share the
-    sweep.  Memoized on the instance like :func:`dataset_fingerprint` (the
-    arrays are frozen read-only).
+    A model sweep ``model.frequency_response(data.frequencies_hz)`` depends
+    on the grid alone, so a job whose data and reference share a grid
+    sweeps its model once (:func:`~repro.batch.jobs.run_job` keys its
+    per-job sweeps on this).  Memoized on the instance like
+    :func:`dataset_fingerprint` (the arrays are frozen read-only).
     """
     if not isinstance(data, FrequencyData):
         raise TypeError(f"expected FrequencyData, got {type(data).__name__}")
@@ -108,8 +108,8 @@ def system_fingerprint(model) -> str:
     * a descriptor system (``E``/``A``/``B``/``C``/``D`` matrices), or
     * a pole-residue model (``poles``/``residues`` and optional ``d`` term).
 
-    Together with :func:`grid_fingerprint` this addresses one reference
-    sweep ``model.frequency_response(grid)`` -- the response-cache key.
+    Together with :func:`dataset_fingerprint` this addresses one score of
+    the model against a dataset -- the response-cache key.
 
     The digest is memoized on the instance where the class allows attribute
     writes.  That is safe under the repo-wide convention that fitted models

@@ -1,30 +1,29 @@
 """The cross-job response cache.
 
 Every scenario grid shares a handful of :class:`~repro.data.dataset.FrequencyData`
-objects across dozens of jobs.  :class:`ResponseCache` memoizes reference
-sweeps keyed on ``(system fingerprint, grid fingerprint)``, plus the
-model-independent SVD norms of a reference dataset, so jobs sharing a
-validation dataset reuse one evaluation; :class:`ResponseTally` is the
-per-job view that counts hits and misses.
+objects across dozens of jobs.  :class:`ResponseCache` memoizes what jobs
+read: the scores of a model against a dataset -- its aggregate error, its
+time-domain metrics -- plus the model-independent SVD norms of a reference
+dataset, so jobs sharing a model or a validation dataset compute each once;
+:class:`ResponseTally` is the per-job view that counts hits and misses.
+Model sweeps themselves are not kept: a score is a few floats, a sweep an
+``(N, p, m)`` array that only the job computing the score reads.
 
-Nothing here changes any numerical path: cached values are the same arrays
-the direct computation would produce (computed once, frozen read-only), so
-results stay bitwise-identical with the cache on or off.
+Nothing here changes any numerical path: cached values are the values the
+direct computation produces (computed once, frozen read-only), so results
+stay bitwise-identical with the cache on or off.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Optional, Tuple
+from collections import Counter, OrderedDict
+from types import MappingProxyType
+from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
-from repro.cache.fingerprint import (
-    dataset_fingerprint,
-    grid_fingerprint,
-    system_fingerprint,
-)
+from repro.cache.fingerprint import dataset_fingerprint, system_fingerprint
 from repro.data.dataset import FrequencyData
 
 __all__ = [
@@ -37,8 +36,30 @@ __all__ = [
 MAX_ENTRIES = 128
 
 
+def _frozen(value):
+    """A read-only form of a memoized value (array, mapping or float)."""
+    if isinstance(value, np.ndarray):
+        value = np.ascontiguousarray(value)
+        value.setflags(write=False)
+        return value
+    if isinstance(value, Mapping):
+        return MappingProxyType(dict(value))
+    return value
+
+
+class _Pending:
+    """A value one caller is computing and others wait for."""
+
+    __slots__ = ("done", "value", "failed")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.value = None
+        self.failed = False
+
+
 class ResponseCache:
-    """Memoizes reference-sweep evaluations shared across jobs in a batch.
+    """Memoizes the scores and reference norms shared across jobs in a batch.
 
     Two memo tables, both LRU-bounded at :data:`MAX_ENTRIES`:
 
@@ -46,84 +67,109 @@ class ResponseCache:
       singular values of the dataset (the model-independent denominator of
       every relative-error metric) -- one norm sweep per unique validation
       dataset per batch instead of one per job.
-    * ``sweeps``: ``(system_fingerprint, grid_fingerprint) -> model sweep``
-      over that grid -- ``error_vs_reference`` and ``time_domain_metrics``
-      for a job share one sweep when data and reference share a grid.
+    * ``scores``: ``(system_fingerprint, dataset_fingerprint) ->`` the
+      model's aggregate error against the dataset, and
+      ``(system_fingerprint, dataset_fingerprint, spec) ->`` its time-domain
+      metrics against a reference -- what a job reads of a model sweep, so a
+      job whose model another job already scored sweeps nothing.
 
     Methods return ``(value, status)`` with status ``"hit"``/``"miss"``;
-    cached arrays are frozen read-only and must not be mutated.  Values are
-    computed by the same code the uncached path runs, and a model sweep
-    depends only on the system and the grid (the system's evaluation plan is
-    built from its matrices alone), so a value is the same whichever job
-    computed it and whichever sweeps that job skipped: results are
-    bitwise-identical either way.  Thread-safe (the thread executor shares
-    one instance across workers; each process worker builds its own).
+    cached arrays are frozen read-only and metric mappings are read-only
+    views.  Values are computed by the caller's ``compute`` thunk, the same
+    code the uncached path runs, and a score depends only on the system and
+    the dataset (a model sweep is a function of the system and the grid), so
+    a value is the same whichever job computed it: results are
+    bitwise-identical either way.
+
+    Thread-safe and single-flight: the thread executor and the fit service
+    share one instance across workers, and a caller asking for a key that
+    another caller is computing waits for that value (a hit) instead of
+    computing it again, so every key is computed once and the tallies do
+    not depend on thread timing.  If the computing caller raises, a waiter
+    computes the value itself.  ``stats()`` reports score lookups under the
+    ``sweep_hits``/``sweep_misses`` keys its readers know.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._norms: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._sweeps: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.norm_hits = 0
-        self.norm_misses = 0
-        self.sweep_hits = 0
-        self.sweep_misses = 0
+        self._tables: dict[str, OrderedDict] = {"norms": OrderedDict(), "scores": OrderedDict()}
+        self._pending: dict[tuple, _Pending] = {}
+        self._tallies: Counter = Counter()
 
-    def _lookup(self, table: OrderedDict, key) -> Optional[np.ndarray]:
+    def _memoized(self, table: str, key, compute: Callable[[], object]):
+        """``table[key]``, computed by ``compute()`` exactly once across callers."""
+        memo = self._tables[table]
+        while True:
+            with self._lock:
+                if key in memo:
+                    memo.move_to_end(key)
+                    self._tallies[table, "hit"] += 1
+                    return memo[key], "hit"
+                pending = self._pending.get((table, key))
+                owner = pending is None
+                if owner:
+                    pending = self._pending[table, key] = _Pending()
+            if owner:
+                break
+            pending.done.wait()
+            if not pending.failed:
+                with self._lock:
+                    self._tallies[table, "hit"] += 1
+                return pending.value, "hit"
+        try:
+            value = _frozen(compute())
+        except BaseException:
+            with self._lock:
+                del self._pending[table, key]
+            pending.failed = True
+            pending.done.set()
+            raise
         with self._lock:
-            value = table.get(key)
-            if value is not None:
-                table.move_to_end(key)
-            return value
-
-    def _store(self, table: OrderedDict, key, value: np.ndarray) -> np.ndarray:
-        value = np.ascontiguousarray(value)
-        value.setflags(write=False)
-        with self._lock:
-            kept = table.setdefault(key, value)
-            table.move_to_end(key)
-            while len(table) > MAX_ENTRIES:
-                table.popitem(last=False)
-        return kept
+            memo[key] = value
+            while len(memo) > MAX_ENTRIES:
+                memo.popitem(last=False)
+            self._tallies[table, "miss"] += 1
+            del self._pending[table, key]
+        pending.value = value
+        pending.done.set()
+        return value, "miss"
 
     def reference_norms(self, data: FrequencyData) -> Tuple[np.ndarray, str]:
         """Per-frequency largest singular values of ``data`` (memoized)."""
         from repro.metrics.errors import reference_norms
 
-        key = dataset_fingerprint(data)
-        value = self._lookup(self._norms, key)
-        if value is not None:
-            with self._lock:
-                self.norm_hits += 1
-            return value, "hit"
-        value = self._store(self._norms, key, reference_norms(data.samples))
-        with self._lock:
-            self.norm_misses += 1
-        return value, "miss"
+        return self._memoized("norms", dataset_fingerprint(data),
+                              lambda: reference_norms(data.samples))
 
-    def model_sweep(self, model, data: FrequencyData) -> Tuple[np.ndarray, str]:
-        """``model.frequency_response(data.frequencies_hz)`` (memoized)."""
-        key = (system_fingerprint(model), grid_fingerprint(data))
-        value = self._lookup(self._sweeps, key)
-        if value is not None:
-            with self._lock:
-                self.sweep_hits += 1
-            return value, "hit"
-        sweep = np.asarray(model.frequency_response(data.frequencies_hz))
-        value = self._store(self._sweeps, key, sweep)
-        with self._lock:
-            self.sweep_misses += 1
-        return value, "miss"
+    def aggregate_error(self, model, data: FrequencyData,
+                        compute: Callable[[], float]) -> Tuple[float, str]:
+        """The aggregate error of ``model`` against ``data``: ``compute()``, memoized."""
+        key = ("error", system_fingerprint(model), dataset_fingerprint(data))
+        return self._memoized("scores", key, lambda: float(compute()))
+
+    def time_domain(self, model, reference: FrequencyData, spec,
+                    compute: Callable[[], Mapping[str, float]]
+                    ) -> Tuple[Mapping[str, float], str]:
+        """The time-domain metrics of ``model`` against ``reference`` under ``spec``.
+
+        ``compute()``, memoized by the model, the reference dataset and the
+        spec's canonical fields; the value is a read-only mapping.
+        """
+        key = ("time_domain", system_fingerprint(model), dataset_fingerprint(reference),
+               tuple(spec.canonical_items()))
+        return self._memoized("scores", key, compute)
 
     def stats(self) -> dict:
         with self._lock:
+            tallies = self._tallies
             return {
-                "norm_hits": self.norm_hits,
-                "norm_misses": self.norm_misses,
-                "sweep_hits": self.sweep_hits,
-                "sweep_misses": self.sweep_misses,
-                "norm_entries": len(self._norms),
-                "sweep_entries": len(self._sweeps),
+                "norm_hits": tallies["norms", "hit"],
+                "norm_misses": tallies["norms", "miss"],
+                # score lookups keep the key names /stats readers know
+                "sweep_hits": tallies["scores", "hit"],
+                "sweep_misses": tallies["scores", "miss"],
+                "norm_entries": len(self._tables["norms"]),
+                "score_entries": len(self._tables["scores"]),
             }
 
 
@@ -132,7 +178,7 @@ class ResponseTally:
 
     ``run_job`` hands one of these to the metric layers; the counts end up
     on the :class:`~repro.batch.jobs.JobRecord` next to the fit-cache
-    status.  Returns plain arrays (status folded into the counters).
+    status.  Returns plain values (status folded into the counters).
     """
 
     __slots__ = ("cache", "hits", "misses")
@@ -153,7 +199,12 @@ class ResponseTally:
         self._count(status)
         return value
 
-    def model_sweep(self, model, data: FrequencyData) -> np.ndarray:
-        value, status = self.cache.model_sweep(model, data)
+    def aggregate_error(self, model, data: FrequencyData, compute) -> float:
+        value, status = self.cache.aggregate_error(model, data, compute)
         self._count(status)
         return value
+
+    def time_domain(self, model, reference: FrequencyData, spec, compute) -> dict[str, float]:
+        value, status = self.cache.time_domain(model, reference, spec, compute)
+        self._count(status)
+        return dict(value)

@@ -47,7 +47,9 @@ __all__ = [
 #: entries must not replay as if they were fresh fits.
 #: v7: evaluation plans take their shift from the system instead of from the
 #: first grid swept, so memoized sweep errors moved at round-off again.
-PAYLOAD_SCHEMA_VERSION = 7
+#: v8: plan sweeps contract the Cauchy weights against the rank-1 residues in
+#: one GEMM, so memoized sweep errors moved at round-off again.
+PAYLOAD_SCHEMA_VERSION = 8
 
 
 class UncacheableResultError(TypeError):

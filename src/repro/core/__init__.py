@@ -42,7 +42,6 @@ from repro.core.directions import (
 )
 from repro.core.loewner import (
     LoewnerPencil,
-    assemble_pencil_from_products,
     build_loewner_pencil,
     sylvester_residuals,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "DirectionPlan",
     "IncrementalLoewner",
     "PoleGrouping",
-    "assemble_pencil_from_products",
     "embed_directions",
     "interleaved_indices",
     "partial_fraction_basis",

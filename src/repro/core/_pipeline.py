@@ -2,8 +2,8 @@
 
 Both front-ends differ only in how they pick tangential directions; once the
 :class:`~repro.core.tangential.TangentialData` exists, the remaining steps --
-assemble the pencil, optionally apply the real transform, project through the
-rank-revealing SVD, package the result -- are identical and live here.
+assemble the pencil (real when a real model is asked for), project through
+the rank-revealing SVD, package the result -- are identical and live here.
 
 The module also hosts the *front-end registry*: every interpolation front-end
 (``mfti``, ``vfti``, ``mfti-recursive``) registers itself under a method name,
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from repro.core.loewner import build_loewner_pencil
 from repro.core.options import InterpolationOptions
-from repro.core.realization import svd_realization, to_real_data
+from repro.core.realization import svd_realization
 from repro.core.results import MacromodelResult
 from repro.core.tangential import TangentialData
 
@@ -156,7 +156,7 @@ def realize_from_tangential(
     method: str,
     n_samples_used: int,
     metadata: dict | None = None,
-    complex_pencil=None,
+    pencil=None,
 ) -> MacromodelResult:
     """Run the Loewner realization pipeline on prepared tangential data.
 
@@ -173,20 +173,24 @@ def realize_from_tangential(
         Number of sampled matrices that contributed to ``tangential``.
     metadata:
         Extra key/value pairs stored on the result.
-    complex_pencil:
-        Optional pre-assembled complex :class:`~repro.core.loewner.
-        LoewnerPencil` for ``tangential``.  The recursive front-end passes
-        the incrementally grown pencil here (which is bitwise identical to
-        the from-scratch build, so the realization is unaffected); by
-        default the pencil is assembled from ``tangential``.  The result
-        does not keep the pencil: ``build_loewner_pencil(result.tangential)``
-        rebuilds it on demand.
+    pencil:
+        Optional pre-assembled :class:`~repro.core.loewner.LoewnerPencil` of
+        ``tangential``, real exactly when ``options.real_output`` is.  The
+        recursive front-end passes the incrementally grown pencil here
+        (bitwise identical to the from-scratch build, so the realization is
+        unaffected); by default ``build_loewner_pencil(tangential,
+        real=options.real_output)`` assembles it -- for a real model only
+        the ``+j omega`` half of the complex pencil is ever computed.  The
+        result does not keep the pencil: ``build_loewner_pencil(
+        result.tangential)`` rebuilds it on demand.
     """
-    if complex_pencil is None:
-        complex_pencil = build_loewner_pencil(tangential)
-    pencil = complex_pencil
-    if options.real_output:
-        pencil = to_real_data(complex_pencil)
+    if pencil is None:
+        pencil = build_loewner_pencil(tangential, real=options.real_output)
+    elif pencil.is_real != bool(options.real_output):
+        raise ValueError(
+            f"a {'real' if pencil.is_real else 'complex'} pencil was passed to a fit "
+            f"with real_output={options.real_output}"
+        )
 
     system, diagnostics = svd_realization(
         pencil,

@@ -8,7 +8,9 @@ Three ingredients of the paper's Section 3.3-3.4 live here:
 * :func:`to_real_data` -- Lemma 3.2: a block unitary congruence that maps the
   complex, conjugate-structured Loewner quantities to real matrices (so the
   final model has real coefficients).  Each transform block mixes only the two
-  halves of one conjugate pair, so it is applied pair by pair in O(k^2).
+  halves of one conjugate pair, so the real matrices are written in O(k^2)
+  from the ``+j omega`` rows alone (fits build only those:
+  ``build_loewner_pencil(data, real=True)``).
 * :func:`svd_realization` -- Lemmas 3.3-3.4: when the data oversamples the
   underlying system the pencil is singular, and the regular part is extracted
   by a rank-revealing SVD followed by a two-sided projection.
@@ -32,7 +34,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.loewner import LoewnerPencil
+from repro.core.loewner import (
+    LoewnerPencil,
+    _pair_halves,
+    real_pencil_from_half,
+    require_conjugate_halves,
+)
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.linalg import (
     economic_svd,
@@ -106,50 +113,6 @@ def direct_realization(pencil: LoewnerPencil) -> DescriptorSystem:
     )
 
 
-def _pair_halves(block_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the ``+j omega`` and ``-j omega`` halves of every conjugate pair.
-
-    ``block_sizes`` lists the tangential block sizes in order; they must come
-    in adjacent pairs of equal size (one block at ``+j omega``, one at
-    ``-j omega``).  Entry ``i`` of the two returned arrays names the two rows
-    (or columns) that one ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block of the
-    Lemma 3.2 transform mixes.
-    """
-    sizes = np.asarray(block_sizes, dtype=int)
-    if sizes.size % 2 != 0:
-        raise ValueError("block sizes must come in conjugate pairs (even count)")
-    t_plus, t_minus = sizes[0::2], sizes[1::2]
-    mismatched = np.flatnonzero(t_plus != t_minus)
-    if mismatched.size:
-        pair = int(mismatched[0])
-        raise ValueError(
-            f"conjugate pair {pair} has mismatched block sizes "
-            f"({t_plus[pair]}, {t_minus[pair]})"
-        )
-    pair_starts = np.cumsum(2 * t_plus) - 2 * t_plus
-    within = np.arange(t_plus.sum()) - np.repeat(np.cumsum(t_plus) - t_plus, t_plus)
-    plus = np.repeat(pair_starts, t_plus) + within
-    return plus, plus + np.repeat(t_plus, t_plus)
-
-
-def _mix_rows(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """``sqrt(2) T* M``: rows ``a + b`` and ``j (a - b)`` of every pair's halves."""
-    a, b = matrix[plus], matrix[minus]
-    mixed = np.empty(matrix.shape, dtype=complex)
-    mixed[plus] = a + b
-    mixed[minus] = 1j * (a - b)
-    return mixed
-
-
-def _mix_columns(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """``sqrt(2) M T``: columns ``a + b`` and ``j (b - a)`` of every pair's halves."""
-    a, b = matrix[:, plus], matrix[:, minus]
-    mixed = np.empty(matrix.shape, dtype=complex)
-    mixed[:, plus] = a + b
-    mixed[:, minus] = 1j * (b - a)
-    return mixed
-
-
 def to_real_data(pencil: LoewnerPencil, *, imaginary_tolerance: float = 1e-6) -> LoewnerPencil:
     """Apply the real transform of Lemma 3.2 to a conjugate-structured pencil.
 
@@ -159,55 +122,47 @@ def to_real_data(pencil: LoewnerPencil, *, imaginary_tolerance: float = 1e-6) ->
 
     where ``T_l`` / ``T_r`` are the block unitaries built from the left/right
     block structure.  Every block of ``T`` mixes only the two halves of one
-    conjugate pair, so the products are formed pair by pair in O(k^2) without
-    building ``T``: the unnormalised row and column combinations are scaled
-    by exactly ``0.5`` (``L``, ``sL``) or ``sqrt(0.5)`` (``V``, ``W``).  The
-    result is verified to be real up to ``imaginary_tolerance`` (relative)
-    and the imaginary round-off is dropped.
+    conjugate pair, and the ``-j omega`` rows of a conjugate-structured pencil
+    are the conjugates of its ``+j omega`` rows, so the result is a
+    closed-form function of the ``+j omega`` rows alone:
+    :func:`~repro.core.loewner.real_pencil_from_half` writes it, the same
+    block combination ``build_loewner_pencil(data, real=True)`` applies
+    without building the complex pencil.  The ``-j omega`` rows are first
+    checked to be the conjugates of the ``+j omega`` rows (with the column
+    halves swapped) up to ``imaginary_tolerance`` (relative) -- the
+    imaginary part the transform would otherwise leave.
 
     Raises
     ------
     ValueError
         If the block sizes do not come in adjacent conjugate pairs of equal
-        size, or if the transformed matrices are not numerically real --
-        which happens when the input data lacked conjugate symmetry (e.g.
-        conjugate blocks were not included, or the data itself violates
-        ``H(-jw) = conj(H(jw))``).
+        size, or if the pencil lacks conjugate symmetry -- e.g. conjugate
+        blocks were not included, or the data itself violates
+        ``H(-jw) = conj(H(jw))``.
     """
     if pencil.is_real:
         return pencil
-    columns = _pair_halves(pencil.right_block_sizes)
-    rows = _pair_halves(pencil.left_block_sizes)
-
-    transformed = {
-        "loewner": (_mix_columns(_mix_rows(pencil.loewner, *rows), *columns), 0.5),
-        "shifted_loewner": (
-            _mix_columns(_mix_rows(pencil.shifted_loewner, *rows), *columns), 0.5,
-        ),
-        "V": (_mix_rows(pencil.V, *rows), np.sqrt(0.5)),
-        "W": (_mix_columns(pencil.W, *columns), np.sqrt(0.5)),
-    }
-    reals = {}
-    for name, (matrix, factor) in transformed.items():
-        scale = np.max(np.abs(matrix)) if matrix.size else 0.0
-        imag = np.max(np.abs(matrix.imag)) if matrix.size else 0.0
-        if scale > 0 and imag > imaginary_tolerance * scale:
-            raise ValueError(
-                f"real transform left a significant imaginary part in {name} "
-                f"({imag * factor:.2e} vs scale {scale * factor:.2e}); the tangential "
-                "data is not conjugate-symmetric"
-            )
-        reals[name] = matrix.real * factor
-    return LoewnerPencil(
-        loewner=reals["loewner"],
-        shifted_loewner=reals["shifted_loewner"],
-        W=reals["W"],
-        V=reals["V"],
+    plus_rows, minus_rows = _pair_halves(pencil.left_block_sizes)
+    plus_cols, minus_cols = _pair_halves(pencil.right_block_sizes)
+    swap = np.empty(pencil.k_right, dtype=np.intp)
+    swap[plus_cols], swap[minus_cols] = minus_cols, plus_cols
+    for name in ("loewner", "shifted_loewner"):
+        matrix = getattr(pencil, name)
+        require_conjugate_halves(name, matrix[plus_rows], matrix[minus_rows][:, swap],
+                                 imaginary_tolerance)
+    require_conjugate_halves("V", pencil.V[plus_rows], pencil.V[minus_rows],
+                             imaginary_tolerance)
+    require_conjugate_halves("W", pencil.W[:, plus_cols], pencil.W[:, minus_cols],
+                             imaginary_tolerance)
+    return real_pencil_from_half(
+        pencil.loewner[plus_rows],
+        pencil.shifted_loewner[plus_rows],
+        pencil.V[plus_rows],
+        pencil.W,
         lambda_points=pencil.lambda_points,
         mu_points=pencil.mu_points,
         right_block_sizes=pencil.right_block_sizes,
         left_block_sizes=pencil.left_block_sizes,
-        is_real=True,
     )
 
 

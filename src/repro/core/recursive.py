@@ -53,15 +53,17 @@ def _holdout_errors(
     """Tangential residual of ``system`` on the held-out sample pairs.
 
     All hold-out points are evaluated in one batched sweep through the
-    shared evaluation kernel; the ``"solve"`` strategy is pinned so the
-    active-learning sample selection (argsort over these residuals) stays
-    bit-for-bit identical to the per-point reference loop.
+    shared evaluation kernel, through the model's evaluation plan when the
+    sweep is long enough to amortize it.  A plan is a pure function of the
+    system, so the residuals, and the active-learning selection that sorts
+    them, are deterministic; the final model keeps its plan for the sweeps
+    that score it.
     """
     group = 2 if tangential.conjugate_pairs else 1
     rights = [tangential.right_blocks[pair * group] for pair in holdout_pairs]
     lefts = [tangential.left_blocks[pair * group] for pair in holdout_pairs]
     points = [b.point for b in rights] + [b.point for b in lefts]
-    h = system.evaluate_many(points, method="solve")
+    h = system.evaluate_many(points)
     n_pairs = len(holdout_pairs)
     errors = np.empty(n_pairs)
     for pos, (right, left) in enumerate(zip(rights, lefts)):
@@ -136,19 +138,19 @@ def recursive_mfti(
     # the interpolation set only grows, so the pencil is grown incrementally:
     # each iteration reuses the previous V@R / L@W products and computes only
     # the newly selected rows/columns (bitwise identical to a scratch build)
-    assembler = IncrementalLoewner(full)
+    assembler = IncrementalLoewner(full, real=opts.real_output)
 
     for iteration in range(opts.max_iterations):
         right_sel = sorted(set(selected) | set(extra_right))
         left_sel = sorted(set(selected) | set(extra_left))
-        subset, complex_pencil = assembler.update(right_sel, left_sel)
+        subset, pencil = assembler.update(right_sel, left_sel)
         result = realize_from_tangential(
             subset,
             opts,
             method="mfti-recursive",
             n_samples_used=len(right_sel) + len(left_sel),
             metadata={"block_sizes": plan.per_sample_sizes},
-            complex_pencil=complex_pencil,
+            pencil=pencil,
         )
         if not remaining:
             converged = True

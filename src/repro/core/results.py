@@ -32,8 +32,8 @@ class MacromodelResult:
         The tangential data the model was built from (``None`` for vector
         fitting and for fits replayed from a cache).  The result keeps no
         Loewner pencil; ``build_loewner_pencil(result.tangential)`` rebuilds
-        the complex one, and :func:`~repro.core.realization.to_real_data`
-        its real transform.
+        the complex one, and ``build_loewner_pencil(result.tangential,
+        real=True)`` the real one a real fit realizes.
     n_samples_used:
         How many sampled matrices contributed to the model (relevant for the
         recursive algorithm, which may stop before using every sample).

@@ -33,12 +33,12 @@ for descriptor systems ``H(s) = C (sE - A)^{-1} B + D``:
     ``O(n m + p n m)`` -- the same Cauchy-kernel algebra as a pole-residue
     model, eq. ``H(s) = Ctilde (sI - Lambda)^{-1} Btilde + D`` in
     diagonalized coordinates.  A plan is a pure function of the system: its
-    shift comes from the matrices, and it is verified against the direct
-    solve on the imaginary axis at the magnitudes of its own smallest,
-    median and largest finite poles, and rejected (per-system fallback to
-    ``solve``) when the pencil is non-diagonalizable or too
-    ill-conditioned; points where the pencil is singular are repaired
-    through the pointwise reference.
+    shift comes from the matrices (moved toward the smallest pole when it
+    sits far above it), and it is verified against the direct solve on the
+    imaginary axis at the magnitudes of its own smallest, median and largest
+    finite poles, and rejected (per-system fallback to ``solve``) when the
+    pencil is non-diagonalizable or too ill-conditioned; points where the
+    pencil is singular are repaired through the pointwise reference.
 
 ``auto`` picks ``diag`` when the sweep is long enough to amortize the plan
 and the plan verifies, and ``solve`` otherwise.  Pole-residue (Cauchy)
@@ -62,6 +62,7 @@ from repro.backends import get_backend
 __all__ = [
     "EvaluationPlan",
     "build_evaluation_plan",
+    "choose_evaluation_plan",
     "evaluate_descriptor",
     "evaluate_pointwise",
     "evaluate_cauchy",
@@ -70,6 +71,7 @@ __all__ = [
     "point_solve",
     "FAST_PATH_MIN_POINTS",
     "PLAN_GUARD_TOLERANCE",
+    "POLE_SPREAD_LIMIT",
     "SINGULAR_DENOMINATOR_RTOL",
     "SOLVE_BUFFER_BYTES",
     "SOLVE_CHUNK",
@@ -82,6 +84,10 @@ FAST_PATH_MIN_POINTS = 8
 #: Relative agreement (vs the direct solve, at the plan's probe points) a
 #: plan must achieve before the fast path is trusted for a system.
 PLAN_GUARD_TOLERANCE = 1e-7
+
+#: How far (as a ratio) a plan's shift may sit above its smallest finite pole
+#: before :func:`choose_evaluation_plan` also tries their geometric mean.
+POLE_SPREAD_LIMIT = 1e3
 
 #: Most points per stacked ``np.linalg.solve`` call.
 SOLVE_CHUNK = 64
@@ -187,7 +193,12 @@ def evaluate_cauchy(poles, residues, d, points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex).ravel()
     poles = np.asarray(poles, dtype=complex).ravel()
     weights = 1.0 / (pts[:, np.newaxis] - poles[np.newaxis, :])  # (k, n)
-    response = np.tensordot(weights, np.asarray(residues), axes=(1, 0))  # (k, p, m)
+    return _contract(weights, np.asarray(residues), d)
+
+
+def _contract(weights: np.ndarray, residues: np.ndarray, d) -> np.ndarray:
+    """``sum_n weights[:, n] residues[n] + d``: one ``(k, n) x (n, p m)`` GEMM."""
+    response = np.tensordot(weights, residues, axes=(1, 0))  # (k, p, m)
     return response + np.asarray(d)[np.newaxis, :, :]
 
 
@@ -199,11 +210,13 @@ class EvaluationPlan:
     ----------
     sigma:
         The real spectral shift used to regularise the pencil,
-        ``||A||_F / ||E||_F`` (any value that is not a generalized eigenvalue
-        works; this one is on the scale of the system's poles and depends on
-        nothing else, so every sweep through the plan is a function of the
-        system and its points alone).  Being real, it keeps the plan of a
-        real system in real arithmetic.
+        ``||A||_F / ||E||_F``, or its geometric mean with the smallest pole
+        when that sits far below it (:func:`choose_evaluation_plan`).  Any
+        value that is not a generalized eigenvalue works; this one is on the
+        scale of the system's poles and depends on nothing else, so every
+        sweep through the plan is a function of the system and its points
+        alone.  Being real, it keeps the plan of a real system in real
+        arithmetic.
     eigenvalues:
         Eigenvalues ``lambda_i`` of ``K = (A - sigma E)^{-1} E``.  Infinite
         generalized eigenvalues of ``(A, E)`` map to ``lambda_i = 0`` and are
@@ -222,21 +235,30 @@ class EvaluationPlan:
     c_tilde: np.ndarray
     d: np.ndarray
 
+    def _denominators(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``z = (s - sigma) lambda_i`` and the weight denominators ``z - 1``, ``(k, n)``."""
+        z = (pts[:, np.newaxis] - self.sigma) * self.eigenvalues[np.newaxis, :]
+        return z, z - 1.0
+
+    def _response(self, denominators: np.ndarray) -> np.ndarray:
+        """``sum_i c~_i b~_i / denominators[:, i] + D``: one GEMM over the rank-1 residues."""
+        residues = self.c_tilde.T[:, :, np.newaxis] * self.b_tilde[:, np.newaxis, :]  # (n, p, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _contract(1.0 / denominators, residues, self.d)
+
     def evaluate(self, points) -> np.ndarray:
         """Evaluate the transfer function at ``points`` (``(k, p, m)``).
 
-        Points where the pencil is (near-)singular produce non-finite or
+        The ``(k, n)`` Cauchy weights are contracted once against the
+        ``(n, p m)`` rank-1 residues ``c~_i (x) b~_i`` -- the contraction
+        :func:`evaluate_cauchy` runs for a pole-residue model.  Points where
+        the pencil is (near-)singular produce non-finite or
         cancellation-polluted values; use :func:`evaluate_descriptor` for
         the guarded version that repairs them through the pointwise
         reference (see :meth:`suspect_points`).
         """
         pts = np.asarray(points, dtype=complex).ravel()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights = 1.0 / (
-                (pts[:, np.newaxis] - self.sigma) * self.eigenvalues[np.newaxis, :] - 1.0
-            )
-            scaled = weights[:, np.newaxis, :] * self.c_tilde[np.newaxis, :, :]  # (k, p, n)
-            return np.matmul(scaled, self.b_tilde) + self.d
+        return self._response(self._denominators(pts)[1])
 
     def suspect_points(self, points) -> np.ndarray:
         """Boolean mask of points where the pencil is (near-)singular.
@@ -248,10 +270,21 @@ class EvaluationPlan:
         evaluated through the dense reference instead.
         """
         pts = np.asarray(points, dtype=complex).ravel()
-        z = (pts[:, np.newaxis] - self.sigma) * self.eigenvalues[np.newaxis, :]
-        return np.any(
-            np.abs(z - 1.0) <= SINGULAR_DENOMINATOR_RTOL * (np.abs(z) + 1.0), axis=1
-        )
+        return _suspect(*self._denominators(pts))
+
+
+def _suspect(z: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """Points whose weight denominator ``z - 1`` cancels to round-off (``(k,)``)."""
+    return np.any(
+        np.abs(denominators) <= SINGULAR_DENOMINATOR_RTOL * (np.abs(z) + 1.0), axis=1
+    )
+
+
+def _pole_magnitudes(plan: EvaluationPlan) -> np.ndarray:
+    """Sorted magnitudes of the plan's finite poles ``sigma + 1 / lambda_i``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        magnitudes = np.abs(plan.sigma + 1.0 / plan.eigenvalues)
+    return np.sort(magnitudes[np.isfinite(magnitudes)])
 
 
 def plan_probe_ratio(plan: EvaluationPlan, E, A, B, C, D) -> tuple[Optional[complex], float]:
@@ -268,9 +301,7 @@ def plan_probe_ratio(plan: EvaluationPlan, E, A, B, C, D) -> tuple[Optional[comp
     the plan verifies iff it is at most 1.  ``(None, 0.0)`` when no probe
     remains.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        magnitudes = np.abs(plan.sigma + 1.0 / plan.eigenvalues)
-    magnitudes = np.sort(magnitudes[np.isfinite(magnitudes)])
+    magnitudes = _pole_magnitudes(plan)
     if not magnitudes.size:
         return None, 0.0
     probes = 1j * magnitudes[[0, magnitudes.size // 2, -1]]
@@ -287,18 +318,20 @@ def plan_probe_ratio(plan: EvaluationPlan, E, A, B, C, D) -> tuple[Optional[comp
     return complex(probes[worst]), float(ratios[worst])
 
 
-def factor_evaluation_plan(E, A, B, C, D) -> Optional[EvaluationPlan]:
+def factor_evaluation_plan(E, A, B, C, D, *, shift: Optional[float] = None
+                           ) -> Optional[EvaluationPlan]:
     """The unverified :class:`EvaluationPlan` of a system, or ``None``.
 
     ``None`` when a factorization fails or yields non-finite values.  The
-    shift ``||A||_F / ||E||_F`` (1.0 where that is undefined) is a scale of
-    the system's poles; being real, it makes the factorizations follow the
-    dtype of the system's matrices: a real system gets a real ``eig``, a
-    complex system the complex one.
+    shift defaults to ``||A||_F / ||E||_F`` (1.0 where that is undefined), a
+    scale of the system's poles; being real, it makes the factorizations
+    follow the dtype of the system's matrices: a real system gets a real
+    ``eig``, a complex system the complex one.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.linalg.norm(A) / np.linalg.norm(E)
-    shift = float(shift) if np.isfinite(shift) and shift > 0.0 else 1.0
+    if shift is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = np.linalg.norm(A) / np.linalg.norm(E)
+        shift = float(shift) if np.isfinite(shift) and shift > 0.0 else 1.0
     try:
         factor = A - shift * E
         k_mat = np.linalg.solve(factor, E)
@@ -319,11 +352,42 @@ def factor_evaluation_plan(E, A, B, C, D) -> Optional[EvaluationPlan]:
     )
 
 
+def choose_evaluation_plan(E, A, B, C, D
+                           ) -> tuple[Optional[EvaluationPlan], Optional[complex], float]:
+    """The plan :func:`build_evaluation_plan` verifies, its worst probe and ratio.
+
+    The plan at the default shift (:func:`factor_evaluation_plan`), unless
+    that shift sits more than :data:`POLE_SPREAD_LIMIT` times above the
+    plan's smallest finite pole and the plan's worst probe is at that pole:
+    then a second plan is factored at their geometric mean, and the one
+    with the smaller :func:`plan_probe_ratio` is kept.  A shift far above a
+    pole leaves the weights at that pole to the cancellation
+    ``(s - sigma) lambda - 1``, which costs the sweep digits at the low end
+    of the band; when the worst probe is elsewhere, the plan's error does
+    not come from there, and the second factorization is not paid for.
+    ``(None, None, inf)`` when no plan factors.
+    """
+    plan = factor_evaluation_plan(E, A, B, C, D)
+    if plan is None:
+        return None, None, float("inf")
+    probe, ratio = plan_probe_ratio(plan, E, A, B, C, D)
+    magnitudes = _pole_magnitudes(plan)
+    if (probe is not None and abs(probe) == magnitudes[0]
+            and magnitudes[0] * POLE_SPREAD_LIMIT < plan.sigma):
+        other = factor_evaluation_plan(E, A, B, C, D,
+                                       shift=float(np.sqrt(plan.sigma * magnitudes[0])))
+        if other is not None:
+            other_probe, other_ratio = plan_probe_ratio(other, E, A, B, C, D)
+            if np.nan_to_num(other_ratio, nan=np.inf) < np.nan_to_num(ratio, nan=np.inf):
+                plan, probe, ratio = other, other_probe, other_ratio
+    return plan, probe, ratio
+
+
 def build_evaluation_plan(E, A, B, C, D):
     """Build and verify the :class:`EvaluationPlan` of a system, or return ``None``.
 
     The plan is a pure function of the five matrices
-    (:func:`factor_evaluation_plan`).  It is checked against the direct
+    (:func:`choose_evaluation_plan`).  It is checked against the direct
     dense solve at ``j |p|`` for the smallest, median and largest of its own
     finite poles ``p``, the ends and the middle of the band the system
     responds in; a relative disagreement beyond :data:`PLAN_GUARD_TOLERANCE`
@@ -331,16 +395,18 @@ def build_evaluation_plan(E, A, B, C, D):
     non-diagonalizable pencil) rejects the plan so callers fall back to the
     ``solve`` strategy for this system.
     """
-    plan = factor_evaluation_plan(E, A, B, C, D)
-    if plan is None or not plan_probe_ratio(plan, E, A, B, C, D)[1] <= 1.0:
-        return None
-    return plan
+    plan, _, ratio = choose_evaluation_plan(E, A, B, C, D)
+    return plan if ratio <= 1.0 else None
 
 
 def _evaluate_with_plan(plan: EvaluationPlan, E, A, B, C, D, pts: np.ndarray) -> np.ndarray:
-    """Fast-path evaluation with (near-)singular points repaired via the reference."""
-    out = plan.evaluate(pts)
-    bad = plan.suspect_points(pts) | ~np.isfinite(out).all(axis=(1, 2))
+    """Fast-path evaluation with (near-)singular points repaired via the reference.
+
+    The suspect-point mask reads the same denominators the weights do.
+    """
+    z, denominators = plan._denominators(pts)
+    out = plan._response(denominators)
+    bad = _suspect(z, denominators) | ~np.isfinite(out).all(axis=(1, 2))
     if np.any(bad):
         out[bad] = evaluate_pointwise(E, A, B, C, D, pts[bad])
     return out

@@ -6,9 +6,10 @@ the operations are elementwise), and ``benchmarks/bench_fit_pipeline.py`` /
 ``bench_passivity.py`` time the kernel against it.  Nothing in ``src/``
 imports this module.  The stacked-``lstsq`` fast-VF solver
 (:func:`repro.core.assembly.vf_scaling_solve_reference`) is not here: it is
-the compact solver's runtime fallback.  Two oracles do the work the
-realization skips instead of looping: the dense Lemma 3.2 transform and the
-two-sided SVDs of the full ``2k``-wide matrices.
+the compact solver's runtime fallback.  Three oracles do the work the
+realization skips instead of looping: the dense Lemma 3.2 transform, its
+literal pair-by-pair mixing of the full complex pencil, and the two-sided
+SVDs of the full ``2k``-wide matrices.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.assembly import REAL_POLE_TOLERANCE
+from repro.core.loewner import _pair_halves
 from repro.core.realization import _determine_order
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.linalg import block_diag, economic_svd, realify
@@ -28,6 +30,9 @@ __all__ = [
     "vf_scaling_blocks_reference",
     "passivity_violations_reference",
     "real_transform_matrix_reference",
+    "mix_rows_reference",
+    "mix_columns_reference",
+    "real_transform_reference",
     "two_sided_realization_reference",
 ]
 
@@ -178,10 +183,11 @@ def passivity_violations_reference(
 def real_transform_matrix_reference(block_sizes) -> np.ndarray:
     """Dense oracle for the Lemma 3.2 transform ``T`` of conjugate-paired blocks.
 
-    :func:`~repro.core.realization.to_real_data` applies ``T`` pair by pair
-    without forming it; this builds the ``(1/sqrt(2)) [[I, -jI], [I, jI]]``
-    block afresh for every conjugate pair and stacks the blocks with
-    :func:`block_diag`, so ``T_l* L T_r`` can be formed densely.
+    :func:`~repro.core.realization.to_real_data` writes ``T* M T`` from the
+    ``+j omega`` rows without forming ``T``; this builds the
+    ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block afresh for every conjugate pair
+    and stacks the blocks with :func:`block_diag`, so ``T_l* L T_r`` can be
+    formed densely.
     """
     sizes = tuple(int(t) for t in block_sizes)
     blocks = []
@@ -189,6 +195,46 @@ def real_transform_matrix_reference(block_sizes) -> np.ndarray:
         eye = np.eye(sizes[i])
         blocks.append(np.block([[eye, -1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0))
     return block_diag(blocks)
+
+
+def mix_rows_reference(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """``sqrt(2) T* M``: rows ``a + b`` and ``j (a - b)`` of every pair's halves."""
+    a, b = matrix[plus], matrix[minus]
+    mixed = np.empty(matrix.shape, dtype=complex)
+    mixed[plus] = a + b
+    mixed[minus] = 1j * (a - b)
+    return mixed
+
+
+def mix_columns_reference(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """``sqrt(2) M T``: columns ``a + b`` and ``j (b - a)`` of every pair's halves."""
+    a, b = matrix[:, plus], matrix[:, minus]
+    mixed = np.empty(matrix.shape, dtype=complex)
+    mixed[:, plus] = a + b
+    mixed[:, minus] = 1j * (b - a)
+    return mixed
+
+
+def real_transform_reference(pencil) -> dict[str, np.ndarray]:
+    """The literal pair-by-pair ``T_l* M T_r`` of a complex pencil, real part kept.
+
+    Mixes every row pair and then every column pair of the *full* complex
+    ``L``, ``sL``, ``V`` and ``W`` and scales by ``0.5`` (``L``, ``sL``) or
+    ``sqrt(0.5)`` (``V``, ``W``) -- the route real fits took before the real
+    pencil was written from the ``+j omega`` half.  Returns the four real
+    matrices by :class:`~repro.core.loewner.LoewnerPencil` field name.
+    """
+    rows = _pair_halves(pencil.left_block_sizes)
+    columns = _pair_halves(pencil.right_block_sizes)
+    mixed = {
+        "loewner": (mix_columns_reference(mix_rows_reference(pencil.loewner, *rows),
+                                          *columns), 0.5),
+        "shifted_loewner": (mix_columns_reference(
+            mix_rows_reference(pencil.shifted_loewner, *rows), *columns), 0.5),
+        "V": (mix_rows_reference(pencil.V, *rows), np.sqrt(0.5)),
+        "W": (mix_columns_reference(pencil.W, *columns), np.sqrt(0.5)),
+    }
+    return {name: matrix.real * factor for name, (matrix, factor) in mixed.items()}
 
 
 def two_sided_realization_reference(

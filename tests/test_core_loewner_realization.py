@@ -1,27 +1,37 @@
 """Tests for the Loewner pencil assembly and the realization lemmas."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import run_fit
+from repro.core._pipeline import realize_from_tangential
+from repro.core.assembly import IncrementalLoewner
 from repro.core.directions import identity_directions
-from repro.core.loewner import build_loewner_pencil, sylvester_residuals
+from repro.core.loewner import _pair_halves, build_loewner_pencil, sylvester_residuals
 from repro.core.realization import (
-    _mix_columns,
-    _mix_rows,
-    _pair_halves,
     direct_realization,
     svd_realization,
     to_real_data,
 )
-from repro.core.tangential import build_tangential_data
+from repro.core.options import MftiOptions
+from repro.core.tangential import TangentialData, build_tangential_data
 from repro.data import sample_scattering
 from repro.data.frequency import log_frequencies
+from repro.experiments.workloads import WORKLOADS
 from repro.systems.random_systems import random_stable_system
 
-from oracles import real_transform_matrix_reference, two_sided_realization_reference
+from oracles import (
+    mix_columns_reference,
+    mix_rows_reference,
+    real_transform_matrix_reference,
+    real_transform_reference,
+    two_sided_realization_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +69,18 @@ def oversampled_pencils(setup):
     return pencils
 
 
-def _mixed_block_pencil(data, right_sizes, left_sizes, seed=0):
-    """Complex pencil with one random direction block per size, conjugates included.
+@pytest.fixture(scope="module")
+def workload_fits():
+    """Every fit of the five ``WORKLOADS`` grids, by ``"<grid>:<job label>"``."""
+    return {
+        f"{name}:{job.label}": run_fit(job.data, method=job.method, options=job.options)
+        for name, builder in WORKLOADS.items()
+        for job in builder()
+    }
+
+
+def _mixed_block_tangential(data, right_sizes, left_sizes, seed=0):
+    """Tangential data with one random direction block per size, conjugates included.
 
     Right samples come first in ``data``, left samples after them, so the two
     point sets are disjoint for any pair of size lists.
@@ -73,14 +93,34 @@ def _mixed_block_pencil(data, right_sizes, left_sizes, seed=0):
                 for t in sizes]
 
     n_right = len(right_sizes)
-    tangential = build_tangential_data(
+    return build_tangential_data(
         data,
         right_directions=directions(right_sizes),
         left_directions=directions(left_sizes),
         right_indices=list(range(n_right)),
         left_indices=list(range(n_right, n_right + len(left_sizes))),
     )
-    return build_loewner_pencil(tangential)
+
+
+def _mixed_block_pencil(data, right_sizes, left_sizes, seed=0):
+    """The complex pencil of :func:`_mixed_block_tangential`."""
+    return build_loewner_pencil(_mixed_block_tangential(data, right_sizes, left_sizes, seed))
+
+
+def _assert_equals_mixing_oracle(tangential, context):
+    """The half-assembled real pencil and ``to_real_data`` of the complex one both
+    equal the literal ``T_l* M T_r`` mixing of the full complex pencil, bit for bit."""
+    complex_pencil = build_loewner_pencil(tangential)
+    want = real_transform_reference(complex_pencil)
+    for route, got in (("half", build_loewner_pencil(tangential, real=True)),
+                       ("to_real_data", to_real_data(complex_pencil))):
+        assert got.is_real, (context, route)
+        for name, matrix in want.items():
+            value = getattr(got, name)
+            assert value.dtype == np.float64 and value.shape == matrix.shape, (context, route)
+            assert value.tobytes() == matrix.tobytes(), (context, route, name)
+        assert np.array_equal(got.lambda_points, complex_pencil.lambda_points)
+        assert np.array_equal(got.mu_points, complex_pencil.mu_points)
 
 
 class TestLoewnerPencil:
@@ -123,7 +163,7 @@ class TestLoewnerPencil:
 class TestRealTransform:
     def test_transform_matrix_is_unitary(self):
         """The pair mixing scaled by ``1/sqrt(2)`` is the unitary ``T`` of Lemma 3.2."""
-        t = _mix_columns(np.eye(6), *_pair_halves((2, 2, 1, 1))) / np.sqrt(2.0)
+        t = mix_columns_reference(np.eye(6), *_pair_halves((2, 2, 1, 1))) / np.sqrt(2.0)
         assert t.shape == (6, 6)
         assert np.allclose(t.conj().T @ t, np.eye(6), atol=1e-12)
 
@@ -155,8 +195,8 @@ class TestRealTransform:
         halves = _pair_halves(sizes)
         eye = np.eye(sum(sizes))
         want = real_transform_matrix_reference(sizes)
-        assert np.array_equal(_mix_columns(eye, *halves) / np.sqrt(2.0), want)
-        assert np.array_equal(_mix_rows(eye, *halves) / np.sqrt(2.0), want.conj().T)
+        assert np.array_equal(mix_columns_reference(eye, *halves) / np.sqrt(2.0), want)
+        assert np.array_equal(mix_rows_reference(eye, *halves) / np.sqrt(2.0), want.conj().T)
 
     @pytest.mark.parametrize("right_sizes,left_sizes", [
         ((1, 2, 3), (3, 2, 1)),     # square, mixed block sizes
@@ -223,6 +263,89 @@ class TestRealTransform:
         pencil = build_loewner_pencil(tangential)
         with pytest.raises(ValueError):
             to_real_data(pencil)
+
+
+class TestRealAssembly:
+    """The fit path writes the real pencil from the +j omega half (Lemma 3.2)."""
+
+    def test_half_assembly_equals_mixing_oracle_on_every_workload_fit(self, workload_fits):
+        assert len(workload_fits) == 50
+        for label, result in workload_fits.items():
+            _assert_equals_mixing_oracle(result.tangential, label)
+
+    @settings(max_examples=30, deadline=None)
+    @given(right_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           left_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           seed=st.integers(0, 2**31 - 1))
+    def test_half_assembly_equals_mixing_oracle_property(self, setup, right_sizes,
+                                                         left_sizes, seed):
+        """Mixed block sizes, random complex directions, any k_left / k_right."""
+        _, data, _, _ = setup
+        tangential = _mixed_block_tangential(data, right_sizes, left_sizes, seed)
+        _assert_equals_mixing_oracle(tangential, (right_sizes, left_sizes, seed))
+
+    @pytest.mark.parametrize("side,field", [
+        ("right", "values"), ("right", "directions"), ("left", "values"), ("left", "directions"),
+    ])
+    def test_non_conjugate_minus_half_raises_before_any_svd(self, setup, svd_calls,
+                                                            side, field):
+        """A -j omega block that is not the conjugate of its +j omega partner is
+        refused by the real assembly, the incremental one and the fit."""
+        _, _, tangential, _ = setup
+        blocks = {"right": list(tangential.right_blocks), "left": list(tangential.left_blocks)}
+        minus = blocks[side][1]
+        blocks[side][1] = dataclasses.replace(
+            minus, **{field: getattr(minus, field) * (1 + 1e-3)})
+        broken = TangentialData(blocks["right"], blocks["left"], conjugate_pairs=True)
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            build_loewner_pencil(broken, real=True)
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            IncrementalLoewner(broken, real=True)
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            realize_from_tangential(broken, MftiOptions(), method="mfti", n_samples_used=8)
+        assert svd_calls == []
+
+    def test_real_pencil_needs_conjugate_pairs(self, setup):
+        _, data, _, _ = setup
+        directions = identity_directions(3, 3, 4, offset_stride=False)
+        unpaired = build_tangential_data(
+            data, right_directions=directions, left_directions=directions,
+            include_conjugates=False,
+        )
+        with pytest.raises(ValueError, match="conjugate-paired"):
+            build_loewner_pencil(unpaired, real=True)
+
+    def test_pencil_form_must_match_the_options(self, setup):
+        _, _, tangential, pencil = setup
+        with pytest.raises(ValueError, match="complex pencil was passed"):
+            realize_from_tangential(tangential, MftiOptions(), method="mfti",
+                                    n_samples_used=8, pencil=pencil)
+
+    def test_real_fit_peaks_below_the_complex_build(self, workload_fits):
+        """``pdn/mfti-t3`` (k = 420): the fit's pencil-plus-realization peak is at
+        most 0.75x that of building the complex pencil and transforming it."""
+        result = workload_fits["mixed_batch_jobs:pdn/mfti-t3"]
+        tangential, options = result.tangential, result.metadata["options"]
+        assert tangential.k_left == 420
+
+        def fit():
+            return realize_from_tangential(tangential, options, method="mfti",
+                                           n_samples_used=result.n_samples_used).system
+
+        def complex_then_transform():
+            return svd_realization(
+                to_real_data(build_loewner_pencil(tangential)), order=options.order,
+                rank_tolerance=options.rank_tolerance, rank_method=options.rank_method,
+                mode=options.svd_mode, x0=options.x0)[0]
+
+        peaks = {}
+        for name, run in (("real", fit), ("complex", complex_then_transform)):
+            tracemalloc.start()
+            system = run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert np.array_equal(system.A, result.system.A), name
+        assert peaks["real"] <= 0.75 * peaks["complex"], peaks
 
 
 class TestRealizations:

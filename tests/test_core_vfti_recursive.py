@@ -137,3 +137,24 @@ class TestRecursiveMfti:
         data = sample_scattering(small_system, log_frequencies(1e2, 1e3, 3))
         with pytest.raises(ValueError):
             recursive_mfti(data)
+
+
+#: The sample pairs the mixed grid's two recursive jobs select: the hold-out
+#: residuals run through each iteration's evaluation plan, a pure function of
+#: its model, so the active-learning selection is pinned.
+PINNED_SELECTIONS = {
+    "pdn/mfti-recursive": (87, (0, 1, 8, 9, 16, 17, 22, 23, 24, 25, 32, 33, 40, 41, 44, 48,
+                                49, 52, 53, 55, 56, 57, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69)),
+    "tline/mfti-recursive": (50, (0, 1, 2, 8, 9, 10, 16, 17, 24, 25, 32, 33, 40, 41, 48, 49)),
+}
+
+
+def test_workload_recursive_selections_are_pinned():
+    from repro.core import run_fit
+    from repro.experiments.workloads import mixed_batch_jobs
+
+    jobs = {job.label: job for job in mixed_batch_jobs()}
+    for label, (order, pairs) in PINNED_SELECTIONS.items():
+        job = jobs[label]
+        result = run_fit(job.data, method=job.method, options=job.options)
+        assert (result.order, result.metadata["selected_pairs"]) == (order, pairs), label

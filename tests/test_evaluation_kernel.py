@@ -172,6 +172,9 @@ class TestGoldenEquivalence:
 @example(order=12, n_ports=2, seed=0, n_points=2 * SOLVE_CHUNK + 22, complex_a=False)
 @example(order=12, n_ports=2, seed=0, n_points=2 * SOLVE_CHUNK + 22, complex_a=True)
 @example(order=BUDGET_ORDER, n_ports=2, seed=0, n_points=2 * BUDGET_CHUNK + 7, complex_a=False)
+# the default shift sits three decades above the smallest pole (2.4e5 against
+# 82.7 rad/s), which cost the low end of the sweep 1.2e-10
+@example(order=16, n_ports=1, seed=17542, n_points=33, complex_a=True)
 def test_vectorized_matches_loop_property(order, n_ports, seed, n_points, complex_a):
     """solve == loop bitwise; auto (fast path) == loop to <= 1e-10 relative.
 
@@ -380,6 +383,24 @@ class TestEvaluateDescriptor:
         assert plan is not None
         assert seen == [np.dtype(dtype)]
         assert type(plan.sigma) is float
+
+    def test_shift_far_above_the_smallest_pole_moves_to_the_geometric_mean(
+            self, small_system):
+        """A second plan at ``sqrt(sigma |p_min|)`` is kept when it probes better;
+        a system whose poles sit near its shift keeps the default plan."""
+        spread = random_stable_system(order=16, n_ports=1, feedthrough=0.05, seed=17542)
+        spread = DescriptorSystem(spread.E, spread.A + 1e-2j, spread.B, spread.C, spread.D)
+        for system, moves in ((spread, True), (small_system, False)):
+            matrices = (system.E, system.A, system.B, system.C, system.D)
+            default = evaluation.factor_evaluation_plan(*matrices)
+            low = evaluation._pole_magnitudes(default)[0]
+            assert (low * evaluation.POLE_SPREAD_LIMIT < default.sigma) == moves
+            plan = build_evaluation_plan(*matrices)
+            expected = float(np.sqrt(default.sigma * low)) if moves else default.sigma
+            assert plan.sigma == expected
+            if moves:
+                assert (evaluation.plan_probe_ratio(plan, *matrices)[1]
+                        < evaluation.plan_probe_ratio(default, *matrices)[1])
 
     def test_plan_verification_rejects_bad_probes(self, small_system, monkeypatch):
         # an absurdly tight guard rejects every plan -> None

@@ -364,14 +364,16 @@ class TestRowcolProduct:
 
 class TestIncrementalLoewner:
     @given(st.integers(min_value=4, max_value=8), st.integers(min_value=4, max_value=8),
-           st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1))
+           st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1),
+           st.booleans())
     @common_settings
     def test_grown_pencil_is_bitwise_identical_to_scratch(self, n_right, n_left,
-                                                          n_ports, seed):
-        """Random selection orders: incremental growth == from-scratch build."""
+                                                          n_ports, seed, real):
+        """Random selection orders: incremental growth == from-scratch build,
+        for the complex pencil and for the real one grown from its +j omega half."""
         rng = np.random.default_rng(seed)
         full = _make_tangential(n_right, n_left, n_ports, block=2, seed=seed)
-        assembler = IncrementalLoewner(full)
+        assembler = IncrementalLoewner(full, real=real)
 
         right_order = rng.permutation(n_right).tolist()
         left_order = rng.permutation(n_left).tolist()
@@ -381,7 +383,8 @@ class TestIncrementalLoewner:
         left_sel = left_order[:start_l]
         while True:
             subset, grown = assembler.update(right_sel, left_sel)
-            scratch = build_loewner_pencil(full.subset(right_sel, left_sel))
+            scratch = build_loewner_pencil(full.subset(right_sel, left_sel), real=real)
+            assert grown.is_real == scratch.is_real == real
             assert np.array_equal(grown.loewner, scratch.loewner)
             assert np.array_equal(grown.shifted_loewner, scratch.shifted_loewner)
             assert np.array_equal(grown.W, scratch.W)
@@ -397,14 +400,16 @@ class TestIncrementalLoewner:
             if len(left_sel) < n_left and (grow_l or len(right_sel) == n_right):
                 left_sel = left_sel + left_order[len(left_sel):len(left_sel) + max(grow_l, 1)]
 
-    def test_non_monotone_selection_falls_back_to_scratch(self):
+    @pytest.mark.parametrize("real", [False, True])
+    def test_non_monotone_selection_falls_back_to_scratch(self, real):
         full = _make_tangential(5, 5, 2, block=2, seed=3)
-        assembler = IncrementalLoewner(full)
+        assembler = IncrementalLoewner(full, real=real)
         assembler.update([0, 1, 2], [0, 1, 2])
         subset, grown = assembler.update([2, 3], [1, 4])  # shrinks: scratch path
-        scratch = build_loewner_pencil(full.subset([2, 3], [1, 4]))
+        scratch = build_loewner_pencil(full.subset([2, 3], [1, 4]), real=real)
         assert np.array_equal(grown.loewner, scratch.loewner)
         assert np.array_equal(grown.shifted_loewner, scratch.shifted_loewner)
+        assert np.array_equal(grown.V, scratch.V) and np.array_equal(grown.W, scratch.W)
 
     def test_update_preserves_block_structure(self):
         full = _make_tangential(4, 4, 3, block=2, seed=11)

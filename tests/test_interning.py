@@ -21,6 +21,8 @@ Three layers:
 from __future__ import annotations
 
 import json
+import threading
+import time
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -52,6 +54,7 @@ from repro.cli import cli_subprocess
 from repro.core.options import MftiOptions
 from repro.data.dataset import FrequencyData
 from repro.experiments.workloads import mixed_batch_jobs
+from repro.metrics.timedomain import TimeDomainSpec
 from repro.serve.protocol import ProtocolError, decode_batch, encode_batch
 
 # tiny generated datasets: everything here is shape-agnostic and tier 1
@@ -280,7 +283,7 @@ class TestWireProtocol:
 # --------------------------------------------------------------------------- #
 class TestResponseCache:
     def test_memoized_values_are_bitwise_and_frozen(self, small_data, small_system):
-        from repro.metrics.errors import reference_norms
+        from repro.metrics.errors import model_aggregate_error, reference_norms
 
         cache = ResponseCache()
         first, status_first = cache.reference_norms(small_data)
@@ -289,23 +292,50 @@ class TestResponseCache:
         assert again is first and not first.flags.writeable
         assert first.tobytes() == reference_norms(small_data.samples).tobytes()
 
-        sweep, s1 = cache.model_sweep(small_system, small_data)
-        sweep2, s2 = cache.model_sweep(small_system, small_data)
-        assert (s1, s2) == ("miss", "hit") and sweep2 is sweep
-        direct = np.asarray(small_system.frequency_response(small_data.frequencies_hz))
-        assert sweep.tobytes() == direct.tobytes()
-        assert cache.stats() == {"norm_hits": 1, "norm_misses": 1,
-                                 "sweep_hits": 1, "sweep_misses": 1,
-                                 "norm_entries": 1, "sweep_entries": 1}
+        calls = []
 
-    def test_sweep_key_separates_models_and_grids(self, small_system, siso_system,
-                                                  small_data, dense_data):
+        def compute():
+            calls.append(1)
+            return model_aggregate_error(small_system, small_data)
+
+        error, s1 = cache.aggregate_error(small_system, small_data, compute)
+        error2, s2 = cache.aggregate_error(small_system, small_data, compute)
+        assert (s1, s2) == ("miss", "hit") and len(calls) == 1
+        assert float(error).hex() == float(error2).hex() == \
+               model_aggregate_error(small_system, small_data).hex()
+
+        spec = TimeDomainSpec(t_final=1e-3)
+        metrics, s3 = cache.time_domain(small_system, small_data, spec,
+                                        lambda: {"impulse_l2": 0.5})
+        assert s3 == "miss" and dict(metrics) == {"impulse_l2": 0.5}
+        with pytest.raises(TypeError):
+            metrics["impulse_l2"] = 1.0  # read-only view of the memoized metrics
+        # the cache keeps scores, never an (N, p, m) sweep
+        assert cache.stats() == {"norm_hits": 1, "norm_misses": 1,
+                                 "sweep_hits": 1, "sweep_misses": 2,
+                                 "norm_entries": 1, "score_entries": 2}
+
+    def test_score_key_separates_models_datasets_and_specs(
+            self, small_system, siso_system, small_data, noisy_data, dense_data):
         assert system_fingerprint(small_system) != system_fingerprint(siso_system)
-        assert grid_fingerprint(small_data) != grid_fingerprint(dense_data)
+        # noisy_data shares small_data's grid: scores key on the samples too
+        assert grid_fingerprint(small_data) == grid_fingerprint(noisy_data)
+        assert dataset_fingerprint(small_data) != dataset_fingerprint(noisy_data)
         cache = ResponseCache()
-        cache.model_sweep(small_system, small_data)
-        _, status = cache.model_sweep(small_system, dense_data)
-        assert status == "miss"  # same model, different grid
+        cache.aggregate_error(small_system, small_data, lambda: 1.0)
+        statuses = [
+            cache.aggregate_error(small_system, noisy_data, lambda: 2.0)[1],
+            cache.aggregate_error(small_system, dense_data, lambda: 3.0)[1],
+            cache.aggregate_error(siso_system, small_data, lambda: 4.0)[1],
+        ]
+        assert statuses == ["miss"] * 3
+        spec = TimeDomainSpec(t_final=1e-3)
+        other_spec = TimeDomainSpec(t_final=1e-3, n_points=64)
+        cache.time_domain(small_system, small_data, spec, lambda: {"step_l2": 1.0})
+        _, status = cache.time_domain(small_system, small_data, other_spec,
+                                      lambda: {"step_l2": 2.0})
+        assert status == "miss"
+        assert cache.aggregate_error(small_system, small_data, lambda: 9.0) == (1.0, "hit")
 
     def test_lru_bound_evicts_oldest(self, small_data, dense_data, monkeypatch):
         monkeypatch.setattr(responses_module, "MAX_ENTRIES", 1)
@@ -315,6 +345,66 @@ class TestResponseCache:
         _, status = cache.reference_norms(small_data)
         assert status == "miss"
 
+    @pytest.mark.parametrize("n_threads", [2, 8])
+    def test_concurrent_callers_of_one_key_compute_it_once(self, small_system,
+                                                           small_data, n_threads):
+        cache = ResponseCache()
+        barrier = threading.Barrier(n_threads)
+        calls = []
+        results = [None] * n_threads
+
+        def compute():
+            calls.append(threading.get_ident())
+            time.sleep(0.05)  # every other caller arrives while this one runs
+            return 0.1 + 0.2
+
+        def caller(slot):
+            barrier.wait()
+            results[slot] = cache.aggregate_error(small_system, small_data, compute)
+
+        threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(calls) == 1
+        assert {value.hex() for value, _ in results} == {(0.1 + 0.2).hex()}
+        assert sorted(status for _, status in results) == \
+               ["hit"] * (n_threads - 1) + ["miss"]
+        stats = cache.stats()
+        assert (stats["sweep_hits"], stats["sweep_misses"]) == (n_threads - 1, 1)
+
+    def test_a_failed_computation_is_retried_by_a_waiter(self, small_system, small_data):
+        cache = ResponseCache()
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        calls, outcomes = [], []
+
+        def compute():
+            calls.append(1)
+            time.sleep(0.05)
+            if len(calls) == 1:
+                raise RuntimeError("first computation fails")
+            return 7.0
+
+        def caller():
+            barrier.wait()
+            try:
+                outcomes.append(cache.aggregate_error(small_system, small_data, compute))
+            except RuntimeError:
+                outcomes.append("raised")
+
+        threads = [threading.Thread(target=caller) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert outcomes.count("raised") == 1
+        assert sorted(o for o in outcomes if o != "raised") == \
+               [(7.0, "hit")] * (n_threads - 2) + [(7.0, "miss")]
+        stats = cache.stats()
+        assert (stats["sweep_hits"], stats["sweep_misses"]) == (n_threads - 2, 1)
+
     def test_batch_tallies_match_the_sharing_structure_exactly(self, small_data,
                                                                dense_data):
         jobs = [
@@ -323,16 +413,20 @@ class TestResponseCache:
             FitJob(small_data, method="vfti", reference=dense_data, label="c"),
         ]
         result = BatchEngine().run(jobs).raise_failures()
-        # per job: 2 sweep + 2 norm consultations (error_vs_data + _reference).
-        # job a: cold cache, 4 misses.  job b: new model (2 sweep misses) over
-        # the already-normed datasets (2 norm hits).  job c: same fit as a,
-        # same system fingerprint -- all 4 consultations hit.
+        # per job: 2 score lookups (error_vs_data + _reference); a score miss
+        # also looks up its dataset's norms.  job a: cold cache, 4 misses.
+        # job b: new model (2 score misses) over the already-normed datasets
+        # (2 norm hits).  job c: same fit as a, same system fingerprint --
+        # both scores hit, and nothing is swept or normed.
         assert [(r.response_hits, r.response_misses) for r in result.records] == \
-               [(0, 4), (2, 2), (4, 0)]
-        assert (result.n_response_hits, result.n_response_misses) == (6, 6)
+               [(0, 4), (2, 2), (2, 0)]
+        assert (result.n_response_hits, result.n_response_misses) == (4, 6)
         assert result.used_responses
-        # hits == consultations - (unique norms + unique sweeps)
-        assert result.n_response_hits == 12 - (2 + 2 * 2)
+        # score hits == 2 * jobs - 2 * unique systems; norm hits == the score
+        # misses' norm lookups - unique datasets
+        n_systems, n_datasets = 2, 2
+        assert result.n_response_hits == \
+               (2 * len(jobs) - 2 * n_systems) + (2 * n_systems - n_datasets)
 
         off = uncached_run(jobs).raise_failures()
         assert not off.used_responses
