@@ -16,6 +16,7 @@ benchmark artifact and future perf-regression gates diff them.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -52,6 +53,19 @@ def pytest_configure(config):
             + " ".join(f"{name}=1" for name in BLAS_THREAD_VARIABLES)
             + f" (unpinned here: {settings})"
         )
+
+
+def pytest_sessionstart(session):
+    """Load scipy before any bench runs.
+
+    The library imports scipy inside the functions that call it (the
+    trapezoidal integrator, the fast-VF refinement, the certify path's QZ),
+    so the first such call in a process pays the import, about 0.3 s.  A
+    bench that times such a call once (``bench_timedomain``'s integrator
+    loop) or keeps a best of three (``bench_vf_solver``'s compact solve)
+    would otherwise time the import along with the kernel.
+    """
+    importlib.import_module("scipy.linalg")
 
 
 def save_report(name: str, text: str) -> str:

@@ -1,13 +1,13 @@
 """The factorization record the kernel modules call through.
 
 The three kernel modules (``systems/evaluation.py``, ``core/assembly.py``,
-``systems/spectral.py``) compute in ``numpy`` directly, except for five
+``systems/spectral.py``) compute in ``numpy`` directly, except for four
 factorizations they fetch from :func:`get_backend` on every call.  The record
-holds the plain numpy/scipy callables, so calling through it is bitwise
-identical to calling them directly.  It remains because an outside tracer
-swaps a counting copy into ``_instances["numpy"]``: the swap reaches every
-kernel call made afterwards, which a binding captured at import time would
-not.
+holds the plain numpy callables, so calling through it is bitwise identical
+to calling them directly, and importing this module loads no scipy.  It
+remains because an outside tracer swaps a counting copy into
+``_instances["numpy"]``: the swap reaches every kernel call made afterwards,
+which a binding captured at import time would not.
 """
 
 from __future__ import annotations
@@ -16,23 +16,21 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["Factorizations", "get_backend"]
 
 
 @dataclass(frozen=True)
 class Factorizations:
-    """The factorizations the kernels call, in numpy/scipy conventions.
+    """The factorizations the kernels call, in numpy conventions.
 
     ``lstsq`` takes ``(a, b)`` and returns numpy's 4-tuple with an ``int``
-    rank; the other fields are the numpy/scipy callables themselves.
+    rank; the other fields are the numpy callables themselves.
     """
 
     solve: Callable[..., Any]
     lstsq: Callable[..., Any]
     cholesky: Callable[..., Any]
-    solve_triangular: Callable[..., Any]
     irfft: Callable[..., Any]
 
 
@@ -46,7 +44,6 @@ _instances: dict = {
         solve=np.linalg.solve,
         lstsq=_lstsq,
         cholesky=np.linalg.cholesky,
-        solve_triangular=scipy.linalg.solve_triangular,
         irfft=np.fft.irfft,
     ),
 }

@@ -18,9 +18,10 @@ same for the *fit* side.  Three families of helpers live here:
   looped oracles the kernels are pinned against live in ``tests/oracles.py``;
   only the stacked-``lstsq`` solver :func:`vf_scaling_solve_reference`
   stays here, because it is the compact solver's runtime fallback.
-  The compact solver calls its Cholesky, triangular solves and small
-  ``lstsq`` through the :func:`repro.backends.get_backend` record, fetched
-  on every call (the record holds the numpy/scipy callables themselves).
+  The compact solver calls its Cholesky and small ``lstsq`` through the
+  :func:`repro.backends.get_backend` record, fetched on every call (the
+  record holds the numpy callables themselves); its refinement step's
+  triangular solves import scipy's on first use.
 
 * **Direction plumbing** -- the block-size resolution, interleaved
   right/left sample split, direction generation and rectangular embedding
@@ -398,8 +399,10 @@ def _vf_compact_reduce(blocks, rhs, condition_limit):
     gradient = np.sum(gradient, axis=0)[:, 0]  # A^T r, (n,)
     gram_full = np.sum(gram[:, :n_coeffs, :n_coeffs], axis=0)  # A^T A, (n, n)
     lower = linalg.cholesky(gram_full)
-    correction = linalg.solve_triangular(
-        lower.T, linalg.solve_triangular(lower, gradient, lower=True), lower=False
+    import scipy.linalg
+
+    correction = scipy.linalg.solve_triangular(
+        lower.T, scipy.linalg.solve_triangular(lower, gradient, lower=True), lower=False
     )
     solution = solution + correction
     if not np.all(np.isfinite(solution)):

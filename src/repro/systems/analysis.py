@@ -15,7 +15,6 @@ instances; Gramian-based analysis additionally requires an invertible ``E``
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.systems.statespace import DescriptorSystem
 
@@ -41,7 +40,9 @@ def poles(system: DescriptorSystem) -> np.ndarray:
     Infinite eigenvalues are returned as ``numpy.inf`` (with arbitrary sign of
     the imaginary part suppressed).
     """
-    alpha, beta = sla.eig(system.A, system.E, right=False, homogeneous_eigvals=True)
+    import scipy.linalg
+
+    alpha, beta = scipy.linalg.eig(system.A, system.E, right=False, homogeneous_eigvals=True)
     alpha = np.asarray(alpha).ravel()
     beta = np.asarray(beta).ravel()
     vals = np.empty(alpha.size, dtype=complex)
@@ -88,7 +89,9 @@ def controllability_gramian(system: DescriptorSystem) -> np.ndarray:
     a, b, _ = _explicit(system)
     if np.max(np.real(np.linalg.eigvals(a))) >= 0:
         raise ValueError("controllability Gramian requires a stable system")
-    return sla.solve_lyapunov(a, -b @ b.conj().T)
+    import scipy.linalg
+
+    return scipy.linalg.solve_lyapunov(a, -b @ b.conj().T)
 
 
 def observability_gramian(system: DescriptorSystem) -> np.ndarray:
@@ -96,7 +99,9 @@ def observability_gramian(system: DescriptorSystem) -> np.ndarray:
     a, _, c = _explicit(system)
     if np.max(np.real(np.linalg.eigvals(a))) >= 0:
         raise ValueError("observability Gramian requires a stable system")
-    return sla.solve_lyapunov(a.conj().T, -c.conj().T @ c)
+    import scipy.linalg
+
+    return scipy.linalg.solve_lyapunov(a.conj().T, -c.conj().T @ c)
 
 
 def hankel_singular_values(system: DescriptorSystem) -> np.ndarray:

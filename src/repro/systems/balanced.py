@@ -14,7 +14,6 @@ roles in the reproduction:
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.systems.analysis import controllability_gramian, observability_gramian
 from repro.systems.statespace import DescriptorSystem, StateSpace
@@ -81,12 +80,14 @@ def _safe_cholesky(matrix: np.ndarray) -> np.ndarray:
     eigenvalues from round-off; a scaled jitter restores positive
     definiteness without visibly perturbing the factorization.
     """
+    import scipy.linalg
+
     matrix = 0.5 * (matrix + matrix.conj().T)
     scale = max(np.max(np.abs(matrix)), 1.0)
     jitter = 0.0
     for _ in range(8):
         try:
-            return sla.cholesky(matrix + jitter * np.eye(matrix.shape[0]), lower=True)
+            return scipy.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]), lower=True)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 10.0, 1e-14 * scale)
     raise np.linalg.LinAlgError("Gramian is not positive semi-definite")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.validation import ensure_1d, ensure_2d
@@ -87,6 +86,8 @@ def simulate_lsim(
     )
     left = e - 0.5 * h * a
     right = e + 0.5 * h * a
+    from scipy.linalg import lu_factor, lu_solve
+
     # one LU factorization reused every step: backward-stable where the
     # explicit inverse (the former np.linalg.inv here) loses digits on
     # ill-conditioned pencils E - (h/2) A

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.assembly import (
     PoleGrouping,
@@ -127,6 +126,8 @@ def _solve_residue_system(
             diag.max() if diag.size else 0.0
         )
         if diag.size and diag.min() > threshold:
+            import scipy.linalg
+
             return scipy.linalg.solve_triangular(r1, q1.T @ responses_real)
     return np.linalg.lstsq(phi1_real, responses_real, rcond=None)[0]
 
