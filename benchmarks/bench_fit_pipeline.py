@@ -21,17 +21,9 @@ PDN / transmission-line workloads:
   than flops; the floor is simply "not slower" and the agreement with the
   looped reference is checked to round-off.
 
-* ``recursive assembly`` -- the per-iteration real Loewner build of
-  Algorithm 2: from-scratch ``build_loewner_pencil(..., real=True)`` on
-  every grown selection against ``IncrementalLoewner(..., real=True)``
-  reusing the previous iteration's assembled ``+j omega`` rows.  The grown pencils
-  must stay **bitwise identical** to the scratch builds, and the
-  incremental path must show a measured per-iteration win (floor: 1.5x,
-  reference ~2.5x).
-
-A cold end-to-end ``vector_fit`` and ``recursive_mfti`` run of the PDN
-workload is reported alongside for context.  Results land in
-``BENCH_fit_pipeline.json``, gated by ``baselines/fit_pipeline.json`` in CI.
+A cold end-to-end ``vector_fit`` of each workload is reported alongside for
+context.  Results land in ``BENCH_fit_pipeline.json``, gated by
+``baselines/fit_pipeline.json`` in CI.
 """
 
 from __future__ import annotations
@@ -44,18 +36,12 @@ import pytest
 from repro.circuits.mna import netlist_to_descriptor
 from repro.circuits.transmission_line import lumped_transmission_line
 from repro.core.assembly import (
-    IncrementalLoewner,
     PoleGrouping,
     partial_fraction_basis,
-    prepare_block_directions,
     relocation_matrices,
     residues_from_coefficients,
     vf_scaling_blocks,
 )
-from repro.core.loewner import build_loewner_pencil
-from repro.core.options import RecursiveOptions
-from repro.core.recursive import recursive_mfti
-from repro.core.tangential import build_tangential_data
 from repro.data import add_measurement_noise, linear_frequencies, sample_scattering
 from repro.experiments.example2 import Example2Config, build_pdn_datasets
 from repro.utils.linalg import realify
@@ -77,9 +63,6 @@ MIN_KERNEL_SPEEDUP = 3.0
 #: this wall-clock ratio cannot flake the build (a real regression -- e.g. an
 #: accidental quadratic copy -- lands well under it).
 MIN_PROJECTION_SPEEDUP = 0.5
-
-#: Required total speedup of incremental vs scratch pencil assembly.
-MIN_INCREMENTAL_SPEEDUP = 1.5
 
 #: Timed repetitions (pole kernels are micro-scale, so they get many rounds).
 KERNEL_ROUNDS = 200
@@ -109,66 +92,7 @@ def _timed(fn, rounds=1):
     return value, (time.perf_counter() - started) / rounds
 
 
-@pytest.fixture(scope="module")
-def recursive_assembly(workloads):
-    """Incremental vs scratch pencil assembly over a recursive-style growth."""
-    data = workloads["pdn"]
-    opts = RecursiveOptions(block_size=2, samples_per_iteration=6, initial_samples=12)
-    plan = prepare_block_directions(opts, data.n_samples, data.n_inputs, data.n_outputs)
-    full = build_tangential_data(
-        data,
-        right_directions=plan.right_directions,
-        left_directions=plan.left_directions,
-        right_indices=plan.right_indices,
-        left_indices=plan.left_indices,
-    )
-    n_groups = min(full.n_right_samples, full.n_left_samples)
-    schedule = []
-    count = opts.initial_samples
-    while count <= n_groups:
-        schedule.append(list(range(count)))
-        count += opts.samples_per_iteration
-
-    # both sides build the real pencil from the +j omega half, as the fit does
-    started = time.perf_counter()
-    scratch_pencils = [build_loewner_pencil(full.subset(sel, sel), real=True)
-                       for sel in schedule]
-    scratch_seconds = time.perf_counter() - started
-
-    assembler = IncrementalLoewner(full, real=True)
-    started = time.perf_counter()
-    grown_pencils = [assembler.update(sel, sel)[1] for sel in schedule]
-    incremental_seconds = time.perf_counter() - started
-
-    for scratch, grown in zip(scratch_pencils, grown_pencils):
-        assert grown.is_real and scratch.is_real
-        assert np.array_equal(grown.loewner, scratch.loewner), (
-            "incremental pencil is not bitwise identical to the scratch build")
-        assert np.array_equal(grown.shifted_loewner, scratch.shifted_loewner)
-
-    rec, rec_seconds = _timed(lambda: recursive_mfti(
-        data, block_size=2, samples_per_iteration=6, initial_samples=12,
-        rank_method="tolerance", rank_tolerance=Example2Config().rank_tolerance))
-    n_iters = len(schedule)
-    return {
-        "n_iterations": n_iters,
-        "initial_groups": int(opts.initial_samples),
-        "groups_per_iteration": int(opts.samples_per_iteration),
-        "final_pencil_size": int(scratch_pencils[-1].k_left),
-        "scratch_seconds": scratch_seconds,
-        "incremental_seconds": incremental_seconds,
-        "speedup": scratch_seconds / incremental_seconds,
-        "per_iteration_scratch_ms": 1e3 * scratch_seconds / n_iters,
-        "per_iteration_incremental_ms": 1e3 * incremental_seconds / n_iters,
-        "min_speedup": MIN_INCREMENTAL_SPEEDUP,
-        "end_to_end_seconds": rec_seconds,
-        "end_to_end_order": int(rec.order),
-        "end_to_end_refinements": len(rec.metadata["recursion"].iterations),
-    }
-
-
-def test_vf_inner_loop_speedup(benchmark, workloads, recursive_assembly,
-                               reportable, json_reportable):
+def test_vf_inner_loop_speedup(benchmark, workloads, reportable, json_reportable):
     """Batched pole-structured VF kernels beat the per-group loops >=3x."""
     rows = []
     results = {}
@@ -258,7 +182,6 @@ def test_vf_inner_loop_speedup(benchmark, workloads, recursive_assembly,
         "min_kernel_speedup": MIN_KERNEL_SPEEDUP,
         "min_projection_speedup": MIN_PROJECTION_SPEEDUP,
         "vf_inner_loop": results,
-        "recursive_assembly": recursive_assembly,
     })
     benchmark.extra_info.update({
         name: f"{entry['kernel_speedup']:.1f}x kernels"
@@ -272,20 +195,3 @@ def test_vf_inner_loop_speedup(benchmark, workloads, recursive_assembly,
             f"(required: {MIN_KERNEL_SPEEDUP:.0f}x)")
         assert entry["projection_speedup"] >= MIN_PROJECTION_SPEEDUP
 
-
-def test_recursive_incremental_assembly_speedup(recursive_assembly, reportable):
-    """Incremental pencil growth beats per-iteration scratch rebuilds."""
-    entry = recursive_assembly
-    reportable("fit_pipeline_recursive.txt", "\n".join([
-        "recursive MFTI: incremental vs scratch pencil assembly",
-        (f"iterations={entry['n_iterations']}  final pencil k={entry['final_pencil_size']}  "
-         f"scratch {entry['per_iteration_scratch_ms']:.2f}ms/iter  "
-         f"incremental {entry['per_iteration_incremental_ms']:.2f}ms/iter  "
-         f"({entry['speedup']:.1f}x)"),
-        (f"end-to-end recursive_mfti: {entry['end_to_end_seconds']:.3f}s, "
-         f"order {entry['end_to_end_order']}, "
-         f"{entry['end_to_end_refinements']} refinements"),
-    ]))
-    assert entry["speedup"] >= MIN_INCREMENTAL_SPEEDUP, (
-        f"incremental assembly only {entry['speedup']:.2f}x faster than scratch "
-        f"rebuilds (required: {MIN_INCREMENTAL_SPEEDUP:.1f}x)")

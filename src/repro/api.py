@@ -13,10 +13,10 @@ The surface, by layer:
 * **Fitting** -- :func:`~repro.core.run_fit` (one dataset, one registered
   method) and the options classes it accepts.
 * **Batching** -- :class:`~repro.batch.engine.BatchEngine` over
-  :class:`~repro.batch.jobs.FitJob`; engines are describable by one
-  canonical config dict (:meth:`BatchEngine.from_config` /
-  :meth:`~BatchEngine.to_config`) shared with the CLI and the serve
-  protocol.
+  :class:`~repro.batch.jobs.FitJob`; an engine is describable by a flat
+  config dict (:meth:`BatchEngine.from_config` /
+  :meth:`~BatchEngine.to_config`): the CLI builds its engines from one,
+  and the fit server's ``/stats`` reports its engine as one.
 * **Caching** -- :class:`~repro.cache.FitCache` with its memory/disk stores.
 * **Sharding** -- :func:`~repro.batch.sharding.plan_shards` and
   :func:`~repro.batch.sharding.merge_shard_results`;

@@ -137,14 +137,17 @@ class BatchEngine:
 
     @classmethod
     def from_config(cls, config: Optional[dict]) -> "BatchEngine":
-        """Build an engine from the flat config dict the serve protocol uses.
+        """Build an engine from a flat config dict.
 
         Recognised keys (all optional): ``executor``, ``max_workers``,
         ``chunk_size``, ``cache_dir`` (path -> disk-backed
         :class:`~repro.cache.FitCache`) and ``memory_cache`` (bool -> fresh
-        memory-backed cache).  The same dict configures the HTTP service, the
-        shard dispatcher and direct-Python callers, so one engine description
-        travels every path.  Unknown keys raise rather than being ignored.
+        memory-backed cache).  Unknown keys raise rather than being ignored.
+        The CLI builds its engines from this dict (``python -m repro batch``,
+        ``shard run`` and ``serve`` turn their engine flags into it); the
+        fit server's ``/stats`` reports :meth:`to_config`.  The wire protocol
+        carries no engine config, and the shard dispatcher forwards engine
+        flags to its runner processes instead.
         """
         config = dict(config or {})
         cache_dir = config.pop("cache_dir", None)

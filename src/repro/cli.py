@@ -94,7 +94,7 @@ def cli_subprocess(*args: str, timeout: float = 600) -> subprocess.CompletedProc
 
 
 def _engine_config_from_args(args: argparse.Namespace) -> dict:
-    """The canonical engine-config dict (one encoding across CLI/HTTP/Python)."""
+    """The :meth:`BatchEngine.from_config` dict of the engine flags."""
     config: dict = {}
     if getattr(args, "executor", None) is not None:
         config["executor"] = args.executor
@@ -220,7 +220,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import FitService, serve_forever
 
     engine = _engine_from_args(args)
-    service = FitService(engine, max_pending=args.max_pending)
+    try:
+        service = FitService(engine, max_pending=args.max_pending)
+    except ValueError as exc:
+        raise ShardError(f"invalid service configuration: {exc}") from exc
 
     def announce(server) -> None:
         print(f"serving on http://{server.host}:{server.port} "
@@ -281,18 +284,23 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_dispatch(args: argparse.Namespace) -> int:
     from repro.serve.dispatcher import SubprocessLauncher, dispatch_workload
 
-    merged = dispatch_workload(
-        args.workload,
-        args.shards,
-        args.out_dir,
-        workload_kwargs=_parse_json_object(args.workload_args, "--workload-args"),
-        cache_dir=args.cache_dir,
-        launcher=SubprocessLauncher(executor=args.executor, workers=args.workers,
-                                    chunk_size=args.chunk_size),
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        backoff_seconds=args.backoff,
-    )
+    try:
+        merged = dispatch_workload(
+            args.workload,
+            args.shards,
+            args.out_dir,
+            workload_kwargs=_parse_json_object(args.workload_args, "--workload-args"),
+            cache_dir=args.cache_dir,
+            launcher=SubprocessLauncher(executor=args.executor, workers=args.workers,
+                                        chunk_size=args.chunk_size),
+            timeout=args.timeout,
+            max_retries=args.max_retries,
+            backoff_seconds=args.backoff,
+        )
+    except ShardError:
+        raise
+    except (TypeError, ValueError) as exc:  # TypeError: bad --workload-args
+        raise ShardError(f"invalid dispatch request: {exc}") from exc
     return _report(merged, args, (
         f"dispatched {merged.executor}: {merged.n_ok}/{merged.n_jobs} ok"
         f"{_cache_note(merged)}"))

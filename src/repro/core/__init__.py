@@ -10,9 +10,8 @@ Layout of the subpackage (bottom-up):
 * :mod:`repro.core.loewner` -- block-format Loewner and shifted Loewner
   matrices (eqs. 11-12) and their Sylvester-equation checks (eq. 13).
 * :mod:`repro.core.assembly` -- the batched fit-assembly layer: vectorized
-  vector-fitting kernels, the shared direction plumbing of the MFTI and
-  recursive front-ends, and the incremental (bit-stable) Loewner growth
-  used by Algorithm 2.
+  vector-fitting kernels and the shared direction plumbing of the MFTI and
+  recursive front-ends.
 * :mod:`repro.core.realization` -- the direct realization of Lemma 3.1, the
   real transform of Lemma 3.2 and the SVD realization of Lemma 3.4.
 * :mod:`repro.core.sampling` -- the minimal-sampling estimates of Theorem 3.5.
@@ -27,7 +26,6 @@ Layout of the subpackage (bottom-up):
 from repro.core._pipeline import available_methods, frontend_spec, run_fit
 from repro.core.assembly import (
     DirectionPlan,
-    IncrementalLoewner,
     PoleGrouping,
     embed_directions,
     interleaved_indices,
@@ -60,7 +58,6 @@ from repro.core.vfti import vfti
 
 __all__ = [
     "DirectionPlan",
-    "IncrementalLoewner",
     "PoleGrouping",
     "embed_directions",
     "interleaved_indices",

@@ -1,6 +1,6 @@
-"""Shared Loewner pipeline used by the VFTI and MFTI front-ends.
+"""Shared Loewner pipeline used by the VFTI, MFTI and recursive MFTI front-ends.
 
-Both front-ends differ only in how they pick tangential directions; once the
+The front-ends differ only in how they pick tangential data; once the
 :class:`~repro.core.tangential.TangentialData` exists, the remaining steps --
 assemble the pencil (real when a real model is asked for), project through
 the rank-revealing SVD, package the result -- are identical and live here.
@@ -156,9 +156,14 @@ def realize_from_tangential(
     method: str,
     n_samples_used: int,
     metadata: dict | None = None,
-    pencil=None,
 ) -> MacromodelResult:
     """Run the Loewner realization pipeline on prepared tangential data.
+
+    ``build_loewner_pencil(tangential, real=options.real_output)`` assembles
+    the pencil -- for a real model only the ``+j omega`` half of the complex
+    pencil is ever computed -- and the SVD realization projects it.  The
+    result does not keep the pencil: ``build_loewner_pencil(
+    result.tangential)`` rebuilds it on demand.
 
     Parameters
     ----------
@@ -173,25 +178,8 @@ def realize_from_tangential(
         Number of sampled matrices that contributed to ``tangential``.
     metadata:
         Extra key/value pairs stored on the result.
-    pencil:
-        Optional pre-assembled :class:`~repro.core.loewner.LoewnerPencil` of
-        ``tangential``, real exactly when ``options.real_output`` is.  The
-        recursive front-end passes the incrementally grown pencil here
-        (bitwise identical to the from-scratch build, so the realization is
-        unaffected); by default ``build_loewner_pencil(tangential,
-        real=options.real_output)`` assembles it -- for a real model only
-        the ``+j omega`` half of the complex pencil is ever computed.  The
-        result does not keep the pencil: ``build_loewner_pencil(
-        result.tangential)`` rebuilds it on demand.
     """
-    if pencil is None:
-        pencil = build_loewner_pencil(tangential, real=options.real_output)
-    elif pencil.is_real != bool(options.real_output):
-        raise ValueError(
-            f"a {'real' if pencil.is_real else 'complex'} pencil was passed to a fit "
-            f"with real_output={options.real_output}"
-        )
-
+    pencil = build_loewner_pencil(tangential, real=options.real_output)
     system, diagnostics = svd_realization(
         pencil,
         order=options.order,

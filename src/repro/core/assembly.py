@@ -1,7 +1,7 @@
 """Batched fit-pipeline assembly kernels shared by every fit front-end.
 
 PR 3 gave the *evaluation* side one vectorized kernel; this module does the
-same for the *fit* side.  Three families of helpers live here:
+same for the *fit* side.  Two families of helpers live here:
 
 * **Vector-fitting kernels** -- the partial-fraction basis, the pole
   relocation companion form, the residue reconstruction, the fast-VF
@@ -28,16 +28,6 @@ same for the *fit* side.  Three families of helpers live here:
   that were previously duplicated between :mod:`repro.core.mfti` and
   :mod:`repro.core.recursive`, collapsed into
   :func:`prepare_block_directions`.
-
-* **Incremental Loewner assembly** -- :class:`IncrementalLoewner` grows a
-  pencil as the recursive algorithm's interpolation set grows, reusing the
-  previous iteration's ``V @ R`` / ``L @ W`` products and computing only
-  the newly selected rows/columns (of a real pencil, from their ``+j omega``
-  products alone).  Because every product goes through the slicing-stable
-  :func:`~repro.utils.linalg.rowcol_product` kernel (the same one
-  :func:`~repro.core.loewner.build_loewner_pencil` uses), the grown pencil
-  is **bitwise identical** to the from-scratch build on the same subset --
-  an invariant the property tests enforce.
 """
 
 from __future__ import annotations
@@ -49,15 +39,6 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.core.directions import orthonormal_directions
-from repro.core.loewner import (
-    LoewnerPencil,
-    divided_difference_blocks,
-    real_from_half,
-    real_tangential_values,
-    require_conjugate_data,
-)
-from repro.core.tangential import TangentialData
-from repro.utils.linalg import rowcol_product
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -77,7 +58,6 @@ __all__ = [
     "interleaved_indices",
     "prepare_block_directions",
     "resolve_block_sizes",
-    "IncrementalLoewner",
 ]
 
 #: Relative magnitude below which a pole's imaginary part is treated as zero.
@@ -545,211 +525,3 @@ def prepare_block_directions(
         right_directions=tuple(embed_directions(d, n_inputs) for d in right_dirs),
         left_directions=tuple(embed_directions(d, n_outputs) for d in left_dirs),
     )
-
-
-# --------------------------------------------------------------------- #
-# incremental Loewner assembly (recursive front-end)
-# --------------------------------------------------------------------- #
-class IncrementalLoewner:
-    """Grow a Loewner pencil over an expanding sample-group selection.
-
-    The recursive algorithm re-assembles the pencil of its interpolation set
-    on every greedy iteration; since the set only *grows*, most of the
-    Loewner entries -- ``V @ R`` / ``L @ W`` products followed by
-    elementwise divided differences -- were already computed.  This class
-    keeps the assembled Loewner / shifted-Loewner matrices between calls
-    and computes only the rows of newly selected left groups and the
-    columns of newly selected right groups: per iteration the assembly work
-    drops from ``O(k^2 m)`` products to ``O(k * delta_k * m)`` plus an
-    ``O(k^2)`` carry-over copy.
-
-    With ``real=True`` (the fit path of a real model) it keeps Lemma 3.2's
-    real matrices instead: a real ``2 x 2`` block depends only on the
-    ``+j omega`` row of its row pair and the two columns of its column
-    pair, so new rows and columns need only their ``+j omega`` products,
-    the half ``build_loewner_pencil(data, real=True)`` computes, and
-    :func:`~repro.core.loewner.real_from_half` writes their real entries;
-    the full data's conjugate halves are checked once, here.
-
-    Because every product entry goes through the slicing-stable
-    :func:`~repro.utils.linalg.rowcol_product` kernel and the divided
-    differences and the real blocks are elementwise
-    (:func:`~repro.core.loewner.divided_difference_blocks`, shared with
-    :func:`~repro.core.loewner.build_loewner_pencil`), the grown pencil is
-    bitwise identical to the from-scratch build on the same subset, real or
-    complex; a non-monotone selection (shrinking, or a never-seen
-    predecessor) simply falls back to the scratch path.
-    """
-
-    def __init__(self, full: TangentialData, *, real: bool = False):
-        self._full = full
-        self._real = bool(real)
-        # the rows whose products are computed: the +j omega half, checked,
-        # for the real pencil; every row for the complex one
-        rows = require_conjugate_data(full) if self._real else slice(None)
-        group = 2 if full.conjugate_pairs else 1
-        right_sizes = full.right_block_sizes
-        left_sizes = full.left_block_sizes
-        self._right_sizes = [right_sizes[g * group : (g + 1) * group]
-                             for g in range(full.n_right_samples)]
-        self._left_sizes = [left_sizes[g * group : (g + 1) * group]
-                            for g in range(full.n_left_samples)]
-        self._right_group_cols = [sum(sizes) for sizes in self._right_sizes]
-        self._left_group_rows = [sum(sizes) for sizes in self._left_sizes]
-        product_rows = [sizes[0] if self._real else sum(sizes) for sizes in self._left_sizes]
-        # full-data concatenations, computed once: a selection's matrices are
-        # row/column slices of these (bitwise identical to re-concatenating
-        # the selected blocks, which is what the scratch build does)
-        self._full_V = full.V[rows]
-        self._full_L = full.L[rows]
-        self._full_R = full.R
-        self._full_W = full.W
-        self._full_lam = full.lambda_points
-        self._full_mu_points = full.mu_points
-        self._full_mu = self._full_mu_points[rows]
-        self._right_group_col_idx = self._group_spans(self._right_group_cols)
-        self._left_group_product_idx = self._group_spans(product_rows)
-        self._left_group_row_idx = self._group_spans(self._left_group_rows)
-        self._right_sel: tuple[int, ...] = ()
-        self._left_sel: tuple[int, ...] = ()
-        self._loewner: np.ndarray | None = None
-        self._shifted: np.ndarray | None = None
-
-    @staticmethod
-    def _group_spans(counts: list[int]) -> list[np.ndarray]:
-        """Each group's index range in the concatenation of all groups."""
-        starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        return [np.arange(starts[g], starts[g + 1], dtype=np.intp) for g in range(len(counts))]
-
-    @property
-    def full(self) -> TangentialData:
-        """The complete tangential data the selections index into."""
-        return self._full
-
-    @staticmethod
-    def _positions(counts: list[int], selection: tuple[int, ...],
-                   subset: tuple[int, ...]) -> np.ndarray:
-        """Row/column positions of ``subset``'s groups within ``selection``'s layout."""
-        sizes = np.asarray([counts[g] for g in selection], dtype=np.intp)
-        starts = np.cumsum(sizes) - sizes
-        members = set(subset)
-        keep = np.fromiter((g in members for g in selection), dtype=bool, count=len(selection))
-        sizes, starts = sizes[keep], starts[keep]
-        return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(
-            sizes.sum(), dtype=np.intp)
-
-    @staticmethod
-    def _runs(positions: np.ndarray) -> list[tuple[slice, slice]]:
-        """``(target, source)`` slices of each contiguous run of sorted ``positions``."""
-        breaks = np.flatnonzero(np.diff(positions) != 1) + 1
-        bounds = np.concatenate([[0], breaks, [positions.size]])
-        return [(slice(int(positions[lo]), int(positions[hi - 1]) + 1), slice(int(lo), int(hi)))
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def _select(self, right_sel: tuple[int, ...], left_sel: tuple[int, ...]):
-        """Slice the cached full-data matrices down to a selection."""
-        rows = np.concatenate([self._left_group_product_idx[g] for g in left_sel])
-        cols = np.concatenate([self._right_group_col_idx[g] for g in right_sel])
-        return (
-            self._full_V[rows],
-            self._full_L[rows],
-            self._full_R[:, cols],
-            self._full_W[:, cols],
-            self._full_mu[rows],
-            self._full_lam[cols],
-        )
-
-    def _entries(self, v, ell, mu, r, w, lam, left_groups, right_groups):
-        """The pencil entries of some left groups' rows x some right groups' columns.
-
-        ``v``/``ell``/``mu`` hold the groups' product rows (their ``+j omega``
-        rows for the real pencil), ``r``/``w``/``lam`` the columns.
-        """
-        loewner, shifted = divided_difference_blocks(
-            rowcol_product(v, r), rowcol_product(ell, w), mu, lam)
-        if not self._real:
-            return loewner, shifted
-        row_sizes = [t for g in left_groups for t in self._left_sizes[g]]
-        col_sizes = [t for g in right_groups for t in self._right_sizes[g]]
-        return (real_from_half(loewner, row_sizes, col_sizes),
-                real_from_half(shifted, row_sizes, col_sizes))
-
-    def _grow(self, right_sel: tuple[int, ...], left_sel: tuple[int, ...],
-              v: np.ndarray, ell: np.ndarray, r: np.ndarray, w: np.ndarray,
-              mu: np.ndarray, lam: np.ndarray) -> None:
-        new_right = tuple(g for g in right_sel if g not in set(self._right_sel))
-        new_left = tuple(g for g in left_sel if g not in set(self._left_sel))
-        product_counts = [idx.size for idx in self._left_group_product_idx]
-        old_products = self._positions(product_counts, left_sel, self._left_sel)
-        new_products = self._positions(product_counts, left_sel, new_left)
-        old_rows = self._positions(self._left_group_rows, left_sel, self._left_sel)
-        new_rows = self._positions(self._left_group_rows, left_sel, new_left)
-        old_cols = self._positions(self._right_group_cols, right_sel, self._right_sel)
-        new_cols = self._positions(self._right_group_cols, right_sel, new_right)
-
-        shape = (sum(self._left_group_rows[g] for g in left_sel), r.shape[1])
-        dtype = float if self._real else complex
-        loewner = np.empty(shape, dtype=dtype)
-        shifted = np.empty(shape, dtype=dtype)
-        if old_rows.size and old_cols.size:
-            # the previous entries land in a few contiguous blocks, one per
-            # run of previously selected groups: slice copies, not a scatter
-            for rows_to, rows_from in self._runs(old_rows):
-                for cols_to, cols_from in self._runs(old_cols):
-                    loewner[rows_to, cols_to] = self._loewner[rows_from, cols_from]
-                    shifted[rows_to, cols_to] = self._shifted[rows_from, cols_from]
-        if new_rows.size:
-            loewner[new_rows, :], shifted[new_rows, :] = self._entries(
-                v[new_products], ell[new_products], mu[new_products], r, w, lam,
-                new_left, right_sel)
-        if new_cols.size and old_rows.size:
-            new_ix = np.ix_(old_rows, new_cols)
-            loewner[new_ix], shifted[new_ix] = self._entries(
-                v[old_products], ell[old_products], mu[old_products],
-                r[:, new_cols], w[:, new_cols], lam[new_cols],
-                self._left_sel, new_right)
-        self._loewner, self._shifted = loewner, shifted
-
-    def update(self, right_groups, left_groups) -> tuple[TangentialData, LoewnerPencil]:
-        """Select sample groups and return ``(subset_data, pencil)``.
-
-        Group indices follow :meth:`TangentialData.subset` semantics
-        (conjugate pairs count as one group).  Supersets of the previous
-        selection reuse the previous entries; anything else rebuilds from
-        scratch.  The pencil is the real one when the assembler was built
-        with ``real=True``.
-        """
-        right_sel = tuple(sorted(set(int(g) for g in right_groups)))
-        left_sel = tuple(sorted(set(int(g) for g in left_groups)))
-        subset = self._full.subset(right_sel, left_sel)
-        v, ell, r, w, mu, lam = self._select(right_sel, left_sel)
-        monotone = (
-            self._loewner is not None
-            and set(self._right_sel) <= set(right_sel)
-            and set(self._left_sel) <= set(left_sel)
-        )
-        if monotone:
-            self._grow(right_sel, left_sel, v, ell, r, w, mu, lam)
-        else:
-            self._loewner, self._shifted = self._entries(
-                v, ell, mu, r, w, lam, left_sel, right_sel)
-        self._right_sel = right_sel
-        self._left_sel = left_sel
-        right_sizes = tuple(t for g in right_sel for t in self._right_sizes[g])
-        left_sizes = tuple(t for g in left_sel for t in self._left_sizes[g])
-        if self._real:
-            v, w = real_tangential_values(v, w, left_sizes, right_sizes)
-            mu = self._full_mu_points[
-                np.concatenate([self._left_group_row_idx[g] for g in left_sel])]
-        pencil = LoewnerPencil(
-            loewner=self._loewner,
-            shifted_loewner=self._shifted,
-            W=w,
-            V=v,
-            lambda_points=lam,
-            mu_points=mu,
-            right_block_sizes=right_sizes,
-            left_block_sizes=left_sizes,
-            is_real=self._real,
-        )
-        return subset, pencil

@@ -179,12 +179,11 @@ def divided_difference_blocks(
     mu: np.ndarray,
     lam: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise divided differences of eqs. (11)-(12) for one block.
+    """Elementwise divided differences of eqs. (11)-(12).
 
     Every entry depends only on its own ``(mu_a, lambda_b, vr[a, b],
-    lw[a, b])``, so computing the matrices block-by-block -- which is what
-    the incremental assembly does for newly selected rows/columns -- yields
-    bitwise the same entries as one full-matrix evaluation.
+    lw[a, b])``; :func:`build_loewner_pencil` applies it to all rows of the
+    complex pencil, or to the ``+j omega`` rows of the real one.
 
     Raises
     ------
@@ -369,11 +368,10 @@ def require_conjugate_data(data: TangentialData) -> np.ndarray:
 def build_loewner_pencil(data: TangentialData, *, real: bool = False) -> LoewnerPencil:
     """Assemble the (shifted) Loewner matrices from tangential data (eqs. 11-12).
 
-    The ``V @ R`` and ``L @ W`` products go through the slicing-stable
-    :func:`~repro.utils.linalg.rowcol_product` kernel so that building the
-    pencil of a sample subset yields bitwise the same entries as slicing a
-    larger pencil -- the contract the incremental recursive assembly relies
-    on (and the property tests enforce).
+    The ``V @ R`` and ``L @ W`` products go through
+    :func:`~repro.utils.linalg.rowcol_product`, which fixes each entry's
+    summation order (its docstring says why it stays).  MFTI, VFTI and
+    every iteration of recursive MFTI assemble their pencils here.
 
     ``real=True`` (what a fit with ``real_output`` asks for) returns Lemma
     3.2's real pencil instead of the complex one: only the ``+j omega`` rows

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core._pipeline import realize_from_tangential, register_frontend
-from repro.core.assembly import IncrementalLoewner, prepare_block_directions
+from repro.core.assembly import prepare_block_directions
 from repro.core.options import RecursiveOptions
 from repro.core.results import MacromodelResult, RecursiveDiagnostics, RecursiveIteration
 from repro.core.tangential import TangentialData, build_tangential_data
@@ -135,22 +135,16 @@ def recursive_mfti(
     history: list[RecursiveIteration] = []
     converged = False
     result: Optional[MacromodelResult] = None
-    # the interpolation set only grows, so the pencil is grown incrementally:
-    # each iteration reuses the previous V@R / L@W products and computes only
-    # the newly selected rows/columns (bitwise identical to a scratch build)
-    assembler = IncrementalLoewner(full, real=opts.real_output)
 
     for iteration in range(opts.max_iterations):
         right_sel = sorted(set(selected) | set(extra_right))
         left_sel = sorted(set(selected) | set(extra_left))
-        subset, pencil = assembler.update(right_sel, left_sel)
         result = realize_from_tangential(
-            subset,
+            full.subset(right_sel, left_sel),
             opts,
             method="mfti-recursive",
             n_samples_used=len(right_sel) + len(left_sel),
             metadata={"block_sizes": plan.per_sample_sizes},
-            pencil=pencil,
         )
         if not remaining:
             converged = True
@@ -173,6 +167,8 @@ def recursive_mfti(
         if np.mean(errors) <= opts.error_threshold:
             converged = True
             break
+        if iteration + 1 == opts.max_iterations:
+            break  # no realization is left to use more samples
         # move the next k0 samples from the hold-out set into the interpolation set
         if opts.selection == "worst":
             order = np.argsort(errors)[::-1]

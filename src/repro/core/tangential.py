@@ -260,10 +260,8 @@ class TangentialData:
         Indices refer to *sample groups*: when the data carries conjugate
         pairs, selecting group ``i`` keeps both the ``+j omega`` block and its
         mirrored partner, so the result remains eligible for the real
-        transform.  The incremental pencil builder
-        (:class:`~repro.core.assembly.IncrementalLoewner`) grows subsets
-        produced by this method and guarantees its pencils stay bitwise
-        identical to a from-scratch build on the same subset.
+        transform.  The recursive front-end realizes each iteration's model
+        from such a subset.
         """
         g = self._group_size()
         right_idx = sorted(set(int(i) for i in right_indices))
@@ -280,25 +278,8 @@ class TangentialData:
         left_blocks = []
         for i in left_idx:
             left_blocks.extend(self._left[i * g : (i + 1) * g])
-        # every constructor invariant (matching dimensions, conjugate-pair
-        # adjacency, disjoint point sets) is inherited by a subset of already
-        # validated data, so the re-validation pass is skipped -- the
-        # recursive front-end takes a subset per refinement iteration
-        return TangentialData._trusted(right_blocks, left_blocks, self._conjugate_pairs)
-
-    @classmethod
-    def _trusted(
-        cls,
-        right_blocks: Sequence[RightBlock],
-        left_blocks: Sequence[LeftBlock],
-        conjugate_pairs: bool,
-    ) -> "TangentialData":
-        """Construct without re-validating (blocks must come from validated data)."""
-        data = object.__new__(cls)
-        data._right = tuple(right_blocks)
-        data._left = tuple(left_blocks)
-        data._conjugate_pairs = bool(conjugate_pairs)
-        return data
+        return TangentialData(right_blocks, left_blocks,
+                              conjugate_pairs=self._conjugate_pairs)
 
     # ------------------------------------------------------------------ #
     # diagnostics

@@ -81,8 +81,7 @@ class FitService:
         resources: its resolved worker count sizes the service's thread pool
         (fits are BLAS-bound and release the GIL, like the engine's
         ``thread`` executor) and its cache, if any, is shared by every job.
-        Accepts the same canonical config dict as everywhere else through
-        :meth:`BatchEngine.from_config`.
+        ``/stats`` reports it as :meth:`BatchEngine.to_config`.
     max_pending:
         Admission bound: the maximum number of *underlying computations*
         (deduped) in flight at once.  A batch that would push past it is

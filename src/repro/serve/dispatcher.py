@@ -181,8 +181,8 @@ def dispatch_workload(
     launcher:
         How shards are run (default: a plain :class:`SubprocessLauncher`).
     timeout:
-        Per-shard wall-clock budget per attempt; a straggler is killed and
-        retried like any failure.
+        Per-shard wall-clock budget per attempt (``None``: no limit); a
+        straggler is killed and retried like any failure.
     max_retries:
         Extra attempts per shard after the first (so ``max_retries=2`` means
         at most 3 attempts).
@@ -196,6 +196,10 @@ def dispatch_workload(
 
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
+    if backoff_seconds < 0:
+        raise ValueError("backoff_seconds must be >= 0")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be > 0 when given")
     kwargs = dict(workload_kwargs or {})
     jobs = workload_jobs(workload, **kwargs)
     plan = plan_shards(jobs, n_shards)

@@ -4,18 +4,15 @@ The helpers in this package are deliberately small and dependency-free (numpy /
 scipy only) so that the higher layers -- the descriptor-system library, the
 circuit substrate and the Loewner-matrix interpolation core -- can share one
 well-tested implementation of the common chores: economic SVDs with rank
-detection, block-diagonal assembly, Sylvester-equation solves, argument
-validation and reproducible random-number handling.
+detection, block-diagonal assembly, argument validation and reproducible
+random-number handling.
 """
 
 from repro.utils.linalg import (
     block_diag,
     economic_svd,
     numerical_rank,
-    relative_residual,
     singular_value_gaps,
-    solve_sylvester_diag,
-    truncated_svd_projectors,
 )
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
@@ -23,21 +20,16 @@ from repro.utils.validation import (
     check_positive_integer,
     check_square,
     ensure_2d,
-    ensure_complex_array,
 )
 
 __all__ = [
     "block_diag",
     "economic_svd",
     "numerical_rank",
-    "relative_residual",
     "singular_value_gaps",
-    "solve_sylvester_diag",
-    "truncated_svd_projectors",
     "ensure_rng",
     "check_finite",
     "check_positive_integer",
     "check_square",
     "ensure_2d",
-    "ensure_complex_array",
 ]

@@ -9,12 +9,10 @@ recur everywhere:
   (the paper's Fig. 1 is exactly such a profile),
 * assembling block-diagonal matrices (the ``Λ``/``M`` frequency matrices and
   the real-transform ``T`` of Lemma 3.2),
-* Sylvester equations with diagonal coefficient matrices (eq. 13 of the
-  paper, used to cross-check the explicitly constructed Loewner matrices),
 * spectral norms of stacked sweeps, the one kernel behind the paper's
   per-frequency error ``||H(j w) - S(f)||_2 / ||S(f)||_2`` and the
   scattering passivity margin ``sigma_max(S(j w))``,
-* simple residual measures used by tests and by the recursive algorithm.
+* the slicing-stable product the Loewner assembly computes its entries with.
 
 Keeping them here gives a single, well-tested implementation.
 """
@@ -25,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_square, ensure_2d
+from repro.utils.validation import ensure_2d
 
 __all__ = [
     "block_diag",
@@ -33,14 +31,9 @@ __all__ = [
     "numerical_rank",
     "rank_from_gap",
     "realify",
-    "relative_residual",
     "rowcol_product",
     "singular_value_gaps",
-    "solve_sylvester_diag",
     "spectral_norms",
-    "truncated_svd_projectors",
-    "hermitian_part",
-    "is_effectively_real",
 ]
 
 
@@ -67,9 +60,10 @@ def rowcol_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the full product.  Neither BLAS ``gemm`` nor a broadcast-multiply +
     ``np.sum`` makes that guarantee (their blocking/accumulator layout, and
     therefore their summation order and rounding, depend on the operand
-    shapes), which is why the incremental Loewner assembly -- which must
-    grow a pencil and stay bit-identical to the from-scratch build --
-    routes every ``V @ R`` / ``L @ W`` product through this kernel.  The
+    shapes).  :func:`~repro.core.loewner.build_loewner_pencil` computes every
+    ``V @ R`` / ``L @ W`` product here, so every fitted model rests on this
+    summation order: swapping in ``@`` would move every fit at round-off, a
+    change to be measured on its own.  The
     contract is locked by a hypothesis property in the test-suite.
 
     The inner dimension of these products is the (small) port count, so the
@@ -213,77 +207,3 @@ def rank_from_gap(singular_values: np.ndarray, *, min_gap: float = 1e3) -> int:
     if gaps[best] < min_gap:
         return int(s.size)
     return best + 1
-
-
-def truncated_svd_projectors(
-    matrix: np.ndarray,
-    rank: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left/right projectors from a rank-``rank`` truncated SVD.
-
-    Returns ``(Y, s, X)`` with ``Y`` of shape ``(rows, rank)``, ``X`` of shape
-    ``(cols, rank)`` and ``s`` the retained singular values, such that
-    ``matrix ~= Y @ diag(s) @ X.conj().T``.
-    """
-    u, s, vh = economic_svd(matrix)
-    rank = int(rank)
-    if rank < 0 or rank > s.size:
-        raise ValueError(f"rank must lie in [0, {s.size}], got {rank}")
-    return u[:, :rank], s[:rank], vh[:rank, :].conj().T
-
-
-def solve_sylvester_diag(
-    m_diag: np.ndarray,
-    lambda_diag: np.ndarray,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Solve ``X @ diag(lambda_diag) - diag(m_diag) @ X = rhs`` element-wise.
-
-    This is the Sylvester equation satisfied by the (shifted) Loewner matrix
-    (paper eq. 13) when the left and right frequency matrices are diagonal.
-    The solution is simply ``X[i, j] = rhs[i, j] / (lambda[j] - m[i])`` and it
-    exists iff the left and right frequency sets are disjoint.
-    """
-    m_diag = np.asarray(m_diag, dtype=complex).ravel()
-    lambda_diag = np.asarray(lambda_diag, dtype=complex).ravel()
-    rhs = ensure_2d(rhs, "rhs")
-    if rhs.shape != (m_diag.size, lambda_diag.size):
-        raise ValueError(
-            f"rhs shape {rhs.shape} does not match diag sizes ({m_diag.size}, {lambda_diag.size})"
-        )
-    denom = lambda_diag[np.newaxis, :] - m_diag[:, np.newaxis]
-    if np.any(np.abs(denom) == 0.0):
-        raise ValueError("left and right frequency sets must be disjoint")
-    return rhs / denom
-
-
-def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:
-    """Frobenius-norm relative residual ``||actual - expected|| / ||expected||``.
-
-    Falls back to the absolute residual when ``expected`` is (numerically)
-    zero so the result is always finite.
-    """
-    actual = np.asarray(actual)
-    expected = np.asarray(expected)
-    denom = np.linalg.norm(expected)
-    num = np.linalg.norm(actual - expected)
-    if denom == 0.0:
-        return float(num)
-    return float(num / denom)
-
-
-def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian part ``(M + M*)/2`` of a square matrix."""
-    matrix = check_square(np.asarray(matrix, dtype=complex), "matrix")
-    return 0.5 * (matrix + matrix.conj().T)
-
-
-def is_effectively_real(matrix: np.ndarray, *, rtol: float = 1e-8) -> bool:
-    """True when the imaginary part of ``matrix`` is negligible relative to its norm."""
-    matrix = np.asarray(matrix)
-    if not np.iscomplexobj(matrix):
-        return True
-    scale = np.max(np.abs(matrix)) if matrix.size else 0.0
-    if scale == 0.0:
-        return True
-    return bool(np.max(np.abs(matrix.imag)) <= rtol * scale)

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["ensure_rng", "spawn_rngs"]
+__all__ = ["ensure_rng"]
 
 RandomState = Union[None, int, np.random.Generator]
 
@@ -39,17 +39,3 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
         "seed must be None, an integer, or a numpy.random.Generator, "
         f"got {type(seed).__name__}"
     )
-
-
-def spawn_rngs(seed: RandomState, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``seed``.
-
-    Useful when an experiment runs several stochastic stages (system
-    generation, direction choice, noise) that must stay independent yet
-    reproducible as a group.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(seed)
-    children = parent.spawn(count) if count else []
-    return list(children)

@@ -17,12 +17,9 @@ __all__ = [
     "check_finite",
     "check_positive_integer",
     "check_nonnegative_integer",
-    "check_probability",
     "check_square",
     "ensure_1d",
     "ensure_2d",
-    "ensure_complex_array",
-    "ensure_real_array",
 ]
 
 
@@ -52,16 +49,6 @@ def check_nonnegative_integer(value, name: str) -> int:
     value = int(value)
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def check_probability(value, name: str) -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    if not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
 
 
@@ -97,23 +84,6 @@ def ensure_2d(array, name: str, *, dtype=None) -> np.ndarray:
     if array.ndim != 2:
         raise ValueError(f"{name} must be at most two-dimensional, got shape {array.shape}")
     return array
-
-
-def ensure_complex_array(array, name: str) -> np.ndarray:
-    """Convert ``array`` to a complex numpy array (any shape), checking finiteness."""
-    array = np.asarray(array, dtype=complex)
-    return check_finite(array, name)
-
-
-def ensure_real_array(array, name: str) -> np.ndarray:
-    """Convert ``array`` to a float numpy array, rejecting significant imaginary parts."""
-    array = np.asarray(array)
-    if np.iscomplexobj(array):
-        if np.max(np.abs(array.imag)) > 1e-9 * max(1.0, np.max(np.abs(array.real))):
-            raise ValueError(f"{name} must be real-valued")
-        array = array.real
-    array = np.asarray(array, dtype=float)
-    return check_finite(array, name)
 
 
 def check_square(matrix: np.ndarray, name: str) -> np.ndarray:

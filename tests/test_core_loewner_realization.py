@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import run_fit
 from repro.core._pipeline import realize_from_tangential
-from repro.core.assembly import IncrementalLoewner
 from repro.core.directions import identity_directions
 from repro.core.loewner import _pair_halves, build_loewner_pencil, sylvester_residuals
 from repro.core.realization import (
@@ -290,7 +289,7 @@ class TestRealAssembly:
     def test_non_conjugate_minus_half_raises_before_any_svd(self, setup, svd_calls,
                                                             side, field):
         """A -j omega block that is not the conjugate of its +j omega partner is
-        refused by the real assembly, the incremental one and the fit."""
+        refused by the real assembly and the fit."""
         _, _, tangential, _ = setup
         blocks = {"right": list(tangential.right_blocks), "left": list(tangential.left_blocks)}
         minus = blocks[side][1]
@@ -299,8 +298,6 @@ class TestRealAssembly:
         broken = TangentialData(blocks["right"], blocks["left"], conjugate_pairs=True)
         with pytest.raises(ValueError, match="not conjugate-symmetric"):
             build_loewner_pencil(broken, real=True)
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            IncrementalLoewner(broken, real=True)
         with pytest.raises(ValueError, match="not conjugate-symmetric"):
             realize_from_tangential(broken, MftiOptions(), method="mfti", n_samples_used=8)
         assert svd_calls == []
@@ -315,11 +312,24 @@ class TestRealAssembly:
         with pytest.raises(ValueError, match="conjugate-paired"):
             build_loewner_pencil(unpaired, real=True)
 
-    def test_pencil_form_must_match_the_options(self, setup):
-        _, _, tangential, pencil = setup
-        with pytest.raises(ValueError, match="complex pencil was passed"):
-            realize_from_tangential(tangential, MftiOptions(), method="mfti",
-                                    n_samples_used=8, pencil=pencil)
+    @pytest.mark.parametrize("real", [True, False])
+    def test_result_tangential_rebuilds_the_realized_pencil(self, setup, real):
+        """The fit keeps no pencil; the one ``real_output`` names, rebuilt from
+        ``result.tangential``, realizes the returned model bit for bit."""
+        _, _, tangential, _ = setup
+        options = MftiOptions(real_output=real, rank_method="tolerance", rank_tolerance=1e-8)
+        result = realize_from_tangential(tangential, options, method="mfti",
+                                         n_samples_used=8)
+        pencil = build_loewner_pencil(result.tangential, real=real)
+        assert pencil.is_real == real
+        system, _ = svd_realization(pencil, order=options.order,
+                                    rank_tolerance=options.rank_tolerance,
+                                    rank_method=options.rank_method,
+                                    mode=options.svd_mode, x0=options.x0)
+        assert result.system.A.dtype == (np.float64 if real else np.complex128)
+        for name in ("E", "A", "B", "C", "D"):
+            expected, got = getattr(system, name), getattr(result.system, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
     def test_real_fit_peaks_below_the_complex_build(self, workload_fits):
         """``pdn/mfti-t3`` (k = 420): the fit's pencil-plus-realization peak is at

@@ -1,8 +1,13 @@
 """Tests for the VFTI baseline and the recursive Algorithm 2."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import RecursiveOptions, VftiOptions, mfti, recursive_mfti, vfti
+from repro.core._pipeline import realize_from_tangential
+from repro.core.assembly import prepare_block_directions
 from repro.data import add_measurement_noise, log_frequencies, sample_scattering
 from repro.systems.random_systems import random_stable_system
 
@@ -137,6 +142,81 @@ class TestRecursiveMfti:
         data = sample_scattering(small_system, log_frequencies(1e2, 1e3, 3))
         with pytest.raises(ValueError):
             recursive_mfti(data)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    def test_stop_at_max_iterations_reports_the_realized_selection(
+            self, noisy_oversampled, max_iterations):
+        """The pairs picked after the last realization are not reported as used."""
+        _, noisy, _ = noisy_oversampled
+        result = recursive_mfti(noisy, options=RecursiveOptions(
+            block_size=2, samples_per_iteration=2, error_threshold=1e-9,
+            max_iterations=max_iterations, rank_method="tolerance", rank_tolerance=1e-4))
+        recursion = result.metadata["recursion"]
+        assert not recursion.converged
+        assert recursion.n_iterations == max_iterations
+        realized = 2 * max_iterations
+        assert recursion.iterations[-1].n_samples_used == realized
+        assert result.n_samples_used == realized
+        assert len(result.metadata["selected_pairs"]) == realized
+        assert result.tangential.n_right_samples == realized
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def recursive_problems(draw):
+    """A small sampled system and recursive options over every knob the loop reads."""
+    n_ports = draw(st.integers(1, 3))
+    data = sample_scattering(
+        random_stable_system(order=draw(st.integers(2, 10)), n_ports=n_ports,
+                             feedthrough=0.1, seed=draw(st.integers(0, 2**16))),
+        log_frequencies(1e1, 1e5, draw(st.integers(4, 16))))
+    if draw(st.booleans()):
+        data = add_measurement_noise(data, relative_level=1e-3, seed=draw(st.integers(0, 99)))
+    real_output = draw(st.booleans())
+    options = RecursiveOptions(
+        real_output=real_output,
+        include_conjugates=real_output or draw(st.booleans()),
+        block_size=draw(st.integers(1, n_ports)),
+        samples_per_iteration=draw(st.integers(1, 4)),
+        initial_samples=draw(st.none() | st.integers(1, 5)),
+        max_iterations=draw(st.integers(1, 4)),
+        error_threshold=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+        selection=draw(st.sampled_from(["worst", "spread"])),
+        rank_method="tolerance",
+        rank_tolerance=1e-8,
+    )
+    return data, options
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(recursive_problems())
+def test_recursive_model_is_the_one_shot_realization_of_its_selection(problem):
+    """The returned model is, bit for bit, the realization of the interpolation
+    set it reports, and the reported pairs are the ones that set holds."""
+    data, options = problem
+    result = recursive_mfti(data, options=options)
+
+    one_shot = realize_from_tangential(result.tangential, result.metadata["options"],
+                                       method="mfti-recursive",
+                                       n_samples_used=result.n_samples_used)
+    for name in ("E", "A", "B", "C", "D"):
+        assert _same_bits(getattr(result.system, name), getattr(one_shot.system, name)), name
+
+    pairs = result.metadata["selected_pairs"]
+    assert result.n_samples_used == len(pairs) == len(set(pairs))
+    assert result.metadata["recursion"].iterations[-1].n_samples_used == len(pairs)
+    plan = prepare_block_directions(options, data.n_samples, data.n_inputs, data.n_outputs)
+    n_pairs = min(len(plan.right_indices), len(plan.left_indices))
+    group = 2 if options.include_conjugates else 1
+    for indices, blocks in ((plan.right_indices, result.tangential.right_blocks),
+                            (plan.left_indices, result.tangential.left_blocks)):
+        samples = [indices[g] for g in sorted(set(pairs) | set(range(n_pairs, len(indices))))]
+        expected = 1j * 2.0 * np.pi * data.frequencies_hz[samples]
+        assert _same_bits([block.point for block in blocks[::group]], expected)
 
 
 #: The sample pairs the mixed grid's two recursive jobs select: the hold-out

@@ -3,9 +3,10 @@
 The contract of :mod:`repro.core.assembly` is that the refactor is
 *numerically invisible*: every batched kernel agrees with its looped
 reference (bitwise where the operations are elementwise, to round-off where
-GEMM batching reorders summations), the slicing-stable product makes the
-incrementally grown Loewner pencil bitwise identical to the from-scratch
-build, and ``sort_poles`` always produces a groupable pole array -- including
+GEMM batching reorders summations), the Loewner products are slicing-stable
+-- so the pencil of any subset of the tangential data is bitwise the matching
+sub-block of the full pencil -- and ``sort_poles`` always produces a
+groupable pole array -- including
 on the previously untested "numerically unpaired complex pole" leftover path.
 The kernels that compute in numpy directly are also pinned bitwise to
 hand-inlined numpy replicas, and the compact fast-VF solver to its
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.assembly import (
     VF_COMPACT_CONDITION_LIMIT,
-    IncrementalLoewner,
     PoleGrouping,
     partial_fraction_basis,
     relocation_matrices,
@@ -96,6 +96,13 @@ def _make_tangential(n_right: int, n_left: int, n_ports: int, block: int,
     rights = [blk for i in range(n_right) for blk in _right(i)]
     lefts = [blk for i in range(n_left) for blk in _left(i)]
     return TangentialData(rights, lefts, conjugate_pairs=True)
+
+
+def _group_lines(block_sizes, groups) -> np.ndarray:
+    """Pencil rows (or columns) of the conjugate-paired sample ``groups``."""
+    offsets = np.concatenate([[0], np.cumsum(block_sizes)])
+    return np.concatenate([np.arange(offsets[2 * g], offsets[2 * g + 2])
+                           for g in sorted(set(groups))])
 
 
 # --------------------------------------------------------------------- #
@@ -310,7 +317,7 @@ class TestVectorFitKernels:
 
 
 # --------------------------------------------------------------------- #
-# slicing-stable products and incremental pencil growth
+# slicing-stable products and subset pencils
 # --------------------------------------------------------------------- #
 class TestRowcolProduct:
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=6),
@@ -326,7 +333,7 @@ class TestRowcolProduct:
            st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
     @common_settings
     def test_slicing_stability_bitwise(self, rows, inner, cols, seed):
-        """The determinism contract the incremental assembly relies on."""
+        """Each entry is a function of its own row and column, bit for bit."""
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(rows, inner)) + 1j * rng.normal(size=(rows, inner))
         b = rng.normal(size=(inner, cols)) + 1j * rng.normal(size=(inner, cols))
@@ -362,62 +369,55 @@ class TestRowcolProduct:
             rowcol_product(np.zeros(3), np.zeros((3, 2)))
 
 
-class TestIncrementalLoewner:
-    @given(st.integers(min_value=4, max_value=8), st.integers(min_value=4, max_value=8),
+class TestSubsetPencil:
+    """Recursive MFTI realizes each iteration from ``full.subset(...)``: the
+    pencil of a subset is bitwise the sub-block of the full pencil."""
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
            st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1),
            st.booleans())
     @common_settings
-    def test_grown_pencil_is_bitwise_identical_to_scratch(self, n_right, n_left,
-                                                          n_ports, seed, real):
-        """Random selection orders: incremental growth == from-scratch build,
-        for the complex pencil and for the real one grown from its +j omega half."""
+    def test_subset_pencil_is_the_sub_block_of_the_full_pencil(self, n_right, n_left,
+                                                               n_ports, seed, real):
+        """Random selections, complex pencil and the real one written from
+        its +j omega half."""
         rng = np.random.default_rng(seed)
         full = _make_tangential(n_right, n_left, n_ports, block=2, seed=seed)
-        assembler = IncrementalLoewner(full, real=real)
-
-        right_order = rng.permutation(n_right).tolist()
-        left_order = rng.permutation(n_left).tolist()
-        start_r = rng.integers(1, n_right + 1)
-        start_l = rng.integers(1, n_left + 1)
-        right_sel = right_order[:start_r]
-        left_sel = left_order[:start_l]
-        while True:
-            subset, grown = assembler.update(right_sel, left_sel)
-            scratch = build_loewner_pencil(full.subset(right_sel, left_sel), real=real)
-            assert grown.is_real == scratch.is_real == real
-            assert np.array_equal(grown.loewner, scratch.loewner)
-            assert np.array_equal(grown.shifted_loewner, scratch.shifted_loewner)
-            assert np.array_equal(grown.W, scratch.W)
-            assert np.array_equal(grown.V, scratch.V)
-            assert np.array_equal(grown.lambda_points, scratch.lambda_points)
-            assert np.array_equal(grown.mu_points, scratch.mu_points)
-            if len(right_sel) == n_right and len(left_sel) == n_left:
-                break
-            grow_r = int(rng.integers(0, 3))
-            grow_l = int(rng.integers(0, 3))
-            if len(right_sel) < n_right and (grow_r or len(left_sel) == n_left):
-                right_sel = right_sel + right_order[len(right_sel):len(right_sel) + max(grow_r, 1)]
-            if len(left_sel) < n_left and (grow_l or len(right_sel) == n_right):
-                left_sel = left_sel + left_order[len(left_sel):len(left_sel) + max(grow_l, 1)]
+        right_sel = rng.permutation(n_right)[:rng.integers(1, n_right + 1)].tolist()
+        left_sel = rng.permutation(n_left)[:rng.integers(1, n_left + 1)].tolist()
+        whole = build_loewner_pencil(full, real=real)
+        sub = build_loewner_pencil(full.subset(right_sel, left_sel), real=real)
+        cols = _group_lines(full.right_block_sizes, right_sel)
+        rows = _group_lines(full.left_block_sizes, left_sel)
+        assert sub.is_real == whole.is_real == real
+        for name, expected in (("loewner", whole.loewner[np.ix_(rows, cols)]),
+                               ("shifted_loewner", whole.shifted_loewner[np.ix_(rows, cols)]),
+                               ("V", whole.V[rows]), ("W", whole.W[:, cols]),
+                               ("lambda_points", whole.lambda_points[cols]),
+                               ("mu_points", whole.mu_points[rows])):
+            got = getattr(sub, name)
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
 
     @pytest.mark.parametrize("real", [False, True])
-    def test_non_monotone_selection_falls_back_to_scratch(self, real):
+    def test_selection_order_and_repeats_do_not_change_the_pencil(self, real):
         full = _make_tangential(5, 5, 2, block=2, seed=3)
-        assembler = IncrementalLoewner(full, real=real)
-        assembler.update([0, 1, 2], [0, 1, 2])
-        subset, grown = assembler.update([2, 3], [1, 4])  # shrinks: scratch path
-        scratch = build_loewner_pencil(full.subset([2, 3], [1, 4]), real=real)
-        assert np.array_equal(grown.loewner, scratch.loewner)
-        assert np.array_equal(grown.shifted_loewner, scratch.shifted_loewner)
-        assert np.array_equal(grown.V, scratch.V) and np.array_equal(grown.W, scratch.W)
+        shuffled = build_loewner_pencil(full.subset([3, 2, 3], [4, 1, 4]), real=real)
+        sorted_ = build_loewner_pencil(full.subset([2, 3], [1, 4]), real=real)
+        assert np.array_equal(shuffled.loewner, sorted_.loewner)
+        assert np.array_equal(shuffled.shifted_loewner, sorted_.shifted_loewner)
+        assert np.array_equal(shuffled.V, sorted_.V) and np.array_equal(shuffled.W, sorted_.W)
 
-    def test_update_preserves_block_structure(self):
+    def test_subset_keeps_blocks_and_block_structure(self):
         full = _make_tangential(4, 4, 3, block=2, seed=11)
-        assembler = IncrementalLoewner(full)
-        subset, pencil = assembler.update([1, 3], [0, 2])
-        assert pencil.right_block_sizes == subset.right_block_sizes
-        assert pencil.left_block_sizes == subset.left_block_sizes
-        assert assembler.full is full
+        subset = full.subset([1, 3], [0, 2])
+        right, left = full.right_blocks, full.left_blocks
+        assert subset.conjugate_pairs
+        assert [id(b) for b in subset.right_blocks] == [id(right[i]) for i in (2, 3, 6, 7)]
+        assert [id(b) for b in subset.left_blocks] == [id(left[i]) for i in (0, 1, 4, 5)]
+        pencil = build_loewner_pencil(subset, real=True)
+        assert pencil.right_block_sizes == subset.right_block_sizes == (2, 2, 2, 2)
+        assert pencil.left_block_sizes == subset.left_block_sizes == (2, 2, 2, 2)
 
 
 # --------------------------------------------------------------------- #

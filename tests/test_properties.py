@@ -14,7 +14,7 @@ from repro.data.dataset import FrequencyData
 from repro.data.frequency import clustered_frequencies, linear_frequencies, log_frequencies
 from repro.systems.interconnect import s_to_z, z_to_s
 from repro.systems.random_systems import random_stable_system
-from repro.utils.linalg import block_diag, numerical_rank, solve_sylvester_diag
+from repro.utils.linalg import block_diag, numerical_rank
 
 # hypothesis settings shared by the heavier properties
 _slow = settings(max_examples=12, deadline=None,
@@ -66,17 +66,6 @@ class TestLinalgProperties:
         blocks = [rng.normal(size=(s, s)) for s in sizes]
         total_rank = sum(np.linalg.matrix_rank(b) for b in blocks)
         assert np.linalg.matrix_rank(block_diag(blocks)) == total_rank
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
-           st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_sylvester_diag_solution(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        mu = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-        lam = rng.normal(size=cols) + 1j * rng.normal(size=cols) + 100.0
-        rhs = rng.normal(size=(rows, cols))
-        x = solve_sylvester_diag(mu, lam, rhs)
-        assert np.allclose(x @ np.diag(lam) - np.diag(mu) @ x, rhs, atol=1e-8)
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=2 ** 31 - 1))

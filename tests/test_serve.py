@@ -590,6 +590,24 @@ class TestDispatcher:
             )
         assert launcher.calls == 2
 
+    @pytest.mark.parametrize("retry,message", [
+        ({"max_retries": -1}, "max_retries must be >= 0"),
+        ({"backoff_seconds": -0.5}, "backoff_seconds must be >= 0"),
+        ({"timeout": 0}, "timeout must be > 0"),
+    ], ids=["max_retries", "backoff_seconds", "timeout"])
+    def test_negative_retry_settings_raise_before_anything_is_written(self, tmp_path,
+                                                                      retry, message):
+        # checked up front: a negative backoff would otherwise fail only at
+        # the first retry, as time.sleep's error inside a pool thread, and a
+        # zero timeout would kill every attempt of every shard
+        out_dir = tmp_path / "shards"
+        launcher = AlwaysLostLauncher()
+        with pytest.raises(ValueError, match=message):
+            dispatch_workload("port_sweep_jobs", 1, out_dir, workload_kwargs=GRID_KWARGS,
+                              launcher=launcher, **retry)
+        assert launcher.calls == 0
+        assert not out_dir.exists()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="process-group kill asserted via /proc")
     def test_timeout_kill_leaves_no_orphaned_workers(self, tmp_path):
@@ -619,6 +637,43 @@ class TestDispatcher:
 # the CLI
 # --------------------------------------------------------------------------- #
 class TestCli:
+    @pytest.mark.parametrize("flags,message", [
+        (("--max-retries", "-1"), "invalid dispatch request: max_retries must be >= 0"),
+        (("--backoff", "-1"), "invalid dispatch request: backoff_seconds must be >= 0"),
+        (("--timeout", "0"), "invalid dispatch request: timeout must be > 0"),
+        (("--workload-args", '{"bogus": 1}'),
+         "invalid dispatch request: port_sweep_jobs() got an unexpected keyword "
+         "argument 'bogus'"),
+        (("--workload", "no-such-grid"),
+         "invalid dispatch request: unknown workload 'no-such-grid'"),
+        (("--shards", "0"), "n_shards must be >= 1, got 0"),
+    ], ids=["max-retries", "backoff", "timeout", "workload-args", "workload", "shards"])
+    def test_invalid_dispatch_flags_exit_2_with_one_error_line(self, tmp_path, flags,
+                                                               message):
+        # each case's flags come last, so they override the valid defaults
+        out_dir = tmp_path / "shards"
+        completed = cli_subprocess(
+            "shard", "dispatch", "--workload", "port_sweep_jobs",
+            "--workload-args", json.dumps(GRID_KWARGS),
+            "--shards", "2", "--out-dir", str(out_dir), *flags, timeout=120,
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr.startswith(f"error: {message}")
+        assert len(completed.stderr.strip().splitlines()) == 1
+        assert completed.stdout == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--max-pending", "0"), "invalid service configuration: max_pending must be >= 1"),
+        (("--workers", "0"),
+         "invalid engine configuration: max_workers must be >= 1 when given"),
+    ], ids=["max-pending", "workers"])
+    def test_invalid_serve_flags_exit_2_before_serving(self, flags, message):
+        completed = cli_subprocess("serve", "--port", "0", *flags, timeout=60)
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr == f"error: {message}\n"
+        assert completed.stdout == ""
+
     def test_umbrella_shard_plan(self, tmp_path):
         completed = cli_subprocess(
             "shard", "plan", "--workload", "port_sweep_jobs",

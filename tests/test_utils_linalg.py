@@ -6,15 +6,11 @@ import pytest
 from repro.utils.linalg import (
     block_diag,
     economic_svd,
-    hermitian_part,
-    is_effectively_real,
     numerical_rank,
     rank_from_gap,
-    relative_residual,
+    realify,
     singular_value_gaps,
-    solve_sylvester_diag,
     spectral_norms,
-    truncated_svd_projectors,
 )
 
 
@@ -82,17 +78,17 @@ class TestRankDetection:
         with pytest.raises(ValueError):
             singular_value_gaps(np.eye(2))
 
-    def test_truncated_projectors_shapes(self, rng):
-        matrix = rng.normal(size=(7, 5))
-        y, s, x = truncated_svd_projectors(matrix, 3)
-        assert y.shape == (7, 3)
-        assert x.shape == (5, 3)
-        assert s.shape == (3,)
-        assert np.allclose(y.conj().T @ y, np.eye(3), atol=1e-12)
 
-    def test_truncated_projectors_rank_out_of_range(self, rng):
-        with pytest.raises(ValueError):
-            truncated_svd_projectors(rng.normal(size=(3, 3)), 5)
+class TestRealify:
+    def test_complex_least_squares_with_real_unknowns(self, rng):
+        """``[Re A; Im A] x = [Re b; Im b]`` recovers the real ``x`` of ``A x = b``."""
+        a = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        x = rng.normal(size=(3, 1))
+        stacked = realify(a)
+        assert stacked.shape == (16, 3) and stacked.dtype == np.float64
+        assert np.array_equal(stacked[:8], a.real) and np.array_equal(stacked[8:], a.imag)
+        solution = np.linalg.lstsq(stacked, realify(a @ x), rcond=None)[0]
+        np.testing.assert_allclose(solution, x, rtol=1e-12, atol=1e-12)
 
 
 def _svd_norms(stack):
@@ -161,44 +157,3 @@ class TestSpectralNorms:
             set_threads(previous)
         for one, four in zip(single, multi):
             assert one.tobytes() == four.tobytes()
-
-
-class TestSylvesterDiag:
-    def test_solution_satisfies_equation(self, rng):
-        mu = rng.normal(size=4) + 1j * rng.normal(size=4)
-        lam = rng.normal(size=3) + 1j * rng.normal(size=3) + 10.0
-        rhs = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        x = solve_sylvester_diag(mu, lam, rhs)
-        lhs = x @ np.diag(lam) - np.diag(mu) @ x
-        assert np.allclose(lhs, rhs)
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            solve_sylvester_diag([1.0], [1.0], [[1.0]])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            solve_sylvester_diag([1.0, 2.0], [3.0], np.ones((1, 1)))
-
-
-class TestMiscHelpers:
-    def test_relative_residual_zero_for_equal(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert relative_residual(a, a) == 0.0
-
-    def test_relative_residual_absolute_fallback(self):
-        assert relative_residual(np.ones((2, 2)), np.zeros((2, 2))) == pytest.approx(2.0)
-
-    def test_hermitian_part(self):
-        m = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
-        h = hermitian_part(m)
-        assert np.allclose(h, h.conj().T)
-
-    def test_is_effectively_real_true(self):
-        assert is_effectively_real(np.ones((2, 2)) + 1e-12j)
-
-    def test_is_effectively_real_false(self):
-        assert not is_effectively_real(np.ones((2, 2)) + 0.1j)
-
-    def test_is_effectively_real_zero_matrix(self):
-        assert is_effectively_real(np.zeros((2, 2), dtype=complex))

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_finite,
     check_nonnegative_integer,
     check_positive_integer,
-    check_probability,
     check_square,
     ensure_1d,
     ensure_2d,
-    ensure_complex_array,
-    ensure_real_array,
 )
 
 
@@ -41,16 +38,7 @@ class TestIntegerChecks:
             check_nonnegative_integer(-1, "n")
 
 
-class TestProbabilityAndFinite:
-    def test_probability_bounds(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-
-    def test_probability_type(self):
-        with pytest.raises(TypeError):
-            check_probability("0.5", "p")
-
+class TestFinite:
     def test_check_finite_rejects_nan(self):
         with pytest.raises(ValueError):
             check_finite(np.array([1.0, np.nan]), "x")
@@ -68,6 +56,11 @@ class TestArrayCoercion:
         with pytest.raises(ValueError):
             ensure_1d(np.eye(2), "x")
 
+    def test_ensure_1d_coerces_to_the_requested_dtype(self):
+        assert ensure_1d([1, 2], "x", dtype=float).dtype == np.float64
+        with pytest.raises(TypeError):
+            ensure_1d([1.0 + 1.0j], "x", dtype=float)
+
     def test_ensure_2d_from_vector(self):
         assert ensure_2d([1.0, 2.0], "x").shape == (1, 2)
 
@@ -77,18 +70,6 @@ class TestArrayCoercion:
     def test_ensure_2d_rejects_3d(self):
         with pytest.raises(ValueError):
             ensure_2d(np.zeros((2, 2, 2)), "x")
-
-    def test_ensure_complex(self):
-        out = ensure_complex_array([[1, 2]], "x")
-        assert out.dtype == complex
-
-    def test_ensure_real_rejects_complex(self):
-        with pytest.raises(ValueError):
-            ensure_real_array(np.array([1.0 + 1j]), "x")
-
-    def test_ensure_real_accepts_tiny_imaginary(self):
-        out = ensure_real_array(np.array([1.0 + 1e-15j]), "x")
-        assert out.dtype == float
 
     def test_check_square(self):
         assert check_square(np.eye(3), "m").shape == (3, 3)
@@ -112,16 +93,3 @@ class TestRng:
     def test_invalid_seed_type(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-    def test_spawn_rngs_independent(self):
-        children = spawn_rngs(7, 3)
-        assert len(children) == 3
-        draws = [c.normal() for c in children]
-        assert len(set(np.round(draws, 12))) == 3
-
-    def test_spawn_rngs_zero(self):
-        assert spawn_rngs(1, 0) == []
-
-    def test_spawn_rngs_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
