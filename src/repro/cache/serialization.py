@@ -49,7 +49,9 @@ __all__ = [
 #: first grid swept, so memoized sweep errors moved at round-off again.
 #: v8: plan sweeps contract the Cauchy weights against the rank-1 residues in
 #: one GEMM, so memoized sweep errors moved at round-off again.
-PAYLOAD_SCHEMA_VERSION = 8
+#: v9: recursive fits report every sampled frequency they were realized from
+#: as ``n_samples_used`` instead of the selected pairs.
+PAYLOAD_SCHEMA_VERSION = 9
 
 
 class UncacheableResultError(TypeError):

@@ -4,16 +4,18 @@ Layout of the subpackage (bottom-up):
 
 * :mod:`repro.core.directions` -- tangential direction generators (unit
   vectors for VFTI, orthonormal ``t_i``-column matrices for MFTI).
-* :mod:`repro.core.tangential` -- the :class:`TangentialData` container and
-  its construction from :class:`~repro.data.dataset.FrequencyData`
-  (eqs. 6-9 of the paper).
+* :mod:`repro.core.tangential` -- the :class:`TangentialData` container
+  (each side's points, block sizes, directions and values, stacked, with the
+  conjugate ``-j omega`` blocks implied) and its construction from
+  :class:`~repro.data.dataset.FrequencyData` (eqs. 6-9 of the paper).
 * :mod:`repro.core.loewner` -- block-format Loewner and shifted Loewner
-  matrices (eqs. 11-12) and their Sylvester-equation checks (eq. 13).
+  matrices (eqs. 11-12), the real pencil of Lemma 3.2, and their
+  Sylvester-equation checks (eq. 13).
 * :mod:`repro.core.assembly` -- the batched fit-assembly layer: vectorized
   vector-fitting kernels and the shared direction plumbing of the MFTI and
   recursive front-ends.
-* :mod:`repro.core.realization` -- the direct realization of Lemma 3.1, the
-  real transform of Lemma 3.2 and the SVD realization of Lemma 3.4.
+* :mod:`repro.core.realization` -- the direct realization of Lemma 3.1 and
+  the SVD realization of Lemma 3.4.
 * :mod:`repro.core.sampling` -- the minimal-sampling estimates of Theorem 3.5.
 * :mod:`repro.core.mfti` -- Algorithm 1 (MFTI for noise-free / clean data).
 * :mod:`repro.core.recursive` -- Algorithm 2 (recursive MFTI for noisy data).
@@ -45,11 +47,7 @@ from repro.core.loewner import (
 )
 from repro.core.mfti import mfti
 from repro.core.options import InterpolationOptions, MftiOptions, RecursiveOptions, VftiOptions
-from repro.core.realization import (
-    direct_realization,
-    svd_realization,
-    to_real_data,
-)
+from repro.core.realization import direct_realization, svd_realization
 from repro.core.recursive import recursive_mfti
 from repro.core.results import MacromodelResult, RecursiveDiagnostics
 from repro.core.sampling import minimal_sample_count, recommend_sample_count
@@ -74,7 +72,6 @@ __all__ = [
     "sylvester_residuals",
     "direct_realization",
     "svd_realization",
-    "to_real_data",
     "minimal_sample_count",
     "recommend_sample_count",
     "mfti",

@@ -18,9 +18,9 @@ paper plots in Fig. 1.
 
 For conjugate-paired data the ``-j omega`` rows of both matrices are, bit for
 bit, the conjugates of the ``+j omega`` rows, so Lemma 3.2's real pencil is a
-closed-form function of the ``+j omega`` half alone:
-:func:`real_pencil_from_half` writes it, and ``build_loewner_pencil(data,
-real=True)`` -- the fit path -- assembles only that half.
+closed-form function of the ``+j omega`` half alone: ``build_loewner_pencil(
+data, real=True)`` -- the fit path -- assembles only that half, from the
+``+j omega`` blocks the tangential data stores.
 """
 
 from __future__ import annotations
@@ -30,25 +30,17 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.tangential import TangentialData
+from repro.core.tangential import TangentialData, _pair_halves
 from repro.utils.linalg import economic_svd, rowcol_product
 
 __all__ = [
-    "CONJUGATE_TOLERANCE",
     "LoewnerPencil",
     "build_loewner_pencil",
     "divided_difference_blocks",
     "real_from_half",
-    "real_pencil_from_half",
     "real_tangential_values",
-    "require_conjugate_data",
-    "require_conjugate_halves",
     "sylvester_residuals",
 ]
-
-#: Relative deviation of a ``-j omega`` half from the conjugate of its
-#: ``+j omega`` half above which the data counts as not conjugate-symmetric.
-CONJUGATE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ class LoewnerPencil:
     lambda_points, mu_points:
         Column / row sample points (the diagonal entries of ``Lambda`` / ``M``).
     right_block_sizes, left_block_sizes:
-        Block structure ``t_i`` (needed by the real transform).
+        Block structure ``t_i``, mirrored blocks included.
     is_real:
         True once the real transform of Lemma 3.2 has been applied; the sample
         points are then kept only for reference (choice of ``x0``, reporting).
@@ -199,63 +191,17 @@ def divided_difference_blocks(
     return loewner, shifted
 
 
-def _pair_halves(block_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the ``+j omega`` and ``-j omega`` halves of every conjugate pair.
-
-    ``block_sizes`` lists the tangential block sizes in order; they must come
-    in adjacent pairs of equal size (one block at ``+j omega``, one at
-    ``-j omega``).  Entry ``i`` of the two returned arrays names the two rows
-    (or columns) that one ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block of the
-    Lemma 3.2 transform mixes.
-    """
-    sizes = np.asarray(block_sizes, dtype=int)
-    if sizes.size % 2 != 0:
-        raise ValueError("block sizes must come in conjugate pairs (even count)")
-    t_plus, t_minus = sizes[0::2], sizes[1::2]
-    mismatched = np.flatnonzero(t_plus != t_minus)
-    if mismatched.size:
-        pair = int(mismatched[0])
-        raise ValueError(
-            f"conjugate pair {pair} has mismatched block sizes "
-            f"({t_plus[pair]}, {t_minus[pair]})"
-        )
-    pair_starts = np.cumsum(2 * t_plus) - 2 * t_plus
-    within = np.arange(t_plus.sum()) - np.repeat(np.cumsum(t_plus) - t_plus, t_plus)
-    plus = np.repeat(pair_starts, t_plus) + within
-    return plus, plus + np.repeat(t_plus, t_plus)
+def _uniform_size(sizes: np.ndarray) -> int:
+    """The block size when every sample has the same one, else ``0``."""
+    return int(sizes[0]) if np.all(sizes == sizes[0]) else 0
 
 
-def require_conjugate_halves(name: str, plus: np.ndarray, minus: np.ndarray,
-                             tolerance: float = CONJUGATE_TOLERANCE) -> None:
-    """Raise unless ``minus`` is ``conj(plus)`` up to ``tolerance`` (relative).
-
-    The real pencil is written from the ``+j omega`` half alone, so data
-    whose ``-j omega`` half is not the conjugate of its ``+j omega`` half
-    would silently realize some other model; this is the check that refuses
-    it, before any SVD runs.
-    """
-    if not plus.size:
-        return
-    scale = float(np.max(np.abs(plus)))
-    deviation = float(np.max(np.abs(minus - np.conj(plus))))
-    if not deviation <= tolerance * scale:
-        raise ValueError(
-            f"the -j omega half of {name} deviates from the conjugate of its "
-            f"+j omega half by {deviation:.2e} (scale {scale:.2e}); the tangential "
-            "data is not conjugate-symmetric"
-        )
-
-
-def _uniform_pair_size(block_sizes: tuple[int, ...]) -> int:
-    """The block size when every block has one size (in pairs), else ``0``."""
-    sizes = set(block_sizes)
-    return sizes.pop() if len(sizes) == 1 and len(block_sizes) % 2 == 0 else 0
-
-
-def real_from_half(half: np.ndarray, left_block_sizes, right_block_sizes) -> np.ndarray:
+def real_from_half(half: np.ndarray, left_sizes, right_sizes) -> np.ndarray:
     """Lemma 3.2's ``T_l* M T_r`` from the ``+j omega`` rows of a conjugate-structured ``M``.
 
-    For ``x = M[a, b]`` and ``y = M[a, b_bar]`` (``a`` a ``+j omega`` row,
+    ``left_sizes``/``right_sizes`` are the block sizes of the stored
+    samples (:attr:`TangentialData.left_sizes` / ``right_sizes``).  For
+    ``x = M[a, b]`` and ``y = M[a, b_bar]`` (``a`` a ``+j omega`` row,
     ``b``/``b_bar`` the two halves of a column pair) the real block is
     ``[[Re x + Re y, Im x - Im y], [-(Im x + Im y), Re x - Re y]]``: exactly
     the entries, bit for bit, of mixing the rows and then the columns of the
@@ -264,18 +210,18 @@ def real_from_half(half: np.ndarray, left_block_sizes, right_block_sizes) -> np.
     blocks share one size (every fit with a scalar ``block_size``), the four
     quadrants are strided views of ``half`` and of the result.
     """
+    left_sizes, right_sizes = np.asarray(left_sizes), np.asarray(right_sizes)
     out = np.empty((2 * half.shape[0], half.shape[1]))
-    t_rows, t_cols = _uniform_pair_size(left_block_sizes), _uniform_pair_size(right_block_sizes)
+    t_rows, t_cols = _uniform_size(left_sizes), _uniform_size(right_sizes)
     if t_rows and t_cols:
-        n_col_pairs = half.shape[1] // (2 * t_cols)
-        pairs = half.reshape(-1, t_rows, n_col_pairs, 2, t_cols)
-        quadrants = out.reshape(-1, 2, t_rows, n_col_pairs, 2, t_cols)
+        pairs = half.reshape(-1, t_rows, right_sizes.size, 2, t_cols)
+        quadrants = out.reshape(-1, 2, t_rows, right_sizes.size, 2, t_cols)
         x, y = pairs[:, :, :, 0], pairs[:, :, :, 1]
 
         def put(row_half: int, col_half: int, value: np.ndarray) -> None:
             quadrants[:, row_half, :, :, col_half] = value
     else:
-        rows, columns = _pair_halves(left_block_sizes), _pair_halves(right_block_sizes)
+        rows, columns = _pair_halves(left_sizes), _pair_halves(right_sizes)
         x, y = half[:, columns[0]], half[:, columns[1]]
 
         def put(row_half: int, col_half: int, value: np.ndarray) -> None:
@@ -287,82 +233,25 @@ def real_from_half(half: np.ndarray, left_block_sizes, right_block_sizes) -> np.
     return out
 
 
-def real_tangential_values(v_half: np.ndarray, w: np.ndarray, left_block_sizes,
-                           right_block_sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Lemma 3.2's ``T_l* V`` and ``W T_r`` from the ``+j omega`` rows of ``V``.
+def real_tangential_values(v_half: np.ndarray, w_half: np.ndarray, left_sizes,
+                           right_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Lemma 3.2's ``T_l* V`` and ``W T_r`` from the ``+j omega`` blocks of ``V`` and ``W``.
 
     ``V`` rows become ``(Re v + Re v) sqrt(1/2)`` and ``-(Im v + Im v)
     sqrt(1/2)``, ``W`` columns ``(Re w + Re w) sqrt(1/2)`` and ``(Im w +
-    Im w) sqrt(1/2)`` (``w`` the ``+j omega`` column of each pair) -- bitwise
-    the pair-by-pair mixing of the full matrices.
+    Im w) sqrt(1/2)`` -- bitwise the pair-by-pair mixing of the full
+    matrices.
     """
-    rows = _pair_halves(left_block_sizes)
-    columns = _pair_halves(right_block_sizes)
+    rows = _pair_halves(left_sizes)
+    columns = _pair_halves(right_sizes)
     factor = np.sqrt(0.5)
     v = np.empty((2 * v_half.shape[0], v_half.shape[1]))
     v[rows[0]] = (v_half.real + v_half.real) * factor
     v[rows[1]] = -(v_half.imag + v_half.imag) * factor
-    w_plus = w[:, columns[0]]
-    w_real = np.empty(w.shape)
-    w_real[:, columns[0]] = (w_plus.real + w_plus.real) * factor
-    w_real[:, columns[1]] = (w_plus.imag + w_plus.imag) * factor
-    return v, w_real
-
-
-def real_pencil_from_half(
-    loewner_half: np.ndarray,
-    shifted_half: np.ndarray,
-    v_half: np.ndarray,
-    w: np.ndarray,
-    *,
-    lambda_points: np.ndarray,
-    mu_points: np.ndarray,
-    right_block_sizes: tuple[int, ...],
-    left_block_sizes: tuple[int, ...],
-) -> LoewnerPencil:
-    """Lemma 3.2's real pencil written from the ``+j omega`` half of a complex one.
-
-    ``loewner_half``/``shifted_half`` are the ``+j omega`` rows (every
-    column) of ``L``/``sL`` and ``v_half`` the same rows of ``V``; ``w`` is
-    the full ``W``.  The result equals ``T_l* L T_r``, ``T_l* sL T_r``,
-    ``T_l* V`` and ``W T_r`` bitwise (:func:`real_from_half`,
-    :func:`real_tangential_values`).  The caller vouches that the
-    ``-j omega`` half is the conjugate of the ``+j omega`` half
-    (:func:`require_conjugate_halves`).
-    """
-    v, w_real = real_tangential_values(v_half, w, left_block_sizes, right_block_sizes)
-    return LoewnerPencil(
-        loewner=real_from_half(loewner_half, left_block_sizes, right_block_sizes),
-        shifted_loewner=real_from_half(shifted_half, left_block_sizes, right_block_sizes),
-        W=w_real,
-        V=v,
-        lambda_points=lambda_points,
-        mu_points=mu_points,
-        right_block_sizes=tuple(right_block_sizes),
-        left_block_sizes=tuple(left_block_sizes),
-        is_real=True,
-    )
-
-
-def require_conjugate_data(data: TangentialData) -> np.ndarray:
-    """The ``+j omega`` left rows of conjugate-paired ``data``, checked.
-
-    Returns their indices after checking that ``V``, ``L``, ``R`` and ``W``
-    carry the conjugate of every ``+j omega`` block in its ``-j omega``
-    partner.
-    """
-    if not data.conjugate_pairs:
-        raise ValueError(
-            "a real Loewner pencil needs conjugate-paired tangential data "
-            "(include_conjugates=True)"
-        )
-    rows = _pair_halves(data.left_block_sizes)
-    columns = _pair_halves(data.right_block_sizes)
-    for name, matrix in (("V", data.V), ("L", data.L)):
-        require_conjugate_halves(name, matrix[rows[0]], matrix[rows[1]])
-    for name, matrix in (("R", data.R), ("W", data.W)):
-        require_conjugate_halves(name, matrix[:, columns[0]], matrix[:, columns[1]])
-    return rows[0]
+    w = np.empty((w_half.shape[0], 2 * w_half.shape[1]))
+    w[:, columns[0]] = (w_half.real + w_half.real) * factor
+    w[:, columns[1]] = (w_half.imag + w_half.imag) * factor
+    return v, w
 
 
 def build_loewner_pencil(data: TangentialData, *, real: bool = False) -> LoewnerPencil:
@@ -374,20 +263,19 @@ def build_loewner_pencil(data: TangentialData, *, real: bool = False) -> Loewner
     every iteration of recursive MFTI assemble their pencils here.
 
     ``real=True`` (what a fit with ``real_output`` asks for) returns Lemma
-    3.2's real pencil instead of the complex one: only the ``+j omega`` rows
-    of the products and their divided differences are computed, and
-    :func:`real_pencil_from_half` writes the real matrices from them --
-    bitwise what :func:`~repro.core.realization.to_real_data` makes of the
-    complex pencil, without building it.  The Fig.-1 singular-value profiles
-    read the complex pencil (the default).
+    3.2's real pencil ``T_l* L T_r``, ``T_l* sL T_r``, ``T_l* V``, ``W T_r``
+    instead of the complex one.  Its rows are taken from the stored ``+j
+    omega`` left blocks: only those rows of the products and their divided
+    differences are computed, and :func:`real_from_half` and
+    :func:`real_tangential_values` write the real matrices from them.  The
+    Fig.-1 singular-value profiles read the complex pencil (the default).
 
     Raises
     ------
     ValueError
         If a left and a right sample point coincide (the divided differences
         would blow up; the framework requires disjoint point sets), or, with
-        ``real=True``, if the data is not conjugate-paired or its ``-j omega``
-        half is not the conjugate of its ``+j omega`` half.
+        ``real=True``, if the data is not conjugate-paired.
     """
     lam = data.lambda_points
     mu = data.mu_points
@@ -407,19 +295,27 @@ def build_loewner_pencil(data: TangentialData, *, real: bool = False) -> Loewner
             left_block_sizes=data.left_block_sizes,
             is_real=False,
         )
-    plus = require_conjugate_data(data)
-    v_half = data.V[plus]
-    w = data.W
+    if not data.conjugate_pairs:
+        raise ValueError(
+            "a real Loewner pencil needs conjugate-paired tangential data "
+            "(include_conjugates=True)"
+        )
     loewner_half, shifted_half = divided_difference_blocks(
-        rowcol_product(v_half, data.R),          # (k_left / 2, k_right)
-        rowcol_product(data.L[plus], w),         # (k_left / 2, k_right)
-        mu[plus], lam)
-    return real_pencil_from_half(
-        loewner_half, shifted_half, v_half, w,
+        rowcol_product(data.left_values, data.R),        # (k_left / 2, k_right)
+        rowcol_product(data.left_directions, data.W),    # (k_left / 2, k_right)
+        np.repeat(data.left_points, data.left_sizes), lam)
+    v, w = real_tangential_values(data.left_values, data.right_values,
+                                  data.left_sizes, data.right_sizes)
+    return LoewnerPencil(
+        loewner=real_from_half(loewner_half, data.left_sizes, data.right_sizes),
+        shifted_loewner=real_from_half(shifted_half, data.left_sizes, data.right_sizes),
+        W=w,
+        V=v,
         lambda_points=lam,
         mu_points=mu,
         right_block_sizes=data.right_block_sizes,
         left_block_sizes=data.left_block_sizes,
+        is_real=True,
     )
 
 

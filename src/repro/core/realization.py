@@ -1,19 +1,19 @@
 """State-space realization from the Loewner pencil.
 
-Three ingredients of the paper's Section 3.3-3.4 live here:
+Two ingredients of the paper's Section 3.3-3.4 live here:
 
 * :func:`direct_realization` -- Lemma 3.1: when the pencil is square and
   ``x L - sL`` is invertible at every sample point, the raw quintuple
   ``(E, A, B, C, D) = (-L, -sL, V, W, 0)`` already interpolates the data.
-* :func:`to_real_data` -- Lemma 3.2: a block unitary congruence that maps the
-  complex, conjugate-structured Loewner quantities to real matrices (so the
-  final model has real coefficients).  Each transform block mixes only the two
-  halves of one conjugate pair, so the real matrices are written in O(k^2)
-  from the ``+j omega`` rows alone (fits build only those:
-  ``build_loewner_pencil(data, real=True)``).
 * :func:`svd_realization` -- Lemmas 3.3-3.4: when the data oversamples the
   underlying system the pencil is singular, and the regular part is extracted
   by a rank-revealing SVD followed by a two-sided projection.
+
+Lemma 3.2's real transform, the block unitary congruence that maps the
+complex, conjugate-structured Loewner quantities to real matrices (so the
+final model has real coefficients), is applied where the pencil is built:
+``build_loewner_pencil(data, real=True)`` writes the real pencil from the
+``+j omega`` blocks of the tangential data.
 
 Two SVD flavours are provided:
 
@@ -34,12 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.loewner import (
-    LoewnerPencil,
-    _pair_halves,
-    real_pencil_from_half,
-    require_conjugate_halves,
-)
+from repro.core.loewner import LoewnerPencil
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.linalg import (
     economic_svd,
@@ -49,7 +44,6 @@ from repro.utils.linalg import (
 
 __all__ = [
     "direct_realization",
-    "to_real_data",
     "svd_realization",
     "RealizationDiagnostics",
 ]
@@ -110,59 +104,6 @@ def direct_realization(pencil: LoewnerPencil) -> DescriptorSystem:
         pencil.V,
         pencil.W,
         np.zeros((pencil.n_outputs, pencil.n_inputs)),
-    )
-
-
-def to_real_data(pencil: LoewnerPencil, *, imaginary_tolerance: float = 1e-6) -> LoewnerPencil:
-    """Apply the real transform of Lemma 3.2 to a conjugate-structured pencil.
-
-    Returns a new :class:`LoewnerPencil` with
-
-    ``L -> T_l* L T_r``,  ``sL -> T_l* sL T_r``,  ``V -> T_l* V``,  ``W -> W T_r``
-
-    where ``T_l`` / ``T_r`` are the block unitaries built from the left/right
-    block structure.  Every block of ``T`` mixes only the two halves of one
-    conjugate pair, and the ``-j omega`` rows of a conjugate-structured pencil
-    are the conjugates of its ``+j omega`` rows, so the result is a
-    closed-form function of the ``+j omega`` rows alone:
-    :func:`~repro.core.loewner.real_pencil_from_half` writes it, the same
-    block combination ``build_loewner_pencil(data, real=True)`` applies
-    without building the complex pencil.  The ``-j omega`` rows are first
-    checked to be the conjugates of the ``+j omega`` rows (with the column
-    halves swapped) up to ``imaginary_tolerance`` (relative) -- the
-    imaginary part the transform would otherwise leave.
-
-    Raises
-    ------
-    ValueError
-        If the block sizes do not come in adjacent conjugate pairs of equal
-        size, or if the pencil lacks conjugate symmetry -- e.g. conjugate
-        blocks were not included, or the data itself violates
-        ``H(-jw) = conj(H(jw))``.
-    """
-    if pencil.is_real:
-        return pencil
-    plus_rows, minus_rows = _pair_halves(pencil.left_block_sizes)
-    plus_cols, minus_cols = _pair_halves(pencil.right_block_sizes)
-    swap = np.empty(pencil.k_right, dtype=np.intp)
-    swap[plus_cols], swap[minus_cols] = minus_cols, plus_cols
-    for name in ("loewner", "shifted_loewner"):
-        matrix = getattr(pencil, name)
-        require_conjugate_halves(name, matrix[plus_rows], matrix[minus_rows][:, swap],
-                                 imaginary_tolerance)
-    require_conjugate_halves("V", pencil.V[plus_rows], pencil.V[minus_rows],
-                             imaginary_tolerance)
-    require_conjugate_halves("W", pencil.W[:, plus_cols], pencil.W[:, minus_cols],
-                             imaginary_tolerance)
-    return real_pencil_from_half(
-        pencil.loewner[plus_rows],
-        pencil.shifted_loewner[plus_rows],
-        pencil.V[plus_rows],
-        pencil.W,
-        lambda_points=pencil.lambda_points,
-        mu_points=pencil.mu_points,
-        right_block_sizes=pencil.right_block_sizes,
-        left_block_sizes=pencil.left_block_sizes,
     )
 
 

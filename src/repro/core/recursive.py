@@ -28,7 +28,7 @@ from repro.core._pipeline import realize_from_tangential, register_frontend
 from repro.core.assembly import prepare_block_directions
 from repro.core.options import RecursiveOptions
 from repro.core.results import MacromodelResult, RecursiveDiagnostics, RecursiveIteration
-from repro.core.tangential import TangentialData, build_tangential_data
+from repro.core.tangential import TangentialData, _block_slices, build_tangential_data
 from repro.data.dataset import FrequencyData
 
 __all__ = ["recursive_mfti"]
@@ -59,18 +59,22 @@ def _holdout_errors(
     them, are deterministic; the final model keeps its plan for the sweeps
     that score it.
     """
-    group = 2 if tangential.conjugate_pairs else 1
-    rights = [tangential.right_blocks[pair * group] for pair in holdout_pairs]
-    lefts = [tangential.left_blocks[pair * group] for pair in holdout_pairs]
-    points = [b.point for b in rights] + [b.point for b in lefts]
+    points = np.concatenate([tangential.right_points[holdout_pairs],
+                             tangential.left_points[holdout_pairs]])
     h = system.evaluate_many(points)
+    columns = _block_slices(tangential.right_sizes)
+    rows = _block_slices(tangential.left_sizes)
     n_pairs = len(holdout_pairs)
     errors = np.empty(n_pairs)
-    for pos, (right, left) in enumerate(zip(rights, lefts)):
-        err = (np.linalg.norm(h[pos] @ right.directions - right.values)
-               + np.linalg.norm(left.directions @ h[n_pairs + pos] - left.values))
+    for pos, pair in enumerate(holdout_pairs):
+        right_values = tangential.right_values[:, columns[pair]]
+        left_values = tangential.left_values[rows[pair]]
+        err = (np.linalg.norm(h[pos] @ tangential.right_directions[:, columns[pair]]
+                              - right_values)
+               + np.linalg.norm(tangential.left_directions[rows[pair]] @ h[n_pairs + pos]
+                                - left_values))
         if relative:
-            scale = np.linalg.norm(right.values) + np.linalg.norm(left.values)
+            scale = np.linalg.norm(right_values) + np.linalg.norm(left_values)
             err = err / scale if scale > 0 else err
         errors[pos] = err
     return errors
@@ -97,10 +101,12 @@ def recursive_mfti(
     Returns
     -------
     MacromodelResult
-        The final model.  ``result.metadata["recursion"]`` holds the
-        :class:`~repro.core.results.RecursiveDiagnostics` refinement history
-        and ``result.metadata["selected_pairs"]`` the indices of the sample
-        pairs that ended up in the interpolation set.
+        The final model.  ``result.n_samples_used`` counts the sampled
+        frequencies it was realized from: the selected pairs and any
+        unpaired extra right or left sample.  ``result.metadata["recursion"]``
+        holds the :class:`~repro.core.results.RecursiveDiagnostics`
+        refinement history and ``result.metadata["selected_pairs"]`` the
+        indices of the sample pairs that ended up in the interpolation set.
     """
     if options is not None and kwargs:
         raise ValueError("pass either an options object or keyword arguments, not both")
@@ -192,6 +198,6 @@ def recursive_mfti(
         method="mfti-recursive",
         realization=result.realization,
         tangential=result.tangential,
-        n_samples_used=len(selected),
+        n_samples_used=result.n_samples_used,
         metadata=metadata,
     )

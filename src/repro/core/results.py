@@ -29,7 +29,8 @@ class MacromodelResult:
     realization:
         SVD diagnostics of the final projection (``None`` for vector fitting).
     tangential:
-        The tangential data the model was built from (``None`` for vector
+        The tangential data the model was built from, stored once per side
+        with the conjugate ``-j omega`` blocks implied (``None`` for vector
         fitting and for fits replayed from a cache).  The result keeps no
         Loewner pencil; ``build_loewner_pencil(result.tangential)`` rebuilds
         the complex one, and ``build_loewner_pencil(result.tangential,

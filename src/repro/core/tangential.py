@@ -11,10 +11,13 @@ including the mirrored (complex-conjugate) copies at ``-j 2 pi f`` that make a
 real realization possible (Lemma 3.2).  The vector format of VFTI is simply
 the special case where every direction has a single column/row.
 
-The container :class:`TangentialData` keeps the data in per-block form (one
-block per sample point) and exposes the compact concatenated matrices
-``Lambda, R, W, M, L, V`` of eqs. (8)-(9) as properties, which is what the
-Loewner assembly consumes.
+:class:`TangentialData` stores each side once, stacked: the sample points,
+their block sizes ``t_i``, and the directions and values of every sample side
+by side.  The mirrored ``-j omega`` blocks are the conjugates of the stored
+ones by definition, so they are implied rather than stored; the compact
+matrices ``Lambda, R, W, M, L, V`` of eqs. (8)-(9), which the Loewner
+assembly consumes, interleave them on demand, each mirrored block right after
+its ``+j omega`` block.
 """
 
 from __future__ import annotations
@@ -26,183 +29,183 @@ import numpy as np
 
 from repro.data.dataset import FrequencyData
 
-__all__ = ["RightBlock", "LeftBlock", "TangentialData", "build_tangential_data"]
+__all__ = ["TangentialData", "build_tangential_data"]
 
 
-@dataclass(frozen=True)
-class RightBlock:
-    """One right tangential block ``(lambda, R, W)`` with ``W = H(lambda) R``."""
+def _pair_halves(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ``+j omega`` and ``-j omega`` lines of interleaved blocks.
 
-    point: complex
-    directions: np.ndarray  # (m, t)
-    values: np.ndarray      # (p, t)
-
-    def __post_init__(self):
-        directions = np.asarray(self.directions, dtype=complex)
-        values = np.asarray(self.values, dtype=complex)
-        if directions.ndim != 2 or values.ndim != 2:
-            raise ValueError("right block directions and values must be matrices")
-        if directions.shape[1] != values.shape[1]:
-            raise ValueError(
-                "right block directions and values must have the same number of columns"
-            )
-        object.__setattr__(self, "point", complex(self.point))
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def block_size(self) -> int:
-        """Number of tangential columns ``t_i`` carried by this block."""
-        return int(self.directions.shape[1])
-
-    def conjugate(self) -> "RightBlock":
-        """The mirrored block at ``conj(point)`` (data and directions conjugated)."""
-        return RightBlock(np.conj(self.point), np.conj(self.directions), np.conj(self.values))
+    ``sizes`` lists the block sizes ``t_i`` of the stored samples; in the
+    interleaved layout each sample's ``t_i`` lines are followed by the
+    ``t_i`` lines of its mirrored block.  Entry ``i`` of the two returned
+    arrays names the two rows (or columns) that one ``(1/sqrt(2)) [[I, -jI],
+    [I, jI]]`` block of the Lemma 3.2 transform mixes.
+    """
+    sizes = np.asarray(sizes, dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    plus = np.arange(sizes.sum()) + np.repeat(starts, sizes)
+    return plus, plus + np.repeat(sizes, sizes)
 
 
-@dataclass(frozen=True)
-class LeftBlock:
-    """One left tangential block ``(mu, L, V)`` with ``V = L H(mu)``."""
-
-    point: complex
-    directions: np.ndarray  # (t, p)
-    values: np.ndarray      # (t, m)
-
-    def __post_init__(self):
-        directions = np.asarray(self.directions, dtype=complex)
-        values = np.asarray(self.values, dtype=complex)
-        if directions.ndim != 2 or values.ndim != 2:
-            raise ValueError("left block directions and values must be matrices")
-        if directions.shape[0] != values.shape[0]:
-            raise ValueError(
-                "left block directions and values must have the same number of rows"
-            )
-        object.__setattr__(self, "point", complex(self.point))
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def block_size(self) -> int:
-        """Number of tangential rows ``t_i`` carried by this block."""
-        return int(self.directions.shape[0])
-
-    def conjugate(self) -> "LeftBlock":
-        """The mirrored block at ``conj(point)``."""
-        return LeftBlock(np.conj(self.point), np.conj(self.directions), np.conj(self.values))
+def _block_slices(sizes) -> list[slice]:
+    """The stacked lines of each block, in order."""
+    ends = np.cumsum(sizes)
+    return [slice(int(end - t), int(end)) for t, end in zip(sizes, ends)]
 
 
+@dataclass(frozen=True, eq=False)
 class TangentialData:
-    """Right and left tangential interpolation data in block form.
+    """Right and left tangential interpolation data, stacked per side.
 
-    Parameters
+    Attributes
     ----------
-    right_blocks, left_blocks:
-        Sequences of :class:`RightBlock` / :class:`LeftBlock`.  When
-        ``conjugate_pairs`` is true the blocks must come in adjacent
-        ``(+point, conj(point))`` pairs of equal block size -- the layout the
-        real transform of Lemma 3.2 expects.
+    right_points, left_points:
+        The sample points ``lambda_i`` / ``mu_i``, one per sample (the
+        ``+j omega`` ones when ``conjugate_pairs``).
+    right_sizes, left_sizes:
+        The block sizes ``t_i``: columns of each ``R_i``, rows of each ``L_i``.
+    right_directions, right_values:
+        The ``R_i`` and ``W_i = H(lambda_i) R_i`` side by side (``m x sum t_i``
+        and ``p x sum t_i``).
+    left_directions, left_values:
+        The ``L_i`` and ``V_i = L_i H(mu_i)`` stacked (``sum t_i x p`` and
+        ``sum t_i x m``).
     conjugate_pairs:
-        Whether the blocks are organised as adjacent conjugate pairs.
+        Whether every sample also stands for its mirrored block at
+        ``conj(point)`` (directions and values conjugated) -- the layout the
+        real transform of Lemma 3.2 expects.  The mirrored blocks are implied,
+        not stored.
     """
 
-    def __init__(
-        self,
-        right_blocks: Sequence[RightBlock],
-        left_blocks: Sequence[LeftBlock],
-        *,
-        conjugate_pairs: bool = True,
-    ):
-        right_blocks = tuple(right_blocks)
-        left_blocks = tuple(left_blocks)
-        if not right_blocks or not left_blocks:
-            raise ValueError("tangential data needs at least one right and one left block")
-        n_inputs = {b.directions.shape[0] for b in right_blocks}
-        n_outputs_r = {b.values.shape[0] for b in right_blocks}
-        n_outputs_l = {b.directions.shape[1] for b in left_blocks}
-        n_inputs_l = {b.values.shape[1] for b in left_blocks}
-        if len(n_inputs) != 1 or len(n_outputs_r) != 1:
-            raise ValueError("all right blocks must share the same input/output dimensions")
-        if len(n_outputs_l) != 1 or len(n_inputs_l) != 1:
-            raise ValueError("all left blocks must share the same input/output dimensions")
-        if n_inputs != n_inputs_l or n_outputs_r != n_outputs_l:
-            raise ValueError("left and right blocks disagree on the system dimensions (p, m)")
-        if conjugate_pairs:
-            _check_conjugate_pairs(right_blocks, "right")
-            _check_conjugate_pairs(left_blocks, "left")
-        lam = np.array([b.point for b in right_blocks])
-        mu = np.array([b.point for b in left_blocks])
+    right_points: np.ndarray
+    right_sizes: np.ndarray
+    right_directions: np.ndarray
+    right_values: np.ndarray
+    left_points: np.ndarray
+    left_sizes: np.ndarray
+    left_directions: np.ndarray
+    left_values: np.ndarray
+    conjugate_pairs: bool = True
+
+    def __post_init__(self):
+        for name, dtype, ndim in (
+            ("right_points", complex, 1), ("right_sizes", int, 1),
+            ("right_directions", complex, 2), ("right_values", complex, 2),
+            ("left_points", complex, 1), ("left_sizes", int, 1),
+            ("left_directions", complex, 2), ("left_values", complex, 2),
+        ):
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            if value.ndim != ndim:
+                raise ValueError(f"{name} must have {ndim} dimension(s), got {value.ndim}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "conjugate_pairs", bool(self.conjugate_pairs))
+        if not self.right_points.size or not self.left_points.size:
+            raise ValueError("tangential data needs at least one right and one left sample")
+        for side, points, sizes, lines in (
+            ("right", self.right_points, self.right_sizes,
+             {self.right_directions.shape[1], self.right_values.shape[1]}),
+            ("left", self.left_points, self.left_sizes,
+             {self.left_directions.shape[0], self.left_values.shape[0]}),
+        ):
+            if sizes.shape != points.shape or np.any(sizes < 1):
+                raise ValueError(f"{side} data needs one positive block size per sample point")
+            if lines != {int(sizes.sum())}:
+                raise ValueError(
+                    f"{side} directions and values must have one line per tangential "
+                    f"{'column' if side == 'right' else 'row'} ({int(sizes.sum())})"
+                )
+        if (self.left_directions.shape[1] != self.n_outputs
+                or self.left_values.shape[1] != self.n_inputs):
+            raise ValueError("left and right data disagree on the system dimensions (p, m)")
+        lam, mu = self._blockwise(self.right_points), self._blockwise(self.left_points)
         if np.intersect1d(np.round(lam, 12), np.round(mu, 12)).size:
             raise ValueError("right and left sample points must be disjoint")
-        self._right = right_blocks
-        self._left = left_blocks
-        self._conjugate_pairs = bool(conjugate_pairs)
 
     # ------------------------------------------------------------------ #
-    # block views
+    # sizes
     # ------------------------------------------------------------------ #
-    @property
-    def right_blocks(self) -> tuple[RightBlock, ...]:
-        """All right blocks in order."""
-        return self._right
-
-    @property
-    def left_blocks(self) -> tuple[LeftBlock, ...]:
-        """All left blocks in order."""
-        return self._left
-
-    @property
-    def conjugate_pairs(self) -> bool:
-        """True when blocks are organised as adjacent conjugate pairs."""
-        return self._conjugate_pairs
-
     @property
     def n_inputs(self) -> int:
         """Number of system inputs ``m``."""
-        return int(self._right[0].directions.shape[0])
+        return int(self.right_directions.shape[0])
 
     @property
     def n_outputs(self) -> int:
         """Number of system outputs ``p``."""
-        return int(self._right[0].values.shape[0])
+        return int(self.right_values.shape[0])
 
     @property
-    def right_block_sizes(self) -> tuple[int, ...]:
-        """Column counts ``t_i`` of the right blocks."""
-        return tuple(b.block_size for b in self._right)
+    def n_right_samples(self) -> int:
+        """Number of right samples (a conjugate pair counts once)."""
+        return int(self.right_points.size)
 
     @property
-    def left_block_sizes(self) -> tuple[int, ...]:
-        """Row counts ``t_i`` of the left blocks."""
-        return tuple(b.block_size for b in self._left)
-
-    @property
-    def k_right(self) -> int:
-        """Total number of right tangential columns (order of ``Lambda``)."""
-        return int(sum(self.right_block_sizes))
-
-    @property
-    def k_left(self) -> int:
-        """Total number of left tangential rows (order of ``M``)."""
-        return int(sum(self.left_block_sizes))
+    def n_left_samples(self) -> int:
+        """Number of left samples (a conjugate pair counts once)."""
+        return int(self.left_points.size)
 
     @property
     def n_sample_matrices(self) -> int:
         """Number of distinct sampled frequencies represented (conjugates not double-counted)."""
-        divisor = 2 if self._conjugate_pairs else 1
-        return (len(self._right) + len(self._left)) // divisor
+        return self.n_right_samples + self.n_left_samples
+
+    @property
+    def right_block_sizes(self) -> tuple[int, ...]:
+        """Column counts ``t_i`` of the right blocks, mirrored blocks included."""
+        return tuple(int(t) for t in self._blockwise(self.right_sizes))
+
+    @property
+    def left_block_sizes(self) -> tuple[int, ...]:
+        """Row counts ``t_i`` of the left blocks, mirrored blocks included."""
+        return tuple(int(t) for t in self._blockwise(self.left_sizes))
+
+    @property
+    def k_right(self) -> int:
+        """Total number of right tangential columns (order of ``Lambda``)."""
+        return int(self.right_directions.shape[1]) * self._copies
+
+    @property
+    def k_left(self) -> int:
+        """Total number of left tangential rows (order of ``M``)."""
+        return int(self.left_directions.shape[0]) * self._copies
 
     # ------------------------------------------------------------------ #
-    # compact (concatenated) format of eqs. (8)-(9)
+    # compact (interleaved) format of eqs. (8)-(9)
     # ------------------------------------------------------------------ #
+    @property
+    def _copies(self) -> int:
+        return 2 if self.conjugate_pairs else 1
+
+    def _blockwise(self, per_sample: np.ndarray) -> np.ndarray:
+        """One entry per block: each sample's entry followed by its mirror's."""
+        if not self.conjugate_pairs:
+            return per_sample
+        return np.stack([per_sample, per_sample.conj()], axis=1).ravel()
+
+    def _interleaved(self, stacked: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
+        """``stacked`` with each block's conjugate right after it along ``axis``."""
+        if not self.conjugate_pairs:
+            return stacked
+        plus, minus = _pair_halves(sizes)
+        shape = list(stacked.shape)
+        shape[axis] *= 2
+        full = np.empty(shape, dtype=stacked.dtype)
+        lines = (slice(None),) * axis
+        full[lines + (plus,)] = stacked
+        full[lines + (minus,)] = stacked.conj()
+        return full
+
     @property
     def lambda_points(self) -> np.ndarray:
         """Column sample points: ``lambda`` repeated ``t_i`` times per block (length ``k_right``)."""
-        return np.concatenate([np.full(b.block_size, b.point) for b in self._right])
+        return self._interleaved(np.repeat(self.right_points, self.right_sizes),
+                                 self.right_sizes, 0)
 
     @property
     def mu_points(self) -> np.ndarray:
         """Row sample points: ``mu`` repeated ``t_i`` times per block (length ``k_left``)."""
-        return np.concatenate([np.full(b.block_size, b.point) for b in self._left])
+        return self._interleaved(np.repeat(self.left_points, self.left_sizes),
+                                 self.left_sizes, 0)
 
     @property
     def Lambda(self) -> np.ndarray:
@@ -216,54 +219,40 @@ class TangentialData:
 
     @property
     def R(self) -> np.ndarray:
-        """Right directions concatenated column-wise: ``m x k_right``."""
-        return np.hstack([b.directions for b in self._right])
+        """Right directions of every block, column-wise: ``m x k_right``."""
+        return self._interleaved(self.right_directions, self.right_sizes, 1)
 
     @property
     def W(self) -> np.ndarray:
-        """Right values concatenated column-wise: ``p x k_right``."""
-        return np.hstack([b.values for b in self._right])
+        """Right values of every block, column-wise: ``p x k_right``."""
+        return self._interleaved(self.right_values, self.right_sizes, 1)
 
     @property
     def L(self) -> np.ndarray:
-        """Left directions stacked row-wise: ``k_left x p``."""
-        return np.vstack([b.directions for b in self._left])
+        """Left directions of every block, row-wise: ``k_left x p``."""
+        return self._interleaved(self.left_directions, self.left_sizes, 0)
 
     @property
     def V(self) -> np.ndarray:
-        """Left values stacked row-wise: ``k_left x m``."""
-        return np.vstack([b.values for b in self._left])
+        """Left values of every block, row-wise: ``k_left x m``."""
+        return self._interleaved(self.left_values, self.left_sizes, 0)
 
     # ------------------------------------------------------------------ #
     # selection (used by the recursive algorithm)
     # ------------------------------------------------------------------ #
-    def _group_size(self) -> int:
-        return 2 if self._conjugate_pairs else 1
-
-    @property
-    def n_right_samples(self) -> int:
-        """Number of selectable right sample groups (conjugate pairs count once)."""
-        return len(self._right) // self._group_size()
-
-    @property
-    def n_left_samples(self) -> int:
-        """Number of selectable left sample groups (conjugate pairs count once)."""
-        return len(self._left) // self._group_size()
-
     def subset(
         self,
         right_indices: Iterable[int],
         left_indices: Iterable[int],
     ) -> "TangentialData":
-        """Restrict the data to a subset of sample groups.
+        """Restrict the data to a subset of samples.
 
-        Indices refer to *sample groups*: when the data carries conjugate
-        pairs, selecting group ``i`` keeps both the ``+j omega`` block and its
-        mirrored partner, so the result remains eligible for the real
-        transform.  The recursive front-end realizes each iteration's model
-        from such a subset.
+        Selecting sample ``i`` keeps its mirrored block too when the data
+        carries conjugate pairs, so the result remains eligible for the real
+        transform.  Order and repeats of the indices do not matter.  The
+        recursive front-end realizes each iteration's model from such a
+        subset.
         """
-        g = self._group_size()
         right_idx = sorted(set(int(i) for i in right_indices))
         left_idx = sorted(set(int(i) for i in left_indices))
         if not right_idx or not left_idx:
@@ -272,14 +261,20 @@ class TangentialData:
             raise ValueError("right sample index out of range")
         if left_idx[0] < 0 or left_idx[-1] >= self.n_left_samples:
             raise ValueError("left sample index out of range")
-        right_blocks = []
-        for i in right_idx:
-            right_blocks.extend(self._right[i * g : (i + 1) * g])
-        left_blocks = []
-        for i in left_idx:
-            left_blocks.extend(self._left[i * g : (i + 1) * g])
-        return TangentialData(right_blocks, left_blocks,
-                              conjugate_pairs=self._conjugate_pairs)
+        columns = np.repeat(np.isin(np.arange(self.n_right_samples), right_idx),
+                            self.right_sizes)
+        rows = np.repeat(np.isin(np.arange(self.n_left_samples), left_idx), self.left_sizes)
+        return TangentialData(
+            right_points=self.right_points[right_idx],
+            right_sizes=self.right_sizes[right_idx],
+            right_directions=self.right_directions[:, columns],
+            right_values=self.right_values[:, columns],
+            left_points=self.left_points[left_idx],
+            left_sizes=self.left_sizes[left_idx],
+            left_directions=self.left_directions[rows],
+            left_values=self.left_values[rows],
+            conjugate_pairs=self.conjugate_pairs,
+        )
 
     # ------------------------------------------------------------------ #
     # diagnostics
@@ -289,60 +284,42 @@ class TangentialData:
 
         Returns ``(right_residuals, left_residuals)`` -- one Frobenius residual
         ``||H(lambda_i) R_i - W_i||`` per right block and
-        ``||L_i H(mu_i) - V_i||`` per left block.  Exact interpolation drives
-        these to (numerical) zero.  All block points are evaluated in one
-        batched sweep when the candidate model supports the shared evaluation
-        kernel (``evaluate_many``); anything exposing only a scalar
-        ``transfer_function`` is evaluated point by point.
+        ``||L_i H(mu_i) - V_i||`` per left block, mirrored blocks included, in
+        the order of ``lambda_points`` / ``mu_points``.  Exact interpolation
+        drives these to (numerical) zero.  All block points are evaluated in
+        one batched sweep when the candidate model supports the shared
+        evaluation kernel (``evaluate_many``); anything exposing only a
+        scalar ``transfer_function`` is evaluated point by point.
         """
-        points = [b.point for b in self._right] + [b.point for b in self._left]
+        right_points = self._blockwise(self.right_points)
+        points = np.concatenate([right_points, self._blockwise(self.left_points)])
         evaluate_many = getattr(system, "evaluate_many", None)
         if evaluate_many is not None:
-            try:
-                h = evaluate_many(points, method="solve")
-            except TypeError:
-                # duck-typed models with the plain evaluate_many(points)
-                # signature (no strategy keyword) stay usable
-                h = np.asarray(evaluate_many(points))
+            h = evaluate_many(points, method="solve")
         else:
             h = np.stack([system.transfer_function(point) for point in points])
-        n_right = len(self._right)
-        right = np.array([
-            np.linalg.norm(h[i] @ b.directions - b.values)
-            for i, b in enumerate(self._right)
-        ])
-        left = np.array([
-            np.linalg.norm(b.directions @ h[n_right + i] - b.values)
-            for i, b in enumerate(self._left)
-        ])
-        return right, left
+        h_right, h_left = h[:right_points.size], h[right_points.size:]
+        r, w, lefts, v = self.R, self.W, self.L, self.V
+        right = [np.linalg.norm(h_i @ r[:, cols] - w[:, cols])
+                 for h_i, cols in zip(h_right, _block_slices(self.right_block_sizes))]
+        left = [np.linalg.norm(lefts[rows] @ h_i - v[rows])
+                for h_i, rows in zip(h_left, _block_slices(self.left_block_sizes))]
+        return np.array(right), np.array(left)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TangentialData(right_blocks={len(self._right)}, left_blocks={len(self._left)}, "
-            f"k_right={self.k_right}, k_left={self.k_left}, "
-            f"conjugate_pairs={self._conjugate_pairs})"
+            f"TangentialData(right_samples={self.n_right_samples}, "
+            f"left_samples={self.n_left_samples}, k_right={self.k_right}, "
+            f"k_left={self.k_left}, conjugate_pairs={self.conjugate_pairs})"
         )
 
 
-def _check_conjugate_pairs(blocks, side: str) -> None:
-    """Raise for the first adjacent pair that is not a conjugate pair of equal size."""
-    if len(blocks) % 2 != 0:
-        raise ValueError(f"{side} blocks must come in conjugate pairs (even count)")
-    sizes = np.array([b.block_size for b in blocks])
-    points = np.array([b.point for b in blocks])
-    mismatched = sizes[0::2] != sizes[1::2]
-    failing = mismatched | ~np.isclose(points[1::2], np.conj(points[0::2]))
-    if not failing.any():
-        return
-    pair = int(np.argmax(failing))
-    if mismatched[pair]:
-        raise ValueError(f"{side} conjugate pair {pair} has mismatched block sizes")
-    a, b = blocks[2 * pair], blocks[2 * pair + 1]
-    raise ValueError(
-        f"{side} blocks {2 * pair} and {2 * pair + 1} are not a conjugate pair "
-        f"({a.point} vs {b.point})"
-    )
+def _checked_indices(indices: Sequence[int], n_samples: int, side: str) -> list[int]:
+    indices = [int(i) for i in indices]
+    for i in indices:
+        if not 0 <= i < n_samples:
+            raise ValueError(f"{side} sample index {i} is outside [0, {n_samples})")
+    return indices
 
 
 def build_tangential_data(
@@ -362,17 +339,17 @@ def build_tangential_data(
         The sampled frequency responses ``S(f_i)``.
     right_directions, left_directions:
         One ``(n_ports, t_i)`` direction matrix per right/left sample; the left
-        directions are supplied in column form as well and transposed
+        directions are supplied in column form as well and conjugate-transposed
         internally into the ``t_i x p`` row form of the paper.
     right_indices, left_indices:
-        Which samples of ``data`` become right/left data.  By default the
-        samples are interleaved exactly as in eqs. (6)-(7): even positions
-        (0, 2, 4, ...) to the right set, odd positions (1, 3, 5, ...) to the
-        left set.
+        Which samples of ``data`` become right/left data, each in
+        ``[0, data.n_samples)``.  By default the samples are interleaved
+        exactly as in eqs. (6)-(7): even positions (0, 2, 4, ...) to the
+        right set, odd positions (1, 3, 5, ...) to the left set.
     include_conjugates:
-        Append the mirrored blocks at ``-j 2 pi f`` (conjugated data), which is
-        required for a real realization.  Disable only for experiments on
-        intrinsically complex data.
+        Let every sample also stand for its mirrored block at ``-j 2 pi f``
+        (conjugated data), which is required for a real realization.  Disable
+        only for experiments on intrinsically complex data.
 
     Returns
     -------
@@ -380,12 +357,12 @@ def build_tangential_data(
     """
     k = data.n_samples
     if right_indices is None and left_indices is None:
-        right_indices = list(range(0, k, 2))
-        left_indices = list(range(1, k, 2))
+        right_indices = range(0, k, 2)
+        left_indices = range(1, k, 2)
     if right_indices is None or left_indices is None:
         raise ValueError("pass both right_indices and left_indices, or neither")
-    right_indices = [int(i) for i in right_indices]
-    left_indices = [int(i) for i in left_indices]
+    right_indices = _checked_indices(right_indices, k, "right")
+    left_indices = _checked_indices(left_indices, k, "left")
     if set(right_indices) & set(left_indices):
         raise ValueError("a sample cannot be both right and left data")
     if len(right_directions) != len(right_indices):
@@ -396,30 +373,23 @@ def build_tangential_data(
         raise ValueError(
             f"need {len(left_indices)} left direction matrices, got {len(left_directions)}"
         )
+    if not right_indices or not left_indices:
+        raise ValueError("tangential data needs at least one right and one left sample")
 
-    right_blocks: list[RightBlock] = []
-    for direction, idx in zip(right_directions, right_indices):
+    def columns(direction) -> np.ndarray:
         direction = np.asarray(direction, dtype=complex)
-        if direction.ndim == 1:
-            direction = direction.reshape(-1, 1)
-        sample = data.samples[idx]
-        point = 1j * 2.0 * np.pi * data.frequencies_hz[idx]
-        block = RightBlock(point, direction, sample @ direction)
-        right_blocks.append(block)
-        if include_conjugates:
-            right_blocks.append(block.conjugate())
+        return direction.reshape(-1, 1) if direction.ndim == 1 else direction
 
-    left_blocks: list[LeftBlock] = []
-    for direction, idx in zip(left_directions, left_indices):
-        direction = np.asarray(direction, dtype=complex)
-        if direction.ndim == 1:
-            direction = direction.reshape(-1, 1)
-        row_direction = direction.conj().T if np.iscomplexobj(direction) else direction.T
-        sample = data.samples[idx]
-        point = 1j * 2.0 * np.pi * data.frequencies_hz[idx]
-        block = LeftBlock(point, row_direction, row_direction @ sample)
-        left_blocks.append(block)
-        if include_conjugates:
-            left_blocks.append(block.conjugate())
-
-    return TangentialData(right_blocks, left_blocks, conjugate_pairs=include_conjugates)
+    rights = [columns(direction) for direction in right_directions]
+    lefts = [columns(direction).conj().T for direction in left_directions]
+    return TangentialData(
+        right_points=1j * 2.0 * np.pi * data.frequencies_hz[right_indices],
+        right_sizes=[direction.shape[1] for direction in rights],
+        right_directions=np.hstack(rights),
+        right_values=np.hstack([data.samples[i] @ r for i, r in zip(right_indices, rights)]),
+        left_points=1j * 2.0 * np.pi * data.frequencies_hz[left_indices],
+        left_sizes=[direction.shape[0] for direction in lefts],
+        left_directions=np.vstack(lefts),
+        left_values=np.vstack([left @ data.samples[i] for i, left in zip(left_indices, lefts)]),
+        conjugate_pairs=include_conjugates,
+    )

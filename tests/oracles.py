@@ -6,10 +6,11 @@ the operations are elementwise), and ``benchmarks/bench_fit_pipeline.py`` /
 ``bench_passivity.py`` time the kernel against it.  Nothing in ``src/``
 imports this module.  The stacked-``lstsq`` fast-VF solver
 (:func:`repro.core.assembly.vf_scaling_solve_reference`) is not here: it is
-the compact solver's runtime fallback.  Three oracles do the work the
-realization skips instead of looping: the dense Lemma 3.2 transform, its
-literal pair-by-pair mixing of the full complex pencil, and the two-sided
-SVDs of the full ``2k``-wide matrices.
+the compact solver's runtime fallback.  Four oracles do the work the
+library skips instead of looping: the literal per-block tangential data with
+explicit conjugate blocks, the dense Lemma 3.2 transform, its literal
+pair-by-pair mixing of the full complex pencil, and the two-sided SVDs of the
+full ``2k``-wide matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.assembly import REAL_POLE_TOLERANCE
-from repro.core.loewner import _pair_halves
+from repro.core.tangential import _pair_halves
 from repro.core.realization import _determine_order
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.linalg import block_diag, economic_svd, realify
@@ -29,6 +30,7 @@ __all__ = [
     "residues_from_coefficients_reference",
     "vf_scaling_blocks_reference",
     "passivity_violations_reference",
+    "tangential_matrices_reference",
     "real_transform_matrix_reference",
     "mix_rows_reference",
     "mix_columns_reference",
@@ -180,11 +182,57 @@ def passivity_violations_reference(
     return violations
 
 
+def tangential_matrices_reference(
+    data,
+    *,
+    right_directions,
+    left_directions,
+    right_indices,
+    left_indices,
+    include_conjugates: bool = True,
+) -> dict[str, np.ndarray]:
+    """Per-block oracle for :func:`~repro.core.tangential.build_tangential_data`.
+
+    Builds one ``(point, directions, values)`` block per sample and, with
+    ``include_conjugates``, an explicit conjugate block right after it, then
+    concatenates the blocks with ``hstack``/``vstack`` into the compact
+    matrices of eqs. (8)-(9).  Returns ``R``, ``W``, ``L``, ``V``,
+    ``lambda_points`` and ``mu_points`` by
+    :class:`~repro.core.tangential.TangentialData` attribute name.
+    """
+    blocks = {"right": [], "left": []}
+    for side, directions, indices in (("right", right_directions, right_indices),
+                                      ("left", left_directions, left_indices)):
+        for direction, idx in zip(directions, indices):
+            direction = np.asarray(direction, dtype=complex)
+            if direction.ndim == 1:
+                direction = direction.reshape(-1, 1)
+            sample = data.samples[idx]
+            point = 1j * 2.0 * np.pi * data.frequencies_hz[idx]
+            if side == "right":
+                block = (point, direction, sample @ direction)
+            else:
+                row_direction = direction.conj().T
+                block = (point, row_direction, row_direction @ sample)
+            blocks[side].append(block)
+            if include_conjugates:
+                blocks[side].append(tuple(np.conj(part) for part in block))
+    right, left = blocks["right"], blocks["left"]
+    return {
+        "lambda_points": np.concatenate([np.full(d.shape[1], pt) for pt, d, _ in right]),
+        "mu_points": np.concatenate([np.full(d.shape[0], pt) for pt, d, _ in left]),
+        "R": np.hstack([d for _, d, _ in right]),
+        "W": np.hstack([v for _, _, v in right]),
+        "L": np.vstack([d for _, d, _ in left]),
+        "V": np.vstack([v for _, _, v in left]),
+    }
+
+
 def real_transform_matrix_reference(block_sizes) -> np.ndarray:
     """Dense oracle for the Lemma 3.2 transform ``T`` of conjugate-paired blocks.
 
-    :func:`~repro.core.realization.to_real_data` writes ``T* M T`` from the
-    ``+j omega`` rows without forming ``T``; this builds the
+    :func:`~repro.core.loewner.build_loewner_pencil` writes ``T* M T`` from
+    the ``+j omega`` rows without forming ``T``; this builds the
     ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block afresh for every conjugate pair
     and stacks the blocks with :func:`block_diag`, so ``T_l* L T_r`` can be
     formed densely.
@@ -224,8 +272,8 @@ def real_transform_reference(pencil) -> dict[str, np.ndarray]:
     pencil was written from the ``+j omega`` half.  Returns the four real
     matrices by :class:`~repro.core.loewner.LoewnerPencil` field name.
     """
-    rows = _pair_halves(pencil.left_block_sizes)
-    columns = _pair_halves(pencil.right_block_sizes)
+    rows = _pair_halves(pencil.left_block_sizes[0::2])
+    columns = _pair_halves(pencil.right_block_sizes[0::2])
     mixed = {
         "loewner": (mix_columns_reference(mix_rows_reference(pencil.loewner, *rows),
                                           *columns), 0.5),

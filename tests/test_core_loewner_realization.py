@@ -11,14 +11,10 @@ from hypothesis import strategies as st
 from repro.core import run_fit
 from repro.core._pipeline import realize_from_tangential
 from repro.core.directions import identity_directions
-from repro.core.loewner import _pair_halves, build_loewner_pencil, sylvester_residuals
-from repro.core.realization import (
-    direct_realization,
-    svd_realization,
-    to_real_data,
-)
+from repro.core.loewner import build_loewner_pencil, sylvester_residuals
+from repro.core.realization import direct_realization, svd_realization
 from repro.core.options import MftiOptions
-from repro.core.tangential import TangentialData, build_tangential_data
+from repro.core.tangential import _pair_halves, build_tangential_data
 from repro.data import sample_scattering
 from repro.data.frequency import log_frequencies
 from repro.experiments.workloads import WORKLOADS
@@ -47,9 +43,9 @@ def setup():
 
 
 @pytest.fixture(scope="module")
-def oversampled_pencils(setup):
-    """Full-block pencils of 12 samples of the order-17 setup system (with
-    ``rank(D)``): square, ``k_right > k_left`` and ``k_left > k_right``."""
+def oversampled_data(setup):
+    """Full-block tangential data of 12 samples of the order-17 setup system
+    (with ``rank(D)``): square, ``k_right > k_left`` and ``k_left > k_right``."""
     system = setup[0]
     data = sample_scattering(system, log_frequencies(1e2, 1e5, 12))
     layouts = {  # (right samples, left samples)
@@ -57,15 +53,14 @@ def oversampled_pencils(setup):
         "wide": ([0, 2, 4, 6, 8, 9, 10, 11], [1, 3, 5, 7]),
         "tall": ([0, 2, 4, 6], [1, 3, 5, 7, 8, 9, 10, 11]),
     }
-    pencils = {}
-    for shape, (right, left) in layouts.items():
-        tangential = build_tangential_data(
+    return {
+        shape: build_tangential_data(
             data, right_directions=[np.eye(3)] * len(right),
             left_directions=[np.eye(3)] * len(left),
             right_indices=right, left_indices=left,
         )
-        pencils[shape] = build_loewner_pencil(tangential)
-    return pencils
+        for shape, (right, left) in layouts.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -101,25 +96,21 @@ def _mixed_block_tangential(data, right_sizes, left_sizes, seed=0):
     )
 
 
-def _mixed_block_pencil(data, right_sizes, left_sizes, seed=0):
-    """The complex pencil of :func:`_mixed_block_tangential`."""
-    return build_loewner_pencil(_mixed_block_tangential(data, right_sizes, left_sizes, seed))
-
-
 def _assert_equals_mixing_oracle(tangential, context):
-    """The half-assembled real pencil and ``to_real_data`` of the complex one both
-    equal the literal ``T_l* M T_r`` mixing of the full complex pencil, bit for bit."""
+    """The real pencil, assembled from the stored +j omega half, equals the literal
+    ``T_l* M T_r`` mixing of the full complex pencil, bit for bit."""
     complex_pencil = build_loewner_pencil(tangential)
     want = real_transform_reference(complex_pencil)
-    for route, got in (("half", build_loewner_pencil(tangential, real=True)),
-                       ("to_real_data", to_real_data(complex_pencil))):
-        assert got.is_real, (context, route)
-        for name, matrix in want.items():
-            value = getattr(got, name)
-            assert value.dtype == np.float64 and value.shape == matrix.shape, (context, route)
-            assert value.tobytes() == matrix.tobytes(), (context, route, name)
-        assert np.array_equal(got.lambda_points, complex_pencil.lambda_points)
-        assert np.array_equal(got.mu_points, complex_pencil.mu_points)
+    got = build_loewner_pencil(tangential, real=True)
+    assert got.is_real, context
+    for name, matrix in want.items():
+        value = getattr(got, name)
+        assert value.dtype == np.float64 and value.shape == matrix.shape, context
+        assert value.tobytes() == matrix.tobytes(), (context, name)
+    assert np.array_equal(got.lambda_points, complex_pencil.lambda_points)
+    assert np.array_equal(got.mu_points, complex_pencil.mu_points)
+    assert got.right_block_sizes == complex_pencil.right_block_sizes
+    assert got.left_block_sizes == complex_pencil.left_block_sizes
 
 
 class TestLoewnerPencil:
@@ -162,36 +153,15 @@ class TestLoewnerPencil:
 class TestRealTransform:
     def test_transform_matrix_is_unitary(self):
         """The pair mixing scaled by ``1/sqrt(2)`` is the unitary ``T`` of Lemma 3.2."""
-        t = mix_columns_reference(np.eye(6), *_pair_halves((2, 2, 1, 1))) / np.sqrt(2.0)
+        t = mix_columns_reference(np.eye(6), *_pair_halves((2, 1))) / np.sqrt(2.0)
         assert t.shape == (6, 6)
         assert np.allclose(t.conj().T @ t, np.eye(6), atol=1e-12)
-
-    def test_transform_matrix_validation(self):
-        with pytest.raises(ValueError,
-                           match=r"conjugate pair 0 has mismatched block sizes \(2, 1\)"):
-            _pair_halves((2, 1))
-        with pytest.raises(ValueError, match=r"conjugate pairs \(even count\)"):
-            _pair_halves((2, 2, 1))
-        with pytest.raises(ValueError,
-                           match=r"conjugate pair 2 has mismatched block sizes \(3, 2\)"):
-            _pair_halves((2, 2, 1, 1, 3, 2))
-
-    def test_to_real_data_validates_block_pairs(self, setup):
-        _, _, _, pencil = setup
-        odd = dataclasses.replace(pencil, right_block_sizes=pencil.right_block_sizes[:-1])
-        with pytest.raises(ValueError, match=r"conjugate pairs \(even count\)"):
-            to_real_data(odd)
-        sizes = pencil.left_block_sizes
-        mismatched = dataclasses.replace(
-            pencil, left_block_sizes=(sizes[0] - 1, sizes[1] + 1) + sizes[2:])
-        with pytest.raises(ValueError, match="conjugate pair 0 has mismatched block sizes"):
-            to_real_data(mismatched)
 
     @pytest.mark.parametrize("sizes", [(3, 3, 1, 1, 2, 2, 1, 1), (1, 1), (2, 2, 2, 2, 4, 4)])
     def test_transform_matrix_equals_per_pair_oracle_bitwise(self, sizes):
         """Mixing the identity's rows and columns pair by pair gives the dense
         oracle's ``T*`` and ``T`` entry for entry (signed zeros aside)."""
-        halves = _pair_halves(sizes)
+        halves = _pair_halves(sizes[0::2])
         eye = np.eye(sum(sizes))
         want = real_transform_matrix_reference(sizes)
         assert np.array_equal(mix_columns_reference(eye, *halves) / np.sqrt(2.0), want)
@@ -202,12 +172,14 @@ class TestRealTransform:
         ((1, 2, 3, 2), (3, 1)),     # k_right > k_left
         ((2,), (1, 3, 3, 2)),       # k_left > k_right
     ])
-    def test_to_real_data_matches_dense_oracle(self, setup, right_sizes, left_sizes):
-        """``T_l* L T_r``, ``T_l* sL T_r``, ``T_l* V`` and ``W T_r`` formed with the
-        dense oracle ``T`` agree to 1e-14 relative (Frobenius)."""
+    def test_real_pencil_matches_dense_oracle(self, setup, right_sizes, left_sizes):
+        """``build_loewner_pencil(t, real=True)`` is ``T_l* L T_r``, ``T_l* sL T_r``,
+        ``T_l* V`` and ``W T_r`` of the complex pencil, formed with the dense
+        oracle ``T``, to 1e-14 relative (Frobenius)."""
         _, data, _, _ = setup
-        pencil = _mixed_block_pencil(data, right_sizes, left_sizes)
-        real_pencil = to_real_data(pencil)
+        tangential = _mixed_block_tangential(data, right_sizes, left_sizes)
+        pencil = build_loewner_pencil(tangential)
+        real_pencil = build_loewner_pencil(tangential, real=True)
         t_left = real_transform_matrix_reference(pencil.left_block_sizes)
         t_right = real_transform_matrix_reference(pencil.right_block_sizes)
         tl_h = t_left.conj().T
@@ -222,46 +194,20 @@ class TestRealTransform:
             assert got.dtype == np.float64, name
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), name
 
-    def test_real_transform_rejects_broken_conjugate_symmetry(self, setup):
-        """One entry moved off its conjugate partner leaves an imaginary part."""
-        _, data, _, _ = setup
-        pencil = _mixed_block_pencil(data, (1, 2, 3), (3, 2, 1))
-        shifted = pencil.shifted_loewner.copy()
-        shifted[0, 0] += 1e-3j * np.max(np.abs(shifted))
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            to_real_data(dataclasses.replace(pencil, shifted_loewner=shifted))
-
     def test_real_transform_produces_real_pencil(self, setup):
-        _, _, _, pencil = setup
-        real_pencil = to_real_data(pencil)
+        _, _, tangential, _ = setup
+        real_pencil = build_loewner_pencil(tangential, real=True)
         assert real_pencil.is_real
         for matrix in (real_pencil.loewner, real_pencil.shifted_loewner,
                        real_pencil.W, real_pencil.V):
             assert not np.iscomplexobj(matrix) or np.max(np.abs(matrix.imag)) == 0
 
     def test_real_transform_preserves_singular_values(self, setup):
-        _, _, _, pencil = setup
-        real_pencil = to_real_data(pencil)
+        _, _, tangential, pencil = setup
+        real_pencil = build_loewner_pencil(tangential, real=True)
         s_complex = np.linalg.svd(pencil.loewner, compute_uv=False)
         s_real = np.linalg.svd(real_pencil.loewner, compute_uv=False)
         assert np.allclose(s_complex, s_real, rtol=1e-9)
-
-    def test_real_transform_idempotent(self, setup):
-        _, _, _, pencil = setup
-        real_pencil = to_real_data(pencil)
-        assert to_real_data(real_pencil) is real_pencil
-
-    def test_real_transform_rejects_non_symmetric_data(self, setup):
-        """Without conjugate blocks the transform cannot produce real matrices."""
-        system, data, _, _ = setup
-        directions = identity_directions(3, 3, 4, offset_stride=False)
-        tangential = build_tangential_data(
-            data, right_directions=directions, left_directions=directions,
-            include_conjugates=False,
-        )
-        pencil = build_loewner_pencil(tangential)
-        with pytest.raises(ValueError):
-            to_real_data(pencil)
 
 
 class TestRealAssembly:
@@ -282,25 +228,6 @@ class TestRealAssembly:
         _, data, _, _ = setup
         tangential = _mixed_block_tangential(data, right_sizes, left_sizes, seed)
         _assert_equals_mixing_oracle(tangential, (right_sizes, left_sizes, seed))
-
-    @pytest.mark.parametrize("side,field", [
-        ("right", "values"), ("right", "directions"), ("left", "values"), ("left", "directions"),
-    ])
-    def test_non_conjugate_minus_half_raises_before_any_svd(self, setup, svd_calls,
-                                                            side, field):
-        """A -j omega block that is not the conjugate of its +j omega partner is
-        refused by the real assembly and the fit."""
-        _, _, tangential, _ = setup
-        blocks = {"right": list(tangential.right_blocks), "left": list(tangential.left_blocks)}
-        minus = blocks[side][1]
-        blocks[side][1] = dataclasses.replace(
-            minus, **{field: getattr(minus, field) * (1 + 1e-3)})
-        broken = TangentialData(blocks["right"], blocks["left"], conjugate_pairs=True)
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            build_loewner_pencil(broken, real=True)
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            realize_from_tangential(broken, MftiOptions(), method="mfti", n_samples_used=8)
-        assert svd_calls == []
 
     def test_real_pencil_needs_conjugate_pairs(self, setup):
         _, data, _, _ = setup
@@ -333,7 +260,8 @@ class TestRealAssembly:
 
     def test_real_fit_peaks_below_the_complex_build(self, workload_fits):
         """``pdn/mfti-t3`` (k = 420): the fit's pencil-plus-realization peak is at
-        most 0.75x that of building the complex pencil and transforming it."""
+        most 0.75x that of building the complex pencil and mixing it into the
+        real one (the oracle route)."""
         result = workload_fits["mixed_batch_jobs:pdn/mfti-t3"]
         tangential, options = result.tangential, result.metadata["options"]
         assert tangential.k_left == 420
@@ -343,8 +271,10 @@ class TestRealAssembly:
                                            n_samples_used=result.n_samples_used).system
 
         def complex_then_transform():
+            pencil = build_loewner_pencil(tangential)
+            real = dataclasses.replace(pencil, is_real=True, **real_transform_reference(pencil))
             return svd_realization(
-                to_real_data(build_loewner_pencil(tangential)), order=options.order,
+                real, order=options.order,
                 rank_tolerance=options.rank_tolerance, rank_method=options.rank_method,
                 mode=options.svd_mode, x0=options.x0)[0]
 
@@ -361,9 +291,8 @@ class TestRealAssembly:
 class TestRealizations:
     def test_svd_realization_recovers_system(self, setup):
         """Lemma 3.4: the projected realization reproduces the transfer function."""
-        system, data, _, pencil = setup
-        real_pencil = to_real_data(pencil)
-        model, diag = svd_realization(real_pencil)
+        system, data, tangential, _ = setup
+        model, diag = svd_realization(build_loewner_pencil(tangential, real=True))
         expected_order = system.order + np.linalg.matrix_rank(system.D)
         assert diag.order == expected_order
         freqs = log_frequencies(1e2, 1e5, 30)
@@ -378,13 +307,11 @@ class TestRealizations:
     @pytest.mark.parametrize("rank_method,order", [
         ("gap", None), ("tolerance", None), ("gap", 10),
     ])
-    def test_two_sided_matches_uncompressed_oracle(self, oversampled_pencils, shape, real,
+    def test_two_sided_matches_uncompressed_oracle(self, oversampled_data, shape, real,
                                                    rank_method, order):
         """The SVDs of the QR factors give what the SVDs of the full ``[L, sL]``
         and ``[L; sL]`` give: singular values, order and transfer function."""
-        pencil = oversampled_pencils[shape]
-        if real:
-            pencil = to_real_data(pencil)
+        pencil = build_loewner_pencil(oversampled_data[shape], real=real)
         model, diag = svd_realization(pencil, order=order, rank_method=rank_method)
         reference, s_ref = two_sided_realization_reference(
             pencil, order=order, rank_method=rank_method)
@@ -418,8 +345,8 @@ class TestRealizations:
         assert len(svd_calls) == expected
 
     def test_explicit_order_truncation(self, setup):
-        _, _, _, pencil = setup
-        model, diag = svd_realization(to_real_data(pencil), order=6)
+        _, _, tangential, _ = setup
+        model, diag = svd_realization(build_loewner_pencil(tangential, real=True), order=6)
         assert model.order == 6
         assert diag.rank_tolerance is None
 

@@ -87,7 +87,7 @@ class TestRecursiveMfti:
                                    error_threshold=5e-2,
                                    rank_method="tolerance", rank_tolerance=1e-4)
         result = recursive_mfti(noisy, options=options)
-        assert result.n_samples_used < noisy.n_samples // 2
+        assert len(result.metadata["selected_pairs"]) < noisy.n_samples // 2
 
     def test_tight_threshold_uses_more_samples(self, noisy_oversampled):
         _, noisy, _ = noisy_oversampled
@@ -123,7 +123,7 @@ class TestRecursiveMfti:
             block_size=1, samples_per_iteration=2, error_threshold=1e-2,
             rank_method="tolerance", rank_tolerance=1e-4))
         pairs = result.metadata["selected_pairs"]
-        assert len(pairs) == result.n_samples_used
+        assert result.n_samples_used == 2 * len(pairs)  # 30 samples: no unpaired extra
         assert len(set(pairs)) == len(pairs)
 
     def test_interface_validation(self, small_data, noisy_data):
@@ -156,7 +156,7 @@ class TestRecursiveMfti:
         assert recursion.n_iterations == max_iterations
         realized = 2 * max_iterations
         assert recursion.iterations[-1].n_samples_used == realized
-        assert result.n_samples_used == realized
+        assert result.n_samples_used == 2 * realized
         assert len(result.metadata["selected_pairs"]) == realized
         assert result.tangential.n_right_samples == realized
 
@@ -207,16 +207,16 @@ def test_recursive_model_is_the_one_shot_realization_of_its_selection(problem):
         assert _same_bits(getattr(result.system, name), getattr(one_shot.system, name)), name
 
     pairs = result.metadata["selected_pairs"]
-    assert result.n_samples_used == len(pairs) == len(set(pairs))
+    assert len(pairs) == len(set(pairs))
     assert result.metadata["recursion"].iterations[-1].n_samples_used == len(pairs)
+    assert result.n_samples_used == result.tangential.n_sample_matrices
     plan = prepare_block_directions(options, data.n_samples, data.n_inputs, data.n_outputs)
     n_pairs = min(len(plan.right_indices), len(plan.left_indices))
-    group = 2 if options.include_conjugates else 1
-    for indices, blocks in ((plan.right_indices, result.tangential.right_blocks),
-                            (plan.left_indices, result.tangential.left_blocks)):
+    for indices, points in ((plan.right_indices, result.tangential.right_points),
+                            (plan.left_indices, result.tangential.left_points)):
         samples = [indices[g] for g in sorted(set(pairs) | set(range(n_pairs, len(indices))))]
         expected = 1j * 2.0 * np.pi * data.frequencies_hz[samples]
-        assert _same_bits([block.point for block in blocks[::group]], expected)
+        assert _same_bits(points, expected)
 
 
 #: The sample pairs the mixed grid's two recursive jobs select: the hold-out

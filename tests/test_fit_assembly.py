@@ -31,7 +31,7 @@ from repro.core.assembly import (
     vf_scaling_solve_reference,
 )
 from repro.core.loewner import build_loewner_pencil
-from repro.core.tangential import LeftBlock, RightBlock, TangentialData
+from repro.core.tangential import TangentialData
 from repro.utils.linalg import realify, rowcol_product
 from repro.vectorfitting.poles import initial_poles, sort_poles
 from repro.vectorfitting.rational import PoleResidueModel
@@ -79,23 +79,20 @@ def _make_tangential(n_right: int, n_left: int, n_ports: int, block: int,
     rng = np.random.default_rng(seed)
     t = min(block, n_ports)
 
-    def _right(i):
-        point = 1j * (1.0 + 2.0 * i)
-        directions = rng.normal(size=(n_ports, t)) + 1j * rng.normal(size=(n_ports, t))
-        values = rng.normal(size=(n_ports, t)) + 1j * rng.normal(size=(n_ports, t))
-        blk = RightBlock(point, directions, values)
-        return [blk, blk.conjugate()]
+    def _random(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    def _left(i):
-        point = 1j * (2.0 + 2.0 * i)
-        directions = rng.normal(size=(t, n_ports)) + 1j * rng.normal(size=(t, n_ports))
-        values = rng.normal(size=(t, n_ports)) + 1j * rng.normal(size=(t, n_ports))
-        blk = LeftBlock(point, directions, values)
-        return [blk, blk.conjugate()]
-
-    rights = [blk for i in range(n_right) for blk in _right(i)]
-    lefts = [blk for i in range(n_left) for blk in _left(i)]
-    return TangentialData(rights, lefts, conjugate_pairs=True)
+    return TangentialData(
+        right_points=1j * (1.0 + 2.0 * np.arange(n_right)),
+        right_sizes=[t] * n_right,
+        right_directions=_random((n_ports, t * n_right)),
+        right_values=_random((n_ports, t * n_right)),
+        left_points=1j * (2.0 + 2.0 * np.arange(n_left)),
+        left_sizes=[t] * n_left,
+        left_directions=_random((t * n_left, n_ports)),
+        left_values=_random((t * n_left, n_ports)),
+        conjugate_pairs=True,
+    )
 
 
 def _group_lines(block_sizes, groups) -> np.ndarray:
@@ -411,10 +408,9 @@ class TestSubsetPencil:
     def test_subset_keeps_blocks_and_block_structure(self):
         full = _make_tangential(4, 4, 3, block=2, seed=11)
         subset = full.subset([1, 3], [0, 2])
-        right, left = full.right_blocks, full.left_blocks
         assert subset.conjugate_pairs
-        assert [id(b) for b in subset.right_blocks] == [id(right[i]) for i in (2, 3, 6, 7)]
-        assert [id(b) for b in subset.left_blocks] == [id(left[i]) for i in (0, 1, 4, 5)]
+        assert np.array_equal(subset.right_points, full.right_points[[1, 3]])
+        assert np.array_equal(subset.left_points, full.left_points[[0, 2]])
         pencil = build_loewner_pencil(subset, real=True)
         assert pencil.right_block_sizes == subset.right_block_sizes == (2, 2, 2, 2)
         assert pencil.left_block_sizes == subset.left_block_sizes == (2, 2, 2, 2)

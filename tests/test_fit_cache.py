@@ -130,8 +130,8 @@ class TestSerialization:
         fresh = run_fit(small_data, method=method, options=options)
         arrays, meta = result_to_payload(fresh)
         json.dumps(meta)  # metadata must be JSON-serializable as-is
-        # schema 8: sweep errors from one-GEMM plan contractions
-        assert meta["schema_version"] == PAYLOAD_SCHEMA_VERSION == 8
+        # schema 9: recursive fits count every sampled frequency they realize
+        assert meta["schema_version"] == PAYLOAD_SCHEMA_VERSION == 9
         # the model and its realization SVD; no Fig.-1 profiles (schema 3)
         assert set(arrays) == {"E", "A", "B", "C", "D", "realization_singular_values"}
         restored = payload_to_result(arrays, meta, options=options)

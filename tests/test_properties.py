@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.directions import identity_directions, orthonormal_directions
 from repro.core.loewner import build_loewner_pencil, sylvester_residuals
-from repro.core.realization import svd_realization, to_real_data
+from repro.core.realization import svd_realization
 from repro.core.sampling import minimal_sample_count
 from repro.core.tangential import build_tangential_data
 from repro.data import sample_scattering
@@ -135,7 +135,7 @@ class TestLoewnerProperties:
         res1, res2 = sylvester_residuals(pencil, tangential)
         assert res1 < 1e-10 and res2 < 1e-10
 
-        real_pencil = to_real_data(pencil)
+        real_pencil = build_loewner_pencil(tangential, real=True)
         s_before = np.linalg.svd(pencil.shifted_loewner, compute_uv=False)
         s_after = np.linalg.svd(real_pencil.shifted_loewner, compute_uv=False)
         assert np.allclose(s_before, s_after, rtol=1e-8)
