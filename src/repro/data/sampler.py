@@ -9,9 +9,12 @@ like externally measured data.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from repro.data.dataset import FrequencyData
+from repro.systems.evaluation import _evaluate_solve
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.blas import single_thread_blas
 from repro.utils.validation import ensure_1d
@@ -32,25 +35,41 @@ def sample_system(
     The system's transfer function is used verbatim (no parameter
     conversion); ``kind`` only labels what those samples represent.
 
-    The sweep runs through the shared evaluation kernel with the
-    ``"solve"`` strategy pinned: batched stacked-pencil solves are bitwise
-    identical to the per-point reference loop, so generated datasets (and
-    therefore their content-addressed cache fingerprints and the golden
-    fixtures derived from them) are reproducible bit for bit, independent
-    of whichever fast path later model evaluations take.  The solves run
-    with BLAS pinned to one thread (:func:`~repro.utils.blas.single_thread_blas`):
+    A :class:`~repro.systems.statespace.DescriptorSystem` (subclasses
+    included) is swept at ``s = j 2 pi f`` by the shared kernel's batched
+    stacked-pencil solve, which is bitwise identical to the per-point
+    reference loop, so generated datasets (and therefore their
+    content-addressed cache fingerprints and the golden fixtures derived
+    from them) are reproducible bit for bit, independent of whichever fast
+    path later model evaluations take.  The solve deals its chunks out to
+    one lane per CPU the process may use; each point still gets its own
+    ``gesv`` and its own rows of the output, so the lane count changes no
+    bit.  Any other source is swept through its own
+    ``frequency_response(frequencies_hz)``, as a fitted model offers.
+
+    Either sweep runs with BLAS pinned to one thread
+    (:func:`~repro.utils.blas.single_thread_blas`), held across every lane:
     multithreaded LU rounds differently, which would make the datasets
-    depend on the host's thread count.
+    depend on the host's thread count.  An error in the sweep propagates;
+    nothing is swept a second time.
     """
     freqs = ensure_1d(frequencies_hz, "frequencies_hz", dtype=float)
-    try:
-        with single_thread_blas():
-            samples = system.frequency_response(freqs, method="solve")
-    except TypeError:
-        # duck-typed sources (anything with a frequency_response) stay usable
-        samples = system.frequency_response(freqs)
+    with single_thread_blas():
+        if isinstance(system, DescriptorSystem):
+            samples = _evaluate_solve(system.E, system.A, system.B, system.C, system.D,
+                                      1j * 2.0 * np.pi * freqs, workers=_usable_cpus())
+        else:
+            samples = system.frequency_response(freqs)
     return FrequencyData(freqs, samples, kind=kind,
                          reference_impedance=reference_impedance, label=label)
+
+
+def _usable_cpus() -> int:
+    """CPUs the process may run on: its affinity mask, or the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def sample_scattering(

@@ -359,9 +359,9 @@ def passive_macromodel_jobs(
     loudly) -- the certified artifact a downstream SI/PI user would deploy.
 
     Scenarios span three circuit families times two representations: a small
-    power-distribution network sampled both as scattering data (``"S"``,
-    converted from its impedance-type MNA system via ``system_kind="Z"``) and
-    as raw impedance data (``"Z"``, positive-real condition); a lossy lumped
+    power-distribution network as scattering data (``"S"``, converted from
+    the impedance sweep of its MNA system) and as that raw impedance sweep
+    (``"Z"``, positive-real condition); a lossy lumped
     transmission line (S); and an RLC grid mesh (S).  ``noise_levels`` and
     ``band_factors`` are paired element-wise into noise x band regimes: higher
     measurement noise is checked over a tighter out-of-band guard band, which
@@ -386,30 +386,26 @@ def passive_macromodel_jobs(
         n_ports=3, grid_rows=3, grid_cols=3, n_decaps=3, n_bulk_caps=1))
     tline = netlist_to_descriptor(lumped_transmission_line(0.1, line_sections))
     mesh = netlist_to_descriptor(rlc_grid(mesh_rows, mesh_cols))
-    scenarios = (
-        ("pdn", pdn, 1e6, 2.5e9, "S"),
-        ("tline", tline, 1e6, 5e9, "S"),
-        ("mesh", mesh, 1e6, 2e9, "S"),
-        ("pdn", pdn, 1e6, 2.5e9, "Z"),
-    )
+    bands = {"pdn": (pdn, 1e6, 2.5e9), "tline": (tline, 1e6, 5e9), "mesh": (mesh, 1e6, 2e9)}
+    # All three generators build impedance-type MNA/descriptor systems: each
+    # circuit's impedance is swept once, and its scattering data is
+    # *converted* from that sweep (what sample_scattering(system_kind="Z")
+    # does), not sampled raw, or the "S" sweep would carry impedance-scale
+    # entries.
+    impedance = {
+        name: tuple(
+            sample_impedance(system, linear_frequencies(f_lo, f_hi, count), label=label)
+            for count, label in ((n_samples, f"passive {name}"),
+                                 (n_validation, f"passive {name} validation"))
+        )
+        for name, (system, f_lo, f_hi) in bands.items()
+    }
 
     jobs: list[FitJob] = []
-    for name, system, f_lo, f_hi, representation in scenarios:
-        freqs = linear_frequencies(f_lo, f_hi, n_samples)
-        validation_freqs = linear_frequencies(f_lo, f_hi, n_validation)
-        # All three generators build impedance-type MNA/descriptor systems:
-        # scattering data must be *converted* (system_kind="Z"), not sampled
-        # raw, or the "S" sweep would carry impedance-scale entries.
+    for name, representation in (("pdn", "S"), ("tline", "S"), ("mesh", "S"), ("pdn", "Z")):
+        clean, reference = impedance[name]
         if representation == "S":
-            clean = sample_scattering(system, freqs, system_kind="Z",
-                                      label=f"passive {name}")
-            reference = sample_scattering(system, validation_freqs,
-                                          system_kind="Z",
-                                          label=f"passive {name} validation")
-        else:
-            clean = sample_impedance(system, freqs, label=f"passive {name}")
-            reference = sample_impedance(system, validation_freqs,
-                                         label=f"passive {name} validation")
+            clean, reference = (data.converted("S", z0=50.0) for data in (clean, reference))
         for noise, band_factor in zip(noise_levels, band_factors):
             data = add_measurement_noise(clean, relative_level=noise,
                                          seed=base_seed)

@@ -21,6 +21,12 @@ for descriptor systems ``H(s) = C (sE - A)^{-1} B + D``:
     strategy used wherever bit-stable reproducibility matters (dataset
     generation, content-addressed fingerprints).  A chunk containing a
     singular pencil transparently degrades to the per-point reference.
+    The chunks of one sweep can be dealt out to several lanes, the calling
+    thread and a per-sweep thread pool, each with its own pencil buffer;
+    every point still gets its own ``gesv`` and its own rows of the output,
+    so the lane count changes no bit.  Only dataset sampling
+    (:func:`repro.data.sampler.sample_system`) asks for more than one lane;
+    every sweep reached through :func:`evaluate_descriptor` keeps one.
 
 ``diag``
     The eigendecomposition fast path.  A real spectral shift ``sigma`` turns the
@@ -52,6 +58,7 @@ The stacked solve of the ``solve`` strategy goes through the
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,10 +99,12 @@ POLE_SPREAD_LIMIT = 1e3
 #: Most points per stacked ``np.linalg.solve`` call.
 SOLVE_CHUNK = 64
 
-#: Byte budget of one call's transient ``(chunk, n, n)`` pencil buffer: a
-#: system too large for ``SOLVE_CHUNK`` pencils in it solves fewer points per
-#: call (at least one).  Each point still gets its own LAPACK ``gesv``, so the
-#: results do not depend on the chunk.
+#: Byte budget of one sweep's transient ``(chunk, n, n)`` pencil buffers,
+#: shared by its lanes: each lane's buffer holds ``SOLVE_BUFFER_BYTES //
+#: lanes`` of pencils, so a system too large for ``SOLVE_CHUNK`` pencils in
+#: it solves fewer points per call (at least one), and a sweep gets no more
+#: lanes than it has pencils' worth of budget.  Each point still gets its own
+#: LAPACK ``gesv``, so the results depend neither on the chunk nor on the lanes.
 SOLVE_BUFFER_BYTES = 8 * 2**20
 
 #: Relative cancellation threshold below which a Cauchy-weight denominator
@@ -139,35 +148,58 @@ def evaluate_pointwise(E, A, B, C, D, points) -> np.ndarray:
     return out
 
 
-def _evaluate_solve(E, A, B, C, D, pts: np.ndarray) -> np.ndarray:
+def _evaluate_solve(E, A, B, C, D, pts: np.ndarray, *, workers: int = 1) -> np.ndarray:
     """Batched stacked-pencil solves; bitwise identical to the per-point loop.
 
-    Every chunk's pencils ``s E - A`` are assembled in one reused buffer
+    Every chunk's pencils ``s E - A`` are assembled in a reused buffer
     (multiply into it, subtract ``A`` in place): the same elementwise
     operations as ``s * E - A``, without two fresh ``(chunk, n, n)``
-    temporaries per chunk.  The chunk keeps that buffer within
-    ``SOLVE_BUFFER_BYTES``.
+    temporaries per chunk.
+
+    The chunks are dealt round-robin to at most ``workers`` lanes, and never
+    to more lanes than there are chunks: the calling thread works the first
+    lane, a per-sweep thread pool the others.  Each lane owns one buffer,
+    allocated here by the calling thread (a worker's own allocations would
+    stay resident in its malloc arena), and together the buffers stay
+    within ``SOLVE_BUFFER_BYTES``.  A lane writes only its chunks' rows of
+    the output, and an exception in any lane propagates once every lane
+    has stopped.
     """
     solve = get_backend().solve
     b = B.astype(complex)
     out = np.empty((pts.size, C.shape[0], B.shape[1]), dtype=complex)
     dtype = np.result_type(pts, E, A)
-    chunk = min(SOLVE_CHUNK, max(1, SOLVE_BUFFER_BYTES // (max(A.size, 1) * dtype.itemsize)))
-    buffer = np.empty((min(chunk, pts.size),) + A.shape, dtype=dtype)
-    for lo in range(0, pts.size, chunk):
-        block = pts[lo : lo + chunk]
-        n_block = block.shape[0]
-        pencils = buffer[:n_block]
-        np.multiply(block[:, np.newaxis, np.newaxis], E, out=pencils)
-        pencils -= A
-        try:
-            x = solve(pencils, np.broadcast_to(b, (n_block,) + b.shape))
-        except np.linalg.LinAlgError:
-            # a singular pencil inside the chunk: degrade to the per-point
-            # reference, which resolves exactly the singular points via lstsq
-            out[lo : lo + n_block] = evaluate_pointwise(E, A, B, C, D, block)
-            continue
-        out[lo : lo + n_block] = np.matmul(C, x) + D
+    pencil_bytes = max(A.size, 1) * dtype.itemsize
+    lanes = max(1, min(workers, SOLVE_BUFFER_BYTES // pencil_bytes))
+    chunk = min(SOLVE_CHUNK, max(1, SOLVE_BUFFER_BYTES // lanes // pencil_bytes))
+    lanes = max(1, min(lanes, -(-pts.size // chunk)))
+    buffers = [np.empty((min(chunk, pts.size),) + A.shape, dtype=dtype) for _ in range(lanes)]
+
+    def work(lane: int) -> None:
+        buffer = buffers[lane]
+        for lo in range(lane * chunk, pts.size, lanes * chunk):
+            block = pts[lo : lo + chunk]
+            n_block = block.shape[0]
+            pencils = buffer[:n_block]
+            np.multiply(block[:, np.newaxis, np.newaxis], E, out=pencils)
+            pencils -= A
+            try:
+                x = solve(pencils, np.broadcast_to(b, (n_block,) + b.shape))
+            except np.linalg.LinAlgError:
+                # a singular pencil inside the chunk: degrade to the per-point
+                # reference, which resolves exactly the singular points via lstsq
+                out[lo : lo + n_block] = evaluate_pointwise(E, A, B, C, D, block)
+                continue
+            out[lo : lo + n_block] = np.matmul(C, x) + D
+
+    if lanes == 1:
+        work(0)
+        return out
+    with ThreadPoolExecutor(max_workers=lanes - 1, thread_name_prefix="solve-lane") as pool:
+        others = [pool.submit(work, lane) for lane in range(1, lanes)]
+        work(0)
+        for lane in others:
+            lane.result()
     return out
 
 

@@ -131,3 +131,15 @@ def openblas_threads():
             setter.argtypes, setter.restype = [ctypes.c_int], None
             return getter, setter
     pytest.skip("numpy's bundled OpenBLAS thread controls are not available")
+
+
+@pytest.fixture
+def two_blas_threads(openblas_threads):
+    """numpy's OpenBLAS set to two threads for the test, then restored; yields the getter."""
+    get_threads, set_threads = openblas_threads
+    previous = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(previous)

@@ -1,12 +1,16 @@
 """Tests for sampling, noise injection and Touchstone I/O."""
 
+import dataclasses
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from repro import backends
 from repro.data.dataset import FrequencyData
-from repro.data.frequency import linear_frequencies
+from repro.data.frequency import linear_frequencies, log_frequencies
 from repro.data.noise import add_measurement_noise, snr_to_sigma
 from repro.data.sampler import (
     sample_admittance,
@@ -16,6 +20,47 @@ from repro.data.sampler import (
 )
 from repro.data.touchstone import read_touchstone, write_touchstone
 from repro.systems.interconnect import z_to_s
+from repro.systems.statespace import DescriptorSystem
+from repro.utils.blas import single_thread_blas
+
+#: A sweep long enough to span several stacked-solve chunks.
+MANY_POINTS = 300
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _record_solves(monkeypatch, record) -> list:
+    """Swap in a copy of the backend's stacked solve that appends ``record()`` per call."""
+    numpy_backend = backends.get_backend()
+    calls: list = []
+
+    def recording_solve(a, b):
+        calls.append(record())
+        return numpy_backend.solve(a, b)
+
+    monkeypatch.setitem(backends._instances, "numpy",
+                        dataclasses.replace(numpy_backend, solve=recording_solve))
+    return calls
+
+
+class _Tagged(DescriptorSystem):
+    """A subclass that adds nothing: it is swept as a DescriptorSystem."""
+
+
+class _DuckSource:
+    """A source offering only ``frequency_response(freqs)``, as fitted models do."""
+
+    def __init__(self, get_threads):
+        self.get_threads = get_threads
+        self.threads: list = []
+
+    def frequency_response(self, frequencies_hz):
+        self.threads.append(self.get_threads())
+        return np.ones((len(frequencies_hz), 1, 1), dtype=complex)
 
 
 class TestSampler:
@@ -46,6 +91,50 @@ class TestSampler:
     def test_invalid_system_kind(self, small_system):
         with pytest.raises(ValueError):
             sample_scattering(small_system, [1e3], system_kind="Q")
+
+    @pytest.mark.parametrize("name", ["small_system", "tiny_pdn_system"])
+    def test_sample_system_equals_the_one_lane_sweep_byte_for_byte(self, request, name):
+        system = request.getfixturevalue(name)
+        freqs = log_frequencies(1e1, 1e9, MANY_POINTS)
+        with single_thread_blas():
+            one_lane = system.frequency_response(freqs, method="solve")
+        assert sample_system(system, freqs).samples.tobytes() == one_lane.tobytes()
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="the process may use one CPU")
+    def test_sample_system_fans_out_over_the_usable_cpus(self, small_system, monkeypatch):
+        threads = _record_solves(monkeypatch, threading.get_ident)
+        sample_system(small_system, log_frequencies(1e1, 1e5, MANY_POINTS))
+        assert len(set(threads)) >= 2
+
+    def test_every_lane_solves_with_one_blas_thread(self, small_system, monkeypatch,
+                                                    two_blas_threads):
+        counts = _record_solves(monkeypatch, two_blas_threads)
+        sample_system(small_system, log_frequencies(1e1, 1e5, MANY_POINTS))
+        assert counts and set(counts) == {1}
+        assert two_blas_threads() == 2
+
+    def test_duck_typed_source_is_swept_with_one_blas_thread(self, two_blas_threads):
+        source = _DuckSource(two_blas_threads)
+        data = sample_system(source, [1e3, 1e4])
+        assert source.threads == [1]
+        assert data.samples.shape == (2, 1, 1)
+        assert two_blas_threads() == 2
+
+    def test_type_error_in_a_subclass_sweep_propagates(self, small_system, monkeypatch):
+        """No silent second sweep through the eigendecomposition fast path."""
+        numpy_backend = backends.get_backend()
+
+        def failing_solve(a, b):
+            if a.shape[0] > 3:  # the fast path's plan probes, three points, still solve
+                raise TypeError("stacked solve failed")
+            return numpy_backend.solve(a, b)
+
+        monkeypatch.setitem(backends._instances, "numpy",
+                            dataclasses.replace(numpy_backend, solve=failing_solve))
+        system = _Tagged(small_system.E, small_system.A, small_system.B,
+                         small_system.C, small_system.D)
+        with pytest.raises(TypeError, match="stacked solve failed"):
+            sample_system(system, log_frequencies(1e1, 1e5, 24))
 
 
 class TestNoise:

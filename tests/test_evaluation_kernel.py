@@ -28,6 +28,8 @@ import dataclasses
 import json
 import os
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -210,6 +212,147 @@ def test_stacked_solve_chunk_is_bounded_by_bytes(monkeypatch):
     points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, 2 * BUDGET_CHUNK + 7)
     system.evaluate_many(points, method="solve")
     assert chunks == [BUDGET_CHUNK, BUDGET_CHUNK, 7]
+
+
+# --------------------------------------------------------------------------- #
+# the stacked solve's lanes
+# --------------------------------------------------------------------------- #
+#: Lane counts the stacked solve is checked with.
+LANES = (1, 2, 3, 5)
+
+#: Where the lane property puts a decoupled state's real pole.
+POLE = -3.0
+
+
+def _with_pole(system: DescriptorSystem, pole: float) -> DescriptorSystem:
+    """``system`` plus one decoupled state whose pole sits exactly at ``pole``.
+
+    At ``s = pole`` the pencil's last row is exactly zero, so its LU meets a
+    zero pivot and the stacked solve falls back to the per-point reference
+    for the chunk holding that point.
+    """
+    n = system.order
+    E = np.zeros((n + 1, n + 1))
+    E[:n, :n] = system.E
+    E[n, n] = 1.0
+    A = np.zeros((n + 1, n + 1), dtype=system.A.dtype)
+    A[:n, :n] = system.A
+    A[n, n] = pole
+    B = np.vstack([system.B, np.ones((1, system.n_inputs))])
+    C = np.hstack([system.C, np.ones((system.n_outputs, 1))])
+    return DescriptorSystem(E, A, B, C, system.D)
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.integers(min_value=2, max_value=24),
+       n_ports=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       n_points=st.integers(min_value=1, max_value=60),
+       pencils=st.integers(min_value=1, max_value=16),
+       complex_a=st.booleans(),
+       pole_at=st.none() | st.integers(min_value=0, max_value=59))
+# 12 pencils of budget cut 50 points into 9, 13 and 25 chunks for 2, 3 and 5
+# lanes, and point 7 sits in a chunk that lane 1, 1 and 3 owns: the chunk's
+# singular fallback runs off the calling thread
+@example(order=20, n_ports=2, seed=0, n_points=50, pencils=12, complex_a=False, pole_at=None)
+@example(order=20, n_ports=2, seed=0, n_points=50, pencils=12, complex_a=True, pole_at=None)
+@example(order=20, n_ports=2, seed=0, n_points=50, pencils=12, complex_a=False, pole_at=7)
+@example(order=20, n_ports=2, seed=0, n_points=50, pencils=12, complex_a=True, pole_at=7)
+def test_lanes_match_the_loop_byte_for_byte(order, n_ports, seed, n_points, pencils,
+                                            complex_a, pole_at):
+    """Any lane count gives the reference loop's bytes, singular points included.
+
+    The byte budget is cut to ``pencils`` pencils of the system, so a sweep
+    of a few dozen points spans many chunks; the chunks are dealt
+    round-robin, so the lane that owns the pole's chunk, and therefore the
+    thread its fallback runs on, is known.
+    """
+    system = random_stable_system(order=order, n_ports=n_ports, feedthrough=0.05, seed=seed)
+    if complex_a:
+        system = DescriptorSystem(system.E, system.A + 1e-2j, system.B, system.C, system.D)
+    points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, n_points)
+    if pole_at is not None and pole_at < n_points:
+        system = _with_pole(system, POLE)
+        points[pole_at] = POLE
+    else:
+        pole_at = None
+    ref = evaluate_pointwise(system.E, system.A, system.B, system.C, system.D, points)
+    caller = threading.get_ident()
+    fallbacks: list = []
+
+    def recording_pointwise(*args):
+        fallbacks.append((threading.get_ident(), args[-1]))
+        return evaluate_pointwise(*args)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the lanes' Python code interleaves as finely as it can
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "SOLVE_BUFFER_BYTES",
+                          pencils * system.A.size * np.dtype(complex).itemsize)
+            patch.setattr(evaluation, "evaluate_pointwise", recording_pointwise)
+            for lanes in LANES:
+                fallbacks.clear()
+                got = evaluation._evaluate_solve(system.E, system.A, system.B, system.C,
+                                                 system.D, points, workers=lanes)
+                assert got.tobytes() == ref.tobytes(), f"{lanes} lanes drifted from the loop"
+                if pole_at is None:
+                    assert not fallbacks
+                    continue
+                chunk = min(SOLVE_CHUNK, pencils // min(lanes, pencils))
+                owner = (pole_at // chunk) % min(lanes, pencils, -(-n_points // chunk))
+                first = pole_at // chunk * chunk
+                assert [(thread == caller, list(block)) for thread, block in fallbacks] == [
+                    (owner == 0, list(points[first : first + chunk]))]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing_lane", ["calling thread", "worker"])
+def test_a_lane_error_propagates_after_every_lane_stops(monkeypatch, failing_lane):
+    """No lane thread outlives the sweep, whichever lane raised."""
+    numpy_backend = backends.get_backend()
+    caller = threading.get_ident()
+
+    def failing_solve(a, b):
+        if (threading.get_ident() == caller) == (failing_lane == "calling thread"):
+            raise RuntimeError("lane failed")
+        return numpy_backend.solve(a, b)
+
+    monkeypatch.setitem(backends._instances, "numpy",
+                        dataclasses.replace(numpy_backend, solve=failing_solve))
+    system = random_stable_system(order=12, n_ports=2, feedthrough=0.05, seed=0)
+    points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, 4 * SOLVE_CHUNK)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="lane failed"):
+        evaluation._evaluate_solve(system.E, system.A, system.B, system.C, system.D,
+                                   points, workers=3)
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_each_lane_owns_one_buffer_within_its_share_of_the_budget(monkeypatch, lanes):
+    """Lanes' buffers are distinct and each holds at most SOLVE_BUFFER_BYTES // lanes."""
+    numpy_backend = backends.get_backend()
+    caller = threading.get_ident()
+    calls = []  # (on the calling thread, buffer id, buffer bytes)
+
+    def recording_solve(a, b):
+        calls.append((threading.get_ident() == caller, id(a.base), a.base.nbytes))
+        return numpy_backend.solve(a, b)
+
+    monkeypatch.setitem(backends._instances, "numpy",
+                        dataclasses.replace(numpy_backend, solve=recording_solve))
+    system = random_stable_system(order=BUDGET_ORDER, n_ports=2, feedthrough=0.05, seed=0)
+    points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, 2 * BUDGET_CHUNK + 7)
+    got = evaluation._evaluate_solve(system.E, system.A, system.B, system.C, system.D,
+                                     points, workers=lanes)
+    assert got.tobytes() == evaluate_pointwise(system.E, system.A, system.B, system.C,
+                                               system.D, points).tobytes()
+    assert len({buffer for _, buffer, _ in calls}) == lanes
+    assert len({buffer for on_caller, buffer, _ in calls if on_caller}) == 1
+    assert not all(on_caller for on_caller, _, _ in calls)
+    assert max(size for _, _, size in calls) <= SOLVE_BUFFER_BYTES // lanes
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,32 +7,20 @@ import pytest
 from repro.utils.blas import blas_threads, single_thread_blas
 
 
-@pytest.fixture
-def two_threads(openblas_threads):
-    """numpy's OpenBLAS set to two threads for the test, then restored."""
-    get_threads, set_threads = openblas_threads
-    previous = get_threads()
-    set_threads(2)
-    try:
-        yield get_threads
-    finally:
-        set_threads(previous)
-
-
 class TestSingleThreadBlas:
-    def test_pins_one_thread_and_restores_the_count(self, two_threads):
+    def test_pins_one_thread_and_restores_the_count(self, two_blas_threads):
         with single_thread_blas():
-            assert two_threads() == 1
-        assert two_threads() == 2
+            assert two_blas_threads() == 1
+        assert two_blas_threads() == 2
         assert blas_threads() == 2
 
-    def test_restores_the_count_when_the_block_raises(self, two_threads):
+    def test_restores_the_count_when_the_block_raises(self, two_blas_threads):
         with pytest.raises(RuntimeError, match="inside"):
             with single_thread_blas():
                 raise RuntimeError("inside")
-        assert two_threads() == 2
+        assert two_blas_threads() == 2
 
-    def test_blas_threads_waits_out_a_pin_held_by_another_thread(self, two_threads):
+    def test_blas_threads_waits_out_a_pin_held_by_another_thread(self, two_blas_threads):
         """A reader never reports another thread's temporary pin of 1."""
         pinned, release = threading.Event(), threading.Event()
         read: list = []
