@@ -59,11 +59,10 @@ def pytest_sessionstart(session):
     """Load scipy before any bench runs.
 
     The library imports scipy inside the functions that call it (the
-    trapezoidal integrator, the fast-VF refinement, the certify path's QZ),
-    so the first such call in a process pays the import, about 0.3 s.  A
-    bench that times such a call once (``bench_timedomain``'s integrator
-    loop) or keeps a best of three (``bench_vf_solver``'s compact solve)
-    would otherwise time the import along with the kernel.
+    trapezoidal integrator's LU, the Gramians), so the first such call in a
+    process pays the import, about 0.3 s.  A bench that times such a call
+    once (``bench_timedomain``'s integrator loop) would otherwise time the
+    import along with the kernel.
     """
     importlib.import_module("scipy.linalg")
 

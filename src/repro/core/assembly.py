@@ -21,7 +21,8 @@ same for the *fit* side.  Two families of helpers live here:
   The compact solver calls its Cholesky and small ``lstsq`` through the
   :func:`repro.backends.get_backend` record, fetched on every call (the
   record holds the numpy callables themselves); its refinement step's
-  triangular solves import scipy's on first use.
+  triangular solves are scipy's ``solve_triangular``, bit for bit, on
+  numpy's OpenBLAS (:func:`repro.utils.blas.solve_triangular`).
 
 * **Direction plumbing** -- the block-size resolution, interleaved
   right/left sample split, direction generation and rectangular embedding
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.core.directions import orthonormal_directions
+from repro.utils.blas import solve_triangular
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -379,11 +381,7 @@ def _vf_compact_reduce(blocks, rhs, condition_limit):
     gradient = np.sum(gradient, axis=0)[:, 0]  # A^T r, (n,)
     gram_full = np.sum(gram[:, :n_coeffs, :n_coeffs], axis=0)  # A^T A, (n, n)
     lower = linalg.cholesky(gram_full)
-    import scipy.linalg
-
-    correction = scipy.linalg.solve_triangular(
-        lower.T, scipy.linalg.solve_triangular(lower, gradient, lower=True), lower=False
-    )
+    correction = solve_triangular(lower.T, solve_triangular(lower, gradient, lower=True))
     solution = solution + correction
     if not np.all(np.isfinite(solution)):
         raise np.linalg.LinAlgError("compact fast-VF refinement diverged")

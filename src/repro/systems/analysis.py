@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.systems.statespace import DescriptorSystem
+from repro.utils.blas import generalized_eigvals
 
 __all__ = [
     "poles",
@@ -40,9 +41,7 @@ def poles(system: DescriptorSystem) -> np.ndarray:
     Infinite eigenvalues are returned as ``numpy.inf`` (with arbitrary sign of
     the imaginary part suppressed).
     """
-    import scipy.linalg
-
-    alpha, beta = scipy.linalg.eig(system.A, system.E, right=False, homogeneous_eigvals=True)
+    alpha, beta = generalized_eigvals(system.A, system.E)
     alpha = np.asarray(alpha).ravel()
     beta = np.asarray(beta).ravel()
     vals = np.empty(alpha.size, dtype=complex)

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.core.assembly import PoleGrouping
 from repro.core.options import canonical_token
+from repro.utils.blas import generalized_eig
 from repro.vectorfitting.passivity import (
     immittance_margins,
     scattering_margins,
@@ -304,7 +305,9 @@ def as_pole_residue(model) -> PoleResidueModel:
     * descriptor systems / macromodel results diagonalize through the
       generalized eigendecomposition of ``(A, E)``: with ``A V = E V diag(w)``
       the residues are ``R_n = (C v_n) ((E V)^-1 B)_n`` and the feed-through
-      is ``D`` unchanged.
+      is ``D`` unchanged.  The QZ is ``scipy.linalg.eig(A, E)`` bit for bit,
+      run on numpy's OpenBLAS (:func:`repro.utils.blas.generalized_eig`), so
+      certifying a model loads no scipy.
 
     Raises
     ------
@@ -325,14 +328,12 @@ def as_pole_residue(model) -> PoleResidueModel:
                 f"cannot convert {type(model).__name__} to pole-residue form: "
                 "expected a PoleResidueModel or a descriptor system (E, A, B, C, D)"
             )
-    import scipy.linalg
-
     E = np.asarray(system.E)
     A = np.asarray(system.A)
     B = np.asarray(system.B)
     C = np.asarray(system.C)
     D = np.asarray(system.D)
-    poles, V = scipy.linalg.eig(A, E)
+    poles, V = generalized_eig(A, E)
     if not np.all(np.isfinite(poles)):
         raise EnforcementFailed(
             "the model's (A, E) pencil has infinite eigenvalues: an improper "

@@ -39,6 +39,7 @@ from repro.core.assembly import (
     vf_scaling_solve,
 )
 from repro.data.dataset import FrequencyData
+from repro.utils.blas import solve_triangular
 from repro.utils.linalg import realify
 from repro.vectorfitting.poles import initial_poles, sort_poles
 from repro.vectorfitting.rational import PoleResidueModel
@@ -126,9 +127,7 @@ def _solve_residue_system(
             diag.max() if diag.size else 0.0
         )
         if diag.size and diag.min() > threshold:
-            import scipy.linalg
-
-            return scipy.linalg.solve_triangular(r1, q1.T @ responses_real)
+            return solve_triangular(r1, q1.T @ responses_real)
     return np.linalg.lstsq(phi1_real, responses_real, rcond=None)[0]
 
 
