@@ -1,7 +1,8 @@
-"""Fit-pipeline benchmark: batched assembly kernels vs the per-entry loops.
+"""Fit-pipeline benchmark: batched vector-fitting kernels vs the per-entry loops.
 
-PR 3 vectorized the *evaluation* side; :mod:`repro.core.assembly` does the
-same for the *fit* side.  This module measures both halves on the shared
+The evaluation side runs on one vectorized kernel;
+:mod:`repro.vectorfitting.kernels` does the same for the vector-fitting
+side.  This module measures both halves of those kernels on the shared
 PDN / transmission-line workloads:
 
 * ``vf inner loop`` -- the pole-structured kernels executed on every
@@ -9,13 +10,13 @@ PDN / transmission-line workloads:
   relocation companion form, residue reconstruction): the looped reference
   implementations (``*_reference`` in ``tests/oracles.py``, one Python step
   per pole group exactly like the pre-batched code) against the batched
-  kernels operating on a :class:`~repro.core.assembly.PoleGrouping` built
+  kernels operating on a :class:`~repro.vectorfitting.kernels.PoleGrouping` built
   once per iteration.
   Acceptance floor: **>= 3x** per workload (reference ~5-7x), with bitwise
   identical outputs.
 
 * ``vf projection`` -- the fast-VF per-entry LS projection, batched into
-  two large GEMMs by :func:`~repro.core.assembly.vf_scaling_blocks`.  This
+  two large GEMMs by :func:`~repro.vectorfitting.kernels.vf_scaling_blocks`.  This
   stage is BLAS-bound (the per-entry GEMMs of the reference are already
   large), so the batching buys a single kernel call per iteration rather
   than flops; the floor is simply "not slower" and the agreement with the
@@ -35,17 +36,17 @@ import pytest
 
 from repro.circuits.mna import netlist_to_descriptor
 from repro.circuits.transmission_line import lumped_transmission_line
-from repro.core.assembly import (
+from repro.data import add_measurement_noise, linear_frequencies, sample_scattering
+from repro.experiments.example2 import Example2Config, build_pdn_datasets
+from repro.utils.linalg import realify
+from repro.vectorfitting.fitting import vector_fit
+from repro.vectorfitting.kernels import (
     PoleGrouping,
     partial_fraction_basis,
     relocation_matrices,
     residues_from_coefficients,
     vf_scaling_blocks,
 )
-from repro.data import add_measurement_noise, linear_frequencies, sample_scattering
-from repro.experiments.example2 import Example2Config, build_pdn_datasets
-from repro.utils.linalg import realify
-from repro.vectorfitting.fitting import vector_fit
 from repro.vectorfitting.poles import initial_poles, sort_poles
 
 from oracles import (

@@ -8,7 +8,7 @@ with ``t_i = 2`` and ``t_i = 3``, and the recursive MFTI-2.  Columns: reduced
 order, CPU time, relative error.
 
 The measured INC-board data of the paper is proprietary; the workload here is
-the synthetic PDN documented in ``DESIGN.md``.  The Loewner rows of both
+the synthetic PDN documented in :mod:`repro.circuits.pdn`.  The Loewner rows of both
 tests run as one :class:`~repro.batch.engine.BatchEngine` job grid; the VF
 rows are timed individually because vector fitting is not a Loewner
 front-end.  The aggregated table (the reproduction of Table 1) is printed

@@ -3,10 +3,11 @@
 Each vector-fitting iteration solves one tall least-squares system for the
 shared scaling coefficients: ``E`` projected per-entry blocks of ``2N`` rows
 stacked into an ``E*2N x n`` matrix.  The compact path
-(:func:`repro.core.assembly._vf_compact_reduce`) reduces every block to its
-small R-factor through one batched GEMM + batched Cholesky and solves a
-``E(n+1) x n`` system instead -- the ``repro.core.assembly`` docstrings
-explain why the R-stack shares the stacked system's singular values.
+(:func:`repro.vectorfitting.kernels._vf_compact_reduce`) reduces every block
+to its small R-factor through one batched GEMM + batched Cholesky and solves
+a ``E(n+1) x n`` system instead -- the ``repro.vectorfitting.kernels``
+docstrings explain why the R-stack shares the stacked system's singular
+values.
 
 This module gates exactly that solve stage: both solvers are timed on
 **precomputed** projected inputs (the fast-VF projection is shared by both
@@ -27,7 +28,8 @@ import time
 
 import numpy as np
 
-from repro.core.assembly import (
+from repro.utils.linalg import realify
+from repro.vectorfitting.kernels import (
     VF_COMPACT_CONDITION_LIMIT,
     PoleGrouping,
     _vf_compact_reduce,
@@ -35,7 +37,6 @@ from repro.core.assembly import (
     partial_fraction_basis,
     vf_scaling_blocks,
 )
-from repro.utils.linalg import realify
 
 #: Required compact-vs-stacked speedup of the solve stage per workload.
 MIN_SOLVE_SPEEDUP = 2.0

@@ -59,7 +59,7 @@ def pytest_sessionstart(session):
     """Load scipy before any bench runs.
 
     The library imports scipy inside the functions that call it (the
-    trapezoidal integrator's LU, the Gramians), so the first such call in a
+    trapezoidal integrator's LU), so the first such call in a
     process pays the import, about 0.3 s.  A bench that times such a call
     once (``bench_timedomain``'s integrator loop) would otherwise time the
     import along with the kernel.

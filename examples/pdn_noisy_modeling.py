@@ -1,8 +1,8 @@
 """Example 2 of the paper: macromodeling a noisy 14-port power-distribution network.
 
 Builds the synthetic PDN (the substitute for the paper's measured INC board,
-see ``DESIGN.md``), samples 100 noisy scattering matrices on a uniform and on
-an ill-conditioned (high-frequency-clustered) grid, and compares VFTI, MFTI-1
+see :mod:`repro.circuits.pdn`), samples 100 noisy scattering matrices on a
+uniform and on an ill-conditioned (high-frequency-clustered) grid, and compares VFTI, MFTI-1
 (t = 2, 3) and the recursive MFTI-2 -- the Loewner rows of Table 1.  Set
 ``INCLUDE_VECTOR_FITTING = True`` to add the (slower) VF rows.
 

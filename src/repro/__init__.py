@@ -15,8 +15,8 @@ Top-level layout
 ``repro.vectorfitting``
     The Vector Fitting baseline used in the paper's Table 1.
 ``repro.systems``
-    Descriptor-system substrate: model classes, analysis, random benchmark
-    systems, network-parameter conversions, balanced truncation, simulation.
+    Descriptor-system substrate: model classes, pole analysis, random
+    benchmark systems, network-parameter conversions, simulation.
 ``repro.circuits``
     Circuit substrate: netlists, MNA assembly, RLC/transmission-line/PDN
     benchmark networks.

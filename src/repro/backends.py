@@ -1,8 +1,9 @@
 """The factorization record the kernel modules call through.
 
-The three kernel modules (``systems/evaluation.py``, ``core/assembly.py``,
-``systems/spectral.py``) compute in ``numpy`` directly, except for four
-factorizations they fetch from :func:`get_backend` on every call.  The record
+The three kernel modules (``systems/evaluation.py``,
+``vectorfitting/kernels.py``, ``systems/spectral.py``) compute in ``numpy``
+directly, except for four factorizations they fetch from
+:func:`get_backend` on every call.  The record
 holds the plain numpy callables, so calling through it is bitwise identical
 to calling them directly, and importing this module loads no scipy.  It
 remains because an outside tracer swaps a counting copy into

@@ -31,13 +31,8 @@ from repro.circuits.elements import (
 )
 from repro.circuits.netlist import Netlist
 from repro.circuits.mna import MnaSystem, assemble_mna, netlist_to_descriptor
-from repro.circuits.rlc_networks import (
-    coupled_rlc_lines,
-    rc_ladder,
-    rlc_grid,
-    rlc_ladder,
-)
-from repro.circuits.transmission_line import lumped_transmission_line, multiconductor_line
+from repro.circuits.rlc_networks import coupled_rlc_lines, rlc_grid, rlc_ladder
+from repro.circuits.transmission_line import lumped_transmission_line
 from repro.circuits.pdn import PdnConfiguration, power_distribution_network
 
 __all__ = [
@@ -51,12 +46,10 @@ __all__ = [
     "MnaSystem",
     "assemble_mna",
     "netlist_to_descriptor",
-    "rc_ladder",
     "rlc_ladder",
     "rlc_grid",
     "coupled_rlc_lines",
     "lumped_transmission_line",
-    "multiconductor_line",
     "PdnConfiguration",
     "power_distribution_network",
 ]

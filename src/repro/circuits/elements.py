@@ -130,9 +130,9 @@ class Port(CircuitElement):
     """Current-driven / voltage-sensed port between ``node_pos`` and ``node_neg``.
 
     With this convention the assembled multi-port transfer function is the
-    *impedance* matrix ``Z(s)`` (inject unit current, observe voltage).  Use
-    :func:`repro.systems.interconnect.scattering_from_impedance` (or sample
-    and convert pointwise) to obtain scattering parameters.
+    *impedance* matrix ``Z(s)`` (inject unit current, observe voltage).
+    Sample it and convert pointwise with
+    :func:`repro.systems.interconnect.z_to_s` to obtain scattering parameters.
 
     Attributes
     ----------

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits.elements import (
-    GROUND_NAMES,
-    Capacitor,
-    CurrentProbePort,
-    Port,
-    Resistor,
-)
+from repro.circuits.elements import GROUND_NAMES, Capacitor, CurrentProbePort, Resistor
 from repro.circuits.netlist import Netlist
 from repro.systems.statespace import DescriptorSystem
 

@@ -2,9 +2,10 @@
 
 The paper's Example 2 interpolates *measured* scattering data of a 14-port
 power-distribution network of an "INC board" (Min, Georgia Tech PhD thesis,
-2004).  Those measurements are not publicly available, so -- per the
-substitution policy recorded in ``DESIGN.md`` -- this module builds a
-physically structured synthetic PDN with the same observable characteristics:
+2004).  Those measurements are not publicly available.  The substitution
+policy of this reproduction is to replace unpublished data by a physically
+structured model with the same observable characteristics, so this module
+builds a synthetic PDN with:
 
 * a power/ground plane pair modeled as a lossy L/C grid (many closely spaced
   plane resonances across the band),
@@ -201,9 +202,8 @@ def power_distribution_network(
     -------
     DescriptorSystem or MnaSystem
         The multi-port impedance model ``Z(s)``; convert to scattering
-        parameters with :func:`repro.systems.interconnect.z_to_s` when
-        sampling, or at the system level with
-        :func:`repro.systems.interconnect.scattering_from_impedance`.
+        parameters pointwise with :func:`repro.systems.interconnect.z_to_s`
+        (``sample_scattering(..., system_kind="Z")`` does this per sample).
     """
     netlist = build_pdn_netlist(config)
     mna = assemble_mna(netlist)

@@ -2,7 +2,7 @@
 
 These generators build the structured multi-port circuits that the
 experiments and tests use as known, physically meaningful reference models:
-RC and RLC ladders (on-chip interconnect style), inductively/capacitively
+RLC ladders (on-chip interconnect style), inductively/capacitively
 coupled parallel lines (crosstalk workloads) and 2-D RLC grids (plane / mesh
 structures).  Every generator returns a :class:`~repro.circuits.netlist.Netlist`
 so the caller can inspect or extend the circuit before assembling it through
@@ -14,39 +14,7 @@ from __future__ import annotations
 from repro.circuits.netlist import Netlist
 from repro.utils.validation import check_positive_integer
 
-__all__ = ["rc_ladder", "rlc_ladder", "coupled_rlc_lines", "rlc_grid"]
-
-
-def rc_ladder(
-    n_sections: int,
-    *,
-    resistance: float = 10.0,
-    capacitance: float = 1e-12,
-    load_resistance: float | None = None,
-    two_port: bool = True,
-) -> Netlist:
-    """RC ladder (distributed RC interconnect model).
-
-    ``n_sections`` series resistors with shunt capacitors at every internal
-    node.  With ``two_port=True`` ports are placed at the near and far ends
-    (a classic driver/receiver pair); otherwise only the near-end port is
-    declared.
-    """
-    n_sections = check_positive_integer(n_sections, "n_sections")
-    if resistance <= 0 or capacitance <= 0:
-        raise ValueError("resistance and capacitance must be positive")
-    net = Netlist(title=f"rc_ladder_{n_sections}")
-    for k in range(n_sections):
-        a = "in" if k == 0 else f"n{k}"
-        b = f"n{k + 1}" if k < n_sections - 1 else "out"
-        net.add_resistor(a, b, resistance)
-        net.add_capacitor(b, "0", capacitance)
-    if load_resistance:
-        net.add_resistor("out", "0", load_resistance)
-    net.add_port("in", "0")
-    if two_port:
-        net.add_port("out", "0")
-    return net
+__all__ = ["rlc_ladder", "coupled_rlc_lines", "rlc_grid"]
 
 
 def rlc_ladder(

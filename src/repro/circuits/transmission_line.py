@@ -3,8 +3,8 @@
 Package and board traces are distributed structures; the standard way to
 represent them in an MNA-compatible netlist is to chop the line into many
 RLGC sections whose per-section values come from the per-unit-length
-parameters.  These builders produce single lines and multiconductor bundles
-directly from physical per-unit-length data, which gives the experiments
+parameters.  This builder produces a single line directly from physical
+per-unit-length data, which gives the experiments
 benchmark systems whose frequency responses have the delay-like, many-pole
 character the paper's motivation (signal integrity of high-speed links)
 cares about.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.circuits.netlist import Netlist
 from repro.utils.validation import check_positive_integer
 
-__all__ = ["lumped_transmission_line", "multiconductor_line"]
+__all__ = ["lumped_transmission_line"]
 
 
 def lumped_transmission_line(
@@ -76,64 +76,4 @@ def lumped_transmission_line(
         net.add_resistor(b, "0", 1.0 / shunt_g)
     net.add_port(f"{name_prefix}_in", "0")
     net.add_port(f"{name_prefix}_out", "0")
-    return net
-
-
-def multiconductor_line(
-    n_conductors: int,
-    length_m: float,
-    n_sections: int,
-    *,
-    resistance_per_m: float = 5.0,
-    inductance_per_m: float = 250e-9,
-    capacitance_per_m: float = 100e-12,
-    mutual_capacitance_per_m: float = 20e-12,
-    inductive_coupling: float = 0.35,
-    conductance_per_m: float = 1e-5,
-) -> Netlist:
-    """Coupled multiconductor transmission line (MTL) bundle.
-
-    Adjacent conductors share mutual capacitance and inductive coupling in
-    every section.  The resulting netlist has ``2 * n_conductors`` ports (near
-    and far end of every conductor), which makes it a convenient "massive
-    port" workload of tunable size for the interpolation experiments.
-    """
-    n_conductors = check_positive_integer(n_conductors, "n_conductors")
-    n_sections = check_positive_integer(n_sections, "n_sections")
-    if length_m <= 0:
-        raise ValueError("length_m must be positive")
-    if not 0.0 <= inductive_coupling < 1.0:
-        raise ValueError("inductive_coupling must lie in [0, 1)")
-    dx = length_m / n_sections
-    r_sec = resistance_per_m * dx
-    l_sec = inductance_per_m * dx
-    c_sec = capacitance_per_m * dx
-    cm_sec = mutual_capacitance_per_m * dx
-    g_sec = conductance_per_m * dx
-
-    net = Netlist(title=f"mtl_{n_conductors}x{n_sections}")
-    inductor_names: dict[tuple[int, int], str] = {}
-    for cond in range(n_conductors):
-        prefix = f"c{cond}"
-        for k in range(n_sections):
-            a = f"{prefix}_in" if k == 0 else f"{prefix}_n{k}"
-            mid = f"{prefix}_m{k + 1}"
-            b = f"{prefix}_n{k + 1}" if k < n_sections - 1 else f"{prefix}_out"
-            net.add_resistor(a, mid, r_sec)
-            ind = net.add_inductor(mid, b, l_sec)
-            inductor_names[(cond, k)] = ind.name
-            net.add_capacitor(b, "0", c_sec)
-            net.add_resistor(b, "0", 1.0 / g_sec)
-    for cond in range(n_conductors - 1):
-        for k in range(n_sections):
-            upper = f"c{cond}_n{k + 1}" if k < n_sections - 1 else f"c{cond}_out"
-            lower = f"c{cond + 1}_n{k + 1}" if k < n_sections - 1 else f"c{cond + 1}_out"
-            if cm_sec > 0:
-                net.add_capacitor(upper, lower, cm_sec)
-            if inductive_coupling > 0:
-                net.add_mutual(inductor_names[(cond, k)], inductor_names[(cond + 1, k)],
-                               inductive_coupling)
-    for cond in range(n_conductors):
-        net.add_port(f"c{cond}_in", "0")
-        net.add_port(f"c{cond}_out", "0")
     return net

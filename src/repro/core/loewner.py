@@ -8,8 +8,8 @@ the shifted Loewner matrix are
 ``sL[a, b] = (mu_a V[a, :] R[:, b] - lambda_b L[a, :] W[:, b]) / (mu_a - lambda_b)``
 
 -- exactly eqs. (11)-(12) written entrywise.  Both satisfy the Sylvester
-equations (13), which :func:`sylvester_residuals` verifies and the test-suite
-uses as a structural invariant.
+equations (13), which the test-suite checks as a structural invariant
+(``tests/oracles.py``).
 
 The :class:`LoewnerPencil` value object bundles the two matrices together with
 the tangential quantities needed for realization (``W``, ``V``, the sample
@@ -39,7 +39,6 @@ __all__ = [
     "divided_difference_blocks",
     "real_from_half",
     "real_tangential_values",
-    "sylvester_residuals",
 ]
 
 
@@ -105,11 +104,6 @@ class LoewnerPencil:
         return int(self.loewner.shape[1])
 
     @property
-    def is_square(self) -> bool:
-        """True when the Loewner matrices are square (required by Lemma 3.1)."""
-        return self.k_left == self.k_right
-
-    @property
     def n_outputs(self) -> int:
         """System output count ``p`` (rows of ``W``)."""
         return int(np.asarray(self.W).shape[0])
@@ -118,11 +112,6 @@ class LoewnerPencil:
     def n_inputs(self) -> int:
         """System input count ``m`` (columns of ``V``)."""
         return int(np.asarray(self.V).shape[1])
-
-    @property
-    def sample_points(self) -> np.ndarray:
-        """All distinct sample points ``{lambda_i} union {mu_i}``."""
-        return np.unique(np.concatenate([self.lambda_points, self.mu_points]))
 
     # ------------------------------------------------------------------ #
     # pencil evaluations and singular values
@@ -317,26 +306,3 @@ def build_loewner_pencil(data: TangentialData, *, real: bool = False) -> Loewner
         left_block_sizes=data.left_block_sizes,
         is_real=True,
     )
-
-
-def sylvester_residuals(pencil: LoewnerPencil, data: TangentialData) -> tuple[float, float]:
-    """Relative residuals of the two Sylvester equations (13).
-
-    Returns ``(residual_loewner, residual_shifted)`` where each residual is the
-    Frobenius norm of the equation defect divided by the norm of its right-hand
-    side.  Both should be at round-off level for a correctly assembled pencil;
-    the property-based tests assert this for random data.
-    """
-    lam = np.diag(data.lambda_points)
-    mu = np.diag(data.mu_points)
-    lw = data.L @ data.W
-    vr = data.V @ data.R
-
-    rhs1 = lw - vr
-    lhs1 = pencil.loewner @ lam - mu @ pencil.loewner
-    res1 = np.linalg.norm(lhs1 - rhs1) / max(np.linalg.norm(rhs1), 1e-300)
-
-    rhs2 = lw @ lam - mu @ vr
-    lhs2 = pencil.shifted_loewner @ lam - mu @ pencil.shifted_loewner
-    res2 = np.linalg.norm(lhs2 - rhs2) / max(np.linalg.norm(rhs2), 1e-300)
-    return float(res1), float(res2)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core._pipeline import realize_from_tangential, register_frontend
-from repro.core.assembly import prepare_block_directions
+from repro.core.directions import prepare_block_directions
 from repro.core.options import MftiOptions
 from repro.core.results import MacromodelResult
 from repro.core.tangential import build_tangential_data

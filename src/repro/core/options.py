@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.utils.rng import RandomState
+from repro.utils.validation import check_positive_integer
 
 __all__ = [
     "InterpolationOptions",
@@ -232,7 +233,10 @@ class MftiOptions(InterpolationOptions):
         ``min(m, p)`` (all matrix information, Lemma 3.1); an integer applies
         the same ``t`` to every sample; a sequence assigns one ``t_i`` per
         sampled frequency, which is how the paper weights ill-conditioned
-        samples ("weight 1" / "weight 2" in Table 1 Test 2).
+        samples ("weight 1" / "weight 2" in Table 1 Test 2).  Integers are
+        Python or numpy integers, not ``bool``; anything else raises
+        ``ValueError`` here, and the fit checks each ``t_i`` against
+        ``min(m, p)``.
     direction_kind:
         ``"identity"`` (deterministic, cycling identity columns) or
         ``"random"`` (random orthonormal matrices).
@@ -250,8 +254,17 @@ class MftiOptions(InterpolationOptions):
             raise ValueError(
                 f"direction_kind must be 'identity' or 'random', got {self.direction_kind!r}"
             )
-        if isinstance(self.block_size, int) and self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        sizes = self.block_size
+        if sizes is None:
+            sizes = []
+        elif not (isinstance(sizes, (list, tuple))
+                  or (isinstance(sizes, np.ndarray) and sizes.ndim == 1)):
+            sizes = [sizes]
+        try:
+            for t in sizes:
+                check_positive_integer(t, "block_size")
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,11 @@
 """State-space realization from the Loewner pencil.
 
-Two ingredients of the paper's Section 3.3-3.4 live here:
-
-* :func:`direct_realization` -- Lemma 3.1: when the pencil is square and
-  ``x L - sL`` is invertible at every sample point, the raw quintuple
-  ``(E, A, B, C, D) = (-L, -sL, V, W, 0)`` already interpolates the data.
-* :func:`svd_realization` -- Lemmas 3.3-3.4: when the data oversamples the
-  underlying system the pencil is singular, and the regular part is extracted
-  by a rank-revealing SVD followed by a two-sided projection.
+:func:`svd_realization` implements Lemmas 3.3-3.4 of the paper: when the
+data oversamples the underlying system the pencil is singular, and the
+regular part is extracted by a rank-revealing SVD followed by a two-sided
+projection.  Lemma 3.1's direct realization
+``(E, A, B, C, D) = (-L, -sL, V, W, 0)`` of a square, regular pencil is a
+case no fit takes; the tests check it with an oracle (``tests/oracles.py``).
 
 Lemma 3.2's real transform, the block unitary congruence that maps the
 complex, conjugate-structured Loewner quantities to real matrices (so the
@@ -43,7 +41,6 @@ from repro.utils.linalg import (
 )
 
 __all__ = [
-    "direct_realization",
     "svd_realization",
     "RealizationDiagnostics",
 ]
@@ -75,36 +72,6 @@ class RealizationDiagnostics:
     x0: Optional[complex]
     mode: str
     rank_tolerance: Optional[float]
-
-
-def direct_realization(pencil: LoewnerPencil) -> DescriptorSystem:
-    """Lemma 3.1: the raw Loewner realization ``(E, A, B, C) = (-L, -sL, V, W)``.
-
-    Only valid when the pencil is square and ``x L - sL`` is non-singular for
-    every sample point ``x`` -- i.e. when the data neither under- nor
-    over-samples the underlying system.  The resulting transfer function
-    satisfies the tangential constraints (10) exactly; when ``t_i = m = p``
-    and the directions are full rank it matches the full sample matrices (3).
-    """
-    if not pencil.is_square:
-        raise ValueError(
-            "direct realization requires a square Loewner pencil "
-            f"(got {pencil.k_left} x {pencil.k_right}); use svd_realization instead"
-        )
-    for x in pencil.sample_points:
-        matrix = pencil.shifted_pencil(x)
-        if np.linalg.matrix_rank(matrix) < matrix.shape[0]:
-            raise ValueError(
-                f"x*L - sL is singular at sample point {x}; "
-                "the data over-determines the system -- use svd_realization"
-            )
-    return DescriptorSystem(
-        -pencil.loewner,
-        -pencil.shifted_loewner,
-        pencil.V,
-        pencil.W,
-        np.zeros((pencil.n_outputs, pencil.n_inputs)),
-    )
 
 
 def _determine_order(

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core._pipeline import realize_from_tangential, register_frontend
-from repro.core.assembly import prepare_block_directions
+from repro.core.directions import prepare_block_directions
 from repro.core.options import RecursiveOptions
 from repro.core.results import MacromodelResult, RecursiveDiagnostics, RecursiveIteration
 from repro.core.tangential import TangentialData, _block_slices, build_tangential_data

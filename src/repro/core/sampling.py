@@ -10,7 +10,7 @@ with the empirical value ``k_min = (order(Gamma) + rank(D0))/min(m, p)``.
 VFTI, by contrast, needs at least ``order(Gamma)`` samples -- a factor
 ``min(m, p)`` more, which is the headline saving of MFTI.
 
-These helpers are used by the Example-1 experiment (to pick the "8 samples"
+The estimate is used by the Example-1 experiment (to pick the "8 samples"
 setting), by the minimal-sampling benchmark that sweeps the sample count for
 both methods, and by user code that wants to budget measurements up front.
 """
@@ -20,12 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.systems.statespace import DescriptorSystem
 from repro.utils.validation import check_nonnegative_integer, check_positive_integer
 
-__all__ = ["MinimalSamplingEstimate", "minimal_sample_count", "recommend_sample_count"]
+__all__ = ["MinimalSamplingEstimate", "minimal_sample_count"]
 
 
 @dataclass(frozen=True)
@@ -101,36 +98,3 @@ def minimal_sample_count(
         empirical=empirical,
         vfti_requirement=order,
     )
-
-
-def recommend_sample_count(
-    system: DescriptorSystem,
-    *,
-    block_size: int | None = None,
-    safety_factor: float = 1.25,
-    rank_tolerance: float = 1e-10,
-) -> int:
-    """Recommended number of sampled matrices for recovering ``system`` with MFTI.
-
-    Uses the empirical value of Theorem 3.5 computed from the system's actual
-    order and feed-through rank, inflated by ``safety_factor`` and rounded up
-    to an even count (the left/right split of eqs. 6-7 consumes samples in
-    pairs).
-    """
-    if safety_factor < 1.0:
-        raise ValueError("safety_factor must be >= 1")
-    d = np.asarray(system.D)
-    if d.size:
-        svals = np.linalg.svd(d, compute_uv=False)
-        rank_d = int(np.count_nonzero(svals > rank_tolerance * max(svals[0], 1e-300)))
-    else:
-        rank_d = 0
-    estimate = minimal_sample_count(
-        system.order,
-        system.n_inputs,
-        system.n_outputs,
-        rank_d=rank_d,
-        block_size=block_size,
-    )
-    count = math.ceil(estimate.empirical * safety_factor)
-    return count + (count % 2)

@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core._pipeline import realize_from_tangential, register_frontend
-from repro.core.assembly import interleaved_indices
-from repro.core.directions import vfti_directions
+from repro.core.directions import interleaved_indices, vfti_directions
 from repro.core.options import VftiOptions
 from repro.core.results import MacromodelResult
 from repro.core.tangential import build_tangential_data

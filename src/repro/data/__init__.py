@@ -6,8 +6,9 @@ This package turns systems (descriptor models, circuits) into the
 * frequency-grid construction -- uniform, logarithmic and the deliberately
   ill-conditioned, high-frequency-clustered grids of the paper's Test 2
   (:mod:`repro.data.frequency`),
-* sampling of scattering / impedance / admittance matrices along a grid
-  (:mod:`repro.data.sampler`),
+* sampling along a grid (:mod:`repro.data.sampler`): scattering or
+  impedance matrices, or any transfer function labelled through
+  ``sample_system(kind=...)``,
 * measurement-noise models (:mod:`repro.data.noise`),
 * the :class:`~repro.data.dataset.FrequencyData` container holding the
   samples plus their metadata,
@@ -16,15 +17,9 @@ This package turns systems (descriptor models, circuits) into the
 """
 
 from repro.data.dataset import FrequencyData
-from repro.data.frequency import (
-    clustered_frequencies,
-    linear_frequencies,
-    log_frequencies,
-    split_frequencies,
-)
-from repro.data.model_io import load_model, save_model
+from repro.data.frequency import clustered_frequencies, linear_frequencies, log_frequencies
 from repro.data.noise import add_measurement_noise, snr_to_sigma
-from repro.data.sampler import sample_admittance, sample_impedance, sample_scattering, sample_system
+from repro.data.sampler import sample_impedance, sample_scattering, sample_system
 from repro.data.touchstone import read_touchstone, write_touchstone
 
 __all__ = [
@@ -32,15 +27,11 @@ __all__ = [
     "linear_frequencies",
     "log_frequencies",
     "clustered_frequencies",
-    "split_frequencies",
     "add_measurement_noise",
     "snr_to_sigma",
     "sample_system",
     "sample_scattering",
     "sample_impedance",
-    "sample_admittance",
     "read_touchstone",
     "write_touchstone",
-    "save_model",
-    "load_model",
 ]

@@ -17,7 +17,6 @@ __all__ = [
     "linear_frequencies",
     "log_frequencies",
     "clustered_frequencies",
-    "split_frequencies",
 ]
 
 
@@ -77,20 +76,3 @@ def clustered_frequencies(
         if freqs[i] <= freqs[i - 1]:
             freqs[i] = freqs[i - 1] + eps
     return freqs
-
-
-def split_frequencies(frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate-split a frequency grid into (right, left) interpolation sets.
-
-    The Loewner framework partitions the samples into right data (used to
-    build column information) and left data (row information).  The paper
-    assigns odd-indexed frequencies to the right set and even-indexed ones to
-    the left set (eqs. 6-7); this helper reproduces that interleaving and is
-    shared by the VFTI and MFTI front-ends so both see identical partitions.
-    """
-    freqs = np.asarray(frequencies, dtype=float).ravel()
-    if freqs.size < 2:
-        raise ValueError("need at least two frequencies to split into left/right sets")
-    if np.any(np.diff(np.sort(freqs)) <= 0):
-        raise ValueError("frequencies must be distinct")
-    return freqs[0::2], freqs[1::2]

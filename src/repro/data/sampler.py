@@ -19,7 +19,7 @@ from repro.systems.statespace import DescriptorSystem
 from repro.utils.blas import single_thread_blas
 from repro.utils.validation import ensure_1d
 
-__all__ = ["sample_system", "sample_scattering", "sample_impedance", "sample_admittance"]
+__all__ = ["sample_system", "sample_scattering", "sample_impedance"]
 
 
 def sample_system(
@@ -114,13 +114,3 @@ def sample_impedance(
 ) -> FrequencyData:
     """Sample a system whose transfer function is an impedance matrix ``Z(s)``."""
     return sample_system(system, frequencies_hz, kind="Z", label=label)
-
-
-def sample_admittance(
-    system: DescriptorSystem,
-    frequencies_hz: np.ndarray,
-    *,
-    label: str = "",
-) -> FrequencyData:
-    """Sample a system whose transfer function is an admittance matrix ``Y(s)``."""
-    return sample_system(system, frequencies_hz, kind="Y", label=label)

@@ -17,7 +17,6 @@ needed in practice:
 
 from __future__ import annotations
 
-import io
 import os
 from typing import TextIO
 

@@ -1,7 +1,6 @@
 """Experiment drivers that regenerate every figure and table of the paper.
 
-Each module corresponds to one evaluation artifact (see the per-experiment
-index in ``DESIGN.md``):
+Each module corresponds to one evaluation artifact:
 
 * :mod:`repro.experiments.example1` -- Example 1: the under-sampled order-150,
   30-port system; singular-value profiles (Fig. 1), Bode comparison (Fig. 2)

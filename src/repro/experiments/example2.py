@@ -13,9 +13,9 @@ columns are the reduced model order, the CPU time and the relative error.
 
 The measured INC-board data used in the paper is proprietary, so the workload
 is the synthetic 14-port PDN of :mod:`repro.circuits.pdn` sampled over
-1 MHz - 10 GHz with additive measurement noise (the substitution is documented
-in ``DESIGN.md``).  Errors are reported both against the noisy measurement set
-(the paper's metric) and against a dense noise-free validation sweep of the
+1 MHz - 10 GHz with additive measurement noise (that module's docstring
+states the substitution).  Errors are reported both against the noisy
+measurement set (the paper's metric) and against a dense noise-free validation sweep of the
 underlying network, which is the fairer comparison when a ground-truth
 simulator is available.
 """

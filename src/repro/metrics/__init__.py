@@ -2,15 +2,14 @@
 
 The paper compares algorithms with a per-frequency relative matrix error and
 the aggregate ``ERR`` defined in Section 5; this package implements those
-exact metrics plus a few standard extras (worst-case error, RMS entrywise
-error) and a one-call validation routine that evaluates a recovered model
-against a reference data set.
+exact metrics, a one-call validation routine that evaluates a recovered
+model against a reference data set (its report includes the worst
+per-frequency error), and the time-domain metrics of the batched spectral
+pathway.
 """
 
 from repro.metrics.errors import (
     aggregate_error,
-    entrywise_rms_error,
-    max_relative_error,
     model_aggregate_error,
     model_errors,
     relative_error_per_frequency,
@@ -28,8 +27,6 @@ from repro.metrics.validation import ValidationReport, validate_model
 __all__ = [
     "relative_error_per_frequency",
     "aggregate_error",
-    "max_relative_error",
-    "entrywise_rms_error",
     "model_errors",
     "model_aggregate_error",
     "ValidationReport",

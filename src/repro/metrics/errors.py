@@ -26,8 +26,6 @@ __all__ = [
     "relative_error_per_frequency",
     "reference_norms",
     "aggregate_error",
-    "max_relative_error",
-    "entrywise_rms_error",
     "model_errors",
     "model_aggregate_error",
 ]
@@ -82,21 +80,6 @@ def aggregate_error(model_samples, reference_samples) -> float:
     """The paper's aggregate ``ERR = ||err||_2 / sqrt(k)`` (RMS of relative errors)."""
     err = relative_error_per_frequency(model_samples, reference_samples)
     return float(np.linalg.norm(err) / np.sqrt(err.size))
-
-
-def max_relative_error(model_samples, reference_samples) -> float:
-    """Worst per-frequency relative error over the sweep."""
-    err = relative_error_per_frequency(model_samples, reference_samples)
-    return float(np.max(err))
-
-
-def entrywise_rms_error(model_samples, reference_samples) -> float:
-    """RMS of the absolute entrywise differences (not normalised)."""
-    model = _stack(model_samples)
-    reference = _stack(reference_samples)
-    if model.shape != reference.shape:
-        raise ValueError("sample arrays must have identical shapes")
-    return float(np.sqrt(np.mean(np.abs(model - reference) ** 2)))
 
 
 def model_errors(

@@ -11,16 +11,12 @@ with possibly singular ``E`` (a *descriptor system*, DS).  It provides
 * the shared vectorized sweep-evaluation kernel (batched stacked-pencil
   solves, the shift-invert eigendecomposition fast path and pole-residue
   Cauchy evaluation) in :mod:`repro.systems.evaluation`,
-* system analysis (poles, stability, controllability/observability Gramians,
-  Hankel singular values) in :mod:`repro.systems.analysis`,
-* balanced truncation for reference reductions in :mod:`repro.systems.balanced`,
+* system analysis (poles, stability) in :mod:`repro.systems.analysis`,
 * time-domain simulation in :mod:`repro.systems.timedomain` (per-step
   trapezoidal integration) and the batched spectral (inverse-FFT) pathway in
   :mod:`repro.systems.spectral`,
-* network-parameter conversions (impedance / admittance / scattering) in
-  :mod:`repro.systems.interconnect`,
-* system interconnection (series / parallel / feedback) in
-  :mod:`repro.systems.composition`,
+* pointwise network-parameter conversions (impedance / admittance /
+  scattering) in :mod:`repro.systems.interconnect`,
 * generators of random benchmark systems (e.g. the order-150, 30-port system
   of the paper's Example 1) in :mod:`repro.systems.random_systems`.
 """
@@ -33,37 +29,14 @@ from repro.systems.evaluation import (
     evaluate_descriptor,
     evaluate_pointwise,
 )
-from repro.systems.analysis import (
-    controllability_gramian,
-    hankel_singular_values,
-    is_stable,
-    observability_gramian,
-    poles,
-    spectral_abscissa,
-)
-from repro.systems.balanced import balanced_truncation
-from repro.systems.composition import feedback, parallel, series
-from repro.systems.interconnect import (
-    s_to_y,
-    s_to_z,
-    scattering_from_admittance,
-    scattering_from_impedance,
-    y_to_s,
-    z_to_s,
-)
-from repro.systems.random_systems import (
-    example1_system,
-    random_descriptor_system,
-    random_port_map,
-    random_stable_system,
-)
+from repro.systems.analysis import is_stable, poles, spectral_abscissa
+from repro.systems.interconnect import s_to_y, s_to_z, y_to_s, z_to_s
+from repro.systems.random_systems import example1_system, random_stable_system
 from repro.systems.spectral import (
     SpectralGrid,
     batch_time_responses,
     build_spectral_grid,
     grid_nonuniform_spectrum,
-    spectral_impulse_response,
-    spectral_step_response,
 )
 from repro.systems.timedomain import impulse_response, simulate_lsim, step_response
 
@@ -75,33 +48,20 @@ __all__ = [
     "evaluate_descriptor",
     "evaluate_pointwise",
     "evaluate_cauchy",
-    "controllability_gramian",
-    "observability_gramian",
-    "hankel_singular_values",
     "poles",
     "spectral_abscissa",
     "is_stable",
-    "balanced_truncation",
-    "series",
-    "parallel",
-    "feedback",
     "s_to_y",
     "s_to_z",
     "y_to_s",
     "z_to_s",
-    "scattering_from_impedance",
-    "scattering_from_admittance",
     "random_stable_system",
-    "random_descriptor_system",
-    "random_port_map",
     "example1_system",
     "impulse_response",
     "step_response",
     "simulate_lsim",
     "SpectralGrid",
     "build_spectral_grid",
-    "spectral_impulse_response",
-    "spectral_step_response",
     "batch_time_responses",
     "grid_nonuniform_spectrum",
 ]

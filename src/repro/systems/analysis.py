@@ -1,4 +1,4 @@
-"""System analysis: poles, stability, Gramians and Hankel singular values.
+"""System analysis: poles and stability.
 
 These routines serve two purposes in the reproduction:
 
@@ -8,8 +8,8 @@ These routines serve two purposes in the reproduction:
   stability of the identified descriptor system).
 
 Everything works on :class:`~repro.systems.statespace.DescriptorSystem`
-instances; Gramian-based analysis additionally requires an invertible ``E``
-(it converts to explicit state-space form internally).
+instances, singular ``E`` included: the poles are the generalized
+eigenvalues of ``(A, E)``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ __all__ = [
     "finite_poles",
     "spectral_abscissa",
     "is_stable",
-    "controllability_gramian",
-    "observability_gramian",
-    "hankel_singular_values",
-    "minimality_defect",
 ]
 
 #: Magnitude above which a generalized eigenvalue is treated as "infinite"
@@ -71,56 +67,3 @@ def spectral_abscissa(system: DescriptorSystem) -> float:
 def is_stable(system: DescriptorSystem, *, margin: float = 0.0) -> bool:
     """True when every finite pole satisfies ``Re(pole) < -margin``."""
     return spectral_abscissa(system) < -margin
-
-
-def _explicit(system: DescriptorSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(A, B, C)`` of the explicit form ``E^{-1}A, E^{-1}B, C``."""
-    a = np.linalg.solve(system.E, system.A)
-    b = np.linalg.solve(system.E, system.B)
-    return a, b, np.array(system.C)
-
-
-def controllability_gramian(system: DescriptorSystem) -> np.ndarray:
-    """Controllability Gramian ``P`` solving ``A P + P A* + B B* = 0``.
-
-    Requires an invertible ``E`` and a (Hurwitz) stable system.
-    """
-    a, b, _ = _explicit(system)
-    if np.max(np.real(np.linalg.eigvals(a))) >= 0:
-        raise ValueError("controllability Gramian requires a stable system")
-    import scipy.linalg
-
-    return scipy.linalg.solve_lyapunov(a, -b @ b.conj().T)
-
-
-def observability_gramian(system: DescriptorSystem) -> np.ndarray:
-    """Observability Gramian ``Q`` solving ``A* Q + Q A + C* C = 0``."""
-    a, _, c = _explicit(system)
-    if np.max(np.real(np.linalg.eigvals(a))) >= 0:
-        raise ValueError("observability Gramian requires a stable system")
-    import scipy.linalg
-
-    return scipy.linalg.solve_lyapunov(a.conj().T, -c.conj().T @ c)
-
-
-def hankel_singular_values(system: DescriptorSystem) -> np.ndarray:
-    """Hankel singular values (square roots of the eigenvalues of ``P Q``), sorted descending."""
-    p = controllability_gramian(system)
-    q = observability_gramian(system)
-    eigvals = np.linalg.eigvals(p @ q)
-    eigvals = np.clip(eigvals.real, 0.0, None)
-    return np.sort(np.sqrt(eigvals))[::-1]
-
-
-def minimality_defect(system: DescriptorSystem, *, rtol: float = 1e-9) -> int:
-    """Number of Hankel singular values that are numerically zero.
-
-    A defect of zero indicates a (numerically) minimal realization; the
-    Loewner realization of Lemma 3.1/3.4 is minimal by construction, and the
-    tests use this to verify it.
-    """
-    hsv = hankel_singular_values(system)
-    if hsv.size == 0:
-        return 0
-    threshold = rtol * float(hsv[0]) if hsv[0] > 0 else 0.0
-    return int(np.count_nonzero(hsv <= threshold))

@@ -3,10 +3,11 @@
 Macromodeling data for multi-port interconnect come either as scattering
 matrices (S-parameters, the form the paper uses), impedance matrices (Z) or
 admittance matrices (Y).  The circuit substrate naturally produces Y or Z
-(through modified nodal analysis); this module converts between the three
-representations both *pointwise* (matrix-valued samples at a frequency) and at
-the *system level* (descriptor-system realizations), so the benchmark
-workloads can be expressed in whichever parameters the experiment needs.
+(through modified nodal analysis); this module converts matrix-valued
+samples between the three representations, one frequency at a time, so the
+benchmark workloads can be expressed in whichever parameters the experiment
+needs (:meth:`FrequencyData.converted
+<repro.data.dataset.FrequencyData.converted>` applies them to a whole sweep).
 
 Conventions
 -----------
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.systems.statespace import DescriptorSystem
 from repro.utils.validation import check_square
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "s_to_y",
     "z_to_y",
     "y_to_z",
-    "scattering_from_impedance",
-    "scattering_from_admittance",
 ]
 
 
@@ -84,55 +82,3 @@ def y_to_z(y: np.ndarray) -> np.ndarray:
     """Invert an admittance matrix sample into an impedance matrix."""
     y = check_square(np.asarray(y, dtype=complex), "y")
     return np.linalg.inv(y)
-
-
-def scattering_from_admittance(system: DescriptorSystem, z0: float = 50.0) -> DescriptorSystem:
-    """System-level conversion of an admittance (Y-parameter) model to scattering parameters.
-
-    Given a descriptor system realizing ``Y(s)``, the scattering transfer
-    function is ``S(s) = (I - z0 Y)(I + z0 Y)^{-1}``.  With
-    ``Y(s) = C (sE - A)^{-1} B + D`` the closed form is::
-
-        F   = (I + z0 D)^{-1}
-        A_s = A - z0 B F C          E_s = E
-        B_s = z0 B F  * sqrt(2)... (scaled into B_s = B F)
-        C_s = -2 z0 F C  ... combined below
-        D_s = (I - z0 D) F
-
-    The algebra below follows the standard bilinear feedback construction:
-    ``S = I - 2 z0 (Y^{-1} + z0 I)^{-1}`` rewritten as a linear-fractional
-    transform of the realization, and is verified against the pointwise
-    conversion :func:`y_to_s` in the test-suite.
-
-    Requires ``m = p`` (square system).
-    """
-    if system.n_inputs != system.n_outputs:
-        raise ValueError("scattering conversion requires a square system")
-    eye = np.eye(system.n_inputs)
-    d = system.D
-    f = np.linalg.inv(eye + z0 * d)
-    a_s = system.A - z0 * system.B @ f @ system.C
-    b_s = system.B @ f
-    c_s = -2.0 * z0 * f @ system.C
-    d_s = (eye - z0 * d) @ f
-    return DescriptorSystem(system.E, a_s, b_s, c_s, d_s)
-
-
-def scattering_from_impedance(system: DescriptorSystem, z0: float = 50.0) -> DescriptorSystem:
-    """System-level conversion of an impedance (Z-parameter) model to scattering parameters.
-
-    Given a realization of ``Z(s)``, the scattering transfer function is
-    ``S(s) = (Z - z0 I)(Z + z0 I)^{-1}``.  The construction mirrors
-    :func:`scattering_from_admittance` with the roles of the bilinear map's
-    coefficients exchanged, and is likewise validated pointwise in the tests.
-    """
-    if system.n_inputs != system.n_outputs:
-        raise ValueError("scattering conversion requires a square system")
-    eye = np.eye(system.n_inputs)
-    d = system.D
-    g = np.linalg.inv(d + z0 * eye)
-    a_s = system.A - system.B @ g @ system.C
-    b_s = system.B @ g
-    c_s = 2.0 * z0 * g @ system.C
-    d_s = (d - z0 * eye) @ g
-    return DescriptorSystem(system.E, a_s, b_s, c_s, d_s)

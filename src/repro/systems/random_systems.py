@@ -3,7 +3,7 @@
 The paper's Example 1 samples scattering matrices from a known *order-150
 system with 30 ports* and then studies how many samples each interpolation
 flavour needs to recover it.  The authors do not publish that system, so this
-module generates random stable MIMO (descriptor) systems with controllable
+module generates random stable MIMO state-space systems with controllable
 order, port count, damping and frequency range -- the properties that matter
 for the experiment -- and exposes :func:`example1_system` as the fixed,
 seeded stand-in used by the Example-1 reproduction.
@@ -20,14 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.systems.statespace import DescriptorSystem, StateSpace
+from repro.systems.statespace import StateSpace
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_positive_integer
 
 __all__ = [
     "random_stable_system",
-    "random_descriptor_system",
-    "random_port_map",
     "example1_system",
 ]
 
@@ -37,22 +35,6 @@ def _pole_block(omega: float, zeta: float) -> np.ndarray:
     real = -zeta * omega
     imag = omega * np.sqrt(max(0.0, 1.0 - zeta * zeta))
     return np.array([[real, imag], [-imag, real]])
-
-
-def random_port_map(order: int, n_ports: int, rng: np.random.Generator,
-                    *, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Random input/output maps ``(B, C)`` for a system of the given order and port count.
-
-    The entries are Gaussian with unit variance scaled by ``scale / sqrt(order)``
-    so that the overall transfer-function magnitude stays O(1) independent of
-    the order, keeping the scattering-like data in a realistic range.
-    """
-    order = check_positive_integer(order, "order")
-    n_ports = check_positive_integer(n_ports, "n_ports")
-    sigma = scale / np.sqrt(order)
-    b = rng.normal(scale=sigma, size=(order, n_ports))
-    c = rng.normal(scale=sigma, size=(n_ports, order))
-    return b, c
 
 
 def random_stable_system(
@@ -136,34 +118,6 @@ def random_stable_system(
     else:
         d = np.zeros((n_ports, n_ports))
     return StateSpace(a, b, c, d)
-
-
-def random_descriptor_system(
-    order: int,
-    n_ports: int,
-    *,
-    e_condition: float = 10.0,
-    seed: RandomState = None,
-    **kwargs,
-) -> DescriptorSystem:
-    """Generate a random stable descriptor system with a non-trivial (but invertible) ``E``.
-
-    The system is obtained from :func:`random_stable_system` by an equivalence
-    transform ``(E, A, B, C) -> (T E, T A, T B, C)`` with a well-conditioned
-    random ``T`` whose condition number is approximately ``e_condition``.  The
-    transfer function is unchanged, but ``E`` is no longer the identity, which
-    exercises the descriptor-aware code paths of the samplers and the
-    interpolation core.
-    """
-    rng = ensure_rng(seed)
-    base = random_stable_system(order, n_ports, seed=rng, **kwargs)
-    n = base.order
-    # random orthogonal factors with prescribed singular-value spread
-    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    sv = np.logspace(0.0, np.log10(max(e_condition, 1.0)), n)
-    t = q1 @ np.diag(sv) @ q2
-    return DescriptorSystem(t @ base.E, t @ base.A, t @ base.B, base.C, base.D)
 
 
 #: Seed used for the fixed Example-1 benchmark system so every run of the

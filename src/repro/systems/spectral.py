@@ -53,12 +53,8 @@ __all__ = [
     "spectral_window",
     "impulse_from_spectrum",
     "step_from_impulse",
-    "spectral_impulse_response",
-    "spectral_step_response",
     "batch_time_responses",
     "grid_nonuniform_spectrum",
-    "spectral_energy",
-    "impulse_energy",
     "DEFAULT_OVERSAMPLE",
     "DEFAULT_TAPER_FRACTION",
     "DEFAULT_WINDOW",
@@ -73,7 +69,7 @@ DEFAULT_OVERSAMPLE = 8
 #: highest non-uniform samples off to zero (see :func:`grid_nonuniform_spectrum`).
 DEFAULT_TAPER_FRACTION = 0.1
 
-#: Spectral window applied by the high-level response functions.  An impulse
+#: Spectral window applied by :func:`batch_time_responses`.  An impulse
 #: response jumps from 0 to ``h(0+)`` at ``t = 0``, so the plain truncated
 #: inverse transform rings (Gibbs: a fixed ~9 % overshoot next to the jump
 #: that refinement moves but never shrinks).  The Lanczos sigma factors
@@ -219,8 +215,8 @@ def impulse_from_spectrum(
     ``h(t) = (1 / 2 pi) int H(j w) e^{j w t} dw``: the inverse DFT is scaled
     by ``1 / dt`` (the quadrature measure ``dw / 2 pi = df = 1 / (N dt)``
     against the DFT's ``1 / N`` normalisation) and cropped to the grid's
-    requested ``n_points`` unless ``crop=False`` (the Parseval identity of
-    :func:`impulse_energy` needs the full periodization window).
+    requested ``n_points`` unless ``crop=False`` (a Parseval energy check
+    needs the full periodization window).
 
     The transform is ``np.fft.irfft``, called through the
     :func:`repro.backends.get_backend` record.
@@ -257,50 +253,6 @@ def step_from_impulse(
     if feedthrough is not None:
         steps = steps + np.asarray(feedthrough)[np.newaxis, :, :]
     return steps
-
-
-def spectral_impulse_response(
-    model,
-    t_final: float,
-    n_points: int = 500,
-    *,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    method: str = "auto",
-    window: str = DEFAULT_WINDOW,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Impulse response of one model via the oversampled-IFFT pathway.
-
-    Returns ``(time, impulse)`` with ``impulse`` of shape
-    ``(n_points, p, m)`` -- all input/output pairs at once, unlike the
-    integrator's per-input columns.  The returned response is the strictly
-    proper part; the feed-through's ``D delta(t)`` is not representable on a
-    sampled grid (see the module docstring) and the ``t = 0`` sample carries
-    the half-jump value ``h(0+) / 2``.
-    """
-    grid = build_spectral_grid(t_final, n_points, oversample=oversample)
-    spectrum = _windowed(evaluate_spectrum(model, grid, method=method), grid, window)
-    return grid.time, impulse_from_spectrum(spectrum, grid)
-
-
-def spectral_step_response(
-    model,
-    t_final: float,
-    n_points: int = 500,
-    *,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    method: str = "auto",
-    window: str = DEFAULT_WINDOW,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step response of one model via the oversampled-IFFT pathway.
-
-    Returns ``(time, step)`` with ``step`` of shape ``(n_points, p, m)``:
-    the cumulative integral of the spectral impulse response plus the
-    instantaneous feed-through term ``D``.
-    """
-    grid = build_spectral_grid(t_final, n_points, oversample=oversample)
-    spectrum = _windowed(evaluate_spectrum(model, grid, method=method), grid, window)
-    impulse = impulse_from_spectrum(spectrum, grid)
-    return grid.time, step_from_impulse(impulse, grid, feedthrough=_feedthrough(model))
 
 
 def batch_time_responses(
@@ -415,36 +367,3 @@ def grid_nonuniform_spectrum(
                 window = 0.5 * (1.0 + np.cos(np.pi * phase))
                 spectrum[tapered] *= window[:, np.newaxis, np.newaxis]
     return spectrum
-
-
-def spectral_energy(spectrum: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Frequency-domain signal energy per (output, input) pair.
-
-    The rfft-grid Parseval sum ``df * (|S_0|^2 + 2 sum_k |S_k|^2 +
-    |S_nyq|^2)`` -- the discrete counterpart of
-    ``int |H(j 2 pi f)|^2 df`` over both half-axes.  Matches
-    :func:`impulse_energy` of the same spectrum's transform up to rounding
-    (exactly the module's Parseval consistency property).
-    """
-    spectrum = np.asarray(spectrum)
-    weights = np.full(spectrum.shape[-3], 2.0)
-    weights[0] = 1.0
-    if grid.n_fft % 2 == 0:
-        weights[-1] = 1.0
-    # irfft's implicit Hermitian symmetrization keeps only the real part of
-    # the DC and Nyquist bins; mirror that here so the identity is exact
-    magnitude2 = np.abs(spectrum) ** 2
-    magnitude2[..., 0, :, :] = spectrum[..., 0, :, :].real ** 2
-    if grid.n_fft % 2 == 0:
-        magnitude2[..., -1, :, :] = spectrum[..., -1, :, :].real ** 2
-    return grid.df * np.einsum("...kpm,k->...pm", magnitude2, weights)
-
-
-def impulse_energy(impulse: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Time-domain signal energy ``dt * sum_n h[n]^2`` per (output, input) pair.
-
-    Pass the *uncropped* impulse (``impulse_from_spectrum(..., crop=False)``)
-    for the exact Parseval counterpart of :func:`spectral_energy`.
-    """
-    impulse = np.asarray(impulse)
-    return grid.dt * np.sum(impulse**2, axis=-3)

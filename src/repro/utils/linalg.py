@@ -7,8 +7,6 @@ recur everywhere:
 * economic singular value decompositions with *rank detection* driven by a
   relative tolerance or by the largest gap in the singular-value profile
   (the paper's Fig. 1 is exactly such a profile),
-* assembling block-diagonal matrices (the ``Λ``/``M`` frequency matrices and
-  the real-transform ``T`` of Lemma 3.2),
 * spectral norms of stacked sweeps, the one kernel behind the paper's
   per-frequency error ``||H(j w) - S(f)||_2 / ||S(f)||_2`` and the
   scattering passivity margin ``sigma_max(S(j w))``,
@@ -19,14 +17,11 @@ Keeping them here gives a single, well-tested implementation.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.utils.validation import ensure_2d
 
 __all__ = [
-    "block_diag",
     "economic_svd",
     "numerical_rank",
     "rank_from_gap",
@@ -76,28 +71,6 @@ def rowcol_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions do not match: {a.shape} @ {b.shape}")
     return np.einsum("ik,kj->ij", a, b, optimize=False)
-
-
-def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Assemble a dense block-diagonal matrix from ``blocks``.
-
-    Unlike :func:`scipy.linalg.block_diag` this helper preserves the common
-    complex dtype of the blocks and accepts an empty sequence (returning a
-    ``0 x 0`` matrix), which simplifies edge cases in the Loewner assembly.
-    """
-    blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
-    if not blocks:
-        return np.zeros((0, 0))
-    dtype = np.result_type(*[b.dtype for b in blocks])
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=dtype)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def economic_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,17 +8,19 @@ pole-relocation scheme that fits a common-pole rational model
 
 to the sampled data.  This package provides a from-scratch implementation:
 
+* :mod:`repro.vectorfitting.kernels` -- the batched VF kernels (basis, pole
+  relocation, residue reconstruction, the fast-VF solver) over the one
+  pole-pairing rule, :class:`PoleGrouping`,
 * :mod:`repro.vectorfitting.poles` -- initial pole placement,
 * :mod:`repro.vectorfitting.rational` -- the :class:`PoleResidueModel`
   rational-model class (evaluation + conversion to a real state space),
 * :mod:`repro.vectorfitting.fitting` -- the fast-VF style fitting loop,
 * :mod:`repro.vectorfitting.passivity` -- sampling-based passivity checks for
-  the fitted models,
+  the fitted models (:func:`passivity_violations`),
 * :mod:`repro.vectorfitting.enforcement` -- post-fit passivity enforcement
   (Gustavsen-style residue perturbation) producing certified passive models.
 """
 
-from repro.core.assembly import PoleGrouping
 from repro.vectorfitting.enforcement import (
     EnforcementFailed,
     PassivityCertificate,
@@ -26,7 +28,8 @@ from repro.vectorfitting.enforcement import (
     enforce_passivity,
 )
 from repro.vectorfitting.fitting import VectorFitResult, vector_fit
-from repro.vectorfitting.passivity import is_passive_scattering, passivity_violations
+from repro.vectorfitting.kernels import PoleGrouping
+from repro.vectorfitting.passivity import passivity_violations
 from repro.vectorfitting.poles import initial_poles, sort_poles
 from repro.vectorfitting.rational import PoleResidueModel
 
@@ -37,7 +40,6 @@ __all__ = [
     "PoleResidueModel",
     "vector_fit",
     "VectorFitResult",
-    "is_passive_scattering",
     "passivity_violations",
     "PassivitySpec",
     "PassivityCertificate",

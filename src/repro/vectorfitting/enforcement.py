@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.assembly import PoleGrouping
 from repro.core.options import canonical_token
 from repro.utils.blas import generalized_eig
+from repro.vectorfitting.kernels import PoleGrouping
 from repro.vectorfitting.passivity import (
     immittance_margins,
     scattering_margins,

@@ -17,9 +17,9 @@ pole iteration converges the residues of every entry are identified in a
 single joint least-squares solve.
 
 The numerical kernels (basis, relocation companion form, per-entry
-projection, residue reconstruction) live in :mod:`repro.core.assembly` as
-batched array operations over a precomputed
-:class:`~repro.core.assembly.PoleGrouping`; this module only drives the
+projection, residue reconstruction) live in :mod:`repro.vectorfitting.kernels`
+as batched array operations over a precomputed
+:class:`~repro.vectorfitting.kernels.PoleGrouping`; this module only drives the
 iteration.
 """
 
@@ -31,16 +31,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.assembly import (
+from repro.data.dataset import FrequencyData
+from repro.utils.blas import solve_triangular
+from repro.utils.linalg import realify
+from repro.vectorfitting.kernels import (
     PoleGrouping,
     partial_fraction_basis,
     relocation_matrices,
     residues_from_coefficients,
     vf_scaling_solve,
 )
-from repro.data.dataset import FrequencyData
-from repro.utils.blas import solve_triangular
-from repro.utils.linalg import realify
 from repro.vectorfitting.poles import initial_poles, sort_poles
 from repro.vectorfitting.rational import PoleResidueModel
 

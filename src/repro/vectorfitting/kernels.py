@@ -1,47 +1,34 @@
-"""Batched fit-pipeline assembly kernels shared by every fit front-end.
+"""Batched vector-fitting (VF) kernels.
 
-PR 3 gave the *evaluation* side one vectorized kernel; this module does the
-same for the *fit* side.  Two families of helpers live here:
-
-* **Vector-fitting kernels** -- the partial-fraction basis, the pole
-  relocation companion form, the residue reconstruction, the fast-VF
-  per-entry projection, and the compact conditioned fast-VF *solver*
-  (:func:`vf_scaling_solve`: per-entry Cholesky-QR reduction of each tall
-  projected block to its small R-factor, one well-conditioned stacked
-  solve, automatic fall-back to the stacked-``lstsq`` reference when the
-  reduction is rank-deficient or the conditioning estimate exceeds
-  :data:`VF_COMPACT_CONDITION_LIMIT`), all as mask/index array operations
-  over a precomputed :class:`PoleGrouping` instead of per-pole-group
-  Python loops.  :meth:`PoleGrouping.from_poles` is the repository's one
-  pole-pairing rule: pole sorting, the VF kernels, the pole-residue
-  state-space conversion and passivity enforcement all read it.  The
-  looped oracles the kernels are pinned against live in ``tests/oracles.py``;
-  only the stacked-``lstsq`` solver :func:`vf_scaling_solve_reference`
-  stays here, because it is the compact solver's runtime fallback.
-  The compact solver calls its Cholesky and small ``lstsq`` through the
-  :func:`repro.backends.get_backend` record, fetched on every call (the
-  record holds the numpy callables themselves); its refinement step's
-  triangular solves are scipy's ``solve_triangular``, bit for bit, on
-  numpy's OpenBLAS (:func:`repro.utils.blas.solve_triangular`).
-
-* **Direction plumbing** -- the block-size resolution, interleaved
-  right/left sample split, direction generation and rectangular embedding
-  that were previously duplicated between :mod:`repro.core.mfti` and
-  :mod:`repro.core.recursive`, collapsed into
-  :func:`prepare_block_directions`.
+The partial-fraction basis, the pole relocation companion form, the residue
+reconstruction, the fast-VF per-entry projection, and the compact
+conditioned fast-VF *solver* (:func:`vf_scaling_solve`: per-entry
+Cholesky-QR reduction of each tall projected block to its small R-factor,
+one well-conditioned stacked solve, automatic fall-back to the
+stacked-``lstsq`` reference when the reduction is rank-deficient or the
+conditioning estimate exceeds :data:`VF_COMPACT_CONDITION_LIMIT`), all as
+mask/index array operations over a precomputed :class:`PoleGrouping`
+instead of per-pole-group Python loops.  :meth:`PoleGrouping.from_poles` is
+the repository's one pole-pairing rule: pole sorting, the VF kernels, the
+pole-residue state-space conversion and passivity enforcement all read it.
+The looped oracles the kernels are pinned against live in
+``tests/oracles.py``; only the stacked-``lstsq`` solver
+:func:`vf_scaling_solve_reference` stays here, because it is the compact
+solver's runtime fallback.  The compact solver calls its Cholesky and small
+``lstsq`` through the :func:`repro.backends.get_backend` record, fetched on
+every call (the record holds the numpy callables themselves); its
+refinement step's triangular solves are scipy's ``solve_triangular``, bit
+for bit, on numpy's OpenBLAS (:func:`repro.utils.blas.solve_triangular`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
 from repro.backends import get_backend
-from repro.core.directions import orthonormal_directions
 from repro.utils.blas import solve_triangular
-from repro.utils.rng import ensure_rng
 
 __all__ = [
     "REAL_POLE_TOLERANCE",
@@ -54,12 +41,6 @@ __all__ = [
     "vf_scaling_solve",
     "vf_scaling_solve_reference",
     "VF_COMPACT_CONDITION_LIMIT",
-    "DirectionPlan",
-    "embed_directions",
-    "generate_direction_sets",
-    "interleaved_indices",
-    "prepare_block_directions",
-    "resolve_block_sizes",
 ]
 
 #: Relative magnitude below which a pole's imaginary part is treated as zero.
@@ -412,114 +393,3 @@ def vf_scaling_solve(
         return _vf_scaling_solve_compact(phi, responses, q1, condition_limit)
     except np.linalg.LinAlgError:
         return vf_scaling_solve_reference(phi, responses, q1)
-
-
-# --------------------------------------------------------------------- #
-# tangential direction plumbing (shared by the MFTI and recursive front-ends)
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class DirectionPlan:
-    """Resolved per-sample tangential directions for an interleaved split."""
-
-    per_sample_sizes: tuple[int, ...]
-    right_indices: tuple[int, ...]
-    left_indices: tuple[int, ...]
-    right_directions: tuple[np.ndarray, ...]
-    left_directions: tuple[np.ndarray, ...]
-
-
-def interleaved_indices(n_samples: int) -> tuple[list[int], list[int]]:
-    """The paper's right/left split: even positions right, odd positions left."""
-    return list(range(0, n_samples, 2)), list(range(1, n_samples, 2))
-
-
-def embed_directions(direction: np.ndarray, dimension: int) -> np.ndarray:
-    """Zero-pad a direction matrix generated in ``min(m, p)`` space to ``dimension`` rows."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape[0] == dimension:
-        return direction
-    padded = np.zeros((dimension, direction.shape[1]))
-    padded[: direction.shape[0], :] = direction
-    return padded
-
-
-def resolve_block_sizes(
-    block_size: Union[None, int, Sequence[int]],
-    n_samples: int,
-    max_block: int,
-) -> list[int]:
-    """Normalise the ``block_size`` option into one ``t_i`` per sampled frequency.
-
-    ``None`` means "use everything" (``t_i = min(m, p)``), an integer applies
-    uniformly, and a sequence is validated and used as given (this is the
-    paper's per-sample weighting for ill-conditioned data).
-    """
-    if block_size is None:
-        return [max_block] * n_samples
-    if isinstance(block_size, (int, np.integer)):
-        t = int(block_size)
-        if not 1 <= t <= max_block:
-            raise ValueError(f"block_size must lie in [1, {max_block}], got {t}")
-        return [t] * n_samples
-    sizes = [int(t) for t in block_size]
-    if len(sizes) != n_samples:
-        raise ValueError(
-            f"block_size sequence must have one entry per sample ({n_samples}), got {len(sizes)}"
-        )
-    for t in sizes:
-        if not 1 <= t <= max_block:
-            raise ValueError(f"every block size must lie in [1, {max_block}], got {t}")
-    return sizes
-
-
-def generate_direction_sets(
-    options,
-    n_ports: int,
-    right_sizes: Sequence[int],
-    left_sizes: Sequence[int],
-):
-    """Generate the per-sample right/left direction matrices requested by ``options``."""
-    if options.direction_kind == "identity":
-        # rotate the starting column from sample to sample so every port is probed
-        eye = np.eye(n_ports)
-        right = [
-            eye[:, [(i * t + j) % n_ports for j in range(t)]]
-            for i, t in enumerate(right_sizes)
-        ]
-        left = [
-            eye[:, [(i * t + j) % n_ports for j in range(t)]]
-            for i, t in enumerate(left_sizes)
-        ]
-        return right, left
-    rng = ensure_rng(options.direction_seed)
-    right = [orthonormal_directions(n_ports, t, 1, seed=rng)[0] for t in right_sizes]
-    left = [orthonormal_directions(n_ports, t, 1, seed=rng)[0] for t in left_sizes]
-    return right, left
-
-
-def prepare_block_directions(
-    options,
-    n_samples: int,
-    n_inputs: int,
-    n_outputs: int,
-) -> DirectionPlan:
-    """Resolve block sizes, split samples right/left and generate embedded directions.
-
-    This is the per-sample size/direction plumbing previously duplicated
-    between the MFTI and recursive front-ends: directions are generated in
-    the ``min(m, p)``-dimensional port space and zero-padded into the
-    input/output spaces when the system is rectangular.
-    """
-    max_block = min(n_inputs, n_outputs)
-    per_sample_sizes = resolve_block_sizes(options.block_size, n_samples, max_block)
-    right_indices, left_indices = interleaved_indices(n_samples)
-    right_sizes = [per_sample_sizes[i] for i in right_indices]
-    left_sizes = [per_sample_sizes[i] for i in left_indices]
-    right_dirs, left_dirs = generate_direction_sets(options, max_block, right_sizes, left_sizes)
-    return DirectionPlan(
-        per_sample_sizes=tuple(per_sample_sizes),
-        right_indices=tuple(right_indices),
-        left_indices=tuple(left_indices),
-        right_directions=tuple(embed_directions(d, n_inputs) for d in right_dirs),
-        left_directions=tuple(embed_directions(d, n_outputs) for d in left_dirs),
-    )

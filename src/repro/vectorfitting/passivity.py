@@ -37,8 +37,6 @@ __all__ = [
     "passivity_violations",
     "scattering_margins",
     "immittance_margins",
-    "is_passive_scattering",
-    "is_passive_immittance",
 ]
 
 
@@ -66,11 +64,10 @@ def _response(model, frequencies_hz: np.ndarray) -> np.ndarray:
 def _validated_sweep(frequencies_hz, tolerance: float) -> np.ndarray:
     """Input validation of the passivity checks.
 
-    An empty sweep would make every ``is_passive_*`` helper return ``True``
-    without checking anything -- a vacuous pass that could certify an
-    unchecked model -- and a NaN tolerance makes every violation comparison
-    ``False`` with the same silent effect.  Both are caller bugs, so both
-    raise instead of passing.
+    An empty sweep would report no violation without checking anything --
+    a vacuous pass that could certify an unchecked model -- and a NaN
+    tolerance makes every violation comparison ``False`` with the same
+    silent effect.  Both are caller bugs, so both raise instead of passing.
     """
     freqs = np.asarray(frequencies_hz, dtype=float).ravel()
     if freqs.size == 0:
@@ -166,13 +163,3 @@ def passivity_violations(
         PassivityViolation(float(f), float(metric))
         for f, metric in zip(freqs[offending], margins[offending])
     ]
-
-
-def is_passive_scattering(model, frequencies_hz, *, tolerance: float = 1e-8) -> bool:
-    """True when ``sigma_max(S(j w)) <= 1`` at every checked frequency."""
-    return not passivity_violations(model, frequencies_hz, representation="S", tolerance=tolerance)
-
-
-def is_passive_immittance(model, frequencies_hz, *, tolerance: float = 1e-8) -> bool:
-    """True when the Hermitian part of ``H(j w)`` is PSD at every checked frequency."""
-    return not passivity_violations(model, frequencies_hz, representation="Z", tolerance=tolerance)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.assembly import PoleGrouping
 from repro.utils.validation import check_positive_integer
+from repro.vectorfitting.kernels import PoleGrouping
 
 __all__ = ["initial_poles", "sort_poles"]
 
@@ -20,7 +20,7 @@ __all__ = ["initial_poles", "sort_poles"]
 def sort_poles(poles: np.ndarray) -> np.ndarray:
     """Order poles with conjugate pairs adjacent (positive imaginary part first).
 
-    Poles group by :meth:`~repro.core.assembly.PoleGrouping.from_poles`.
+    Poles group by :meth:`~repro.vectorfitting.kernels.PoleGrouping.from_poles`.
     Real poles come first (sorted ascending), then each conjugate pair as
     its upper-half-plane member followed by that member's exact conjugate,
     sorted by ``(|Im|, Re)``.  Unpaired positives -- the upper-half-plane

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.assembly import PoleGrouping
 from repro.systems.evaluation import evaluate_cauchy
 from repro.systems.statespace import StateSpace
 from repro.utils.validation import ensure_2d
+from repro.vectorfitting.kernels import PoleGrouping
 
 __all__ = ["PoleResidueModel"]
 
@@ -144,7 +144,7 @@ class PoleResidueModel:
         Real poles contribute ``m`` states with ``(A, B, C) = (a I, I, Re(R))``;
         complex pairs contribute ``2m`` states with the standard real 2x2 block
         ``[[alpha I, beta I], [-beta I, alpha I]]`` and ``C = [Re(R), Im(R)]``.
-        Poles group by :meth:`~repro.core.assembly.PoleGrouping.from_poles`;
+        Poles group by :meth:`~repro.vectorfitting.kernels.PoleGrouping.from_poles`;
         an unpaired complex pole makes the model non-real and raises.
         """
         m = self.n_inputs

@@ -1,27 +1,36 @@
-"""Looped equivalence oracles for the batched kernels in ``src/``.
+"""Test-only oracles: looped kernels, the paper-theory checks, helpers.
 
-Each function here is the straightforward one-step-at-a-time version of a
-batched kernel: the property tests pin the kernel against it (bitwise where
-the operations are elementwise), and ``benchmarks/bench_fit_pipeline.py`` /
-``bench_passivity.py`` time the kernel against it.  Nothing in ``src/``
-imports this module.  The stacked-``lstsq`` fast-VF solver
-(:func:`repro.core.assembly.vf_scaling_solve_reference`) is not here: it is
-the compact solver's runtime fallback.  Four oracles do the work the
-library skips instead of looping: the literal per-block tangential data with
-explicit conjugate blocks, the dense Lemma 3.2 transform, its literal
-pair-by-pair mixing of the full complex pencil, and the two-sided SVDs of the
-full ``2k``-wide matrices.
+Each looped function here is the straightforward one-step-at-a-time version
+of a batched kernel: the property tests pin the kernel against it (bitwise
+where the operations are elementwise), and
+``benchmarks/bench_fit_pipeline.py`` / ``bench_passivity.py`` time the kernel
+against it.  Nothing in ``src/`` imports this module.  The stacked-``lstsq``
+fast-VF solver (:func:`repro.vectorfitting.kernels.vf_scaling_solve_reference`)
+is not here: it is the compact solver's runtime fallback.  Four oracles do
+the work the library skips instead of looping: the literal per-block
+tangential data with explicit conjugate blocks, the dense Lemma 3.2
+transform, its literal pair-by-pair mixing of the full complex pencil, and
+the two-sided SVDs of the full ``2k``-wide matrices.
+
+Two checks of the paper's theory that no fit runs live here too: Lemma 3.1's
+direct realization of a square, regular pencil and the residuals of the
+Sylvester equations (13).  So does :func:`identity_directions`, the
+hand-built tangential fixtures' shorthand for the library's identity
+directions.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
-from repro.core.assembly import REAL_POLE_TOLERANCE
-from repro.core.tangential import _pair_halves
+from repro.core.directions import generate_direction_sets
+from repro.core.options import MftiOptions
 from repro.core.realization import _determine_order
+from repro.core.tangential import _pair_halves
 from repro.systems.statespace import DescriptorSystem
-from repro.utils.linalg import block_diag, economic_svd, realify
+from repro.utils.linalg import economic_svd, realify
+from repro.vectorfitting.kernels import REAL_POLE_TOLERANCE
 from repro.vectorfitting.passivity import PassivityViolation, _validated_sweep
 
 __all__ = [
@@ -36,6 +45,9 @@ __all__ = [
     "mix_columns_reference",
     "real_transform_reference",
     "two_sided_realization_reference",
+    "direct_realization",
+    "sylvester_residuals",
+    "identity_directions",
 ]
 
 
@@ -67,7 +79,7 @@ def partial_fraction_basis_reference(
     s_points: np.ndarray,
     poles: np.ndarray,
 ) -> np.ndarray:
-    """Looped oracle for :func:`~repro.core.assembly.partial_fraction_basis`."""
+    """Looped oracle for :func:`~repro.vectorfitting.kernels.partial_fraction_basis`."""
     s_points = np.asarray(s_points, dtype=complex).ravel()
     poles = np.asarray(poles, dtype=complex).ravel()
     phi = np.empty((s_points.size, poles.size), dtype=complex)
@@ -86,7 +98,7 @@ def partial_fraction_basis_reference(
 def relocation_matrices_reference(
     poles: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Looped oracle for :func:`~repro.core.assembly.relocation_matrices`."""
+    """Looped oracle for :func:`~repro.vectorfitting.kernels.relocation_matrices`."""
     poles = np.asarray(poles, dtype=complex).ravel()
     n = poles.size
     a_mat = np.zeros((n, n))
@@ -115,7 +127,7 @@ def residues_from_coefficients_reference(
     poles: np.ndarray,
     shape: tuple[int, int],
 ) -> np.ndarray:
-    """Looped oracle for :func:`~repro.core.assembly.residues_from_coefficients`."""
+    """Looped oracle for :func:`~repro.vectorfitting.kernels.residues_from_coefficients`."""
     poles = np.asarray(poles, dtype=complex).ravel()
     p, m = shape
     residues = np.zeros((poles.size, p, m), dtype=complex)
@@ -139,7 +151,7 @@ def vf_scaling_blocks_reference(
     responses: np.ndarray,
     q1: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Looped oracle for :func:`~repro.core.assembly.vf_scaling_blocks` (one entry at a time)."""
+    """Looped oracle for :func:`~repro.vectorfitting.kernels.vf_scaling_blocks` (one entry at a time)."""
     n_entries = responses.shape[1]
     blocks = []
     rhs_blocks = []
@@ -234,15 +246,15 @@ def real_transform_matrix_reference(block_sizes) -> np.ndarray:
     :func:`~repro.core.loewner.build_loewner_pencil` writes ``T* M T`` from
     the ``+j omega`` rows without forming ``T``; this builds the
     ``(1/sqrt(2)) [[I, -jI], [I, jI]]`` block afresh for every conjugate pair
-    and stacks the blocks with :func:`block_diag`, so ``T_l* L T_r`` can be
-    formed densely.
+    and stacks the blocks block-diagonally, so ``T_l* L T_r`` can be formed
+    densely.
     """
     sizes = tuple(int(t) for t in block_sizes)
     blocks = []
     for i in range(0, len(sizes), 2):
         eye = np.eye(sizes[i])
         blocks.append(np.block([[eye, -1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0))
-    return block_diag(blocks)
+    return scipy.linalg.block_diag(*blocks)
 
 
 def mix_rows_reference(matrix: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
@@ -316,3 +328,63 @@ def two_sided_realization_reference(
         np.zeros((pencil.n_outputs, pencil.n_inputs)),
     )
     return system, s_row
+
+
+def direct_realization(pencil) -> DescriptorSystem:
+    """Lemma 3.1: the raw Loewner realization ``(E, A, B, C) = (-L, -sL, V, W)``.
+
+    Only valid when the pencil is square and ``x L - sL`` is non-singular for
+    every sample point ``x`` -- i.e. when the data neither under- nor
+    over-samples the underlying system.  The resulting transfer function
+    satisfies the tangential constraints (10) exactly; when ``t_i = m = p``
+    and the directions are full rank it matches the full sample matrices (3).
+    """
+    if pencil.k_left != pencil.k_right:
+        raise ValueError(
+            "direct realization requires a square Loewner pencil "
+            f"(got {pencil.k_left} x {pencil.k_right}); use svd_realization instead"
+        )
+    for x in np.unique(np.concatenate([pencil.lambda_points, pencil.mu_points])):
+        matrix = pencil.shifted_pencil(x)
+        if np.linalg.matrix_rank(matrix) < matrix.shape[0]:
+            raise ValueError(
+                f"x*L - sL is singular at sample point {x}; "
+                "the data over-determines the system -- use svd_realization"
+            )
+    return DescriptorSystem(
+        -pencil.loewner,
+        -pencil.shifted_loewner,
+        pencil.V,
+        pencil.W,
+        np.zeros((pencil.n_outputs, pencil.n_inputs)),
+    )
+
+
+def sylvester_residuals(pencil, data) -> tuple[float, float]:
+    """Relative residuals of the two Sylvester equations (13).
+
+    Returns ``(residual_loewner, residual_shifted)`` where each residual is the
+    Frobenius norm of the equation defect divided by the norm of its right-hand
+    side.  Both should be at round-off level for a correctly assembled pencil;
+    the property-based tests assert this for random data.
+    """
+    lam = np.diag(data.lambda_points)
+    mu = np.diag(data.mu_points)
+    lw = data.L @ data.W
+    vr = data.V @ data.R
+
+    rhs1 = lw - vr
+    lhs1 = pencil.loewner @ lam - mu @ pencil.loewner
+    res1 = np.linalg.norm(lhs1 - rhs1) / max(np.linalg.norm(rhs1), 1e-300)
+
+    rhs2 = lw @ lam - mu @ vr
+    lhs2 = pencil.shifted_loewner @ lam - mu @ pencil.shifted_loewner
+    res2 = np.linalg.norm(lhs2 - rhs2) / max(np.linalg.norm(rhs2), 1e-300)
+    return float(res1), float(res2)
+
+
+def identity_directions(n_ports: int, block_size: int, count: int) -> list[np.ndarray]:
+    """``count`` right directions of ``block_size`` columns each, by the rule of
+    :func:`~repro.core.directions.generate_direction_sets`' identity kind."""
+    options = MftiOptions(direction_kind="identity")
+    return generate_direction_sets(options, n_ports, [block_size] * count, [])[0]

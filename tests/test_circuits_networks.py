@@ -5,29 +5,49 @@ import pytest
 
 from repro.circuits.mna import netlist_to_descriptor
 from repro.circuits.pdn import PdnConfiguration, build_pdn_netlist, power_distribution_network
-from repro.circuits.rlc_networks import coupled_rlc_lines, rc_ladder, rlc_grid, rlc_ladder
-from repro.circuits.transmission_line import lumped_transmission_line, multiconductor_line
+from repro.circuits.rlc_networks import coupled_rlc_lines, rlc_grid, rlc_ladder
+from repro.circuits.transmission_line import lumped_transmission_line
 from repro.systems.analysis import spectral_abscissa
 
 
+def _ladder_dc_impedance(n_sections, resistance, conductance):
+    """``(z_in, z_transfer)`` of :func:`rlc_ladder` at DC, by the ladder recursion.
+
+    At DC the inductors short and the capacitors open, which leaves the
+    series resistors with a leakage conductance to ground at every node
+    after the input.
+    """
+    node = [1.0 / conductance]  # impedance to ground at each shunt node, far end first
+    for _ in range(n_sections - 1):
+        node.insert(0, 1.0 / (conductance + 1.0 / (resistance + node[0])))
+    transfer = node[0]
+    for z in node[1:]:
+        transfer *= z / (resistance + z)
+    return resistance + node[0], transfer
+
+
 class TestLadders:
-    def test_rc_ladder_ports_and_dc(self):
-        net = rc_ladder(5, resistance=10.0, capacitance=1e-12, load_resistance=50.0)
-        sys_ = netlist_to_descriptor(net)
+    def test_rlc_ladder_ports_and_dc(self):
+        sys_ = netlist_to_descriptor(rlc_ladder(5))
         assert sys_.n_ports == 2
-        # at DC the injected current flows through all five series resistors into the load
         z = sys_.transfer_function(0.0)
-        assert z[0, 0] == pytest.approx(5 * 10.0 + 50.0, rel=1e-9)
-        assert z[1, 0] == pytest.approx(50.0, rel=1e-9)
+        z_in, z_transfer = _ladder_dc_impedance(5, 1.0, 1e-6)
+        assert z[0, 0] == pytest.approx(z_in, rel=1e-9)
+        assert z[1, 0] == pytest.approx(z_transfer, rel=1e-9)
+        assert z[0, 1] == pytest.approx(z_transfer, rel=1e-9)
 
-    def test_rc_ladder_single_port(self):
-        net = rc_ladder(3, two_port=False)
-        assert netlist_to_descriptor(net).n_ports == 1
+    def test_rlc_ladder_single_port(self):
+        sys_ = netlist_to_descriptor(rlc_ladder(3, two_port=False))
+        assert sys_.n_ports == 1
+        z_in, _ = _ladder_dc_impedance(3, 1.0, 1e-6)
+        assert sys_.transfer_function(0.0)[0, 0] == pytest.approx(z_in, rel=1e-9)
 
-    def test_rc_ladder_load_resistance_sets_dc_impedance(self):
-        net = rc_ladder(4, resistance=10.0, load_resistance=100.0)
+    def test_rlc_ladder_resistance_and_leakage_set_dc_impedance(self):
+        net = rlc_ladder(4, resistance=10.0, conductance=1e-2)
         z = netlist_to_descriptor(net).transfer_function(0.0)
-        assert z[0, 0] == pytest.approx(4 * 10.0 + 100.0, rel=1e-9)
+        z_in, z_transfer = _ladder_dc_impedance(4, 10.0, 1e-2)
+        assert z[0, 0] == pytest.approx(z_in, rel=1e-9)
+        assert z[1, 0] == pytest.approx(z_transfer, rel=1e-9)
 
     def test_rlc_ladder_stable(self):
         sys_ = netlist_to_descriptor(rlc_ladder(6))
@@ -40,7 +60,7 @@ class TestLadders:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            rc_ladder(0)
+            rlc_ladder(0)
         with pytest.raises(ValueError):
             rlc_ladder(3, resistance=-1.0)
 
@@ -90,15 +110,9 @@ class TestTransmissionLines:
         assert z_long < z_short
         assert z_long == pytest.approx(z_short / 4.0, rel=0.2)
 
-    def test_multiconductor_ports(self):
-        net = multiconductor_line(3, 0.05, 4)
-        assert netlist_to_descriptor(net).n_ports == 6
-
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             lumped_transmission_line(-1.0, 10)
-        with pytest.raises(ValueError):
-            multiconductor_line(2, 0.1, 4, inductive_coupling=1.5)
 
 
 class TestPdn:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.directions import identity_directions, orthonormal_directions, vfti_directions
+from repro.core.directions import orthonormal_directions, vfti_directions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,7 @@ from repro.core.tangential import TangentialData, build_tangential_data
 from repro.data import FrequencyData, sample_scattering
 from repro.data.frequency import log_frequencies
 
-from oracles import tangential_matrices_reference
+from oracles import identity_directions, tangential_matrices_reference
 
 
 class TestDirections:
@@ -28,10 +28,6 @@ class TestDirections:
         for d in dirs:
             probed.update(np.flatnonzero(d.sum(axis=1)))
         assert probed == {0, 1, 2, 3}
-
-    def test_identity_block_size_cap(self):
-        with pytest.raises(ValueError):
-            identity_directions(3, 4, 1)
 
     def test_orthonormal_shapes(self):
         dirs = orthonormal_directions(6, 2, 3, seed=1)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core import run_fit
 from repro.core._pipeline import realize_from_tangential
-from repro.core.directions import identity_directions
-from repro.core.loewner import build_loewner_pencil, sylvester_residuals
-from repro.core.realization import direct_realization, svd_realization
+from repro.core.loewner import build_loewner_pencil
+from repro.core.realization import svd_realization
 from repro.core.options import MftiOptions
 from repro.core.tangential import _pair_halves, build_tangential_data
 from repro.data import sample_scattering
@@ -21,10 +20,13 @@ from repro.experiments.workloads import WORKLOADS
 from repro.systems.random_systems import random_stable_system
 
 from oracles import (
+    direct_realization,
+    identity_directions,
     mix_columns_reference,
     mix_rows_reference,
     real_transform_matrix_reference,
     real_transform_reference,
+    sylvester_residuals,
     two_sided_realization_reference,
 )
 
@@ -34,7 +36,7 @@ def setup():
     """System, sampled data and full-block tangential data for the Loewner tests."""
     system = random_stable_system(order=14, n_ports=3, feedthrough=0.2, seed=21)
     data = sample_scattering(system, log_frequencies(1e2, 1e5, 8))
-    directions = identity_directions(3, 3, 4, offset_stride=False)
+    directions = identity_directions(3, 3, 4)
     tangential = build_tangential_data(
         data, right_directions=directions, left_directions=directions,
     )
@@ -118,7 +120,7 @@ class TestLoewnerPencil:
         _, _, tangential, pencil = setup
         assert pencil.loewner.shape == (tangential.k_left, tangential.k_right)
         assert pencil.shifted_loewner.shape == pencil.loewner.shape
-        assert pencil.is_square
+        assert pencil.k_left == pencil.k_right
         assert pencil.n_inputs == 3
         assert pencil.n_outputs == 3
 
@@ -133,7 +135,8 @@ class TestLoewnerPencil:
         """Lemma 3.3: rank(x*L - sL) <= order + rank(D)."""
         system, _, _, pencil = setup
         bound = system.order + np.linalg.matrix_rank(system.D)
-        for x in pencil.sample_points[:3]:
+        points = np.unique(np.concatenate([pencil.lambda_points, pencil.mu_points]))
+        for x in points[:3]:
             rank = np.linalg.matrix_rank(pencil.shifted_pencil(x), tol=1e-8)
             assert rank <= bound
 
@@ -231,7 +234,7 @@ class TestRealAssembly:
 
     def test_real_pencil_needs_conjugate_pairs(self, setup):
         _, data, _, _ = setup
-        directions = identity_directions(3, 3, 4, offset_stride=False)
+        directions = identity_directions(3, 3, 4)
         unpaired = build_tangential_data(
             data, right_directions=directions, left_directions=directions,
             include_conjugates=False,
@@ -319,7 +322,7 @@ class TestRealizations:
         assert np.max(np.abs(diag.singular_values - s_ref)) <= 1e-12 * s_ref[0]
         assert diag.order == model.order == reference.order == (order or 17)
         assert model.is_real == real
-        points = pencil.sample_points
+        points = np.unique(np.concatenate([pencil.lambda_points, pencil.mu_points]))
         got = model.evaluate_many(points, method="pointwise")
         want = reference.evaluate_many(points, method="pointwise")
         rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
@@ -364,7 +367,7 @@ class TestRealizations:
         """Lemma 3.1 on critically sampled data: E=-L, A=-sL, B=V, C=W interpolates."""
         system = random_stable_system(order=8, n_ports=2, feedthrough=None, seed=2)
         data = sample_scattering(system, log_frequencies(1e2, 1e4, 4))
-        directions = identity_directions(2, 2, 2, offset_stride=False)
+        directions = identity_directions(2, 2, 2)
         tangential = build_tangential_data(
             data, right_directions=directions, left_directions=directions,
         )

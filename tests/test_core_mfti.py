@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import MftiOptions, mfti
-from repro.core.assembly import resolve_block_sizes
+from repro.cli import cli_subprocess
+from repro.core import MftiOptions, RecursiveOptions, mfti
+from repro.core.directions import resolve_block_sizes
 from repro.core.sampling import minimal_sample_count
-from repro.data import log_frequencies, sample_scattering
+from repro.data import log_frequencies, sample_scattering, write_touchstone
 from repro.systems.random_systems import random_stable_system
 
 
@@ -28,7 +29,9 @@ class TestBlockSizeResolution:
         with pytest.raises(ValueError):
             resolve_block_sizes(5, 3, 4)
         with pytest.raises(ValueError):
-            resolve_block_sizes([0, 1, 1], 3, 4)
+            resolve_block_sizes([1, 4, 1], 3, 3)
+        with pytest.raises(ValueError):
+            MftiOptions(block_size=[0, 1, 1])
 
 
 class TestMftiRecovery:
@@ -129,6 +132,33 @@ class TestMftiInterface:
             MftiOptions(direction_kind="diagonal")
         with pytest.raises(ValueError):
             MftiOptions(real_output=True, include_conjugates=False)
+
+    @pytest.mark.parametrize("block_size", [
+        2.5, True, np.True_, "2", 0, -1, [2.7] * 8, [2, True], [0, 1], np.array([2.0, 2.0]),
+        {"t": 2},
+    ])
+    @pytest.mark.parametrize("options_type", [MftiOptions, RecursiveOptions])
+    def test_block_size_is_validated_where_the_options_are_built(self, options_type,
+                                                                 block_size):
+        with pytest.raises(ValueError, match="block_size"):
+            options_type(block_size=block_size)
+
+    @pytest.mark.parametrize("block_size", [
+        None, 2, np.int64(2), [2, 3], (np.int32(1), 2), np.array([1, 2]),
+    ])
+    def test_integer_block_sizes_are_accepted(self, block_size):
+        assert MftiOptions(block_size=block_size).block_size is block_size
+
+    @pytest.mark.parametrize("block_size", ["2.5", "true"])
+    def test_cli_refuses_a_non_integer_block_size(self, small_data, tmp_path, block_size):
+        path = tmp_path / "board.s4p"
+        write_touchstone(small_data, path)
+        completed = cli_subprocess("fit", str(path), "--method", "mfti",
+                                   "--options", f'{{"block_size": {block_size}}}')
+        assert completed.returncode == 2, completed.stderr
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), completed.stderr
+        assert "block_size" in lines[0]
 
     def test_rectangular_data_supported(self, dense_data):
         """Non-square sample matrices (more outputs than inputs) still interpolate."""

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import mfti
-from repro.core.results import MacromodelResult, RecursiveDiagnostics, RecursiveIteration
-from repro.core.sampling import minimal_sample_count, recommend_sample_count
+from repro.core.results import RecursiveDiagnostics, RecursiveIteration
+from repro.core.sampling import minimal_sample_count
 
 
 class TestMinimalSampleCount:
@@ -36,19 +36,6 @@ class TestMinimalSampleCount:
             minimal_sample_count(0, 2, 2)
         with pytest.raises(ValueError):
             minimal_sample_count(10, 2, 2, rank_d=-1)
-
-    def test_recommend_sample_count_even_and_sufficient(self, small_system):
-        count = recommend_sample_count(small_system)
-        # empirical = (20 + 4) / 4 = 6, times the 1.25 safety factor, rounded even
-        assert count % 2 == 0
-        assert count >= 6
-
-    def test_recommend_respects_block_size(self, small_system):
-        assert recommend_sample_count(small_system, block_size=2) > recommend_sample_count(small_system)
-
-    def test_recommend_safety_factor_validation(self, small_system):
-        with pytest.raises(ValueError):
-            recommend_sample_count(small_system, safety_factor=0.5)
 
 
 class TestMacromodelResult:

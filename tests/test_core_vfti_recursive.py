@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import RecursiveOptions, VftiOptions, mfti, recursive_mfti, vfti
 from repro.core._pipeline import realize_from_tangential
-from repro.core.assembly import prepare_block_directions
+from repro.core.directions import prepare_block_directions
 from repro.data import add_measurement_noise, log_frequencies, sample_scattering
 from repro.systems.random_systems import random_stable_system
 

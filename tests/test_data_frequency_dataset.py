@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import FrequencyData
-from repro.data.frequency import (
-    clustered_frequencies,
-    linear_frequencies,
-    log_frequencies,
-    split_frequencies,
-)
+from repro.data.frequency import clustered_frequencies, linear_frequencies, log_frequencies
 
 
 class TestFrequencyGrids:
@@ -48,16 +43,6 @@ class TestFrequencyGrids:
             linear_frequencies(0.0, 1e3, 5)
         with pytest.raises(ValueError):
             log_frequencies(1e3, 1e2, 5)
-
-    def test_split_interleaves(self):
-        freqs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        right, left = split_frequencies(freqs)
-        assert np.allclose(right, [1.0, 3.0, 5.0])
-        assert np.allclose(left, [2.0, 4.0])
-
-    def test_split_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            split_frequencies(np.array([1.0, 1.0, 2.0]))
 
 
 @pytest.fixture

@@ -12,12 +12,7 @@ from repro import backends
 from repro.data.dataset import FrequencyData
 from repro.data.frequency import linear_frequencies, log_frequencies
 from repro.data.noise import add_measurement_noise, snr_to_sigma
-from repro.data.sampler import (
-    sample_admittance,
-    sample_impedance,
-    sample_scattering,
-    sample_system,
-)
+from repro.data.sampler import sample_impedance, sample_scattering, sample_system
 from repro.data.touchstone import read_touchstone, write_touchstone
 from repro.systems.interconnect import z_to_s
 from repro.systems.statespace import DescriptorSystem
@@ -83,10 +78,9 @@ class TestSampler:
         expected = z_to_s(tiny_pdn_system.transfer_function(1j * 2 * np.pi * 1e8))
         assert np.allclose(data.samples[1], expected)
 
-    def test_sample_impedance_and_admittance_kinds(self, tiny_pdn_system):
+    def test_sample_impedance_kind(self, tiny_pdn_system):
         freqs = np.array([1e7])
         assert sample_impedance(tiny_pdn_system, freqs).kind == "Z"
-        assert sample_admittance(tiny_pdn_system, freqs).kind == "Y"
 
     def test_invalid_system_kind(self, small_system):
         with pytest.raises(ValueError):

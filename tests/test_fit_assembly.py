@@ -1,7 +1,8 @@
-"""Equivalence and structure tests for the batched fit-assembly layer.
+"""Equivalence and structure tests for the batched fit kernels.
 
-The contract of :mod:`repro.core.assembly` is that the refactor is
-*numerically invisible*: every batched kernel agrees with its looped
+The contract of the vector-fitting kernels
+(:mod:`repro.vectorfitting.kernels`) and the Loewner products is that
+batching is *numerically invisible*: every batched kernel agrees with its looped
 reference (bitwise where the operations are elementwise, to round-off where
 GEMM batching reorders summations), the Loewner products are slicing-stable
 -- so the pencil of any subset of the tangential data is bitwise the matching
@@ -20,7 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.assembly import (
+from repro.core.loewner import build_loewner_pencil
+from repro.core.tangential import TangentialData
+from repro.utils.linalg import realify, rowcol_product
+from repro.vectorfitting.kernels import (
     VF_COMPACT_CONDITION_LIMIT,
     PoleGrouping,
     partial_fraction_basis,
@@ -30,9 +34,6 @@ from repro.core.assembly import (
     vf_scaling_solve,
     vf_scaling_solve_reference,
 )
-from repro.core.loewner import build_loewner_pencil
-from repro.core.tangential import TangentialData
-from repro.utils.linalg import realify, rowcol_product
 from repro.vectorfitting.poles import initial_poles, sort_poles
 from repro.vectorfitting.rational import PoleResidueModel
 

@@ -7,7 +7,9 @@ fitting's triangular solves call numpy's bundled OpenBLAS through
 :mod:`repro.utils.blas`.  Importing ``scipy.linalg`` maps scipy's own
 OpenBLAS next to numpy's and roughly doubles a fresh interpreter's resident
 memory, so the paths that still call scipy import it on first use: the
-trapezoidal integrator's LU, the Gramians and balanced truncation.
+trapezoidal integrator's LU (``simulate_lsim``) and the fallbacks of
+:mod:`repro.utils.blas` for a numpy build without the LAPACK routine.  A
+static scan of ``src/`` holds every scipy import to those sites.
 
 The probe runs in a fresh interpreter, because any earlier test in this
 process may already have loaded scipy.
@@ -15,6 +17,7 @@ process may already have loaded scipy.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -26,6 +29,14 @@ import pytest
 from repro.utils import blas
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The functions of ``src/`` that may import scipy, as ``(file, function)``.
+SCIPY_SITES = {
+    ("repro/systems/timedomain.py", "simulate_lsim"),
+    ("repro/utils/blas.py", "generalized_eig"),
+    ("repro/utils/blas.py", "generalized_eigvals"),
+    ("repro/utils/blas.py", "solve_triangular"),
+}
 
 PROBE = """
 import json
@@ -112,3 +123,30 @@ def test_no_front_end_or_job_path_imports_scipy():
     # a second OpenBLAS mapping is the memory that importing scipy costs
     if report["openblas"] is not None:
         assert len(report["openblas"]) <= 1, report["openblas"]
+
+
+def _scipy_imports(node: ast.AST, function: str | None = None):
+    """``(function, line)`` of every scipy import under ``node``, innermost def named."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""] if child.level == 0 else []
+        else:
+            yield from _scipy_imports(child, function)
+            continue
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            yield function, child.lineno
+
+
+def test_scipy_is_imported_only_at_the_known_sites():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.relative_to(SRC).as_posix(), function, line)
+                  for function, line in _scipy_imports(tree)]
+    unexpected = [site for site in found if site[:2] not in SCIPY_SITES]
+    assert found and not unexpected, f"scipy imported outside {sorted(SCIPY_SITES)}: {unexpected}"

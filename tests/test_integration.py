@@ -22,8 +22,7 @@ from repro import (
 from repro.circuits import coupled_rlc_lines, netlist_to_descriptor, rlc_ladder
 from repro.circuits.pdn import PdnConfiguration, power_distribution_network
 from repro.metrics import aggregate_error
-from repro.systems import balanced_truncation, is_stable
-from repro.vectorfitting.passivity import is_passive_scattering
+from repro.vectorfitting.passivity import passivity_violations
 
 
 class TestCircuitToMacromodel:
@@ -91,25 +90,16 @@ class TestMethodComparison:
         vf_err = aggregate_error(vf_model.frequency_response(freqs), reference.samples)
         assert vf_err < 1e-3
 
-    def test_mfti_model_usable_for_reduction_and_passivity_check(self):
-        """The recovered descriptor model feeds into the rest of the toolchain.
-
-        A feed-through-free benchmark system keeps the recovered ``E`` matrix
-        invertible, so the model can be converted to explicit state space and
-        reduced further by balanced truncation.
-        """
+    def test_mfti_model_usable_for_passivity_check(self):
+        """The recovered descriptor model feeds into the rest of the toolchain."""
         from repro.systems.random_systems import random_stable_system
 
         system = random_stable_system(order=16, n_ports=3, feedthrough=None, seed=51)
         data = sample_scattering(system, log_frequencies(1e1, 1e5, 12))
         model = mfti(data)
         assert model.order == system.order
-        explicit = model.system.to_statespace()
-        if is_stable(explicit):
-            reduced = balanced_truncation(explicit, 8)
-            assert reduced.order == 8
         # scattering passivity check over the sampled band: the random benchmark
         # system is not necessarily passive; the check must simply run and
-        # return a boolean
+        # list whatever violations it finds
         freqs = np.logspace(1, 5, 40)
-        assert is_passive_scattering(model.system, freqs) in (True, False)
+        assert isinstance(passivity_violations(model.system, freqs), list)

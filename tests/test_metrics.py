@@ -6,8 +6,6 @@ import pytest
 from repro.core import mfti
 from repro.metrics.errors import (
     aggregate_error,
-    entrywise_rms_error,
-    max_relative_error,
     model_errors,
     relative_error_per_frequency,
 )
@@ -43,16 +41,6 @@ class TestErrorMetrics:
         model = np.stack([np.eye(2) * 1.1, np.eye(2) * 0.9])
         agg = aggregate_error(model, reference)
         assert agg == pytest.approx(0.1)
-
-    def test_max_relative_error(self):
-        reference = np.stack([np.eye(2), np.eye(2)])
-        model = np.stack([np.eye(2) * 1.2, np.eye(2)])
-        assert max_relative_error(model, reference) == pytest.approx(0.2)
-
-    def test_entrywise_rms(self):
-        reference = np.zeros((1, 1, 2))
-        model = np.array([[[3.0, 4.0]]])
-        assert entrywise_rms_error(model, reference) == pytest.approx(np.sqrt(12.5))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

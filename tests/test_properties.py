@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.directions import identity_directions, orthonormal_directions
-from repro.core.loewner import build_loewner_pencil, sylvester_residuals
+from repro.core.directions import generate_direction_sets, orthonormal_directions
+from repro.core.loewner import build_loewner_pencil
+from repro.core.options import MftiOptions
 from repro.core.realization import svd_realization
 from repro.core.sampling import minimal_sample_count
 from repro.core.tangential import build_tangential_data
@@ -14,7 +15,9 @@ from repro.data.dataset import FrequencyData
 from repro.data.frequency import clustered_frequencies, linear_frequencies, log_frequencies
 from repro.systems.interconnect import s_to_z, z_to_s
 from repro.systems.random_systems import random_stable_system
-from repro.utils.linalg import block_diag, numerical_rank
+from repro.utils.linalg import numerical_rank
+
+from oracles import identity_directions, sylvester_residuals
 
 # hypothesis settings shared by the heavier properties
 _slow = settings(max_examples=12, deadline=None,
@@ -58,15 +61,6 @@ class TestFrequencyGridProperties:
 
 
 class TestLinalgProperties:
-    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
-           st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_block_diag_preserves_rank(self, sizes, seed):
-        rng = np.random.default_rng(seed)
-        blocks = [rng.normal(size=(s, s)) for s in sizes]
-        total_rank = sum(np.linalg.matrix_rank(b) for b in blocks)
-        assert np.linalg.matrix_rank(block_diag(blocks)) == total_rank
-
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -88,7 +82,9 @@ class TestDirectionProperties:
     @settings(max_examples=30, deadline=None)
     def test_direction_generators_orthonormal(self, n_ports, block, count, seed):
         block = min(block, n_ports)
-        for generator in (lambda: identity_directions(n_ports, block, count),
+        identity = MftiOptions(direction_kind="identity")
+        for generator in (lambda: generate_direction_sets(identity, n_ports, [block] * count,
+                                                          [])[0],
                           lambda: orthonormal_directions(n_ports, block, count, seed=seed)):
             for d in generator():
                 assert d.shape == (n_ports, block)
@@ -124,7 +120,7 @@ class TestLoewnerProperties:
         n_samples = max(4, int(np.ceil((order + n_ports) / n_ports)) + 2)
         n_samples += n_samples % 2
         data = sample_scattering(system, log_frequencies(1e2, 1e5, n_samples))
-        directions = identity_directions(n_ports, n_ports, n_samples, offset_stride=False)
+        directions = identity_directions(n_ports, n_ports, n_samples)
         half = n_samples // 2
         tangential = build_tangential_data(
             data,

@@ -34,15 +34,13 @@ from repro.metrics.timedomain import (
 )
 from repro.systems.random_systems import random_stable_system
 from repro.systems.spectral import (
+    DEFAULT_OVERSAMPLE,
+    DEFAULT_WINDOW,
     build_spectral_grid,
     batch_time_responses,
     evaluate_spectrum,
     grid_nonuniform_spectrum,
-    impulse_energy,
     impulse_from_spectrum,
-    spectral_energy,
-    spectral_impulse_response,
-    spectral_step_response,
     spectral_window,
     step_from_impulse,
 )
@@ -70,6 +68,14 @@ def _banded_system(order, n_ports, seed):
     return random_stable_system(order=order, n_ports=n_ports, feedthrough=0.1,
                                 freq_min_hz=1e3, freq_max_hz=1e5,
                                 damping_min=0.1, seed=seed)
+
+
+def _responses(model, t_final, n_points, *, oversample=DEFAULT_OVERSAMPLE,
+               window=DEFAULT_WINDOW):
+    """One model's ``(time, impulse, step)`` through the batched pathway."""
+    grid = build_spectral_grid(t_final, n_points, oversample=oversample)
+    impulse, step = batch_time_responses([model], grid, window=window)
+    return grid.time, impulse[0], step[0]
 
 
 @pytest.fixture
@@ -127,7 +133,7 @@ class TestSpectralGrid:
 # --------------------------------------------------------------------------- #
 class TestAnalyticResponses:
     def test_impulse_matches_exponential(self, lowpass):
-        time, impulse = spectral_impulse_response(lowpass, t_final=5.0, n_points=501)
+        time, impulse, _ = _responses(lowpass, t_final=5.0, n_points=501)
         expected = np.exp(-time)
         # the default Lanczos window smears the t = 0 jump over the first
         # couple of samples (its trade against Gibbs ringing); skip those
@@ -136,14 +142,13 @@ class TestAnalyticResponses:
     def test_raw_transform_puts_half_jump_at_zero(self, lowpass):
         # without windowing, Fourier inversion converges to the jump
         # midpoint: the t = 0 sample carries h(0+) / 2
-        _, impulse = spectral_impulse_response(lowpass, t_final=5.0,
-                                               n_points=501, window="none")
+        _, impulse, _ = _responses(lowpass, t_final=5.0, n_points=501, window="none")
         assert impulse[0, 0, 0] == pytest.approx(0.5, abs=5e-2)
 
     def test_step_matches_analytic_with_feedthrough(self):
         # H(s) = 0.7 + 3 / (s + 2): step 0.7 + 1.5 (1 - exp(-2 t))
         sys_ = StateSpace([[-2.0]], [[1.0]], [[3.0]], [[0.7]])
-        time, step = spectral_step_response(sys_, t_final=4.0, n_points=401)
+        time, _, step = _responses(sys_, t_final=4.0, n_points=401)
         expected = 0.7 + 1.5 * (1.0 - np.exp(-2.0 * time))
         assert step[0, 0, 0] == pytest.approx(0.7)  # instantaneous feed-through
         assert np.max(np.abs(step[:, 0, 0] - expected)) < 1e-2
@@ -153,7 +158,7 @@ class TestAnalyticResponses:
         # in the tail; the oversampled transform must beat the critically
         # sampled one there (raw transform: the window is a separate knob)
         def tail_error(oversample):
-            time, impulse = spectral_impulse_response(
+            time, impulse, _ = _responses(
                 lowpass, t_final=2.0, n_points=201, oversample=oversample,
                 window="none")
             tail = time > 1.0
@@ -169,8 +174,10 @@ class TestAnalyticResponses:
         assert impulse.shape == (3, 64, 2, 2)
         assert step.shape == (3, 64, 2, 2)
         for k, system in enumerate(systems):
-            _, single_imp = spectral_impulse_response(system, 1e-4, 64)
-            _, single_step = spectral_step_response(system, 1e-4, 64)
+            spectrum = evaluate_spectrum(system, grid)
+            single_imp = impulse_from_spectrum(
+                spectrum * spectral_window(grid)[:, np.newaxis, np.newaxis], grid)
+            single_step = step_from_impulse(single_imp, grid, feedthrough=system.D)
             np.testing.assert_array_equal(impulse[k], single_imp)
             np.testing.assert_array_equal(step[k], single_step)
 
@@ -191,8 +198,7 @@ class TestAgainstIntegrator:
     @staticmethod
     def _step_difference(system, n_points, t_final=2e-3):
         _, integrated = step_response(system, t_final=t_final, n_points=n_points)
-        _, spectral = spectral_step_response(system, t_final=t_final,
-                                             n_points=n_points)
+        _, _, spectral = _responses(system, t_final=t_final, n_points=n_points)
         return float(np.max(np.abs(spectral[:, :, 0] - integrated)))
 
     def test_step_agreement_tightens_under_refinement(self, lowpass):
@@ -203,7 +209,7 @@ class TestAgainstIntegrator:
 
     def test_impulse_agreement_on_fine_grid(self, lowpass):
         time, integrated = impulse_response(lowpass, t_final=5.0, n_points=2001)
-        _, spectral = spectral_impulse_response(lowpass, t_final=5.0, n_points=2001)
+        _, spectral, _ = _responses(lowpass, t_final=5.0, n_points=2001)
         peak = float(np.max(np.abs(integrated)))
         # both discretisations approximate the t = 0 jump differently
         # (discrete pulse vs half-jump); compare away from it
@@ -222,7 +228,7 @@ class TestAgainstIntegrator:
     def test_mimo_step_agreement(self):
         system = _banded_system(order=20, n_ports=4, seed=3)
         t_final, n_points = 2e-3, 4001
-        _, spectral = spectral_step_response(system, t_final, n_points)
+        _, _, spectral = _responses(system, t_final, n_points)
         scale = max(float(np.max(np.abs(spectral))), 1.0)
         for input_index in range(system.n_inputs):
             _, integrated = step_response(system, t_final, n_points,
@@ -359,9 +365,15 @@ class TestProperties:
         system = random_stable_system(order=order, n_ports=2, seed=seed)
         grid = build_spectral_grid(1e-4, 64)
         spectrum = evaluate_spectrum(system, grid)
-        time_energy = impulse_energy(
-            impulse_from_spectrum(spectrum, grid, crop=False), grid)
-        freq_energy = spectral_energy(spectrum, grid)
+        impulse = impulse_from_spectrum(spectrum, grid, crop=False)
+        time_energy = grid.dt * np.sum(impulse**2, axis=0)
+        # the rfft-grid sum over both half-axes; irfft keeps only the real
+        # part of the DC and Nyquist bins (n_fft is a power of two)
+        weights = np.full(spectrum.shape[0], 2.0)
+        weights[[0, -1]] = 1.0
+        magnitude2 = np.abs(spectrum) ** 2
+        magnitude2[[0, -1]] = spectrum[[0, -1]].real ** 2
+        freq_energy = grid.df * np.einsum("kpm,k->pm", magnitude2, weights)
         np.testing.assert_allclose(time_energy, freq_energy, rtol=1e-10, atol=1e-30)
 
     @settings(max_examples=10, deadline=None)
@@ -412,8 +424,7 @@ def _golden_payload():
     payload = {}
     for name, system in _golden_cases().items():
         t_final, n_points = 2e-4, 48
-        time, impulse = spectral_impulse_response(system, t_final, n_points)
-        _, step = spectral_step_response(system, t_final, n_points)
+        _, impulse, step = _responses(system, t_final, n_points)
         freqs = np.logspace(2, 6, 80)
         data = FrequencyData(freqs, system.frequency_response(freqs))
         metrics = time_domain_metrics(

@@ -1,19 +1,9 @@
-"""Tests for :mod:`repro.systems.analysis` and :mod:`repro.systems.balanced`."""
+"""Tests for :mod:`repro.systems.analysis`."""
 
 import numpy as np
 import pytest
 
-from repro.systems.analysis import (
-    controllability_gramian,
-    finite_poles,
-    hankel_singular_values,
-    is_stable,
-    minimality_defect,
-    observability_gramian,
-    poles,
-    spectral_abscissa,
-)
-from repro.systems.balanced import balanced_truncation
+from repro.systems.analysis import finite_poles, is_stable, poles, spectral_abscissa
 from repro.systems.statespace import DescriptorSystem, StateSpace
 
 
@@ -37,6 +27,21 @@ class TestPoles:
         assert np.sum(np.isinf(all_poles)) == 1
         assert np.allclose(finite_poles(sys_), [-1.0])
 
+    def test_descriptor_poles_match_the_explicit_form(self, small_system, rng):
+        # an invertible E: (T E, T A, T B, C) keeps the poles of (E, A, B, C)
+        n = small_system.order
+        t = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        descriptor = DescriptorSystem(t @ small_system.E, t @ small_system.A,
+                                      t @ small_system.B, small_system.C, small_system.D)
+        expected = finite_poles(small_system)
+        found = finite_poles(descriptor)
+        assert found.shape == expected.shape
+        distance = np.min(np.abs(found[:, None] - expected[None, :]), axis=0)
+        assert np.all(distance <= 1e-8 * np.abs(expected))
+        assert is_stable(descriptor)
+        assert spectral_abscissa(descriptor) == pytest.approx(spectral_abscissa(small_system),
+                                                              rel=1e-8)
+
     def test_random_system_is_stable(self, small_system):
         assert is_stable(small_system)
         assert spectral_abscissa(small_system) < 0
@@ -47,65 +52,3 @@ class TestPoles:
     def test_unstable_detected(self):
         sys_ = StateSpace([[1.0]], [[1.0]], [[1.0]])
         assert not is_stable(sys_)
-
-
-class TestGramians:
-    def test_controllability_lyapunov_residual(self, two_pole_system):
-        p = controllability_gramian(two_pole_system)
-        a, b = two_pole_system.A, two_pole_system.B
-        residual = a @ p + p @ a.T + b @ b.T
-        assert np.allclose(residual, 0.0, atol=1e-10)
-
-    def test_observability_lyapunov_residual(self, two_pole_system):
-        q = observability_gramian(two_pole_system)
-        a, c = two_pole_system.A, two_pole_system.C
-        residual = a.T @ q + q @ a + c.T @ c
-        assert np.allclose(residual, 0.0, atol=1e-10)
-
-    def test_gramian_requires_stability(self):
-        unstable = StateSpace([[1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            controllability_gramian(unstable)
-        with pytest.raises(ValueError):
-            observability_gramian(unstable)
-
-    def test_hankel_singular_values_sorted(self, small_system):
-        hsv = hankel_singular_values(small_system)
-        assert hsv.size == small_system.order
-        assert np.all(np.diff(hsv) <= 1e-12)
-        assert np.all(hsv >= 0)
-
-    def test_minimality_defect_zero_for_minimal(self, two_pole_system):
-        assert minimality_defect(two_pole_system) == 0
-
-    def test_minimality_defect_detects_uncontrollable_state(self):
-        a = np.diag([-1.0, -2.0])
-        b = np.array([[1.0], [0.0]])  # second state uncontrollable
-        c = np.array([[1.0, 1.0]])
-        assert minimality_defect(StateSpace(a, b, c)) == 1
-
-
-class TestBalancedTruncation:
-    def test_reduces_order(self, small_system):
-        reduced = balanced_truncation(small_system, 8)
-        assert reduced.order == 8
-
-    def test_error_within_bound(self, small_system):
-        reduced, bound = balanced_truncation(small_system, 10, return_error_bound=True)
-        freqs = np.logspace(1, 5, 25)
-        full = small_system.frequency_response(freqs)
-        approx = reduced.frequency_response(freqs)
-        worst = max(np.linalg.norm(full[i] - approx[i], 2) for i in range(len(freqs)))
-        assert worst <= bound * (1.0 + 1e-6)
-
-    def test_full_order_is_near_exact(self, two_pole_system):
-        reduced = balanced_truncation(two_pole_system, 2)
-        s = 1j * 0.5
-        assert np.allclose(reduced.transfer_function(s), two_pole_system.transfer_function(s),
-                           atol=1e-8)
-
-    def test_invalid_order_rejected(self, two_pole_system):
-        with pytest.raises(ValueError):
-            balanced_truncation(two_pole_system, 0)
-        with pytest.raises(ValueError):
-            balanced_truncation(two_pole_system, 5)

@@ -1,21 +1,11 @@
-"""Tests for :mod:`repro.systems.interconnect` and :mod:`repro.systems.composition`."""
+"""Tests for :mod:`repro.systems.interconnect` and the sweep conversions built on it."""
 
 import numpy as np
 import pytest
 
-from repro.systems.composition import feedback, parallel, series
-from repro.systems.interconnect import (
-    s_to_y,
-    s_to_z,
-    scattering_from_admittance,
-    scattering_from_impedance,
-    y_to_s,
-    y_to_z,
-    z_to_s,
-    z_to_y,
-)
+from repro.data import FrequencyData, sample_system
+from repro.systems.interconnect import s_to_y, s_to_z, y_to_s, y_to_z, z_to_s, z_to_y
 from repro.systems.random_systems import random_stable_system
-from repro.systems.statespace import StateSpace
 
 
 @pytest.fixture
@@ -58,72 +48,45 @@ class TestPointwiseConversions:
             z_to_s(np.ones((2, 3)))
 
 
-class TestSystemLevelConversions:
-    def test_impedance_system_matches_pointwise(self):
+class TestSweepConversions:
+    """:meth:`FrequencyData.converted` applies the conversions to a whole sweep."""
+
+    FREQS = np.array([1e2, 1e3, 1e4])
+
+    def test_impedance_sweep_matches_pointwise(self):
         z_system = random_stable_system(order=12, n_ports=3, feedthrough=None, seed=2)
         # shift D so Z + z0 I is well conditioned
         z_system = z_system.with_feedthrough(5.0 * np.eye(3))
-        s_system = scattering_from_impedance(z_system, z0=50.0)
-        for f in (1e2, 1e3, 1e4):
-            s_point = 1j * 2 * np.pi * f
-            expected = z_to_s(z_system.transfer_function(s_point), z0=50.0)
-            assert np.allclose(s_system.transfer_function(s_point), expected, atol=1e-9)
+        z_sweep = sample_system(z_system, self.FREQS, kind="Z")
+        s_sweep = z_sweep.converted("S")
+        assert s_sweep.kind == "S"
+        assert np.array_equal(s_sweep.frequencies_hz, self.FREQS)
+        eye = np.eye(3)
+        for z, s in zip(z_sweep.samples, s_sweep.samples):
+            expected = (z - 50.0 * eye) @ np.linalg.inv(z + 50.0 * eye)
+            assert np.allclose(s, expected, atol=1e-9)
 
-    def test_admittance_system_matches_pointwise(self):
+    def test_admittance_sweep_matches_pointwise(self):
         y_system = random_stable_system(order=10, n_ports=2, feedthrough=None, seed=6)
         y_system = y_system.with_feedthrough(0.05 * np.eye(2))
-        s_system = scattering_from_admittance(y_system, z0=50.0)
-        for f in (1e2, 1e4):
-            s_point = 1j * 2 * np.pi * f
-            expected = y_to_s(y_system.transfer_function(s_point), z0=50.0)
-            assert np.allclose(s_system.transfer_function(s_point), expected, atol=1e-9)
+        y_sweep = sample_system(y_system, self.FREQS, kind="Y")
+        s_sweep = y_sweep.converted("S")
+        eye = np.eye(2)
+        for y, s in zip(y_sweep.samples, s_sweep.samples):
+            expected = (eye - 50.0 * y) @ np.linalg.inv(eye + 50.0 * y)
+            assert np.allclose(s, expected, atol=1e-9)
+        assert np.allclose(y_sweep.converted("Z").converted("S").samples, s_sweep.samples,
+                           atol=1e-9)
 
-    def test_rectangular_system_rejected(self):
-        sys_ = StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((2, 2)))
+    def test_rectangular_sweep_rejected(self):
+        data = FrequencyData(self.FREQS, np.ones((3, 2, 3)), kind="Z")
         with pytest.raises(ValueError):
-            scattering_from_impedance(sys_)
+            data.converted("S")
 
-
-class TestComposition:
-    def test_series_transfer_function(self):
-        g1 = StateSpace([[-1.0]], [[1.0]], [[1.0]])
-        g2 = StateSpace([[-2.0]], [[1.0]], [[2.0]])
-        cascade = series(g1, g2)
-        s = 1j * 0.7
-        expected = g2.transfer_function(s) @ g1.transfer_function(s)
-        assert np.allclose(cascade.transfer_function(s), expected)
-        assert cascade.order == 2
-
-    def test_parallel_transfer_function(self, small_system):
-        doubled = parallel(small_system, small_system)
-        s = 1j * 1e3
-        assert np.allclose(doubled.transfer_function(s), 2.0 * small_system.transfer_function(s))
-
-    def test_series_dimension_mismatch(self):
-        g1 = StateSpace([[-1.0]], [[1.0]], np.ones((2, 1)))
-        g2 = StateSpace([[-1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            series(g1, g2)
-
-    def test_parallel_dimension_mismatch(self):
-        g1 = StateSpace([[-1.0]], [[1.0]], np.ones((2, 1)))
-        g2 = StateSpace([[-1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            parallel(g1, g2)
-
-    def test_negative_feedback_dc_gain(self):
-        # plant 10/(s+1), unit feedback -> dc gain 10/11
-        plant = StateSpace([[-1.0]], [[1.0]], [[10.0]])
-        controller = StateSpace([[-1e6]], [[0.0]], [[0.0]], [[1.0]])
-        closed = feedback(plant, controller)
-        assert closed.transfer_function(0.0)[0, 0] == pytest.approx(10.0 / 11.0, rel=1e-6)
-
-    def test_feedback_formula_against_direct_computation(self):
-        plant = random_stable_system(order=6, n_ports=2, seed=1, feedthrough=0.1)
-        controller = random_stable_system(order=4, n_ports=2, seed=2, feedthrough=0.1)
-        closed = feedback(plant, controller)
-        s = 1j * 2 * np.pi * 50.0
-        hp = plant.transfer_function(s)
-        hc = controller.transfer_function(s)
-        expected = np.linalg.solve(np.eye(2) + hp @ hc, hp)
-        assert np.allclose(closed.transfer_function(s), expected, atol=1e-8)
+    def test_sweep_conversion_uses_the_reference_impedance(self):
+        matched = FrequencyData(self.FREQS, np.stack([75.0 * np.eye(2)] * 3), kind="Z",
+                                reference_impedance=75.0)
+        s_sweep = matched.converted("S")
+        assert s_sweep.reference_impedance == 75.0
+        assert np.allclose(s_sweep.samples, 0.0)
+        assert np.allclose(matched.converted("S", z0=50.0).samples, 0.2 * np.eye(2))

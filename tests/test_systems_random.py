@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.systems.analysis import finite_poles, is_stable
-from repro.systems.random_systems import (
-    EXAMPLE1_SEED,
-    example1_system,
-    random_descriptor_system,
-    random_port_map,
-    random_stable_system,
-)
+from repro.systems.random_systems import EXAMPLE1_SEED, example1_system, random_stable_system
 
 
 class TestRandomStableSystem:
@@ -67,27 +61,7 @@ class TestRandomStableSystem:
         assert 1e-3 < np.max(mags) < 1e3
 
 
-class TestRandomDescriptorSystem:
-    def test_nontrivial_e(self):
-        sys_ = random_descriptor_system(order=10, n_ports=2, seed=4)
-        assert not np.allclose(sys_.E, np.eye(10))
-
-    def test_transfer_function_matches_statespace_form(self):
-        sys_ = random_descriptor_system(order=10, n_ports=2, seed=4)
-        explicit = sys_.to_statespace()
-        s = 1j * 2e3
-        assert np.allclose(sys_.transfer_function(s), explicit.transfer_function(s), atol=1e-8)
-
-    def test_stability_preserved(self):
-        assert is_stable(random_descriptor_system(order=12, n_ports=3, seed=8))
-
-
-class TestPortMapAndExample1:
-    def test_random_port_map_shapes(self, rng):
-        b, c = random_port_map(10, 3, rng)
-        assert b.shape == (10, 3)
-        assert c.shape == (3, 10)
-
+class TestExample1System:
     def test_example1_dimensions(self):
         sys_ = example1_system(order=30, n_ports=6)
         assert sys_.order == 30

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils.linalg import (
-    block_diag,
     economic_svd,
     numerical_rank,
     rank_from_gap,
@@ -12,34 +11,6 @@ from repro.utils.linalg import (
     singular_value_gaps,
     spectral_norms,
 )
-
-
-class TestBlockDiag:
-    def test_two_blocks(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0]])
-        out = block_diag([a, b])
-        assert out.shape == (3, 3)
-        assert np.allclose(out[:2, :2], a)
-        assert out[2, 2] == 5.0
-        assert np.allclose(out[:2, 2], 0.0)
-
-    def test_rectangular_blocks(self):
-        out = block_diag([np.ones((2, 3)), np.ones((1, 2))])
-        assert out.shape == (3, 5)
-
-    def test_complex_dtype_preserved(self):
-        out = block_diag([np.eye(2), 1j * np.eye(2)])
-        assert np.iscomplexobj(out)
-
-    def test_empty_sequence(self):
-        out = block_diag([])
-        assert out.shape == (0, 0)
-
-    def test_one_dimensional_block_treated_as_row(self):
-        out = block_diag([np.array([1.0, 2.0])])
-        assert out.shape == (1, 2)
-
 
 class TestEconomicSvd:
     def test_reconstruction(self, rng):
