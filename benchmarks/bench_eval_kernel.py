@@ -6,11 +6,14 @@ measures it on the same two workload systems as the shared batch grid
 (:func:`repro.experiments.workloads.mixed_batch_jobs`) -- the 14-port PDN
 and the lossy lumped transmission line -- over dense validation sweeps:
 
-* ``loop``        -- the per-point reference (one dense solve per point),
-* ``solve``       -- batched stacked-pencil solves (bitwise equal to loop),
-* ``kernel cold`` -- ``auto`` on a fresh system: eigendecomposition plan
-  construction *included* in the timing,
-* ``kernel warm`` -- ``auto`` with the plan already cached.
+* ``loop``        -- the per-point reference (one dense solve per point,
+  :func:`~repro.systems.evaluation.evaluate_pointwise`),
+* ``solve``       -- the batched stacked-pencil solve (bitwise equal to
+  loop, ``_evaluate_solve``),
+* ``kernel cold`` -- ``evaluate_many`` on a fresh system, which sweeps
+  through the eigendecomposition plan: plan construction *included* in the
+  timing,
+* ``kernel warm`` -- ``evaluate_many`` with the plan already cached.
 
 The acceptance floor (enforced here and by the CI perf gate through
 ``benchmarks/baselines/eval_kernel.json``): the cold kernel sweep is at
@@ -42,6 +45,7 @@ from repro.experiments.example2 import Example2Config
 from repro.data import linear_frequencies
 from repro.systems.evaluation import (
     PLAN_GUARD_TOLERANCE,
+    _evaluate_solve,
     choose_evaluation_plan,
     evaluate_pointwise,
 )
@@ -103,8 +107,8 @@ def test_eval_kernel_speedup(benchmark, reportable, json_reportable):
 
         reference, loop_seconds = _timed(lambda: evaluate_pointwise(
             system.E, system.A, system.B, system.C, system.D, points))
-        solve_out, solve_seconds = _timed(
-            lambda: system.evaluate_many(points, method="solve"))
+        solve_out, solve_seconds = _timed(lambda: _evaluate_solve(
+            system.E, system.A, system.B, system.C, system.D, points))
         assert np.array_equal(solve_out, reference), (
             f"{name}: batched solve is not bitwise identical to the loop")
 
@@ -173,5 +177,6 @@ def test_kernel_matches_loop_on_validation_sweeps(workload):
     points = 1j * 2.0 * np.pi * freqs[:64]
     reference = evaluate_pointwise(system.E, system.A, system.B, system.C,
                                    system.D, points)
-    assert np.array_equal(system.evaluate_many(points, method="solve"), reference)
+    assert np.array_equal(
+        _evaluate_solve(system.E, system.A, system.B, system.C, system.D, points), reference)
     assert _sup_relative(system.evaluate_many(points), reference) <= MAX_AGREEMENT_ERROR

@@ -223,13 +223,6 @@ class BatchResult:
             )
         return self
 
-    def record_for(self, label: str) -> JobRecord:
-        """The first record with the given label."""
-        for record in self.records:
-            if record.label == label:
-                return record
-        raise KeyError(f"no record labelled {label!r}")
-
     def with_tag(self, key: str, value: Any = None) -> tuple[JobRecord, ...]:
         """Records whose tags contain ``key`` (and equal ``value`` when given)."""
         return tuple(

@@ -205,13 +205,6 @@ class ShardPlan:
             index for index, assigned in enumerate(self.assignments) if assigned == shard
         )
 
-    def shard_of(self, job_id: str) -> int:
-        """The shard the given job fingerprint is assigned to."""
-        try:
-            return self.assignments[self.job_ids.index(job_id)]
-        except ValueError:
-            raise ShardError(f"job id {job_id!r} is not part of this plan") from None
-
 
 def plan_shards(jobs: Sequence[FitJob], n_shards: int) -> ShardPlan:
     """Plan ``jobs`` onto ``n_shards`` shards: :meth:`ShardPlan.from_jobs`."""

@@ -69,18 +69,6 @@ class CacheStats:
     evictions: int = 0
     skips: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total cache lookups (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit (``nan`` before the first lookup)."""
-        if not self.lookups:
-            return float("nan")
-        return self.hits / self.lookups
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe summary of the counters."""
         return {

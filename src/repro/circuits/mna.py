@@ -83,7 +83,7 @@ class MnaSystem:
 
         The sweep runs through the shared vectorized evaluation kernel (one
         batched factorization pass instead of one dense factorization per
-        frequency) with the bit-stable ``"solve"`` strategy, so sampled
+        frequency) with the bit-stable stacked solve, so sampled
         datasets fingerprint reproducibly.  ``as_scattering`` converts the
         assembled Z/Y parameters to scattering parameters; it requires a
         homogeneous port mix (:attr:`parameter_kind` not ``"hybrid"``).

@@ -14,7 +14,6 @@ from repro.circuits.elements import (
     GROUND_NAMES,
     Capacitor,
     CircuitElement,
-    CurrentProbePort,
     Inductor,
     MutualInductance,
     Port,
@@ -99,12 +98,6 @@ class Netlist:
         """Declare a current-driven, voltage-sensed port (impedance-parameter port)."""
         return self.add(Port(name or self._auto_name("P"), node_pos, node_neg,
                              reference_impedance))
-
-    def add_probe_port(self, node_pos: str, node_neg: str = "0", *,
-                       reference_impedance: float = 50.0, name: str | None = None) -> CurrentProbePort:
-        """Declare a voltage-driven, current-sensed port (admittance-parameter port)."""
-        return self.add(CurrentProbePort(name or self._auto_name("PP"), node_pos, node_neg,
-                                         reference_impedance))
 
     # ------------------------------------------------------------------ #
     # views

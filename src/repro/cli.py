@@ -156,6 +156,8 @@ def _report(result, args: argparse.Namespace, title: str) -> int:
 # --------------------------------------------------------------------------- #
 def cmd_fit(args: argparse.Namespace) -> int:
     from repro.core._pipeline import frontend_spec
+    from repro.core.directions import resolve_block_sizes
+    from repro.core.options import MftiOptions
     from repro.data import read_touchstone
 
     try:
@@ -167,6 +169,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     option_kwargs = _parse_json_object(args.options, "--options")
     try:
         options = spec.options_type(**option_kwargs) if option_kwargs else None
+        if isinstance(options, MftiOptions):
+            # the fit would refuse these sizes for this data; say so up front
+            resolve_block_sizes(options.block_size, data.n_samples,
+                                min(data.n_inputs, data.n_outputs))
     except (TypeError, ValueError) as exc:
         raise ShardError(
             f"invalid --options for method {args.method!r}: {exc}") from exc

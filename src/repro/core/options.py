@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.utils.rng import RandomState
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_nonnegative_integer, check_positive_integer
 
 __all__ = [
     "InterpolationOptions",
@@ -71,6 +71,19 @@ def canonical_token(value) -> str:
         f"option value {value!r} of type {type(value).__name__} has no canonical "
         "serialization (live numpy.random.Generator seeds are deliberately rejected)"
     )
+
+
+def _check_integer(check, value, name: str) -> None:
+    """Run an integer check of :mod:`repro.utils.validation` on an option value.
+
+    Its ``TypeError`` (a float, a bool, a string) becomes a ``ValueError``,
+    so every invalid option value raises the one exception type the options
+    document and the CLI reports as a usage error.
+    """
+    try:
+        check(value, name)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _scan_scalar(text: str, pos: int) -> int:
@@ -170,8 +183,8 @@ class InterpolationOptions:
     x0:
         Shift used in pencil mode; ``None`` selects the first right point.
     order:
-        Explicit model order; ``None`` selects the order automatically from
-        the singular-value profile.
+        Explicit model order, a positive integer (not ``bool``); ``None``
+        selects the order automatically from the singular-value profile.
     rank_method:
         Automatic order detection rule: ``"gap"`` or ``"tolerance"``.
     rank_tolerance:
@@ -194,8 +207,8 @@ class InterpolationOptions:
             raise ValueError(f"rank_method must be 'gap' or 'tolerance', got {self.rank_method!r}")
         if self.rank_tolerance <= 0:
             raise ValueError("rank_tolerance must be positive")
-        if self.order is not None and self.order < 1:
-            raise ValueError("order must be a positive integer when given")
+        if self.order is not None:
+            _check_integer(check_positive_integer, self.order, "order")
         if self.real_output and not self.include_conjugates:
             raise ValueError("real_output requires include_conjugates=True")
 
@@ -260,11 +273,8 @@ class MftiOptions(InterpolationOptions):
         elif not (isinstance(sizes, (list, tuple))
                   or (isinstance(sizes, np.ndarray) and sizes.ndim == 1)):
             sizes = [sizes]
-        try:
-            for t in sizes:
-                check_positive_integer(t, "block_size")
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
+        for t in sizes:
+            _check_integer(check_positive_integer, t, "block_size")
 
 
 @dataclass(frozen=True)
@@ -274,15 +284,15 @@ class VftiOptions(InterpolationOptions):
     Attributes
     ----------
     direction_start:
-        Index of the port the cycling unit-vector directions start from.
+        Index of the port the cycling unit-vector directions start from, a
+        non-negative integer (not ``bool``).
     """
 
     direction_start: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        if self.direction_start < 0:
-            raise ValueError("direction_start must be non-negative")
+        _check_integer(check_nonnegative_integer, self.direction_start, "direction_start")
 
 
 @dataclass(frozen=True)
@@ -308,6 +318,9 @@ class RecursiveOptions(MftiOptions):
         strided frequency pattern regardless of error).
     max_iterations:
         Safety cap on the number of refinement iterations.
+
+    ``samples_per_iteration``, ``initial_samples`` and ``max_iterations`` are
+    positive integers (not ``bool``); anything else raises ``ValueError``.
     """
 
     samples_per_iteration: int = 4
@@ -319,16 +332,15 @@ class RecursiveOptions(MftiOptions):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.samples_per_iteration < 1:
-            raise ValueError("samples_per_iteration must be >= 1")
-        if self.initial_samples is not None and self.initial_samples < 1:
-            raise ValueError("initial_samples must be >= 1 when given")
+        _check_integer(check_positive_integer, self.samples_per_iteration,
+                       "samples_per_iteration")
+        if self.initial_samples is not None:
+            _check_integer(check_positive_integer, self.initial_samples, "initial_samples")
+        _check_integer(check_positive_integer, self.max_iterations, "max_iterations")
         if self.error_threshold < 0:
             raise ValueError("error_threshold must be non-negative")
         if self.selection not in ("worst", "spread"):
             raise ValueError(f"selection must be 'worst' or 'spread', got {self.selection!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 #: Options classes reconstructable from a wire-format ``{"type", "items"}``

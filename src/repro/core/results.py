@@ -114,10 +114,3 @@ class RecursiveDiagnostics:
     def n_iterations(self) -> int:
         """Number of refinement iterations performed."""
         return len(self.iterations)
-
-    @property
-    def final_holdout_error(self) -> float:
-        """Mean hold-out error after the last iteration (``nan`` if no hold-out left)."""
-        if not self.iterations:
-            return float("nan")
-        return self.iterations[-1].holdout_error_mean

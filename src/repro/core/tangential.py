@@ -15,9 +15,11 @@ the special case where every direction has a single column/row.
 their block sizes ``t_i``, and the directions and values of every sample side
 by side.  The mirrored ``-j omega`` blocks are the conjugates of the stored
 ones by definition, so they are implied rather than stored; the compact
-matrices ``Lambda, R, W, M, L, V`` of eqs. (8)-(9), which the Loewner
-assembly consumes, interleave them on demand, each mirrored block right after
-its ``+j omega`` block.
+matrices ``R, W, L, V`` of eqs. (8)-(9) and the diagonals of ``Lambda`` and
+``M`` (``lambda_points``, ``mu_points``), which the Loewner assembly
+consumes, interleave them on demand, each mirrored block right after its
+``+j omega`` block.  The data carries no model check: the residuals of the
+interpolation conditions (10) are a test oracle, since no fit computes them.
 """
 
 from __future__ import annotations
@@ -145,11 +147,6 @@ class TangentialData:
         return int(self.left_points.size)
 
     @property
-    def n_sample_matrices(self) -> int:
-        """Number of distinct sampled frequencies represented (conjugates not double-counted)."""
-        return self.n_right_samples + self.n_left_samples
-
-    @property
     def right_block_sizes(self) -> tuple[int, ...]:
         """Column counts ``t_i`` of the right blocks, mirrored blocks included."""
         return tuple(int(t) for t in self._blockwise(self.right_sizes))
@@ -206,16 +203,6 @@ class TangentialData:
         """Row sample points: ``mu`` repeated ``t_i`` times per block (length ``k_left``)."""
         return self._interleaved(np.repeat(self.left_points, self.left_sizes),
                                  self.left_sizes, 0)
-
-    @property
-    def Lambda(self) -> np.ndarray:
-        """Diagonal matrix ``Lambda`` of eq. (8)."""
-        return np.diag(self.lambda_points)
-
-    @property
-    def M(self) -> np.ndarray:
-        """Diagonal matrix ``M`` of eq. (9)."""
-        return np.diag(self.mu_points)
 
     @property
     def R(self) -> np.ndarray:
@@ -275,36 +262,6 @@ class TangentialData:
             left_values=self.left_values[rows],
             conjugate_pairs=self.conjugate_pairs,
         )
-
-    # ------------------------------------------------------------------ #
-    # diagnostics
-    # ------------------------------------------------------------------ #
-    def interpolation_residuals(self, system) -> tuple[np.ndarray, np.ndarray]:
-        """Residual norms of the interpolation conditions (10) for a candidate model.
-
-        Returns ``(right_residuals, left_residuals)`` -- one Frobenius residual
-        ``||H(lambda_i) R_i - W_i||`` per right block and
-        ``||L_i H(mu_i) - V_i||`` per left block, mirrored blocks included, in
-        the order of ``lambda_points`` / ``mu_points``.  Exact interpolation
-        drives these to (numerical) zero.  All block points are evaluated in
-        one batched sweep when the candidate model supports the shared
-        evaluation kernel (``evaluate_many``); anything exposing only a
-        scalar ``transfer_function`` is evaluated point by point.
-        """
-        right_points = self._blockwise(self.right_points)
-        points = np.concatenate([right_points, self._blockwise(self.left_points)])
-        evaluate_many = getattr(system, "evaluate_many", None)
-        if evaluate_many is not None:
-            h = evaluate_many(points, method="solve")
-        else:
-            h = np.stack([system.transfer_function(point) for point in points])
-        h_right, h_left = h[:right_points.size], h[right_points.size:]
-        r, w, lefts, v = self.R, self.W, self.L, self.V
-        right = [np.linalg.norm(h_i @ r[:, cols] - w[:, cols])
-                 for h_i, cols in zip(h_right, _block_slices(self.right_block_sizes))]
-        left = [np.linalg.norm(lefts[rows] @ h_i - v[rows])
-                for h_i, rows in zip(h_left, _block_slices(self.left_block_sizes))]
-        return np.array(right), np.array(left)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -122,10 +122,6 @@ class FrequencyData:
         """Iterate over ``(frequency_hz, sample_matrix)`` pairs."""
         return iter(zip(self.frequencies_hz, self.samples))
 
-    def sample_at(self, index: int) -> np.ndarray:
-        """The sample matrix at the given index."""
-        return np.array(self.samples[index])
-
     def fingerprint(self) -> str:
         """Content hash of the numerical payload (frequencies, samples, kind, z0).
 
@@ -154,19 +150,6 @@ class FrequencyData:
             reference_impedance=self.reference_impedance,
             label=self.label,
         )
-
-    def band(self, f_min: float, f_max: float) -> "FrequencyData":
-        """Restrict to samples whose frequency lies in ``[f_min, f_max]``."""
-        mask = (self.frequencies_hz >= f_min) & (self.frequencies_hz <= f_max)
-        if not np.any(mask):
-            raise ValueError("no samples in the requested band")
-        return self.subset(np.flatnonzero(mask))
-
-    def decimate(self, factor: int) -> "FrequencyData":
-        """Keep every ``factor``-th sample (used by the under-sampling experiments)."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        return self.subset(range(0, self.n_samples, int(factor)))
 
     def with_samples(self, samples: np.ndarray, *, label: Optional[str] = None) -> "FrequencyData":
         """Return a copy with the sample matrices replaced (e.g. after noise injection)."""
@@ -209,26 +192,6 @@ class FrequencyData:
             kind=kind,
             reference_impedance=z0,
             label=self.label,
-        )
-
-    def merged_with(self, other: "FrequencyData") -> "FrequencyData":
-        """Merge two data sets (same kind and port count) into one sorted set."""
-        if self.kind != other.kind:
-            raise ValueError("cannot merge data of different kinds")
-        if self.samples.shape[1:] != other.samples.shape[1:]:
-            raise ValueError("cannot merge data with different port counts")
-        freqs = np.concatenate([self.frequencies_hz, other.frequencies_hz])
-        samples = np.concatenate([self.samples, other.samples])
-        order = np.argsort(freqs)
-        freqs = freqs[order]
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("merged data would contain duplicate frequencies")
-        return FrequencyData(
-            freqs,
-            samples[order],
-            kind=self.kind,
-            reference_impedance=self.reference_impedance,
-            label=self.label or other.label,
         )
 
     def magnitude(self, output: int = 0, input: int = 0) -> np.ndarray:

@@ -4,31 +4,31 @@ Every layer of the library ultimately evaluates a transfer function over a
 set of complex points: sampling circuits into datasets, computing error
 norms against measurement/validation grids, the recursive front-end's
 hold-out residuals, and pole-residue model sweeps.  This module is the one
-implementation all of them share.  Three evaluation strategies are provided
-for descriptor systems ``H(s) = C (sE - A)^{-1} B + D``:
+implementation all of them share.  A descriptor system
+``H(s) = C (sE - A)^{-1} B + D`` is swept by one of three kernels:
 
-``pointwise``
+:func:`evaluate_pointwise`
     The reference per-point loop: one dense ``(sE - A)`` solve per point,
     falling back to a least-squares solve when the pencil is exactly
-    singular at a point.  This is the semantics every other strategy is
-    measured against (and what the pre-kernel code implemented four times).
+    singular at a point.  This is the semantics the other two kernels are
+    measured against.
 
-``solve``
+``_evaluate_solve`` (the stacked solve)
     Batched stacked-pencil solves: the pencils are assembled as a
     ``(chunk, n, n)`` array and handed to ``np.linalg.solve`` in one gufunc
     call per chunk.  The per-slice LAPACK calls are identical to the loop's,
-    so the results are **bitwise identical** to ``pointwise`` -- this is the
-    strategy used wherever bit-stable reproducibility matters (dataset
-    generation, content-addressed fingerprints).  A chunk containing a
-    singular pencil transparently degrades to the per-point reference.
-    The chunks of one sweep can be dealt out to several lanes, the calling
-    thread and a per-sweep thread pool, each with its own pencil buffer;
-    every point still gets its own ``gesv`` and its own rows of the output,
-    so the lane count changes no bit.  Only dataset sampling
+    so the results are **bitwise identical** to :func:`evaluate_pointwise`
+    -- this is the kernel used wherever bit-stable reproducibility matters
+    (dataset generation, content-addressed fingerprints).  A chunk
+    containing a singular pencil transparently degrades to the per-point
+    reference.  The chunks of one sweep can be dealt out to several lanes,
+    the calling thread and a per-sweep thread pool, each with its own pencil
+    buffer; every point still gets its own ``gesv`` and its own rows of the
+    output, so the lane count changes no bit.  Only dataset sampling
     (:func:`repro.data.sampler.sample_system`) asks for more than one lane;
     every sweep reached through :func:`evaluate_descriptor` keeps one.
 
-``diag``
+:func:`build_evaluation_plan` with ``_evaluate_with_plan`` (the plan)
     The eigendecomposition fast path.  A real spectral shift ``sigma`` turns the
     (possibly singular-``E``) pencil into the ordinary eigenproblem of
     ``K = (A - sigma E)^{-1} E``; with ``K = V diag(lambda) V^{-1}``,
@@ -42,18 +42,23 @@ for descriptor systems ``H(s) = C (sE - A)^{-1} B + D``:
     shift comes from the matrices (moved toward the smallest pole when it
     sits far above it), and it is verified against the direct solve on the
     imaginary axis at the magnitudes of its own smallest, median and largest
-    finite poles, and rejected (per-system fallback to ``solve``) when the
-    pencil is non-diagonalizable or too ill-conditioned; points where the
-    pencil is singular are repaired through the pointwise reference.
+    finite poles, and rejected (``None``) when the pencil is
+    non-diagonalizable or too ill-conditioned; points where the pencil is
+    singular are repaired through the pointwise reference.
 
-``auto`` picks ``diag`` when the sweep is long enough to amortize the plan
-and the plan verifies, and ``solve`` otherwise.  Pole-residue (Cauchy)
-models are served by :func:`evaluate_cauchy`, which is the same vectorized
-weights-times-residues contraction the ``diag`` plan uses internally.
+:func:`evaluate_descriptor` sweeps through the plan it is given and through
+the stacked solve otherwise.  The one decision between them is made by
+:meth:`DescriptorSystem.evaluate_many
+<repro.systems.statespace.DescriptorSystem.evaluate_many>`, which owns the
+cached plan: it passes the plan for sweeps of at least
+:data:`FAST_PATH_MIN_POINTS` points when the plan verifies, and none
+otherwise.  Pole-residue (Cauchy) models are served by
+:func:`evaluate_cauchy`, which is the same vectorized weights-times-residues
+contraction the plan uses internally.
 
-The stacked solve of the ``solve`` strategy goes through the
-:func:`repro.backends.get_backend` record, fetched on every call; it holds
-``np.linalg.solve`` itself, so the results are unchanged by the indirection.
+The stacked solve goes through the :func:`repro.backends.get_backend`
+record, fetched on every call; it holds ``np.linalg.solve`` itself, so the
+results are unchanged by the indirection.
 """
 
 from __future__ import annotations
@@ -84,8 +89,9 @@ __all__ = [
     "SOLVE_CHUNK",
 ]
 
-#: Minimum number of points for which ``auto`` tries the ``diag`` fast path;
-#: shorter sweeps cannot amortize the O(n^3) plan.
+#: Shortest sweep :meth:`~repro.systems.statespace.DescriptorSystem.evaluate_many`
+#: runs through the evaluation plan; shorter sweeps cannot amortize the O(n^3)
+#: plan and take the stacked solve.
 FAST_PATH_MIN_POINTS = 8
 
 #: Relative agreement (vs the direct solve, at the plan's probe points) a
@@ -114,8 +120,6 @@ SOLVE_BUFFER_BYTES = 8 * 2**20
 #: such points are repaired via the dense per-point reference instead.
 SINGULAR_DENOMINATOR_RTOL = 1e-8
 
-_METHODS = ("auto", "solve", "diag", "pointwise")
-
 
 def point_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, s: complex) -> np.ndarray:
     """``(sE - A)^{-1} B`` at one point; least-squares on a singular pencil.
@@ -136,7 +140,7 @@ def point_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, s: complex) -> np.n
 def evaluate_pointwise(E, A, B, C, D, points) -> np.ndarray:
     """Reference per-point loop: ``H(s_i) = C (s_i E - A)^{-1} B + D``.
 
-    This is the semantics the vectorized strategies replicate; it is kept
+    This is the semantics the vectorized kernels replicate; it is kept
     (and exported) as the comparison baseline for the equivalence tests and
     the ``bench_eval_kernel`` speedup measurements.
     """
@@ -425,7 +429,7 @@ def build_evaluation_plan(E, A, B, C, D):
     responds in; a relative disagreement beyond :data:`PLAN_GUARD_TOLERANCE`
     (:func:`plan_probe_ratio` above 1: ill-conditioned eigenvectors,
     non-diagonalizable pencil) rejects the plan so callers fall back to the
-    ``solve`` strategy for this system.
+    stacked solve for this system.
     """
     plan, _, ratio = choose_evaluation_plan(E, A, B, C, D)
     return plan if ratio <= 1.0 else None
@@ -444,10 +448,8 @@ def _evaluate_with_plan(plan: EvaluationPlan, E, A, B, C, D, pts: np.ndarray) ->
     return out
 
 
-def evaluate_descriptor(
-    E, A, B, C, D, points, *,
-    method: str = "auto", plan: EvaluationPlan | None = None,
-) -> np.ndarray:
+def evaluate_descriptor(E, A, B, C, D, points, *,
+                        plan: EvaluationPlan | None = None) -> np.ndarray:
     """Evaluate ``H(s) = C (sE - A)^{-1} B + D`` at many points.
 
     Parameters
@@ -456,41 +458,19 @@ def evaluate_descriptor(
         The descriptor quintuple (``E`` may be singular).
     points:
         Complex points, used verbatim.
-    method:
-        ``"auto"`` (fast path when profitable and valid), ``"solve"``
-        (batched, bitwise identical to the loop), ``"diag"`` (force the
-        eigendecomposition path; raises :exc:`numpy.linalg.LinAlgError` when
-        no valid plan exists), or ``"pointwise"`` (the reference loop).
     plan:
-        Optional pre-built :class:`EvaluationPlan` (e.g. the one cached on a
-        :class:`~repro.systems.statespace.DescriptorSystem`).
+        The system's verified :class:`EvaluationPlan` (e.g. the one cached
+        on a :class:`~repro.systems.statespace.DescriptorSystem`): the sweep
+        runs through it, with (near-)singular points repaired through the
+        reference.  Without one, the sweep is the stacked solve, bitwise
+        identical to :func:`evaluate_pointwise`.
 
     Returns
     -------
     numpy.ndarray
         ``(k, p, m)`` stacked evaluations.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     pts = np.asarray(points, dtype=complex).ravel()
-    if pts.size == 0:
-        return np.empty((0, C.shape[0], B.shape[1]), dtype=complex)
-    if method == "pointwise":
-        return evaluate_pointwise(E, A, B, C, D, pts)
-    if method == "solve":
+    if plan is None:
         return _evaluate_solve(E, A, B, C, D, pts)
-    if method == "diag":
-        if plan is None:
-            plan = build_evaluation_plan(E, A, B, C, D)
-        if plan is None:
-            raise np.linalg.LinAlgError(
-                "no valid diagonalization fast path for this system "
-                "(non-diagonalizable or ill-conditioned pencil)"
-            )
-        return _evaluate_with_plan(plan, E, A, B, C, D, pts)
-    # auto
-    if plan is None and pts.size >= FAST_PATH_MIN_POINTS:
-        plan = build_evaluation_plan(E, A, B, C, D)
-    if plan is not None:
-        return _evaluate_with_plan(plan, E, A, B, C, D, pts)
-    return _evaluate_solve(E, A, B, C, D, pts)
+    return _evaluate_with_plan(plan, E, A, B, C, D, pts)

@@ -7,9 +7,11 @@ per-model loop.  This module provides the spectral alternative, following the
 scale / zero-pad / batched-FFT / crop-and-scale recipe of NUFFT gridders:
 
 1. **Evaluate** ``H(j omega)`` on a conjugate-symmetric uniform frequency
-   grid through the shared sweep-evaluation kernel
-   (:mod:`repro.systems.evaluation` -- this is its second large-batch
-   consumer after the frequency-sweep consumers of PR 3).
+   grid through the model's own ``frequency_response``: for a descriptor
+   system the shared sweep-evaluation kernel
+   (:mod:`repro.systems.evaluation`), whose long sweeps run through the
+   system's cached eigendecomposition plan, and for a pole-residue model
+   its Cauchy contraction.
 2. **Zero-pad / oversample**: the grid is the rfft grid of an oversampled
    time axis (next power of two above ``oversample * n_points``), so the
    periodization window is much longer than the requested horizon and
@@ -132,11 +134,6 @@ class SpectralGrid:
         """
         return np.fft.rfftfreq(self.n_fft, d=self.dt)
 
-    @property
-    def df(self) -> float:
-        """Frequency resolution ``1 / (n_fft * dt)`` of the oversampled grid."""
-        return 1.0 / (self.n_fft * self.dt)
-
 
 def build_spectral_grid(
     t_final: float, n_points: int, *, oversample: int = DEFAULT_OVERSAMPLE
@@ -166,7 +163,7 @@ def build_spectral_grid(
     return SpectralGrid(time=time, dt=dt, n_fft=n_fft, oversample=int(oversample))
 
 
-def evaluate_spectrum(model, grid: SpectralGrid, *, method: str = "auto") -> np.ndarray:
+def evaluate_spectrum(model, grid: SpectralGrid) -> np.ndarray:
     """The strictly proper spectrum ``H(j 2 pi f) - D`` on the grid's rfft axis.
 
     Evaluation runs through the model's ``frequency_response`` -- i.e. the
@@ -178,7 +175,7 @@ def evaluate_spectrum(model, grid: SpectralGrid, *, method: str = "auto") -> np.
     Returns the ``(n_freq, p, m)`` spectrum with the feed-through already
     subtracted (see the module docstring for why).
     """
-    response = np.asarray(model.frequency_response(grid.frequencies_hz, method=method))
+    response = np.asarray(model.frequency_response(grid.frequencies_hz))
     return response - _feedthrough(model)[np.newaxis, :, :]
 
 
@@ -259,7 +256,6 @@ def batch_time_responses(
     models: Sequence,
     grid: SpectralGrid,
     *,
-    method: str = "auto",
     window: str = DEFAULT_WINDOW,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Impulse and step responses of many models through one batched IFFT.
@@ -280,7 +276,7 @@ def batch_time_responses(
     shapes = {_feedthrough(model).shape for model in models}
     if len(shapes) != 1:
         raise ValueError(f"models must share one (p, m) shape, got {sorted(shapes)}")
-    spectra = np.stack([evaluate_spectrum(model, grid, method=method) for model in models])
+    spectra = np.stack([evaluate_spectrum(model, grid) for model in models])
     spectra = _windowed(spectra, grid, window)
     feedthroughs = np.stack([_feedthrough(model) for model in models])
     impulse = impulse_from_spectrum(spectra, grid)

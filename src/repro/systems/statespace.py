@@ -3,10 +3,13 @@
 The class hierarchy is intentionally small:
 
 * :class:`DescriptorSystem` holds the quintuple ``(E, A, B, C, D)`` of eq. (1)
-  of the paper and knows how to evaluate its transfer function
-  ``H(s) = C (sE - A)^{-1} B + D`` at scalar points, along a frequency grid,
-  and at matrices of points.  ``E`` may be singular -- that is precisely the
-  form the Loewner framework produces.
+  of the paper and evaluates its transfer function
+  ``H(s) = C (sE - A)^{-1} B + D`` at a scalar point, along a frequency grid
+  and at arbitrary points.  ``E`` may be singular -- that is precisely the
+  form the Loewner framework produces.  Its sweeps make the one choice of
+  the shared kernel (:mod:`repro.systems.evaluation`): long sweeps go
+  through the system's cached eigendecomposition plan, short ones (and
+  systems whose plan does not verify) through the stacked solve.
 * :class:`StateSpace` is the convenience subclass with ``E = I`` (a standard
   state-space model), used by the vector-fitting baseline and the circuit
   substrate when the mass matrix happens to be invertible.
@@ -17,7 +20,7 @@ read-only, which makes them safe to share between experiments and tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -206,20 +209,13 @@ class DescriptorSystem:
             self._eval_plan = _PLAN_UNAVAILABLE if plan is None else plan
         return None if self._eval_plan is _PLAN_UNAVAILABLE else self._eval_plan
 
-    def frequency_response(
-        self, frequencies_hz: Iterable[float], *, method: str = "auto"
-    ) -> np.ndarray:
+    def frequency_response(self, frequencies_hz: Iterable[float]) -> np.ndarray:
         """Evaluate the transfer function at ``s = j 2 pi f`` for every frequency.
 
         Parameters
         ----------
         frequencies_hz:
             Iterable of frequencies in Hz.
-        method:
-            Evaluation strategy of the shared sweep kernel
-            (:mod:`repro.systems.evaluation`): ``"auto"`` (default),
-            ``"solve"`` (bitwise equal to the per-point reference),
-            ``"diag"`` or ``"pointwise"``.
 
         Returns
         -------
@@ -228,34 +224,25 @@ class DescriptorSystem:
             the first axis.
         """
         freqs = np.asarray(list(frequencies_hz), dtype=float)
-        return self.evaluate_many(1j * 2.0 * np.pi * freqs, method=method)
+        return self.evaluate_many(1j * 2.0 * np.pi * freqs)
 
-    def evaluate_many(self, points: Iterable[complex], *, method: str = "auto") -> np.ndarray:
+    def evaluate_many(self, points: Iterable[complex]) -> np.ndarray:
         """Evaluate the transfer function at arbitrary complex points.
 
         Unlike :meth:`frequency_response` the points are used verbatim (no
         ``j 2 pi f`` mapping), which is what the interpolation core needs when
         it works with the ``lambda_i`` / ``mu_i`` sample points directly.
-        The evaluation runs through the shared vectorized kernel
-        (:mod:`repro.systems.evaluation`): ``method="auto"`` uses the cached
-        eigendecomposition fast path when the sweep is long enough to
-        amortize it (and the plan verifies for this system), and the
-        batched stacked-pencil solve -- bitwise identical to the per-point
-        reference loop -- otherwise.
+        This is where the shared kernel's (:mod:`repro.systems.evaluation`)
+        one decision is made: a sweep of at least
+        :data:`~repro.systems.evaluation.FAST_PATH_MIN_POINTS` points runs
+        through the cached eigendecomposition plan when the plan verifies
+        for this system, and every other sweep through the batched
+        stacked-pencil solve -- bitwise identical to the per-point
+        reference loop.
         """
         pts = np.asarray(list(points), dtype=complex)
-        plan = None
-        if method == "auto" and pts.size >= FAST_PATH_MIN_POINTS:
-            plan = self._evaluation_plan()
-            if plan is None:
-                method = "solve"
-        return evaluate_descriptor(
-            self._E, self._A, self._B, self._C, self._D, pts, method=method, plan=plan
-        )
-
-    def dc_gain(self) -> np.ndarray:
-        """Transfer function at ``s = 0`` (``-C A^{-1} B + D``)."""
-        return self.transfer_function(0.0)
+        plan = self._evaluation_plan() if pts.size >= FAST_PATH_MIN_POINTS else None
+        return evaluate_descriptor(self._E, self._A, self._B, self._C, self._D, pts, plan=plan)
 
     # ------------------------------------------------------------------ #
     # transformations
@@ -286,56 +273,9 @@ class DescriptorSystem:
                 mats.append(mat.copy())
         return DescriptorSystem(*mats)
 
-    def transformed(self, left: np.ndarray, right: np.ndarray) -> "DescriptorSystem":
-        """Apply a two-sided projection ``(left* E right, left* A right, left* B, C right)``.
-
-        This is the operation used both by the SVD realization of Lemma 3.4
-        and by reduction methods; ``D`` is left untouched.
-        """
-        left = ensure_2d(left, "left")
-        right = ensure_2d(right, "right")
-        lh = left.conj().T
-        return DescriptorSystem(
-            lh @ self._E @ right,
-            lh @ self._A @ right,
-            lh @ self._B,
-            self._C @ right,
-            self._D,
-        )
-
-    def with_feedthrough(self, D: np.ndarray) -> "DescriptorSystem":
-        """Return a copy of the system with the feed-through matrix replaced."""
-        return DescriptorSystem(self._E, self._A, self._B, self._C, D)
-
-    def to_statespace(self) -> "StateSpace":
-        """Convert to an explicit state-space model by inverting ``E``.
-
-        Raises
-        ------
-        numpy.linalg.LinAlgError
-            If ``E`` is singular; descriptor systems with singular ``E`` have
-            no explicit state-space form of the same order.
-        """
-        e_inv_a = np.linalg.solve(self._E, self._A)
-        e_inv_b = np.linalg.solve(self._E, self._B)
-        return StateSpace(e_inv_a, e_inv_b, self._C, self._D)
-
     def copy(self) -> "DescriptorSystem":
         """Return an independent copy of the system."""
         return DescriptorSystem(self._E, self._A, self._B, self._C, self._D)
-
-    def subsystem(self, outputs: Optional[Iterable[int]] = None,
-                  inputs: Optional[Iterable[int]] = None) -> "DescriptorSystem":
-        """Select a subset of inputs/outputs (port sub-block of the transfer function)."""
-        out_idx = np.arange(self.n_outputs) if outputs is None else np.asarray(list(outputs), dtype=int)
-        in_idx = np.arange(self.n_inputs) if inputs is None else np.asarray(list(inputs), dtype=int)
-        return DescriptorSystem(
-            self._E,
-            self._A,
-            self._B[:, in_idx],
-            self._C[out_idx, :],
-            self._D[np.ix_(out_idx, in_idx)],
-        )
 
 
 class StateSpace(DescriptorSystem):

@@ -273,25 +273,6 @@ class PassivityCertificate:
             "f_max_hz": float(self.f_max_hz),
         }
 
-    @classmethod
-    def from_metrics(
-        cls, representation: str, metrics: dict[str, float]
-    ) -> "PassivityCertificate":
-        """Rebuild a certificate from record columns (shard / wire round-trip)."""
-        missing = [key for key in PASSIVITY_METRIC_KEYS if key not in metrics]
-        if missing:
-            raise ValueError(f"certificate metrics are missing {missing}")
-        return cls(
-            representation=representation,
-            f_min_hz=float(metrics["f_min_hz"]),
-            f_max_hz=float(metrics["f_max_hz"]),
-            n_frequencies=int(metrics["n_frequencies"]),
-            worst_margin=float(metrics["worst_margin"]),
-            perturbation_norm=float(metrics["perturbation_norm"]),
-            error_delta=float(metrics["error_delta"]),
-            iterations=int(metrics["iterations"]),
-        )
-
 
 # --------------------------------------------------------------------------- #
 # model conversion

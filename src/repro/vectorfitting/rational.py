@@ -5,9 +5,11 @@ Vector fitting produces models in *pole-residue* form,
 ``H(s) = sum_n R_n / (s - a_n) + D``,
 
 with matrix residues ``R_n`` sharing a common pole set.  This class stores
-that form directly -- evaluation is then O(n p m) per frequency instead of a
-dense linear solve -- and converts to a real block state-space realization on
-demand (for time-domain use or comparison with the Loewner models).
+that form directly -- a sweep is then one vectorized Cauchy contraction
+(:func:`repro.systems.evaluation.evaluate_cauchy`), O(n p m) per frequency
+instead of a dense linear solve, so it has no kernel to choose -- and
+converts to a real block state-space realization on demand (for time-domain
+use or comparison with the Loewner models).
 """
 
 from __future__ import annotations
@@ -119,21 +121,19 @@ class PoleResidueModel:
         """Alias for :meth:`transfer_function`."""
         return self.transfer_function(s)
 
-    def evaluate_many(self, points, *, method: str = "auto") -> np.ndarray:
+    def evaluate_many(self, points) -> np.ndarray:
         """Evaluate ``H`` at arbitrary complex points (shape ``(k, p, m)``).
 
-        Pole-residue models are already diagonal, so every strategy of the
-        shared kernel reduces to the same vectorized Cauchy contraction
-        (:func:`repro.systems.evaluation.evaluate_cauchy`); ``method`` is
-        accepted for interface parity with
-        :meth:`repro.systems.statespace.DescriptorSystem.evaluate_many`.
+        Pole-residue models are already diagonal, so a sweep is the
+        vectorized Cauchy contraction
+        (:func:`repro.systems.evaluation.evaluate_cauchy`).
         """
         return evaluate_cauchy(self._poles, self._residues, self._d, points)
 
-    def frequency_response(self, frequencies_hz, *, method: str = "auto") -> np.ndarray:
+    def frequency_response(self, frequencies_hz) -> np.ndarray:
         """Evaluate ``H(j 2 pi f)`` over a frequency grid (shape ``(k, p, m)``)."""
         freqs = np.asarray(frequencies_hz, dtype=float).ravel()
-        return self.evaluate_many(1j * 2.0 * np.pi * freqs, method=method)
+        return self.evaluate_many(1j * 2.0 * np.pi * freqs)
 
     # ------------------------------------------------------------------ #
     # conversion

@@ -12,11 +12,11 @@ tangential data with explicit conjugate blocks, the dense Lemma 3.2
 transform, its literal pair-by-pair mixing of the full complex pencil, and
 the two-sided SVDs of the full ``2k``-wide matrices.
 
-Two checks of the paper's theory that no fit runs live here too: Lemma 3.1's
-direct realization of a square, regular pencil and the residuals of the
-Sylvester equations (13).  So does :func:`identity_directions`, the
-hand-built tangential fixtures' shorthand for the library's identity
-directions.
+Three checks of the paper's theory that no fit runs live here too: Lemma
+3.1's direct realization of a square, regular pencil, the residuals of the
+Sylvester equations (13) and the residuals of the interpolation conditions
+(10).  So does :func:`identity_directions`, the hand-built tangential
+fixtures' shorthand for the library's identity directions.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import scipy.linalg
 from repro.core.directions import generate_direction_sets
 from repro.core.options import MftiOptions
 from repro.core.realization import _determine_order
-from repro.core.tangential import _pair_halves
+from repro.core.tangential import _block_slices, _pair_halves
+from repro.systems.evaluation import _evaluate_solve
 from repro.systems.statespace import DescriptorSystem
 from repro.utils.linalg import economic_svd, realify
 from repro.vectorfitting.kernels import REAL_POLE_TOLERANCE
@@ -47,6 +48,7 @@ __all__ = [
     "two_sided_realization_reference",
     "direct_realization",
     "sylvester_residuals",
+    "interpolation_residuals",
     "identity_directions",
 ]
 
@@ -381,6 +383,32 @@ def sylvester_residuals(pencil, data) -> tuple[float, float]:
     lhs2 = pencil.shifted_loewner @ lam - mu @ pencil.shifted_loewner
     res2 = np.linalg.norm(lhs2 - rhs2) / max(np.linalg.norm(rhs2), 1e-300)
     return float(res1), float(res2)
+
+
+def interpolation_residuals(tangential, system) -> tuple[np.ndarray, np.ndarray]:
+    """Residual norms of the interpolation conditions (10) for a candidate model.
+
+    Returns ``(right_residuals, left_residuals)`` -- one Frobenius residual
+    ``||H(lambda_i) R_i - W_i||`` per right block of ``tangential`` and
+    ``||L_i H(mu_i) - V_i||`` per left block, mirrored blocks included, in
+    the order of ``lambda_points`` / ``mu_points``.  Exact interpolation
+    drives these to (numerical) zero.  A descriptor system is evaluated at
+    every block point in one stacked solve; anything else point by point
+    through its ``transfer_function``.
+    """
+    right_points = tangential._blockwise(tangential.right_points)
+    points = np.concatenate([right_points, tangential._blockwise(tangential.left_points)])
+    if isinstance(system, DescriptorSystem):
+        h = _evaluate_solve(system.E, system.A, system.B, system.C, system.D, points)
+    else:
+        h = np.stack([system.transfer_function(point) for point in points])
+    h_right, h_left = h[: right_points.size], h[right_points.size :]
+    r, w, lefts, v = tangential.R, tangential.W, tangential.L, tangential.V
+    right = [np.linalg.norm(h_i @ r[:, cols] - w[:, cols])
+             for h_i, cols in zip(h_right, _block_slices(tangential.right_block_sizes))]
+    left = [np.linalg.norm(lefts[rows] @ h_i - v[rows])
+            for h_i, rows in zip(h_left, _block_slices(tangential.left_block_sizes))]
+    return np.array(right), np.array(left)
 
 
 def identity_directions(n_ports: int, block_size: int, count: int) -> list[np.ndarray]:

@@ -165,7 +165,7 @@ class TestBatchEngine:
         result = BatchEngine().run(jobs)
         assert result.n_ok == 2 and result.n_failed == 1
         assert result.failures[0].label == "poison"
-        assert result.record_for("good-2").ok
+        assert result.records[2].label == "good-2" and result.records[2].ok
 
     def test_deterministic_chunk_layout(self):
         engine = BatchEngine(executor="thread", max_workers=2)

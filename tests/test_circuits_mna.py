@@ -8,6 +8,7 @@ conventions (signs, branch currents, port semantics).
 import numpy as np
 import pytest
 
+from repro.circuits.elements import CurrentProbePort
 from repro.circuits.mna import assemble_mna, netlist_to_descriptor
 from repro.circuits.netlist import Netlist
 
@@ -27,7 +28,7 @@ class TestElementaryCircuits:
     def test_single_resistor_admittance_port(self):
         net = Netlist()
         net.add_resistor("a", "0", 50.0)
-        net.add_probe_port("a")
+        net.add(CurrentProbePort("PP1", "a"))
         sys_ = netlist_to_descriptor(net)
         assert _z(sys_, 1e3)[0, 0] == pytest.approx(1.0 / 50.0)
 
@@ -117,7 +118,7 @@ class TestMnaMetadata:
         net.add_inductor("b", "0", 1e-9)
         net.add_capacitor("a", "0", 1e-12)
         net.add_port("a")
-        net.add_probe_port("b")
+        net.add(CurrentProbePort("PP1", "b"))
         mna = assemble_mna(net)
         assert mna.node_names == ("a", "b")
         assert mna.inductor_names == ("L1",)

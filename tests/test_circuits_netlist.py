@@ -84,7 +84,7 @@ class TestNetlist:
         net = Netlist()
         net.add_inductor("a", "0", 1e-9)
         net.add_port("a")
-        net.add_probe_port("a")
+        net.add(CurrentProbePort("PP1", "a"))
         assert len(net.ports) == 2
         assert len(net.inductors) == 1
         assert net.n_ports == 2

@@ -1,14 +1,20 @@
 """Tests for Algorithm 1 (:func:`repro.core.mfti.mfti`) and its options."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.cli import cli_subprocess
-from repro.core import MftiOptions, RecursiveOptions, mfti
+from repro.cli import cli_subprocess, main
+from repro.core import MftiOptions, RecursiveOptions, VftiOptions, mfti
+from repro.core.options import InterpolationOptions
 from repro.core.directions import resolve_block_sizes
 from repro.core.sampling import minimal_sample_count
 from repro.data import log_frequencies, sample_scattering, write_touchstone
 from repro.systems.random_systems import random_stable_system
+from repro.systems.statespace import DescriptorSystem
+
+from oracles import interpolation_residuals
 
 
 class TestBlockSizeResolution:
@@ -96,7 +102,7 @@ class TestMftiRecovery:
     def test_interpolation_conditions_hold(self, small_data):
         """Eq. (10): the recovered model satisfies the tangential constraints."""
         result = mfti(small_data)
-        right, left = result.tangential.interpolation_residuals(result.system)
+        right, left = interpolation_residuals(result.tangential, result.system)
         scale = np.linalg.norm(result.tangential.W)
         assert np.max(right) / scale < 1e-8
         assert np.max(left) / scale < 1e-8
@@ -160,10 +166,45 @@ class TestMftiInterface:
         assert len(lines) == 1 and lines[0].startswith("error:"), completed.stderr
         assert "block_size" in lines[0]
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("options_type, field", [
+        (InterpolationOptions, "order"),
+        (MftiOptions, "order"),
+        (VftiOptions, "order"),
+        (RecursiveOptions, "order"),
+        (VftiOptions, "direction_start"),
+        (RecursiveOptions, "samples_per_iteration"),
+        (RecursiveOptions, "initial_samples"),
+        (RecursiveOptions, "max_iterations"),
+    ])
+    def test_integer_options_are_validated_where_the_options_are_built(
+            self, options_type, field, value):
+        with pytest.raises(ValueError, match=field):
+            options_type(**{field: value})
+        assert getattr(options_type(**{field: np.int64(3)}), field) == 3
+
+    @pytest.mark.parametrize("method, options", [
+        ("mfti", '{"order": 2.5}'),
+        ("mfti", '{"order": true}'),
+        ("mfti-recursive", '{"samples_per_iteration": 2.5}'),
+        ("mfti-recursive", '{"initial_samples": 3.5}'),
+        ("mfti", '{"block_size": 9}'),
+        ("mfti", '{"block_size": [2, 2]}'),
+    ])
+    def test_cli_refuses_options_before_the_fit(self, many_sample_data, tmp_path, capsys,
+                                                method, options):
+        """Options the fit would refuse for this 4-port, 24-sample file are usage errors."""
+        path = tmp_path / "board.s4p"
+        write_touchstone(many_sample_data, path)
+        assert main(["fit", str(path), "--method", method, "--options", options]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert next(iter(json.loads(options))) in lines[0]
+
     def test_rectangular_data_supported(self, dense_data):
         """Non-square sample matrices (more outputs than inputs) still interpolate."""
         system = random_stable_system(order=10, n_ports=3, feedthrough=0.1, seed=8)
-        rect = system.subsystem(outputs=[0, 1, 2], inputs=[0, 1])
+        rect = DescriptorSystem(system.E, system.A, system.B[:, :2], system.C, system.D[:, :2])
         data = sample_scattering(rect, log_frequencies(1e1, 1e5, 10))
         result = mfti(data)
         reference = rect.frequency_response(data.frequencies_hz)

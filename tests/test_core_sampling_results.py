@@ -69,8 +69,3 @@ class TestRecursiveDiagnostics:
     def test_properties(self):
         diag = RecursiveDiagnostics(iterations=self._history(), converged=True, threshold=1e-2)
         assert diag.n_iterations == 2
-        assert diag.final_holdout_error == pytest.approx(1e-3)
-
-    def test_empty_history(self):
-        diag = RecursiveDiagnostics(iterations=(), converged=False, threshold=1e-2)
-        assert np.isnan(diag.final_holdout_error)

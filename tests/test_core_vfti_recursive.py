@@ -209,7 +209,8 @@ def test_recursive_model_is_the_one_shot_realization_of_its_selection(problem):
     pairs = result.metadata["selected_pairs"]
     assert len(pairs) == len(set(pairs))
     assert result.metadata["recursion"].iterations[-1].n_samples_used == len(pairs)
-    assert result.n_samples_used == result.tangential.n_sample_matrices
+    tangential = result.tangential
+    assert result.n_samples_used == tangential.n_right_samples + tangential.n_left_samples
     plan = prepare_block_directions(options, data.n_samples, data.n_inputs, data.n_outputs)
     n_pairs = min(len(plan.right_indices), len(plan.left_indices))
     for indices, points in ((plan.right_indices, result.tangential.right_points),

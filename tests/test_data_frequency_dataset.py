@@ -100,32 +100,10 @@ class TestFrequencyData:
         assert np.allclose(sub.frequencies_hz, [1e3, 8e3])
         assert np.allclose(sub.samples[0], toy_data.samples[0])
 
-    def test_band_selection(self, toy_data):
-        band = toy_data.band(1.5e3, 5e3)
-        assert band.n_samples == 2
-
-    def test_band_empty_raises(self, toy_data):
-        with pytest.raises(ValueError):
-            toy_data.band(1e6, 2e6)
-
-    def test_decimate(self, toy_data):
-        assert toy_data.decimate(2).n_samples == 2
-
     def test_with_samples_replaces(self, toy_data):
         new = toy_data.with_samples(np.zeros((4, 2, 2)), label="zeros")
         assert np.allclose(new.samples, 0.0)
         assert new.label == "zeros"
-
-    def test_merge(self, toy_data):
-        other = FrequencyData(np.array([3e3]), np.ones((1, 2, 2)), kind="S")
-        merged = toy_data.merged_with(other)
-        assert merged.n_samples == 5
-        assert np.all(np.diff(merged.frequencies_hz) > 0)
-
-    def test_merge_rejects_kind_mismatch(self, toy_data):
-        other = FrequencyData(np.array([3e3]), np.ones((1, 2, 2)), kind="Z")
-        with pytest.raises(ValueError):
-            toy_data.merged_with(other)
 
     def test_conversion_roundtrip(self, rng):
         freqs = np.array([1e6, 1e7])

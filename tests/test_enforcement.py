@@ -64,7 +64,6 @@ from repro.vectorfitting import enforcement
 from repro.vectorfitting.enforcement import (
     PASSIVITY_METRIC_KEYS,
     EnforcementFailed,
-    PassivityCertificate,
     PassivitySpec,
     as_pole_residue,
     enforce_passivity,
@@ -454,18 +453,6 @@ class TestCertificateRoundTrip:
         _, certificate = enforced
         assert tuple(certificate.to_metrics()) == PASSIVITY_METRIC_KEYS
 
-    def test_from_metrics_inverts_to_metrics_exactly(self, enforced):
-        _, certificate = enforced
-        rebuilt = PassivityCertificate.from_metrics("S", certificate.to_metrics())
-        assert rebuilt == certificate
-
-    def test_from_metrics_rejects_missing_columns(self, enforced):
-        _, certificate = enforced
-        metrics = certificate.to_metrics()
-        metrics.pop("worst_margin")
-        with pytest.raises(ValueError, match="worst_margin"):
-            PassivityCertificate.from_metrics("S", metrics)
-
     def test_certificate_columns_survive_the_shard_meta_round_trip(self, enforced):
         _, certificate = enforced
         record = JobRecord(
@@ -478,7 +465,6 @@ class TestCertificateRoundTrip:
         )
         rebuilt = record_from_document(json.loads(json.dumps(record_to_document(record))))
         assert rebuilt.passivity == record.passivity
-        assert PassivityCertificate.from_metrics("S", rebuilt.passivity) == certificate
 
     def test_certificate_columns_survive_the_wire_round_trip(self, enforced):
         _, certificate = enforced
@@ -605,11 +591,11 @@ class TestPassiveMacromodelAcceptance:
             spec = job.passivity
             assert spec is not None and job.reference is not None
             assert tuple(record.passivity) == PASSIVITY_METRIC_KEYS
-            certificate = PassivityCertificate.from_metrics(spec.representation, record.passivity)
-            assert certificate.worst_margin >= -spec.tolerance
-            assert 0 <= certificate.iterations <= spec.max_iterations
-            assert certificate.n_frequencies >= spec.holdout_oversample * spec.n_check
-            assert 0.0 < certificate.f_min_hz < certificate.f_max_hz
+            certificate = record.passivity
+            assert certificate["worst_margin"] >= -spec.tolerance
+            assert 0 <= certificate["iterations"] <= spec.max_iterations
+            assert certificate["n_frequencies"] >= spec.holdout_oversample * spec.n_check
+            assert 0.0 < certificate["f_min_hz"] < certificate["f_max_hz"]
 
     def test_two_shard_cli_round_trip_merges_bitwise(self, grid_jobs, reference_run, tmp_path):
         shard_dir = tmp_path / "shards"

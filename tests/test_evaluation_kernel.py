@@ -5,21 +5,24 @@ per-point evaluation loops, so its contract is locked from three sides:
 
 * **golden fixtures** -- ``tests/golden/golden_eval.json`` pins literal
   ``H(s)`` values (computed by the per-point reference loop) for a
-  deterministic system zoo; every strategy must reproduce them to
-  ``<= 1e-10`` relative error per point.  Regenerate after an *intentional*
+  deterministic system zoo; every sweep -- the stacked solve, the
+  per-point loop and ``evaluate_many``, which takes the plan for long
+  sweeps -- must reproduce them to ``<= 1e-10`` relative error per point.  Regenerate after an *intentional*
   numerical change with::
 
       PYTHONPATH=src python tests/test_evaluation_kernel.py --regenerate
 
 * **hypothesis properties** -- over randomly generated stable systems,
   real and with a complex ``A``, and sweeps spanning several stacked-solve
-  chunks, the batched ``solve`` strategy is *bitwise identical* to the reference loop,
-  and the ``auto`` strategy (eigendecomposition fast path) agrees to
-  ``<= 1e-10`` relative error per point;
+  chunks, the batched stacked solve is *bitwise identical* to the reference
+  loop, and ``evaluate_many`` (the eigendecomposition plan for sweeps of
+  ``FAST_PATH_MIN_POINTS`` or more) agrees to ``<= 1e-10`` relative error
+  per point;
 
 * **edge cases** -- empty point sets, generator inputs, singular pencils
   taking the least-squares fallback, non-square systems, non-diagonalizable
-  pencils rejecting the fast path, and plan-cache pickling.
+  pencils rejecting the plan, short sweeps skipping it, and plan-cache
+  pickling.
 """
 
 from __future__ import annotations
@@ -46,18 +49,37 @@ from repro.systems.evaluation import (
     SOLVE_CHUNK,
     build_evaluation_plan,
     evaluate_cauchy,
-    evaluate_descriptor,
     evaluate_pointwise,
 )
 from repro.vectorfitting.rational import PoleResidueModel
 
+from oracles import interpolation_residuals
+
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_eval.json")
 
-#: The acceptance bound: every vectorized strategy matches the per-point
+#: The acceptance bound: every vectorized sweep matches the per-point
 #: reference loop to this relative error per evaluation point.
 EQUIVALENCE_RTOL = 1e-10
 
-METHODS = ("solve", "auto", "pointwise")
+
+def _solve(system: DescriptorSystem, points) -> np.ndarray:
+    """The stacked solve of a sweep, bitwise identical to the per-point loop."""
+    return evaluation._evaluate_solve(system.E, system.A, system.B, system.C, system.D,
+                                      np.asarray(points, dtype=complex).ravel())
+
+
+def _pointwise(system: DescriptorSystem, points) -> np.ndarray:
+    """The per-point reference loop."""
+    return evaluate_pointwise(system.E, system.A, system.B, system.C, system.D, points)
+
+
+#: Every way a descriptor system is swept: the two kernels ``evaluate_many``
+#: chooses between and the reference loop.
+SWEEPS = {
+    "solve": _solve,
+    "evaluate_many": lambda system, points: system.evaluate_many(points),
+    "pointwise": _pointwise,
+}
 
 #: An order whose complex ``(chunk, n, n)`` pencil buffer the byte budget
 #: caps below ``SOLVE_CHUNK`` points, and the chunk it gets.
@@ -82,8 +104,9 @@ def _zoo() -> dict[str, tuple[DescriptorSystem, np.ndarray]]:
         PdnConfiguration(n_ports=2, grid_rows=3, grid_cols=3, n_decaps=2, n_bulk_caps=1)
     )
     pdn_axis = 1j * 2.0 * np.pi * np.logspace(6.0, 9.4, 12)
-    non_square = random_stable_system(order=16, n_ports=4, feedthrough=0.1, seed=21
-                                      ).subsystem(outputs=[0, 2])
+    square = random_stable_system(order=16, n_ports=4, feedthrough=0.1, seed=21)
+    non_square = DescriptorSystem(square.E, square.A, square.B, square.C[[0, 2]],
+                                  square.D[[0, 2]])
     return {
         "random-statespace": (random_sys, np.concatenate([axis, shifted])),
         "pdn-descriptor": (pdn, pdn_axis),
@@ -132,8 +155,8 @@ def golden():
 
 
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_every_strategy_reproduces_golden_values(self, golden, method):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_every_strategy_reproduces_golden_values(self, golden, sweep):
         zoo = _zoo()
         assert {case["name"] for case in golden["cases"]} == set(zoo)
         for case in golden["cases"]:
@@ -144,10 +167,10 @@ class TestGoldenEquivalence:
                                           err_msg=f"{case['name']}: zoo drifted")
             want = (np.asarray(case["values_real"])
                     + 1j * np.asarray(case["values_imag"]))
-            got = system.evaluate_many(points, method=method)
+            got = SWEEPS[sweep](system, points)
             rel = _per_point_relative(got, want)
             assert np.max(rel) <= golden["equivalence_rtol"], (
-                f"{case['name']} via {method}: max per-point relative error "
+                f"{case['name']} via {sweep}: max per-point relative error "
                 f"{np.max(rel):.2e} exceeds {golden['equivalence_rtol']:g}"
             )
 
@@ -155,7 +178,7 @@ class TestGoldenEquivalence:
         for name, (system, points) in _zoo().items():
             ref = evaluate_pointwise(system.E, system.A, system.B, system.C,
                                      system.D, points)
-            got = system.evaluate_many(points, method="solve")
+            got = _solve(system, points)
             assert np.array_equal(got, ref), f"{name}: solve drifted from the loop"
 
 
@@ -178,7 +201,7 @@ class TestGoldenEquivalence:
 # 82.7 rad/s), which cost the low end of the sweep 1.2e-10
 @example(order=16, n_ports=1, seed=17542, n_points=33, complex_a=True)
 def test_vectorized_matches_loop_property(order, n_ports, seed, n_points, complex_a):
-    """solve == loop bitwise; auto (fast path) == loop to <= 1e-10 relative.
+    """solve == loop bitwise; evaluate_many (the plan) == loop to <= 1e-10 relative.
 
     ``complex_a`` perturbs ``A`` off the real line, so the plan runs in
     complex arithmetic instead of the real arithmetic of a real system.
@@ -191,8 +214,8 @@ def test_vectorized_matches_loop_property(order, n_ports, seed, n_points, comple
     points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, n_points)
     ref = evaluate_pointwise(system.E, system.A, system.B, system.C,
                              system.D, points)
-    assert np.array_equal(system.evaluate_many(points, method="solve"), ref)
-    fast = system.evaluate_many(points, method="auto")
+    assert np.array_equal(_solve(system, points), ref)
+    fast = system.evaluate_many(points)
     assert np.max(_per_point_relative(fast, ref)) <= EQUIVALENCE_RTOL
 
 
@@ -210,7 +233,7 @@ def test_stacked_solve_chunk_is_bounded_by_bytes(monkeypatch):
                         dataclasses.replace(numpy_backend, solve=counting_solve))
     system = random_stable_system(order=BUDGET_ORDER, n_ports=2, feedthrough=0.05, seed=0)
     points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, 2 * BUDGET_CHUNK + 7)
-    system.evaluate_many(points, method="solve")
+    _solve(system, points)
     assert chunks == [BUDGET_CHUNK, BUDGET_CHUNK, 7]
 
 
@@ -377,9 +400,9 @@ def test_cauchy_kernel_matches_per_point_evaluation(n_poles, p, m, seed):
 # edge cases (issue satellite: evaluate_many corner behaviour)
 # --------------------------------------------------------------------------- #
 class TestEvaluateManyEdgeCases:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_empty_point_set(self, small_system, method):
-        out = small_system.evaluate_many([], method=method)
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_empty_point_set(self, small_system, sweep):
+        out = SWEEPS[sweep](small_system, [])
         assert out.shape == (0, small_system.n_outputs, small_system.n_inputs)
         assert out.dtype == complex
 
@@ -393,13 +416,13 @@ class TestEvaluateManyEdgeCases:
         from_generator = small_system.evaluate_many(p for p in points)
         np.testing.assert_array_equal(from_list, from_generator)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_singular_pencil_takes_lstsq_fallback(self, method):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_singular_pencil_takes_lstsq_fallback(self, sweep):
         """Points where ``sE - A`` is exactly singular match the lstsq loop."""
         system = StateSpace(np.diag([1.0, -2.0]), np.eye(2), np.eye(2),
                             np.zeros((2, 2)))
         # s = 1 makes the pencil exactly singular; surround it with enough
-        # regular points that the fast path is in play for "auto"
+        # regular points that evaluate_many takes the plan
         points = np.concatenate([[1.0 + 0.0j], 1j * np.linspace(1.0, 9.0, 9)])
         ref = evaluate_pointwise(system.E, system.A, system.B, system.C,
                                  system.D, points)
@@ -408,7 +431,7 @@ class TestEvaluateManyEdgeCases:
                                 system.B.astype(complex), rcond=None)[0]
         np.testing.assert_allclose(ref[0], system.C @ lstsq + system.D,
                                    rtol=1e-12, atol=1e-12)
-        got = system.evaluate_many(points, method=method)
+        got = SWEEPS[sweep](system, points)
         assert np.all(np.isfinite(got))
         rel = _per_point_relative(got, ref)
         assert np.max(rel) <= EQUIVALENCE_RTOL
@@ -446,13 +469,13 @@ class TestEvaluateManyEdgeCases:
                                  system.D, wide_band)
         assert np.max(_per_point_relative(got, ref)) <= EQUIVALENCE_RTOL
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_non_square_system(self, method):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_non_square_system(self, sweep):
         base = random_stable_system(order=12, n_ports=4, feedthrough=0.1, seed=3)
-        system = base.subsystem(outputs=[0, 1], inputs=[0, 1, 2, 3])
+        system = DescriptorSystem(base.E, base.A, base.B, base.C[:2], base.D[:2])
         assert system.shape == (2, 4)
         points = 1j * 2.0 * np.pi * np.logspace(1.0, 4.0, 10)
-        got = system.evaluate_many(points, method=method)
+        got = SWEEPS[sweep](system, points)
         assert got.shape == (10, 2, 4)
         ref = evaluate_pointwise(system.E, system.A, system.B, system.C,
                                  system.D, points)
@@ -464,18 +487,27 @@ class TestEvaluateManyEdgeCases:
             small_system.evaluate_many([s])[0], small_system.transfer_function(s)
         )
 
-    def test_diag_method_rejects_non_diagonalizable_pencil(self):
+    def test_plan_rejects_non_diagonalizable_pencil(self):
         # a Jordan block is defective: the eigendecomposition fast path must
         # refuse rather than silently return garbage
         a = np.array([[-1.0, 1.0], [0.0, -1.0]])
         system = StateSpace(a, np.eye(2), np.eye(2))
         points = 1j * np.linspace(1.0, 10.0, 12)
-        with pytest.raises(np.linalg.LinAlgError):
-            system.evaluate_many(points, method="diag")
-        # auto falls back to the (bitwise-stable) batched solve
+        assert build_evaluation_plan(system.E, system.A, system.B, system.C, system.D) is None
+        # evaluate_many falls back to the (bitwise-stable) batched solve
         ref = evaluate_pointwise(system.E, system.A, system.B, system.C,
                                  system.D, points)
         np.testing.assert_array_equal(system.evaluate_many(points), ref)
+
+    def test_short_sweeps_take_the_stacked_solve(self, small_system):
+        """Below FAST_PATH_MIN_POINTS points no plan is built; from there on it is."""
+        points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, FAST_PATH_MIN_POINTS)
+        system = small_system.copy()  # private plan cache
+        short = system.evaluate_many(points[:-1])
+        assert system._eval_plan is None
+        assert short.tobytes() == _pointwise(system, points[:-1]).tobytes()
+        system.evaluate_many(points)
+        assert system._eval_plan is not None
 
     def test_plan_is_cached_and_survives_pickle(self, small_system):
         points = 1j * 2.0 * np.pi * np.logspace(1.0, 5.0, FAST_PATH_MIN_POINTS + 4)
@@ -500,12 +532,6 @@ class TestEvaluateManyEdgeCases:
 # kernel-level API
 # --------------------------------------------------------------------------- #
 class TestEvaluateDescriptor:
-    def test_unknown_method_raises(self, small_system):
-        with pytest.raises(ValueError, match="method"):
-            evaluate_descriptor(small_system.E, small_system.A, small_system.B,
-                                small_system.C, small_system.D, [1j],
-                                method="fancy")
-
     @pytest.mark.parametrize("perturbation, dtype", [(0.0, np.float64),
                                                      (1e-2j, np.complex128)])
     def test_plan_follows_the_system_dtype(self, small_system, monkeypatch,
@@ -603,8 +629,8 @@ class TestConsumers:
             def transfer_function(self, s):
                 return result.system.transfer_function(s)
 
-        batched = tangential.interpolation_residuals(result.system)
-        scalar = tangential.interpolation_residuals(ScalarOnly())
+        batched = interpolation_residuals(tangential, result.system)
+        scalar = interpolation_residuals(tangential, ScalarOnly())
         np.testing.assert_allclose(batched[0], scalar[0], rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(batched[1], scalar[1], rtol=1e-9, atol=1e-12)
 

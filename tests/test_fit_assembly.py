@@ -478,7 +478,7 @@ class TestNumpyReplicasBitwise:
                                       seed=seed % 1000)
         points = 1j * np.linspace(1.0, 1e4, 12)
         sweep = evaluate_descriptor(system.E, system.A, system.B, system.C,
-                                    system.D, points, method="solve")
+                                    system.D, points)
         loop = evaluate_pointwise(system.E, system.A, system.B, system.C,
                                   system.D, points)
         assert np.array_equal(sweep, loop)

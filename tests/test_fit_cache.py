@@ -271,7 +271,7 @@ class TestFitCache:
         run_fit(small_data, method="mfti", options=options, cache=cache)
         run_fit(small_data, method="mfti", options=options, cache=cache)
         stats = cache.stats()
-        assert stats.lookups == 0 and stats.skips == 2
+        assert stats.hits == stats.misses == 0 and stats.skips == 2
         # a *seeded* random fit is deterministic and cacheable
         seeded = MftiOptions(direction_kind="random", direction_seed=7)
         run_fit(small_data, method="mfti", options=seeded, cache=cache)
@@ -290,7 +290,7 @@ class TestFitCache:
 
     def test_stats_helpers(self):
         stats = FitCache().stats()
-        assert stats.lookups == 0 and np.isnan(stats.hit_rate)
+        assert stats.hits == stats.misses == 0
         payload = stats.to_dict()
         assert payload["hits"] == 0 and payload["eval_misses"] == 0
 
@@ -363,11 +363,12 @@ class TestBatchCacheEquivalence:
         for sweep in range(2):
             result = BatchEngine(cache=cache).run(jobs)
             assert result.n_ok == 1 and result.n_failed == 1
-            failure = result.record_for("poison")
+            good, failure = result.records
+            assert (good.label, failure.label) == ("good", "poison")
             assert failure.error_type == "ValueError"
             assert failure.cache_status is None  # failed before fit completed
             expected = "miss" if sweep == 0 else "hit"
-            assert result.record_for("good").cache_status == expected
+            assert good.cache_status == expected
         # the failing fit never landed in the store: only the good fit + evals
         assert cache.stats().stores == 3
 

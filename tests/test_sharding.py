@@ -130,8 +130,8 @@ class TestShardPlanProperties:
         random.Random(seed).shuffle(permuted)
         original = ShardPlan.from_job_ids(ids, n_shards)
         shuffled = ShardPlan.from_job_ids(permuted, n_shards)
-        for job_id in ids:
-            assert original.shard_of(job_id) == shuffled.shard_of(job_id)
+        assert (dict(zip(original.job_ids, original.assignments))
+                == dict(zip(shuffled.job_ids, shuffled.assignments)))
 
     @given(ids=st.lists(st.text(alphabet="0123456789abcdef", min_size=8, max_size=8),
                         min_size=2, max_size=20, unique=True),
@@ -152,8 +152,6 @@ class TestShardPlanProperties:
         plan = ShardPlan.from_job_ids(["aa", "bb"], 2)
         with pytest.raises(ShardError):
             plan.indices_for(2)
-        with pytest.raises(ShardError):
-            plan.shard_of("not-a-job")
 
     def test_plan_from_jobs_matches_job_fingerprints(self, grid_jobs):
         plan = ShardPlan.from_jobs(grid_jobs, 3)

@@ -6,6 +6,7 @@ import pytest
 from repro.data import FrequencyData, sample_system
 from repro.systems.interconnect import s_to_y, s_to_z, y_to_s, y_to_z, z_to_s, z_to_y
 from repro.systems.random_systems import random_stable_system
+from repro.systems.statespace import StateSpace
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ class TestSweepConversions:
     def test_impedance_sweep_matches_pointwise(self):
         z_system = random_stable_system(order=12, n_ports=3, feedthrough=None, seed=2)
         # shift D so Z + z0 I is well conditioned
-        z_system = z_system.with_feedthrough(5.0 * np.eye(3))
+        z_system = StateSpace(z_system.A, z_system.B, z_system.C, 5.0 * np.eye(3))
         z_sweep = sample_system(z_system, self.FREQS, kind="Z")
         s_sweep = z_sweep.converted("S")
         assert s_sweep.kind == "S"
@@ -68,7 +69,7 @@ class TestSweepConversions:
 
     def test_admittance_sweep_matches_pointwise(self):
         y_system = random_stable_system(order=10, n_ports=2, feedthrough=None, seed=6)
-        y_system = y_system.with_feedthrough(0.05 * np.eye(2))
+        y_system = StateSpace(y_system.A, y_system.B, y_system.C, 0.05 * np.eye(2))
         y_sweep = sample_system(y_system, self.FREQS, kind="Y")
         s_sweep = y_sweep.converted("S")
         eye = np.eye(2)
