@@ -42,6 +42,11 @@ Top-level layout
 
 The umbrella CLI is ``python -m repro {fit,batch,shard,serve}``.
 
+Names resolve on first use (PEP 562): ``import repro`` imports none of the
+subpackages, ``repro.mfti`` or ``from repro import BatchEngine`` imports the
+one that defines the name, and ``repro.serve`` the subpackage itself.  A
+batch run therefore never loads the fit server and its network stack.
+
 Quickstart
 ----------
 >>> from repro import mfti, sample_scattering, linear_frequencies
@@ -53,41 +58,7 @@ Quickstart
 True
 """
 
-from repro.api import (
-    Client,
-    JobRecord,
-    merge_shard_results,
-    plan_shards,
-    submit,
-)
-from repro.batch import BatchEngine, BatchResult, FitJob
-from repro.cache import DiskStore, FitCache, MemoryStore, dataset_fingerprint, fit_key
-from repro.core import (
-    MacromodelResult,
-    MftiOptions,
-    RecursiveOptions,
-    VftiOptions,
-    available_methods,
-    mfti,
-    minimal_sample_count,
-    recursive_mfti,
-    run_fit,
-    vfti,
-)
-from repro.data import (
-    FrequencyData,
-    add_measurement_noise,
-    clustered_frequencies,
-    linear_frequencies,
-    log_frequencies,
-    read_touchstone,
-    sample_scattering,
-    sample_system,
-    write_touchstone,
-)
-from repro.metrics import aggregate_error, relative_error_per_frequency, validate_model
-from repro.systems import DescriptorSystem, StateSpace
-from repro.vectorfitting import vector_fit
+import importlib
 
 __version__ = "1.0.0"
 
@@ -132,3 +103,45 @@ __all__ = [
     "DescriptorSystem",
     "StateSpace",
 ]
+
+#: The public names by the package that defines them; each is imported on
+#: first use, so a batch never loads the fit server's client.
+_EXPORTS = {
+    "repro.batch": ("BatchEngine", "BatchResult", "FitJob", "JobRecord",
+                    "merge_shard_results"),
+    "repro.batch.sharding": ("plan_shards",),
+    "repro.cache": ("DiskStore", "FitCache", "MemoryStore", "dataset_fingerprint", "fit_key"),
+    "repro.core": ("MacromodelResult", "MftiOptions", "RecursiveOptions", "VftiOptions",
+                   "available_methods", "mfti", "minimal_sample_count", "recursive_mfti",
+                   "run_fit", "vfti"),
+    "repro.data": ("FrequencyData", "add_measurement_noise", "clustered_frequencies",
+                   "linear_frequencies", "log_frequencies", "read_touchstone",
+                   "sample_scattering", "sample_system", "write_touchstone"),
+    "repro.metrics": ("aggregate_error", "relative_error_per_frequency", "validate_model"),
+    "repro.serve.client": ("Client", "submit"),
+    "repro.systems": ("DescriptorSystem", "StateSpace"),
+    "repro.vectorfitting": ("vector_fit",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+#: The subpackages and modules ``repro.<name>`` imports on first use.
+_SUBMODULES = frozenset({
+    "api", "backends", "batch", "cache", "circuits", "cli", "core", "data",
+    "experiments", "metrics", "serve", "systems", "utils", "vectorfitting",
+})
+
+
+def __getattr__(name: str):
+    """Resolve a public name or a subpackage on first use (PEP 562)."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(_HOME[name]), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -17,10 +17,11 @@ serve wire protocol all go through it, so a new column is added here once.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -156,7 +157,9 @@ class JobRecord:
     status:
         ``"ok"`` or ``"failed"``.
     result:
-        The :class:`~repro.core.results.MacromodelResult` (``None`` on failure).
+        The :class:`~repro.core.results.MacromodelResult` (``None`` on
+        failure), without its tangential data and the system's cached
+        evaluation plan (see :func:`run_job`).
     order:
         Order of the recovered model (``None`` on failure).
     elapsed_seconds:
@@ -454,6 +457,17 @@ def record_from_document(
     )
 
 
+def _delivered(result: MacromodelResult) -> MacromodelResult:
+    """``result`` as a record delivers it: the model, not the fit's working set.
+
+    The tangential data goes, as in a fit-cache replay, and so does the
+    system's cached evaluation plan, as after a pickle
+    (:meth:`~repro.systems.statespace.DescriptorSystem.__getstate__`):
+    ``copy.copy`` takes that same path and shares the read-only matrices.
+    """
+    return replace(result, system=copy.copy(result.system), tangential=None)
+
+
 def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord:
     """Execute one job, capturing any exception into the returned record.
 
@@ -477,6 +491,13 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
     model and the grid, not on which grid the model met first), so a cached
     value is what the direct computation produces: results are
     bitwise-identical with or without the cache, whichever lookups hit.
+
+    Once the job is scored, the record keeps the model and not the fit's
+    working set: its result carries ``tangential=None`` and a system without
+    its cached evaluation plan, the form fit-cache replays, shard merges and
+    the process executor's pickles deliver too.  The tangential data comes
+    from a front-end call (:func:`~repro.core.mfti`, ``run_fit``); a caller
+    who sweeps a record's model again rebuilds its plan, with the same bits.
     """
     started = time.perf_counter()
     cache_status: Optional[str] = None
@@ -559,7 +580,7 @@ def run_job(index: int, job: FitJob, cache=None, *, responses=None) -> JobRecord
             method=job.method,
             tags=dict(job.tags),
             status="ok",
-            result=result,
+            result=_delivered(result),
             order=result.order,
             elapsed_seconds=time.perf_counter() - started,
             error_vs_data=error_vs_data,

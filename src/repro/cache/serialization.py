@@ -9,7 +9,10 @@ disk-cached fits are reconstructed by exactly the same code.
 The tangential data is deliberately *not* stored: it is derivable by
 re-running the fit, it dominates the result's footprint, and no downstream
 consumer of a cached fit (error metrics, tables, model export) reads it.  A
-reconstructed result therefore carries ``tangential=None``.  No result keeps
+reconstructed result therefore carries ``tangential=None`` and a system
+whose evaluation plan is built on its first sweep: the form every batch
+record delivers, whichever path made it (:func:`~repro.batch.jobs.run_job`
+drops both from a fresh fit once the job is scored).  No result keeps
 its Loewner pencil; ``build_loewner_pencil(result.tangential)`` rebuilds it
 from a fresh fit.
 

@@ -13,7 +13,9 @@ lightweight::
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -84,6 +86,22 @@ def _check_integer(check, value, name: str) -> None:
         check(value, name)
     except TypeError as exc:
         raise ValueError(str(exc)) from None
+
+
+def _check_flag(value, name: str) -> None:
+    """A flag option is a ``bool`` or ``numpy.bool_``, not a truthy stand-in."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _is_finite_number(value, kind: type) -> bool:
+    """Whether ``value`` is a finite ``kind`` (``numbers.Real``/``Complex``), not a bool."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _scan_scalar(text: str, pos: int) -> int:
@@ -181,7 +199,8 @@ class InterpolationOptions:
         ``"two-sided"`` (SVDs of ``[L, sL]`` / ``[L; sL]``; robust default) or
         ``"pencil"`` (single SVD of ``x0*L - sL``, the paper's literal step 5).
     x0:
-        Shift used in pencil mode; ``None`` selects the first right point.
+        Shift used in pencil mode, a finite real or complex number (not
+        ``bool``); ``None`` selects the first right point.
     order:
         Explicit model order, a positive integer (not ``bool``); ``None``
         selects the order automatically from the singular-value profile.
@@ -189,7 +208,11 @@ class InterpolationOptions:
         Automatic order detection rule: ``"gap"`` or ``"tolerance"``.
     rank_tolerance:
         Relative singular-value tolerance used by the ``"tolerance"`` rule and
-        as the fallback of the ``"gap"`` rule.
+        as the fallback of the ``"gap"`` rule: a finite real number ``> 0``
+        (not ``bool``).
+
+    The two flags are ``bool`` or ``numpy.bool_``.  Every invalid value
+    raises ``ValueError`` here, so the CLI reports it as a usage error.
     """
 
     real_output: bool = True
@@ -201,12 +224,17 @@ class InterpolationOptions:
     rank_tolerance: float = 1e-9
 
     def __post_init__(self):
+        _check_flag(self.real_output, "real_output")
+        _check_flag(self.include_conjugates, "include_conjugates")
         if self.svd_mode not in ("two-sided", "pencil"):
             raise ValueError(f"svd_mode must be 'two-sided' or 'pencil', got {self.svd_mode!r}")
+        if self.x0 is not None and not _is_finite_number(self.x0, numbers.Complex):
+            raise ValueError(f"x0 must be None or a finite number, got {self.x0!r}")
         if self.rank_method not in ("gap", "tolerance"):
             raise ValueError(f"rank_method must be 'gap' or 'tolerance', got {self.rank_method!r}")
-        if self.rank_tolerance <= 0:
-            raise ValueError("rank_tolerance must be positive")
+        if not (_is_finite_number(self.rank_tolerance, numbers.Real) and self.rank_tolerance > 0):
+            raise ValueError(
+                f"rank_tolerance must be a finite real number > 0, got {self.rank_tolerance!r}")
         if self.order is not None:
             _check_integer(check_positive_integer, self.order, "order")
         if self.real_output and not self.include_conjugates:
@@ -308,10 +336,12 @@ class RecursiveOptions(MftiOptions):
         ``samples_per_iteration``).
     error_threshold:
         ``Th`` of the paper: the loop stops once the mean hold-out tangential
-        error drops below this value.
+        error drops below this value.  A finite real number ``>= 0`` (not
+        ``bool``).
     relative_error:
         Normalise the hold-out error of each sample by the norm of its
-        tangential data (so ``error_threshold`` is a relative quantity).
+        tangential data (so ``error_threshold`` is a relative quantity); a
+        ``bool`` or ``numpy.bool_``.
     selection:
         Which held-out samples to add next: ``"worst"`` (largest hold-out
         error, the active-learning choice) or ``"spread"`` (keep following the
@@ -337,8 +367,11 @@ class RecursiveOptions(MftiOptions):
         if self.initial_samples is not None:
             _check_integer(check_positive_integer, self.initial_samples, "initial_samples")
         _check_integer(check_positive_integer, self.max_iterations, "max_iterations")
-        if self.error_threshold < 0:
-            raise ValueError("error_threshold must be non-negative")
+        if not (_is_finite_number(self.error_threshold, numbers.Real)
+                and self.error_threshold >= 0):
+            raise ValueError(f"error_threshold must be a finite real number >= 0, "
+                             f"got {self.error_threshold!r}")
+        _check_flag(self.relative_error, "relative_error")
         if self.selection not in ("worst", "spread"):
             raise ValueError(f"selection must be 'worst' or 'spread', got {self.selection!r}")
 

@@ -98,6 +98,29 @@ def _determine_order(
     raise ValueError(f"unknown rank_method {rank_method!r} (use 'gap' or 'tolerance')")
 
 
+def _side_singular_vectors(pencil: LoewnerPencil, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of one side's triangular QR factor.
+
+    ``side`` is ``"row"`` (the factor of ``[L, sL]*``) or ``"column"`` (that
+    of ``[L; sL]``).  The augmented matrix is built here and freed once it is
+    factored; the factor and the unread left singular vectors go when this
+    returns.  So one side's working set is gone before the other side
+    allocates its own.  A real pencil's rows are not conjugated, which would
+    only copy them.
+    """
+    if side == "row":
+        augmented = pencil.augmented_row_matrix()
+        if np.iscomplexobj(augmented):
+            augmented = augmented.conj()
+        augmented = augmented.T
+    else:
+        augmented = pencil.augmented_column_matrix()
+    factor = np.linalg.qr(augmented, mode="r")
+    del augmented
+    _, s, vh = economic_svd(factor)
+    return s, vh
+
+
 def svd_realization(
     pencil: LoewnerPencil,
     *,
@@ -154,11 +177,11 @@ def svd_realization(
         # [L, sL] = R_row* Q_row* and [L; sL] = Q_col R_col with orthonormal
         # Q columns: the triangular factors have the singular values, and as
         # right singular vectors the ones the projection reads (conjugated for
-        # the rows), without the 2k-long vectors nobody reads
-        row_factor = np.linalg.qr(pencil.augmented_row_matrix().conj().T, mode="r")
-        col_factor = np.linalg.qr(pencil.augmented_column_matrix(), mode="r")
-        _, s_row, yh_full = economic_svd(row_factor)
-        _, s_col, xh_full = economic_svd(col_factor)
+        # the rows), without the 2k-long vectors nobody reads.  One side at a
+        # time, so the row side's working set is freed before the column
+        # side allocates its own
+        s_row, yh_full = _side_singular_vectors(pencil, "row")
+        s_col, xh_full = _side_singular_vectors(pencil, "column")
         limit = min(s_row.size, s_col.size)
         rank_row = _determine_order(s_row[:limit], order, rank_tolerance, rank_method)
         rank_col = _determine_order(s_col[:limit], order, rank_tolerance, rank_method)

@@ -30,8 +30,11 @@ class MacromodelResult:
         SVD diagnostics of the final projection (``None`` for vector fitting).
     tangential:
         The tangential data the model was built from, stored once per side
-        with the conjugate ``-j omega`` blocks implied (``None`` for vector
-        fitting and for fits replayed from a cache).  The result keeps no
+        with the conjugate ``-j omega`` blocks implied.  Front-end calls
+        (:func:`~repro.core.mfti`, ``vfti``, ``run_fit``) carry it; it is
+        ``None`` for vector fitting, for fits replayed from a cache and in
+        every batch record, which delivers the model alone
+        (:func:`~repro.batch.jobs.run_job`).  The result keeps no
         Loewner pencil; ``build_loewner_pencil(result.tangential)`` rebuilds
         the complex one, and ``build_loewner_pencil(result.tangential,
         real=True)`` the real one a real fit realizes.

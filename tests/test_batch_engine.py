@@ -19,11 +19,19 @@ from repro.batch import (
     BatchEngine,
     BatchResult,
     FitJob,
+    ShardPlan,
+    load_manifest,
+    merge_shard_results,
     numerical_differences,
     run_job,
+    run_shard,
+    write_manifests,
+    write_shard_result,
 )
+from repro.cache import FitCache
 from repro.core import available_methods, run_fit
 from repro.core.options import MftiOptions, RecursiveOptions, VftiOptions
+from repro.metrics.errors import model_aggregate_error
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +193,47 @@ class TestBatchEngine:
         with pytest.raises(ValueError, match="chunk_size"):
             BatchEngine(chunk_size=0)
         assert set(EXECUTORS) == {"serial", "thread", "process"}
+
+
+class TestRecordForm:
+    """Every path hands out one record form: the model, not the fit's working set."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, job_grid, tmp_path_factory):
+        cache = FitCache()
+        runs = {
+            "serial": BatchEngine().run(job_grid),
+            "thread": BatchEngine(executor="thread", max_workers=2).run(job_grid),
+            "process": BatchEngine(executor="process", max_workers=2).run(job_grid),
+            "cache miss": BatchEngine(cache=cache).run(job_grid),
+            "cache hit": BatchEngine(cache=cache).run(job_grid),
+        }
+        assert runs["cache hit"].n_cache_hits == len(job_grid)
+        shard_dir = tmp_path_factory.mktemp("shards")
+        shard_files = []
+        for path in write_manifests(ShardPlan.from_jobs(job_grid, 2), job_grid, shard_dir):
+            manifest = load_manifest(path)
+            shard_files.append(write_shard_result(
+                path.replace(".manifest.json", ".result.npz"), manifest,
+                run_shard(manifest, job_grid)))
+        runs["2-shard merge"] = merge_shard_results(shard_files)
+        return runs
+
+    @pytest.mark.parametrize("path", ["serial", "thread", "process", "cache miss",
+                                      "cache hit", "2-shard merge"])
+    def test_records_carry_the_model_alone(self, runs, path):
+        result = runs[path]
+        assert result.n_failed == 0
+        for record in result.records:
+            assert record.result.tangential is None, record.label
+            assert record.result.system._eval_plan is None, record.label
+        assert numerical_differences(runs["serial"], result) == []
+
+    def test_a_record_model_sweeps_to_its_score_bit_for_bit(self, job_grid, runs):
+        for job, record in zip(job_grid, runs["serial"].records):
+            system = record.result.system
+            assert model_aggregate_error(system, job.reference) == record.error_vs_reference
+            assert system._eval_plan is not None, "the sweep rebuilt the plan"
 
 
 # --------------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import run_fit
 from repro.core._pipeline import realize_from_tangential
-from repro.core.loewner import build_loewner_pencil
+from repro.core.loewner import LoewnerPencil, build_loewner_pencil
 from repro.core.realization import svd_realization
 from repro.core.options import MftiOptions
 from repro.core.tangential import _pair_halves, build_tangential_data
@@ -365,6 +365,29 @@ class TestRealizations:
         _, _, _, pencil = setup
         with pytest.raises(ValueError):
             svd_realization(pencil, mode="bogus")
+
+    @pytest.mark.parametrize("k", [100, 420])
+    def test_two_sided_realization_holds_each_side_alone(self, k):
+        """The traced peak of a real full-rank realization stays within 3.5x the
+        bytes of ``L`` and ``sL``: each side's augmented matrix and triangular
+        factor are freed before the other side allocates (4.5x when both
+        sides' working sets are held together)."""
+        rng = np.random.default_rng(k)
+        points = 1j * np.arange(1.0, k + 1.0)
+        pencil = LoewnerPencil(
+            loewner=rng.standard_normal((k, k)), shifted_loewner=rng.standard_normal((k, k)),
+            W=rng.standard_normal((2, k)), V=rng.standard_normal((k, 2)),
+            lambda_points=points, mu_points=-points,
+            right_block_sizes=(1,) * k, left_block_sizes=(1,) * k, is_real=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model, _ = svd_realization(pencil)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert model.order > k // 2  # a random pencil keeps (almost) every state
+        assert peak <= 3.5 * (pencil.loewner.nbytes + pencil.shifted_loewner.nbytes), peak
 
     def test_direct_realization_exact_when_square_and_regular(self):
         """Lemma 3.1 on critically sampled data: E=-L, A=-sL, B=V, C=W interpolates."""

@@ -183,6 +183,71 @@ class TestMftiInterface:
             options_type(**{field: value})
         assert getattr(options_type(**{field: np.int64(3)}), field) == 3
 
+    @pytest.mark.parametrize("value", [True, np.True_, float("nan"), float("inf"), "1e-3",
+                                       10 ** 400])
+    @pytest.mark.parametrize("options_type, field", [
+        (MftiOptions, "rank_tolerance"),
+        (VftiOptions, "rank_tolerance"),
+        (RecursiveOptions, "rank_tolerance"),
+        (RecursiveOptions, "error_threshold"),
+        (MftiOptions, "x0"),
+        (RecursiveOptions, "x0"),
+    ])
+    def test_float_options_are_validated_where_the_options_are_built(
+            self, options_type, field, value):
+        with pytest.raises(ValueError, match=field):
+            options_type(**{field: value})
+        assert getattr(options_type(**{field: np.float64(1e-3)}), field) == 1e-3
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    def test_rank_tolerance_is_positive_and_error_threshold_non_negative(self, value):
+        with pytest.raises(ValueError, match="rank_tolerance"):
+            MftiOptions(rank_tolerance=value)
+        if value < 0:
+            with pytest.raises(ValueError, match="error_threshold"):
+                RecursiveOptions(error_threshold=value)
+        else:
+            assert RecursiveOptions(error_threshold=value).error_threshold == 0.0
+
+    @pytest.mark.parametrize("value", [complex("nan+1j"), complex(1.0, float("inf"))])
+    def test_complex_x0_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="x0"):
+            MftiOptions(x0=value)
+        assert MftiOptions(x0=np.complex128(2 + 1j)).x0 == 2 + 1j
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None, 1.0])
+    @pytest.mark.parametrize("options_type, field", [
+        (MftiOptions, "real_output"),
+        (VftiOptions, "real_output"),
+        (MftiOptions, "include_conjugates"),
+        (RecursiveOptions, "relative_error"),
+    ])
+    def test_flags_are_bools(self, options_type, field, value):
+        with pytest.raises(ValueError, match=field):
+            options_type(**{field: value})
+        assert getattr(options_type(**{field: np.True_}), field)
+
+    @pytest.mark.parametrize("method, options", [
+        ("mfti", '{"rank_tolerance": true, "rank_method": "tolerance"}'),
+        ("mfti", '{"rank_tolerance": NaN}'),
+        ("mfti", '{"rank_tolerance": Infinity}'),
+        ("mfti", '{"x0": true, "svd_mode": "pencil"}'),
+        ("mfti", '{"real_output": 1}'),
+        ("mfti", '{"include_conjugates": "yes"}'),
+        ("vfti", '{"real_output": 1}'),
+        ("mfti-recursive", '{"error_threshold": true}'),
+        ("mfti-recursive", '{"error_threshold": NaN}'),
+        ("mfti-recursive", '{"relative_error": 0}'),
+    ])
+    def test_cli_refuses_bad_float_and_bool_options(self, many_sample_data, tmp_path, capsys,
+                                                    method, options):
+        path = tmp_path / "board.s4p"
+        write_touchstone(many_sample_data, path)
+        assert main(["fit", str(path), "--method", method, "--options", options]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert next(iter(json.loads(options))) in lines[0]
+
     @pytest.mark.parametrize("method, options", [
         ("mfti", '{"order": 2.5}'),
         ("mfti", '{"order": true}'),

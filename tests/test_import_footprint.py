@@ -11,8 +11,13 @@ trapezoidal integrator's LU (``simulate_lsim``) and the fallbacks of
 :mod:`repro.utils.blas` for a numpy build without the LAPACK routine.  A
 static scan of ``src/`` holds every scipy import to those sites.
 
-The probe runs in a fresh interpreter, because any earlier test in this
-process may already have loaded scipy.
+A batch stays off the fit server's stack in the same way: ``repro``
+resolves its public names on first use, so importing it and running a
+serial job loads neither :mod:`repro.serve` nor ``asyncio`` and the
+http/ssl/email modules the server and its client import.
+
+The probes run in a fresh interpreter, because any earlier test in this
+process may already have loaded scipy or the server.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ from __future__ import annotations
 import ast
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.utils import blas
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,13 +109,55 @@ print(json.dumps({
 """
 
 
-def test_no_front_end_or_job_path_imports_scipy():
+#: Modules of the fit server's stack that a batch run must not load.
+SERVER_STACK = ("asyncio", "ssl", "email", "http.client", "repro.api", "repro.serve")
+
+BATCH_PROBE = """
+import json
+import sys
+
+import repro
+from repro import BatchEngine, FitJob
+from repro.systems.random_systems import random_stable_system
+
+system = random_stable_system(order=6, n_ports=2, seed=1)
+data = repro.sample_scattering(system, repro.linear_frequencies(1e2, 1e4, 8))
+BatchEngine().run([FitJob(data, reference=data)]).raise_failures()
+loaded = [name for name in %r if name in sys.modules]
+
+from repro import Client
+
+print(json.dumps({
+    "loaded": loaded,
+    "client": Client is repro.serve.Client is repro.api.Client,
+    "missing_from_dir": sorted(set(repro.__all__) - set(dir(repro))),
+}))
+""" % (SERVER_STACK,)
+
+
+def _run_probe(probe: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     completed = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
     )
     assert completed.returncode == 0, completed.stderr
-    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_a_batch_run_stays_off_the_server_stack():
+    report = _run_probe(BATCH_PROBE)
+    assert report["loaded"] == [], f"import repro and a serial job load {report['loaded']}"
+    assert report["client"], "repro.Client, repro.serve.Client and repro.api.Client differ"
+    assert report["missing_from_dir"] == []
+
+
+def test_every_submodule_resolves_on_first_use():
+    found = {info.name for info in pkgutil.iter_modules(repro.__path__)} - {"__main__"}
+    assert repro._SUBMODULES == found
+
+
+def test_no_front_end_or_job_path_imports_scipy():
+    report = _run_probe(PROBE)
     assert report["methods"] == ["mfti", "mfti-recursive", "vfti"]
     assert report["time_domain"] >= 1
     assert report["certified"] == 1
